@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .criteria import (DetectionReport, bipartite_bound, detect_bipartite,
+from .criteria import (DECISION_MARGIN, ENTANGLED_DETECTED, INCONCLUSIVE,
+                       DetectionReport, bipartite_bound, detect_bipartite,
                        j_bipartite)
 from .errors import NumericIntegrityError
 from .gsic import (GsicSet, conjugate_gsic, construct_gsic, feasible_t,
@@ -21,8 +22,6 @@ from .gsic import (GsicSet, conjugate_gsic, construct_gsic, feasible_t,
 from .operator_basis import gell_mann_basis
 from .states import (DensityMatrix, bell_diagonal, diagonal_mixture,
                      isotropic, max_entangled, read_state)
-
-DECISION_MARGIN = 1e-9
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,7 +84,8 @@ def _cmd_build(args) -> int:
     t, cap = _resolve_t(args, basis)
     g = construct_gsic(basis, t)
     write_gsic(g, args.out)
-    print(json.dumps({"d": g.dim, "t": g.t, "a": g.a, "cap": cap}))
+    print(json.dumps({"d": g.dim, "t": g.t, "a": g.a, "cap": cap},
+                     allow_nan=False))
     return 0
 
 
@@ -159,7 +159,7 @@ def _cmd_detect(args) -> int:
     q = conjugate_gsic(p) if args.pairing == "conj" else p
     report = detect_bipartite(rho, p, q)
     if args.json:
-        print(json.dumps(_report_payload(report, extras)))
+        print(json.dumps(_report_payload(report, extras), allow_nan=False))
     else:
         print(f"state   {report.state_label}")
         print(f"setup   d={report.dim} N={report.parties} "
@@ -210,7 +210,7 @@ def _cmd_scan(args) -> int:
         j = j_bipartite(make(float(x)), p, q)
         m = j - bound
         margins.append(m)
-        verdict = "ENTANGLED_DETECTED" if m > DECISION_MARGIN else "INCONCLUSIVE"
+        verdict = ENTANGLED_DETECTED if m > DECISION_MARGIN else INCONCLUSIVE
         lines.append(f"{float(x)!r},{j!r},{bound!r},{m!r},{verdict}")
 
     threshold = float("nan")

@@ -74,11 +74,13 @@ def construct_gsic(basis: OperatorBasis, t: float) -> GsicSet:
     eigenvalue below -1e-10; the exception carries the offending
     operator index and the eigenvalue.
     """
+    if not np.isfinite(t):
+        raise ValueError(f"mixing parameter must be finite, got {t}")
     if t < 0:
         raise ValueError(f"mixing parameter must be nonnegative, got {t}")
     d = basis.dim
     ops = _operators(basis, t)
-    smallest = np.array([np.linalg.eigvalsh(op)[0].real for op in ops])
+    smallest = np.linalg.eigvalsh(ops)[:, 0]
     worst = int(np.argmin(smallest))
     if smallest[worst] < -PSD_TOL:
         raise InfeasibleParameterError(
@@ -89,31 +91,23 @@ def construct_gsic(basis: OperatorBasis, t: float) -> GsicSet:
                    basis_id=basis.basis_id)
 
 
-def _min_eigenvalue(basis: OperatorBasis, t: float) -> float:
-    ops = _operators(basis, t)
-    return min(float(np.linalg.eigvalsh(op)[0].real) for op in ops)
-
-
 def feasible_t(basis: OperatorBasis) -> FeasibleT:
     """Largest usable mixing parameter and the constraint that caps it.
 
     The positivity of every operator bounds t from above, and so does
-    the purity ceiling a <= 1/d**2.  Whichever bound binds first wins;
-    the positivity boundary is located by bisection to 1e-12.
+    the purity ceiling a <= 1/d**2.  Whichever bound binds first wins.
+    Since P_j = I/d**2 + t*M_j with M_j independent of t, the smallest
+    eigenvalue of P_j is exactly 1/d**2 + t*lambda_min(M_j), so the
+    positivity cap is 1/(d**2 |min_j lambda_min(M_j)|) in closed form.
     """
     d = basis.dim
     t_purity = (d * (d + 1.0)) ** -1.5
+    directions = _operators(basis, 1.0) - np.eye(d) / d**2
+    lam = float(np.linalg.eigvalsh(directions)[:, 0].min())
     # -1e-13 absorbs eigensolver noise without accepting real violations
-    if _min_eigenvalue(basis, t_purity) >= -1e-13:
+    if 1.0 / d**2 + t_purity * lam >= -1e-13:
         return FeasibleT(t=t_purity, cap="a-max")
-    lo, hi = 0.0, t_purity
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if _min_eigenvalue(basis, mid) >= -1e-13:
-            lo = mid
-        else:
-            hi = mid
-    return FeasibleT(t=lo, cap="positivity")
+    return FeasibleT(t=1.0 / (d * d * abs(lam)), cap="positivity")
 
 
 def max_feasible_t(basis: OperatorBasis) -> float:
@@ -148,12 +142,13 @@ def validate_gsic(g: GsicSet, tol: float = 1e-10) -> ValidationOutcome:
     completeness = float(np.abs(ops.sum(axis=0) - np.eye(d)).max())
     traces = np.einsum("aii->a", ops)
     op_trace = float(np.abs(traces - 1.0 / d).max())
-    gram = np.einsum("aij,bji->ab", ops, ops).real
+    flat = ops.reshape(d * d, d * d)
+    gram = (flat @ ops.transpose(0, 2, 1).reshape(d * d, d * d).T).real
     purity = float(np.abs(np.diag(gram) - g.a).max())
     cross_target = (1.0 - d * g.a) / (d * (d * d - 1.0))
     off = gram - np.diag(np.diag(gram))
     cross = float(np.abs(off - cross_target * (1.0 - np.eye(d * d))).max())
-    min_eig = min(float(np.linalg.eigvalsh(op)[0].real) for op in ops)
+    min_eig = float(np.linalg.eigvalsh(ops)[:, 0].min())
     psd = max(0.0, -min_eig)
     a_range = max(0.0, 1.0 / d**3 - g.a, g.a - 1.0 / d**2)
     deviations = {
@@ -166,7 +161,8 @@ def validate_gsic(g: GsicSet, tol: float = 1e-10) -> ValidationOutcome:
         "a_range": a_range,
     }
     return ValidationOutcome(deviations=deviations, tolerance=tol,
-                             passed=max(deviations.values()) <= tol)
+                             # all() rather than max(): max() skips a NaN
+                             passed=all(v <= tol for v in deviations.values()))
 
 
 def index_of_coincidence(rho: DensityMatrix, g: GsicSet) -> float:
@@ -212,7 +208,8 @@ def read_gsic(path: str | Path) -> GsicSet:
                 basis_id=basis_id)
     outcome = validate_gsic(g)
     if not outcome.passed:
-        worst = max(outcome.deviations, key=outcome.deviations.get)
+        worst = max(outcome.deviations, key=lambda k: np.nan_to_num(
+            outcome.deviations[k], nan=np.inf))
         raise ValueError(
             f"measurement file {path} fails validation: {worst} deviates "
             f"by {outcome.deviations[worst]:.3e}")

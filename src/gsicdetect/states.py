@@ -44,6 +44,8 @@ class DensityMatrix:
                 f"{local_dim} and {parties}")
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix has non-finite entries")
         herm = float(np.abs(mat - mat.conj().T).max())
         if herm > HERM_TOL:
             raise ValueError(f"matrix is not Hermitian, deviation {herm:.3e}")
@@ -115,18 +117,19 @@ def bell_diagonal(d: int, weights: Mapping[tuple[int, int], float]) -> DensityMa
     """
     if d < 2:
         raise ValueError(f"need dimension >= 2, got {d}")
-    total = 0.0
-    mat = np.zeros((d * d, d * d), dtype=complex)
     for (s, t), p in weights.items():
         if not (0 <= s < d and 0 <= t < d):
             raise ValueError(f"label ({s}, {t}) out of range for dimension {d}")
+        if not np.isfinite(p):
+            raise ValueError(f"non-finite weight {p} for label ({s}, {t})")
         if p < 0:
             raise ValueError(f"negative weight {p} for label ({s}, {t})")
-        vec = _bell_vector(d, s, t)
-        mat += p * np.outer(vec, vec.conj())
-        total += p
+    total = sum(weights.values())
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"weights sum to {total}, expected 1")
+    vecs = np.array([_bell_vector(d, s, t) for s, t in weights])
+    probs = np.array(list(weights.values()), dtype=float)
+    mat = vecs.T @ (probs[:, None] * vecs.conj())
     c = max(weights.values())
     return DensityMatrix(local_dim=d, parties=2, matrix=mat,
                          label=f"belldiag-d{d}-c{c:g}")

@@ -238,3 +238,14 @@ def test_argparse_usage_errors():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_detect_nan_weight_exits_2_without_invalid_json(tmp_path, capsys):
+    wfile = tmp_path / "w.json"
+    wfile.write_text('{"0,0": NaN, "0,1": 0.5, "1,0": 0.5}')
+    rc = main(["detect", "--state", f"belldiag:2:@{wfile}", "--max-t",
+               "--json"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "non-finite" in captured.err

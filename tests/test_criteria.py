@@ -10,6 +10,7 @@ from gsicdetect import (ENTANGLED_DETECTED, INCONCLUSIVE,
                         isotropic, isotropic_threshold_scan, j_bipartite,
                         j_multipartite, max_entangled, max_feasible_t,
                         multipartite_bound, random_separable, trace_t_bound)
+from gsicdetect.oracle import brute_force_j
 from gsicdetect.states import DensityMatrix
 
 
@@ -267,3 +268,35 @@ def test_diagonal_mixture_closed_form_and_detection():
             assert j >= a1 * d * a - 1e-10
             if a1 > threshold + 1e-6:
                 assert detect_bipartite(rho, p, q).verdict == ENTANGLED_DETECTED
+
+
+def _ginibre(d, n, rng):
+    dim = d ** n
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    mat = g @ g.conj().T
+    mat = 0.5 * (mat + mat.conj().T) / np.trace(mat).real
+    return DensityMatrix.from_matrix(mat, d, n, label="ginibre")
+
+
+# d = 5, N = 4 is left out: its 625-level Kronecker oracle alone takes
+# seconds, and d**N = 625 exercises no index layout the others miss
+@pytest.mark.parametrize("d, n", [(d, n) for d in (2, 3, 4, 5)
+                                  for n in (2, 3, 4) if d ** n <= 256])
+def test_contraction_matches_brute_force(d, n):
+    rng = np.random.default_rng(100 * d + n)
+    basis = gell_mann_basis(d)
+    tm = max_feasible_t(basis)
+    p = construct_gsic(basis, tm)
+    pc = conjugate_gsic(p)
+    # one set per party, each at its own t; the multipartite sum allows it
+    mixed = [construct_gsic(basis, tm * (k + 1) / n) for k in range(n)]
+    mixed[-1] = conjugate_gsic(mixed[-1])
+    rho = _ginibre(d, n, rng)
+    cases = [[p] * n, [pc] * n, [p] + [pc] * (n - 1), mixed]
+    for sets in cases:
+        want = brute_force_j(rho, sets)
+        assert abs(j_multipartite(rho, sets) - want) <= 1e-12 * abs(want)
+    if n == 2:
+        for q in (pc, p):
+            want = brute_force_j(rho, [p, q])
+            assert abs(j_bipartite(rho, p, q) - want) <= 1e-12 * abs(want)

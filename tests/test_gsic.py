@@ -165,8 +165,74 @@ def test_json_reader_rejects_tampering(tmp_path):
         read_gsic(path)
 
 
+def test_json_reader_rejects_non_finite_purity(tmp_path):
+    g = construct_gsic(gell_mann_basis(2), 0.05)
+    path = tmp_path / "set.json"
+    write_gsic(g, path)
+    payload = json.loads(path.read_text())
+    payload["a"] = payload["t"] = float("nan")
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="purity deviates by nan"):
+        read_gsic(path)
+
+
 def test_json_reader_rejects_malformed_payload(tmp_path):
     path = tmp_path / "set.json"
     path.write_text(json.dumps({"d": 2, "t": 0.0}))
     with pytest.raises(ValueError, match="malformed"):
         read_gsic(path)
+
+
+def _bisected_cap(basis):
+    # the former algorithm: bisect on the smallest operator eigenvalue,
+    # with the operators assembled here from the generators
+    d = basis.dim
+    t_purity = (d * (d + 1.0)) ** -1.5
+    m = np.empty((d * d, d, d), dtype=complex)
+    m[:-1] = basis.basis_sum - d * (d + 1.0) * basis.generators
+    m[-1] = (d + 1.0) * basis.basis_sum
+
+    def min_eig(t):
+        return min(np.linalg.eigvalsh(np.eye(d) / d**2 + t * op)[0]
+                   for op in m)
+
+    if min_eig(t_purity) >= -1e-13:
+        return t_purity
+    lo, hi = 0.0, t_purity
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if min_eig(mid) >= -1e-13:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_closed_form_cap_matches_bisection(d):
+    basis = gell_mann_basis(d)
+    cap = feasible_t(basis)
+    assert cap.cap == "positivity"
+    assert abs(cap.t - _bisected_cap(basis)) <= 2e-12
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_cap_is_the_exact_positivity_boundary(d):
+    # the smallest eigenvalue is affine in t, so a relative overshoot eps
+    # of the cap drives it to exactly -eps/d**2
+    basis = gell_mann_basis(d)
+    t = feasible_t(basis).t * (1 + 1e-9)
+    if d <= 3:
+        # -1e-9/d**2 lies below the -1e-10 PSD tolerance only for d <= 3
+        with pytest.raises(InfeasibleParameterError):
+            construct_gsic(basis, t)
+    else:
+        ops = construct_gsic(basis, t).operators
+        assert np.linalg.eigvalsh(ops)[:, 0].min() == pytest.approx(
+            -1e-9 / d**2, abs=1e-14)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_non_finite_t_rejected(t):
+    with pytest.raises(ValueError, match="finite"):
+        construct_gsic(gell_mann_basis(2), t)

@@ -253,3 +253,17 @@ def test_from_matrix_validation():
         DensityMatrix.from_matrix(np.diag([1.5, -0.5]).astype(complex), 2, 1)
     with pytest.raises(ValueError, match="shape"):
         DensityMatrix.from_matrix(good, 2, 2)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_from_matrix_rejects_non_finite_entries(bad):
+    mat = np.eye(2, dtype=complex) / 2
+    mat[0, 1] = mat[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix.from_matrix(mat, 2, 1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_bell_diagonal_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        bell_diagonal(2, {(0, 0): 1.0, (1, 1): bad})
