@@ -7,15 +7,13 @@ entanglement of bipartite and multipartite states.
 """
 
 from .criteria import (DetectionReport, ENTANGLED_DETECTED, INCONCLUSIVE,
-                       bipartite_bound, correlation_matrix, default_pair,
-                       detect_bipartite, isotropic_threshold_scan,
-                       j_bipartite, j_multipartite, multipartite_bound,
-                       trace_t_bound)
+                       bipartite_bound, correlation_matrix, detect_bipartite,
+                       isotropic_threshold_scan, j_bipartite, j_multipartite,
+                       multipartite_bound, scan_family, trace_t_bound)
 from .errors import InfeasibleParameterError, NumericIntegrityError
 from .gsic import (FeasibleT, GsicSet, conjugate_gsic, construct_gsic,
-                   default_gsic, feasible_t, index_of_coincidence,
-                   max_feasible_t, purity_from_t, read_gsic, validate_gsic,
-                   write_gsic)
+                   feasible_t, index_of_coincidence, max_feasible_t,
+                   purity_from_t, read_gsic, validate_gsic, write_gsic)
 from .operator_basis import (OperatorBasis, ValidationOutcome,
                              gell_mann_basis, verify_basis)
 from .oracle import PptResult, brute_force_j, ppt_test
@@ -42,8 +40,6 @@ __all__ = [
     "conjugate_gsic",
     "construct_gsic",
     "correlation_matrix",
-    "default_gsic",
-    "default_pair",
     "detect_bipartite",
     "diagonal_mixture",
     "feasible_t",
@@ -60,6 +56,7 @@ __all__ = [
     "ppt_test",
     "purity_from_t",
     "random_separable",
+    "scan_family",
     "read_gsic",
     "read_state",
     "tensor",

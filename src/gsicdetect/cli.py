@@ -11,11 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .criteria import (DECISION_MARGIN, ENTANGLED_DETECTED, INCONCLUSIVE,
-                       DetectionReport, bipartite_bound, detect_bipartite,
-                       j_bipartite)
+from .criteria import DetectionReport, detect_bipartite, scan_family
 from .errors import NumericIntegrityError
 from .gsic import (GsicSet, conjugate_gsic, construct_gsic, feasible_t,
                    read_gsic, write_gsic)
@@ -70,19 +66,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_t(args, basis) -> tuple[float, str | None]:
+def _gsic_from_args(args, d: int) -> tuple[GsicSet, str | None]:
+    """Measurement set at --t or --max-t, and the cap kind for --max-t."""
+    basis = gell_mann_basis(d)
     if args.max_t:
-        ft = feasible_t(basis)
-        return ft.t, ft.cap
-    if args.t is None:
+        t, cap = feasible_t(basis)
+    elif args.t is None:
         raise ValueError("need --t VALUE or --max-t")
-    return args.t, None
+    else:
+        t, cap = args.t, None
+    return construct_gsic(basis, t), cap
 
 
 def _cmd_build(args) -> int:
-    basis = gell_mann_basis(args.dim)
-    t, cap = _resolve_t(args, basis)
-    g = construct_gsic(basis, t)
+    g, cap = _gsic_from_args(args, args.dim)
     write_gsic(g, args.out)
     print(json.dumps({"d": g.dim, "t": g.t, "a": g.a, "cap": cap},
                      allow_nan=False))
@@ -153,9 +150,7 @@ def _cmd_detect(args) -> int:
                 f"measurement dimension {p.dim} does not match the state "
                 f"dimension {d}")
     else:
-        basis = gell_mann_basis(d)
-        t, _ = _resolve_t(args, basis)
-        p = construct_gsic(basis, t)
+        p, _ = _gsic_from_args(args, d)
     q = conjugate_gsic(p) if args.pairing == "conj" else p
     report = detect_bipartite(rho, p, q)
     if args.json:
@@ -171,68 +166,22 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-def _scan_family(family: str, d: int):
-    """Grid range and state factory of a scan family."""
-    if family == "isotropic":
-        return 0.0, 1.0, lambda x: isotropic(d, x)
-    if family == "belldiag-c":
-        def make(c: float) -> DensityMatrix:
-            rest = (1.0 - c) / (d * d - 1.0)
-            weights = {(s, t): rest for s in range(d) for t in range(d)}
-            weights[(0, 0)] = c
-            return bell_diagonal(d, weights)
-        return 1.0 / (d * d), 1.0, make
-    if family == "diagmix":
-        return 0.0, 1.0, lambda x: diagonal_mixture(d, x)
-    raise ValueError(f"unknown scan family {family!r}")
-
-
 def _cmd_scan(args) -> int:
-    if args.steps < 10:
-        raise ValueError(f"need at least 10 grid steps, got {args.steps}")
     d = args.dim
-    basis = gell_mann_basis(d)
-    t, _ = _resolve_t(args, basis)
-    if t <= 0:
-        raise ValueError("scan needs a positive mixing parameter")
-    p = construct_gsic(basis, t)
-    q = conjugate_gsic(p)
-    bound = bipartite_bound(d, p.a)
-    lo, hi, make = _scan_family(args.family, d)
-
-    def margin(x: float) -> float:
-        return j_bipartite(make(x), p, q) - bound
-
+    p, _ = _gsic_from_args(args, d)
+    scan = scan_family(args.family, p, args.steps)
     lines = ["param,j_value,bound,margin,verdict"]
-    grid = np.linspace(lo, hi, args.steps)
-    margins = []
-    for x in grid:
-        j = j_bipartite(make(float(x)), p, q)
-        m = j - bound
-        margins.append(m)
-        verdict = ENTANGLED_DETECTED if m > DECISION_MARGIN else INCONCLUSIVE
-        lines.append(f"{float(x)!r},{j!r},{bound!r},{m!r},{verdict}")
-
-    threshold = float("nan")
-    for i in range(1, args.steps):
-        if margins[i - 1] <= 0.0 < margins[i]:
-            a_lo, a_hi = float(grid[i - 1]), float(grid[i])
-            while a_hi - a_lo > 1e-10:
-                mid = 0.5 * (a_lo + a_hi)
-                if margin(mid) > 0.0:
-                    a_hi = mid
-                else:
-                    a_lo = mid
-            threshold = 0.5 * (a_lo + a_hi)
-            break
+    for x, r in zip(scan.grid, scan.reports):
+        lines.append(f"{float(x)!r},{r.j_value!r},{r.bound!r},{r.margin!r},"
+                     f"{r.verdict}")
     if args.family == "isotropic":
         guaranteed = 1.0 / (d + 1.0)
     else:
         guaranteed = (1.0 + 1.0 / (p.a * d * d)) / (d + 1.0)
-    lines.append(f"threshold,{threshold!r},,,")
+    lines.append(f"threshold,{scan.threshold!r},,,")
     lines.append(f"guaranteed_threshold,{guaranteed!r},,,")
     Path(args.csv).write_text("\n".join(lines) + "\n")
-    print(f"threshold {threshold!r}")
+    print(f"threshold {scan.threshold!r}")
     print(f"guaranteed_threshold {guaranteed!r}")
     return 0
 

@@ -15,13 +15,14 @@ and tolerates different purities per party.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericIntegrityError
-from .gsic import GsicSet, conjugate_gsic, construct_gsic, max_feasible_t
+from .gsic import GsicSet, conjugate_gsic, construct_gsic
 from .operator_basis import OperatorBasis, gell_mann_basis
-from .states import DensityMatrix, isotropic
+from .states import DensityMatrix, bell_diagonal, diagonal_mixture, isotropic
 
 IMAG_TOL = 1e-8
 DECISION_MARGIN = 1e-9
@@ -85,22 +86,28 @@ def j_bipartite(rho: DensityMatrix, p: GsicSet, q: GsicSet) -> float:
         raise ValueError(
             f"measurement dimensions ({p.dim}, {q.dim}) do not match the "
             f"state dimension {d}")
-    if abs(p.a - q.a) > 1e-12:
+    if not abs(p.a - q.a) <= 1e-12:
         raise ValueError(
             f"the two sets must share the purity parameter, got "
             f"{p.a} and {q.a}")
     return _correlation_sum(rho, [p, q])
 
 
-def bipartite_bound(d: int, a: float) -> float:
-    """Separable ceiling of the bipartite correlation sum."""
-    if d < 2:
-        raise ValueError(f"need dimension >= 2, got {d}")
-    if a < 1.0 / d**3 - RANGE_SLACK or a > 1.0 / d**2 + RANGE_SLACK:
+def _party_bound(d: int, a: float) -> float:
+    """One party's separable ceiling; rejects a purity outside [1/d**3, 1/d**2]."""
+    # written so that a NaN purity fails the comparison
+    if not 1.0 / d**3 - RANGE_SLACK <= a <= 1.0 / d**2 + RANGE_SLACK:
         raise ValueError(
             f"purity {a} outside the admissible range "
             f"[{1.0 / d**3}, {1.0 / d**2}] for dimension {d}")
     return (a * d * d + 1.0) / (d * (d + 1.0))
+
+
+def bipartite_bound(d: int, a: float) -> float:
+    """Separable ceiling of the bipartite correlation sum."""
+    if d < 2:
+        raise ValueError(f"need dimension >= 2, got {d}")
+    return _party_bound(d, a)
 
 
 def detect_bipartite(rho: DensityMatrix, p: GsicSet, q: GsicSet) -> DetectionReport:
@@ -140,12 +147,7 @@ def multipartite_bound(d: int, a_values: list[float]) -> float:
         raise ValueError(f"need dimension >= 2, got {d}")
     if len(a_values) < 2:
         raise ValueError(f"need at least two purities, got {len(a_values)}")
-    for a in a_values:
-        if a < 1.0 / d**3 - RANGE_SLACK or a > 1.0 / d**2 + RANGE_SLACK:
-            raise ValueError(
-                f"purity {a} outside the admissible range "
-                f"[{1.0 / d**3}, {1.0 / d**2}] for dimension {d}")
-    terms = [(a * d * d + 1.0) / (d * (d + 1.0)) for a in a_values]
+    terms = [_party_bound(d, a) for a in a_values]
     return sum(terms) / len(terms)
 
 
@@ -180,50 +182,69 @@ def trace_t_bound(d: int) -> float:
     return (d - 1.0) / (2.0 * d)
 
 
-def isotropic_threshold_scan(d: int, t: float, steps: int) -> float:
-    """Noise level where the test starts flagging isotropic states.
+def _family_states(family: str, d: int):
+    """Grid range and state factory of a scan family."""
+    if family == "isotropic":
+        return 0.0, 1.0, lambda x: isotropic(d, x)
+    if family == "belldiag-c":
+        def make(c: float) -> DensityMatrix:
+            rest = (1.0 - c) / (d * d - 1.0)
+            weights = {(s, t): rest for s in range(d) for t in range(d)}
+            weights[(0, 0)] = c
+            return bell_diagonal(d, weights)
+        return 1.0 / (d * d), 1.0, make
+    if family == "diagmix":
+        return 0.0, 1.0, lambda x: diagonal_mixture(d, x)
+    raise ValueError(f"unknown scan family {family!r}")
 
-    Scans the mixing weight over a grid of the given size, then refines
-    the crossing of the correlation sum through the separable ceiling by
-    bisection.  The exact crossing sits at 1/(d + 1) for every feasible
-    t > 0.
+
+class FamilyScan(NamedTuple):
+    grid: np.ndarray
+    reports: list[DetectionReport]
+    threshold: float  # NaN when the grid shows no resolved crossing
+
+
+def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
+    """Test a one-parameter state family on a grid and locate its crossing.
+
+    Families: "isotropic" (mixing weight alpha on [0, 1]), "belldiag-c"
+    (identity-label weight c on [1/d**2, 1], rest uniform) and "diagmix"
+    (dominant weight a1 on [0, 1]).  Each state is affine in its
+    parameter and J is linear in rho, so the margin J - bound is affine
+    and the crossing is exact by linear interpolation between the two
+    grid points that bracket the sign change.  Every family's fidelity
+    rises with its parameter, so margins that do not rise strictly along
+    the grid are rounding noise; the crossing is then NaN, as it is when
+    the grid never crosses the bound.  The paired set is conj(p).
     """
     if steps < 10:
         raise ValueError(f"need at least 10 grid steps, got {steps}")
-    if t <= 0:
-        raise ValueError(f"need a positive mixing parameter, got {t}")
-    basis = gell_mann_basis(d)
-    p = construct_gsic(basis, t)
+    if p.t <= 0:
+        raise ValueError(f"scan needs a positive mixing parameter, got {p.t}")
+    lo, hi, make = _family_states(family, p.dim)
     q = conjugate_gsic(p)
-    bound = bipartite_bound(d, p.a)
+    grid = np.linspace(lo, hi, steps)
+    reports = [detect_bipartite(make(float(x)), p, q) for x in grid]
+    m = np.array([r.margin for r in reports])
+    threshold = float("nan")
+    crossed = np.flatnonzero((m[:-1] <= 0.0) & (m[1:] > 0.0))
+    if np.all(np.diff(m) > 0.0) and crossed.size:
+        i = crossed[0]
+        threshold = float(grid[i] - m[i] * (grid[i + 1] - grid[i])
+                          / (m[i + 1] - m[i]))
+    return FamilyScan(grid=grid, reports=reports, threshold=threshold)
 
-    def margin(alpha: float) -> float:
-        return j_bipartite(isotropic(d, alpha), p, q) - bound
 
-    grid = np.linspace(0.0, 1.0, steps)
-    margins = [margin(alpha) for alpha in grid]
-    crossing = None
-    for i in range(1, steps):
-        if margins[i - 1] <= 0.0 < margins[i]:
-            crossing = (grid[i - 1], grid[i])
-            break
-    if crossing is None:
+def isotropic_threshold_scan(d: int, t: float, steps: int) -> float:
+    """Noise level where the test starts flagging isotropic states.
+
+    The crossing of the correlation sum through the separable ceiling,
+    from scan_family; it sits at 1/(d + 1) for every feasible t > 0.
+    Raises ValueError when the grid shows no resolved crossing.
+    """
+    threshold = scan_family("isotropic", construct_gsic(gell_mann_basis(d), t),
+                            steps).threshold
+    if np.isnan(threshold):
         raise ValueError(
-            f"no crossing found on the grid for d = {d}, t = {t}")
-    lo, hi = crossing
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if margin(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def default_pair(d: int, t: float | None = None) -> tuple[GsicSet, GsicSet]:
-    """Measurement and its conjugate on the Gell-Mann basis."""
-    basis = gell_mann_basis(d)
-    if t is None:
-        t = max_feasible_t(basis)
-    p = construct_gsic(basis, t)
-    return p, conjugate_gsic(p)
+            f"no resolved crossing on the grid for d = {d}, t = {t}")
+    return threshold

@@ -26,10 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleParameterError
-from .operator_basis import OperatorBasis, ValidationOutcome, gell_mann_basis
-from .states import DensityMatrix
-
-PSD_TOL = 1e-10
+from .operator_basis import OperatorBasis, ValidationOutcome
+from .states import PSD_TOL, DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -215,13 +213,3 @@ def read_gsic(path: str | Path) -> GsicSet:
             f"by {outcome.deviations[worst]:.3e}")
     return g
 
-
-def default_gsic(d: int, t: float | None = None) -> GsicSet:
-    """Convenience constructor on the Gell-Mann basis.
-
-    With t omitted the largest feasible mixing parameter is used.
-    """
-    basis = gell_mann_basis(d)
-    if t is None:
-        t = max_feasible_t(basis)
-    return construct_gsic(basis, t)

@@ -40,7 +40,8 @@ def ppt_test(rho: DensityMatrix) -> PptResult:
 def brute_force_j(rho: DensityMatrix, sets: list[GsicSet]) -> float:
     """Correlation sum via explicit Kronecker products.
 
-    Slow reference implementation used to cross-check the einsum route.
+    Slow reference implementation used to cross-check the contraction
+    kernel behind j_bipartite and j_multipartite.
     """
     n = rho.parties
     if len(sets) != n:

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from gsicdetect import max_entangled, read_gsic, write_state
+from gsicdetect import (gell_mann_basis, max_entangled, max_feasible_t,
+                        read_gsic, write_state)
 from gsicdetect.cli import main
 
 
@@ -217,6 +218,27 @@ def test_scan_bell_diagonal_threshold(tmp_path, capsys):
     threshold = float(
         capsys.readouterr().out.strip().splitlines()[0].split()[1])
     assert abs(threshold - 0.5) < 1e-6
+
+
+@pytest.mark.parametrize("family", ["isotropic", "belldiag-c", "diagmix"])
+@pytest.mark.parametrize("d", [2, 3, 6])
+@pytest.mark.parametrize("fraction", [1.0, 0.5])
+def test_scan_threshold_is_exact(tmp_path, capsys, family, d, fraction):
+    t = fraction * max_feasible_t(gell_mann_basis(d))
+    assert main(["scan", "--family", family, "--dim", str(d), "--t", repr(t),
+                 "--steps", "40", "--csv", str(tmp_path / "s.csv")]) == 0
+    threshold = float(capsys.readouterr().out.splitlines()[0].split()[1])
+    exact = 1 / (d + 1) if family == "isotropic" else 1 / d
+    assert abs(threshold - exact) <= 1e-12
+
+
+def test_scan_threshold_below_rounding_is_nan(tmp_path, capsys):
+    # at t = 1e-9 the margin (of order t**2) is below the rounding of J
+    csv = tmp_path / "noise.csv"
+    assert main(["scan", "--family", "isotropic", "--dim", "3", "--t", "1e-9",
+                 "--steps", "40", "--csv", str(csv)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "threshold nan"
+    assert csv.read_text().splitlines()[-2] == "threshold,nan,,,"
 
 
 def test_scan_input_checks(tmp_path, capsys):

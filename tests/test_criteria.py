@@ -1,5 +1,7 @@
 """Tests for the correlation-sum entanglement tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,17 @@ def test_bound_reference_values():
         bipartite_bound(2, 1 / 8 - 1e-6)
     with pytest.raises(ValueError):
         bipartite_bound(2, 0.25 + 1e-6)
+
+
+def test_nan_purity_is_rejected():
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        bipartite_bound(2, nan)
+    with pytest.raises(ValueError):
+        multipartite_bound(2, [nan, 0.25])
+    p, q = _pair(2)
+    with pytest.raises(ValueError):
+        detect_bipartite(max_entangled(2), dataclasses.replace(p, a=nan), q)
 
 
 def test_detect_reports():
@@ -220,6 +233,12 @@ def test_isotropic_threshold_scan_input_checks():
         isotropic_threshold_scan(2, 0.01, 5)
     with pytest.raises(ValueError):
         isotropic_threshold_scan(2, 0.0, 40)
+
+
+def test_isotropic_threshold_scan_rejects_a_crossing_below_rounding():
+    # at t = 1e-9 the margin (of order t**2) is below the rounding of J
+    with pytest.raises(ValueError):
+        isotropic_threshold_scan(3, 1e-9, 40)
 
 
 def test_separable_states_stay_inconclusive():
