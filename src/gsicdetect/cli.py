@@ -11,7 +11,8 @@ import json
 import sys
 from pathlib import Path
 
-from .criteria import DetectionReport, detect_bipartite, scan_family
+from .criteria import (SCAN_FAMILIES, DetectionReport, detect_bipartite,
+                       scan_family)
 from .errors import NumericIntegrityError
 from .gsic import (GsicSet, conjugate_gsic, construct_gsic, feasible_t,
                    read_gsic, write_gsic)
@@ -29,10 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     build = sub.add_parser("build", help="construct a measurement set")
     build.add_argument("--dim", type=int, required=True, help="local dimension")
-    group = build.add_mutually_exclusive_group(required=True)
-    group.add_argument("--t", type=float, help="mixing parameter")
-    group.add_argument("--max-t", action="store_true",
-                       help="use the largest feasible mixing parameter")
+    _add_t_arguments(build, required=True)
     build.add_argument("--out", required=True, help="output JSON path")
     build.set_defaults(func=_cmd_build)
 
@@ -41,11 +39,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="state spec: maxent:D | isotropic:D:ALPHA | "
                              "belldiag:D:@WEIGHTS.json | diagmix:D:A1 | "
                              "file:@RHO.json")
-    detect.add_argument("--gsic", help="measurement JSON produced by build")
+    _add_t_arguments(detect, required=False).add_argument(
+        "--gsic", help="measurement JSON produced by build")
     detect.add_argument("--dim", type=int, help="local dimension cross-check")
-    detect.add_argument("--t", type=float, help="mixing parameter")
-    detect.add_argument("--max-t", action="store_true",
-                        help="use the largest feasible mixing parameter")
     detect.add_argument("--pairing", choices=("conj", "same"), default="conj",
                         help="second-party measurement: conjugate set or the "
                              "set itself (default conj)")
@@ -54,16 +50,22 @@ def _build_parser() -> argparse.ArgumentParser:
     detect.set_defaults(func=_cmd_detect)
 
     scan = sub.add_parser("scan", help="sweep a one-parameter state family")
-    scan.add_argument("--family", required=True,
-                      choices=("isotropic", "belldiag-c", "diagmix"))
+    scan.add_argument("--family", required=True, choices=tuple(SCAN_FAMILIES))
     scan.add_argument("--dim", type=int, required=True, help="local dimension")
-    scan.add_argument("--t", type=float, help="mixing parameter")
-    scan.add_argument("--max-t", action="store_true",
-                      help="use the largest feasible mixing parameter")
+    _add_t_arguments(scan, required=True)
     scan.add_argument("--steps", type=int, default=40, help="grid size")
     scan.add_argument("--csv", required=True, help="output CSV path")
     scan.set_defaults(func=_cmd_scan)
     return parser
+
+
+def _add_t_arguments(parser: argparse.ArgumentParser, required: bool):
+    """Add --t and --max-t as one mutually exclusive group and return it."""
+    group = parser.add_mutually_exclusive_group(required=required)
+    group.add_argument("--t", type=float, help="mixing parameter")
+    group.add_argument("--max-t", action="store_true",
+                       help="use the largest feasible mixing parameter")
+    return group
 
 
 def _gsic_from_args(args, d: int) -> tuple[GsicSet, str | None]:
@@ -138,19 +140,10 @@ def _report_payload(report: DetectionReport, extras: dict) -> dict:
 
 def _cmd_detect(args) -> int:
     rho, extras = _parse_state_spec(args.state)
-    if rho.parties != 2:
-        raise ValueError(f"detect handles two-party states, got {rho.parties}")
     d = rho.local_dim
     if args.dim is not None and args.dim != d:
         raise ValueError(f"--dim {args.dim} does not match the state dimension {d}")
-    if args.gsic:
-        p = read_gsic(args.gsic)
-        if p.dim != d:
-            raise ValueError(
-                f"measurement dimension {p.dim} does not match the state "
-                f"dimension {d}")
-    else:
-        p, _ = _gsic_from_args(args, d)
+    p = read_gsic(args.gsic) if args.gsic else _gsic_from_args(args, d)[0]
     q = conjugate_gsic(p) if args.pairing == "conj" else p
     report = detect_bipartite(rho, p, q)
     if args.json:
@@ -167,22 +160,17 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    d = args.dim
-    p, _ = _gsic_from_args(args, d)
+    p, _ = _gsic_from_args(args, args.dim)
     scan = scan_family(args.family, p, args.steps)
     lines = ["param,j_value,bound,margin,verdict"]
     for x, r in zip(scan.grid, scan.reports):
         lines.append(f"{float(x)!r},{r.j_value!r},{r.bound!r},{r.margin!r},"
                      f"{r.verdict}")
-    if args.family == "isotropic":
-        guaranteed = 1.0 / (d + 1.0)
-    else:
-        guaranteed = (1.0 + 1.0 / (p.a * d * d)) / (d + 1.0)
     lines.append(f"threshold,{scan.threshold!r},,,")
-    lines.append(f"guaranteed_threshold,{guaranteed!r},,,")
+    lines.append(f"guaranteed_threshold,{scan.guaranteed!r},,,")
     Path(args.csv).write_text("\n".join(lines) + "\n")
     print(f"threshold {scan.threshold!r}")
-    print(f"guaranteed_threshold {guaranteed!r}")
+    print(f"guaranteed_threshold {scan.guaranteed!r}")
     return 0
 
 

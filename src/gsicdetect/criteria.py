@@ -19,14 +19,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericIntegrityError
+from .errors import (CORR_IMAG_TOL, DECISION_MARGIN, IMAG_TOL,
+                     PURITY_MATCH_TOL, RANGE_SLACK, check_dim,
+                     check_measurements, require_real)
 from .gsic import GsicSet, conjugate_gsic, construct_gsic
 from .operator_basis import OperatorBasis, gell_mann_basis
 from .states import DensityMatrix, bell_diagonal, diagonal_mixture, isotropic
-
-IMAG_TOL = 1e-8
-DECISION_MARGIN = 1e-9
-RANGE_SLACK = 1e-12
 
 ENTANGLED_DETECTED = "ENTANGLED_DETECTED"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -47,13 +45,6 @@ class DetectionReport:
     verdict: str
 
 
-def _require_real(value: complex, what: str) -> float:
-    if abs(value.imag) > IMAG_TOL:
-        raise NumericIntegrityError(
-            f"{what} has imaginary residue {value.imag:.3e}")
-    return float(value.real)
-
-
 def _correlation_sum(rho: DensityMatrix, sets: list[GsicSet]) -> float:
     """sum_j Tr((P_j (x) Q_j (x) ...) rho), contracted one party at a time.
 
@@ -70,7 +61,7 @@ def _correlation_sum(rho: DensityMatrix, sets: list[GsicSet]) -> float:
     x = sets[0].operators.reshape(dd, dd) @ x
     for g in sets[1:]:
         x = np.matmul(g.operators.reshape(dd, 1, dd), x.reshape(dd, dd, -1))
-    return _require_real(complex(x.sum()), "correlation sum")
+    return float(require_real(x.sum(), IMAG_TOL, "correlation sum"))
 
 
 def j_bipartite(rho: DensityMatrix, p: GsicSet, q: GsicSet) -> float:
@@ -79,35 +70,26 @@ def j_bipartite(rho: DensityMatrix, p: GsicSet, q: GsicSet) -> float:
     Contracts p with rho in one (d**2, d**2) x (d**2, d**2) GEMM, which
     costs O(d**6), then q over its d**2 outcomes in O(d**4).
     """
-    if rho.parties != 2:
-        raise ValueError(f"need a two-party state, got {rho.parties} parties")
-    d = rho.local_dim
-    if p.dim != d or q.dim != d:
-        raise ValueError(
-            f"measurement dimensions ({p.dim}, {q.dim}) do not match the "
-            f"state dimension {d}")
-    if not abs(p.a - q.a) <= 1e-12:
+    check_measurements(rho, [p, q])
+    if not abs(p.a - q.a) <= PURITY_MATCH_TOL:
         raise ValueError(
             f"the two sets must share the purity parameter, got "
             f"{p.a} and {q.a}")
     return _correlation_sum(rho, [p, q])
 
 
-def _party_bound(d: int, a: float) -> float:
-    """One party's separable ceiling; rejects a purity outside [1/d**3, 1/d**2]."""
+def bipartite_bound(d: int, a: float) -> float:
+    """Separable ceiling of the bipartite correlation sum.
+
+    Rejects a purity outside [1/d**3, 1/d**2].
+    """
+    check_dim(d)
     # written so that a NaN purity fails the comparison
     if not 1.0 / d**3 - RANGE_SLACK <= a <= 1.0 / d**2 + RANGE_SLACK:
         raise ValueError(
             f"purity {a} outside the admissible range "
             f"[{1.0 / d**3}, {1.0 / d**2}] for dimension {d}")
     return (a * d * d + 1.0) / (d * (d + 1.0))
-
-
-def bipartite_bound(d: int, a: float) -> float:
-    """Separable ceiling of the bipartite correlation sum."""
-    if d < 2:
-        raise ValueError(f"need dimension >= 2, got {d}")
-    return _party_bound(d, a)
 
 
 def detect_bipartite(rho: DensityMatrix, p: GsicSet, q: GsicSet) -> DetectionReport:
@@ -130,24 +112,15 @@ def j_multipartite(rho: DensityMatrix, sets: list[GsicSet]) -> float:
     n = rho.parties
     if n < 2:
         raise ValueError(f"need at least two parties, got {n}")
-    if len(sets) != n:
-        raise ValueError(f"state has {n} parties but {len(sets)} sets were given")
-    d = rho.local_dim
-    for g in sets:
-        if g.dim != d:
-            raise ValueError(
-                f"measurement dimension {g.dim} does not match the state "
-                f"dimension {d}")
+    check_measurements(rho, sets)
     return _correlation_sum(rho, sets)
 
 
 def multipartite_bound(d: int, a_values: list[float]) -> float:
-    """Fully separable ceiling: the mean of the per-party ceilings."""
-    if d < 2:
-        raise ValueError(f"need dimension >= 2, got {d}")
+    """Fully separable ceiling: the mean of each party's bipartite ceiling."""
     if len(a_values) < 2:
         raise ValueError(f"need at least two purities, got {len(a_values)}")
-    terms = [_party_bound(d, a) for a in a_values]
+    terms = [bipartite_bound(d, a) for a in a_values]
     return sum(terms) / len(terms)
 
 
@@ -159,49 +132,40 @@ def correlation_matrix(rho: DensityMatrix, basis: OperatorBasis) -> np.ndarray:
     the conventional normalization Tr(lambda**2) = 2.  Any separable
     state keeps the trace of this matrix at or below (d - 1)/(2d).
     """
-    if rho.parties != 2:
-        raise ValueError(f"need a two-party state, got {rho.parties} parties")
+    check_measurements(rho, [basis, basis])
     d = rho.local_dim
-    if basis.dim != d:
-        raise ValueError(
-            f"basis dimension {basis.dim} does not match the state "
-            f"dimension {d}")
     rho4 = rho.matrix.reshape(d, d, d, d)
     raw = np.einsum("aij,bkl,jlik->ab", basis.generators, basis.generators, rho4)
-    residue = float(np.abs(raw.imag).max())
-    if residue > 1e-10:
-        raise NumericIntegrityError(
-            f"correlation matrix has imaginary residue {residue:.3e}")
-    return 0.5 * raw.real
+    return 0.5 * require_real(raw, CORR_IMAG_TOL, "correlation matrix")
 
 
 def trace_t_bound(d: int) -> float:
     """Separable ceiling of the correlation-matrix trace."""
-    if d < 2:
-        raise ValueError(f"need dimension >= 2, got {d}")
+    check_dim(d)
     return (d - 1.0) / (2.0 * d)
 
 
-def _family_states(family: str, d: int):
-    """Grid range and state factory of a scan family."""
-    if family == "isotropic":
-        return 0.0, 1.0, lambda x: isotropic(d, x)
-    if family == "belldiag-c":
-        def make(c: float) -> DensityMatrix:
-            rest = (1.0 - c) / (d * d - 1.0)
-            weights = {(s, t): rest for s in range(d) for t in range(d)}
-            weights[(0, 0)] = c
-            return bell_diagonal(d, weights)
-        return 1.0 / (d * d), 1.0, make
-    if family == "diagmix":
-        return 0.0, 1.0, lambda x: diagonal_mixture(d, x)
-    raise ValueError(f"unknown scan family {family!r}")
+def _belldiag_c(d: int, c: float) -> DensityMatrix:
+    """Weight c on the identity Bell label, the rest spread uniformly."""
+    rest = (1.0 - c) / (d * d - 1.0)
+    weights = {(s, t): rest for s in range(d) for t in range(d)}
+    weights[(0, 0)] = c
+    return bell_diagonal(d, weights)
+
+
+# family -> dimension -> (grid start, state factory); every grid ends at 1
+SCAN_FAMILIES = {
+    "isotropic": lambda d: (0.0, lambda x: isotropic(d, x)),
+    "belldiag-c": lambda d: (1.0 / (d * d), lambda c: _belldiag_c(d, c)),
+    "diagmix": lambda d: (0.0, lambda x: diagonal_mixture(d, x)),
+}
 
 
 class FamilyScan(NamedTuple):
     grid: np.ndarray
     reports: list[DetectionReport]
     threshold: float  # NaN when the grid shows no resolved crossing
+    guaranteed: float  # threshold above which the family type is always flagged
 
 
 def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
@@ -221,9 +185,12 @@ def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
         raise ValueError(f"need at least 10 grid steps, got {steps}")
     if p.t <= 0:
         raise ValueError(f"scan needs a positive mixing parameter, got {p.t}")
-    lo, hi, make = _family_states(family, p.dim)
+    if family not in SCAN_FAMILIES:
+        raise ValueError(f"unknown scan family {family!r}")
+    d = p.dim
+    start, make = SCAN_FAMILIES[family](d)
     q = conjugate_gsic(p)
-    grid = np.linspace(lo, hi, steps)
+    grid = np.linspace(start, 1.0, steps)
     reports = [detect_bipartite(make(float(x)), p, q) for x in grid]
     m = np.array([r.margin for r in reports])
     threshold = float("nan")
@@ -232,7 +199,11 @@ def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
         i = crossed[0]
         threshold = float(grid[i] - m[i] * (grid[i + 1] - grid[i])
                           / (m[i + 1] - m[i]))
-    return FamilyScan(grid=grid, reports=reports, threshold=threshold)
+    # worst case over every state of the family type at the purity of p
+    guaranteed = (1.0 / (d + 1.0) if family == "isotropic"
+                  else (1.0 + 1.0 / (p.a * d * d)) / (d + 1.0))
+    return FamilyScan(grid=grid, reports=reports, threshold=threshold,
+                      guaranteed=guaranteed)
 
 
 def isotropic_threshold_scan(d: int, t: float, steps: int) -> float:

@@ -25,9 +25,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleParameterError
+from .errors import (CAP_EIG_SLACK, PSD_TOL, VALIDATION_TOL,
+                     InfeasibleParameterError, check_measurements,
+                     hermiticity_deviation)
 from .operator_basis import OperatorBasis, ValidationOutcome
-from .states import PSD_TOL, DensityMatrix
+from .states import DensityMatrix, decode_complex, encode_complex
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ def construct_gsic(basis: OperatorBasis, t: float) -> GsicSet:
     """Build the measurement at mixing parameter t.
 
     Raises InfeasibleParameterError when some operator acquires an
-    eigenvalue below -1e-10; the exception carries the offending
+    eigenvalue below -PSD_TOL; the exception carries the offending
     operator index and the eigenvalue.
     """
     if not np.isfinite(t):
@@ -102,8 +104,7 @@ def feasible_t(basis: OperatorBasis) -> FeasibleT:
     t_purity = (d * (d + 1.0)) ** -1.5
     directions = _operators(basis, 1.0) - np.eye(d) / d**2
     lam = float(np.linalg.eigvalsh(directions)[:, 0].min())
-    # -1e-13 absorbs eigensolver noise without accepting real violations
-    if 1.0 / d**2 + t_purity * lam >= -1e-13:
+    if 1.0 / d**2 + t_purity * lam >= -CAP_EIG_SLACK:
         return FeasibleT(t=t_purity, cap="a-max")
     return FeasibleT(t=1.0 / (d * d * abs(lam)), cap="positivity")
 
@@ -123,7 +124,7 @@ def conjugate_gsic(g: GsicSet) -> GsicSet:
                    basis_id=g.basis_id + ":conj")
 
 
-def validate_gsic(g: GsicSet, tol: float = 1e-10) -> ValidationOutcome:
+def validate_gsic(g: GsicSet, tol: float = VALIDATION_TOL) -> ValidationOutcome:
     """Check the defining properties of a measurement set.
 
     Deviations reported: hermiticity, completeness (sum to identity),
@@ -136,7 +137,7 @@ def validate_gsic(g: GsicSet, tol: float = 1e-10) -> ValidationOutcome:
     want = (d * d, d, d)
     if ops.shape != want:
         raise ValueError(f"operator array has shape {ops.shape}, expected {want}")
-    herm = float(np.abs(ops - ops.conj().transpose(0, 2, 1)).max())
+    herm = hermiticity_deviation(ops)
     completeness = float(np.abs(ops.sum(axis=0) - np.eye(d)).max())
     traces = np.einsum("aii->a", ops)
     op_trace = float(np.abs(traces - 1.0 / d).max())
@@ -158,9 +159,7 @@ def validate_gsic(g: GsicSet, tol: float = 1e-10) -> ValidationOutcome:
         "psd": psd,
         "a_range": a_range,
     }
-    return ValidationOutcome(deviations=deviations, tolerance=tol,
-                             # all() rather than max(): max() skips a NaN
-                             passed=all(v <= tol for v in deviations.values()))
+    return ValidationOutcome(deviations=deviations, tolerance=tol)
 
 
 def index_of_coincidence(rho: DensityMatrix, g: GsicSet) -> float:
@@ -168,20 +167,16 @@ def index_of_coincidence(rho: DensityMatrix, g: GsicSet) -> float:
 
     Computed by direct summation of Tr(P_j rho)**2 over all outcomes.
     """
-    if rho.parties != 1 or rho.local_dim != g.dim:
-        raise ValueError(
-            f"need a single system of dimension {g.dim}, got "
-            f"{rho.parties} parties of dimension {rho.local_dim}")
+    check_measurements(rho, [g])
     probs = np.einsum("aij,ji->a", g.operators, rho.matrix).real
     return float(np.sum(probs * probs))
 
 
 def write_gsic(g: GsicSet, path: str | Path) -> None:
     """Serialize a measurement set to JSON."""
-    ops = [[[float(z.real), float(z.imag)] for z in op.reshape(-1)]
-           for op in np.asarray(g.operators)]
+    ops = np.asarray(g.operators)
     payload = {"d": g.dim, "t": g.t, "a": g.a, "basis_id": g.basis_id,
-               "operators": ops}
+               "operators": encode_complex(ops.reshape(len(ops), -1))}
     Path(path).write_text(json.dumps(payload))
 
 
@@ -193,9 +188,7 @@ def read_gsic(path: str | Path) -> GsicSet:
         t = float(payload["t"])
         a = float(payload["a"])
         basis_id = str(payload["basis_id"])
-        raw = payload["operators"]
-        ops = np.array([[complex(re, im) for re, im in op] for op in raw],
-                       dtype=complex)
+        ops = decode_complex(payload["operators"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed measurement file {path}: {exc}") from exc
     if ops.shape != (d * d, d * d):

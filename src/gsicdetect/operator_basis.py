@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import VALIDATION_TOL, check_dim, hermiticity_deviation
+
 
 @dataclass(frozen=True)
 class OperatorBasis:
@@ -39,7 +41,11 @@ class ValidationOutcome:
 
     deviations: dict[str, float]
     tolerance: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """Every deviation is within the tolerance; a NaN deviation fails."""
+        return all(v <= self.tolerance for v in self.deviations.values())
 
 
 def gell_mann_basis(d: int) -> OperatorBasis:
@@ -55,8 +61,7 @@ def gell_mann_basis(d: int) -> OperatorBasis:
     OperatorBasis
         The d**2 - 1 orthonormal traceless Hermitian generators.
     """
-    if d < 2:
-        raise ValueError(f"basis needs dimension >= 2, got {d}")
+    check_dim(d)
     mats = []
     for j in range(d):
         for k in range(j + 1, d):
@@ -78,7 +83,8 @@ def gell_mann_basis(d: int) -> OperatorBasis:
                          basis_id=f"gellmann-d{d}")
 
 
-def verify_basis(basis: OperatorBasis, tol: float = 1e-10) -> ValidationOutcome:
+def verify_basis(basis: OperatorBasis,
+                 tol: float = VALIDATION_TOL) -> ValidationOutcome:
     """Check orthonormality, tracelessness and hermiticity of a basis."""
     gens = np.asarray(basis.generators)
     d = basis.dim
@@ -88,7 +94,6 @@ def verify_basis(basis: OperatorBasis, tol: float = 1e-10) -> ValidationOutcome:
     gram = np.einsum("aij,bji->ab", gens, gens)
     orth = float(np.abs(gram - np.eye(d * d - 1)).max())
     trace = float(np.abs(np.einsum("aii->a", gens)).max())
-    herm = float(np.abs(gens - gens.conj().transpose(0, 2, 1)).max())
+    herm = hermiticity_deviation(gens)
     deviations = {"orthonormality": orth, "trace": trace, "hermiticity": herm}
-    return ValidationOutcome(deviations=deviations, tolerance=tol,
-                             passed=max(deviations.values()) <= tol)
+    return ValidationOutcome(deviations=deviations, tolerance=tol)

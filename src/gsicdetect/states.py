@@ -14,9 +14,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-HERM_TOL = 1e-10
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
+from .errors import (HERM_TOL, PSD_TOL, TRACE_TOL, WEIGHT_SUM_TOL, check_dim,
+                     hermiticity_deviation)
 
 
 @dataclass(frozen=True)
@@ -37,16 +36,15 @@ class DensityMatrix:
                     label: str = "") -> "DensityMatrix":
         """Wrap and validate a raw matrix as a density matrix."""
         mat = np.asarray(matrix, dtype=complex)
+        check_dim(local_dim)
+        if parties < 1:
+            raise ValueError(f"need parties >= 1, got {parties}")
         dim = local_dim ** parties
-        if local_dim < 2 or parties < 1:
-            raise ValueError(
-                f"need local dimension >= 2 and parties >= 1, got "
-                f"{local_dim} and {parties}")
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
         if not np.isfinite(mat).all():
             raise ValueError("matrix has non-finite entries")
-        herm = float(np.abs(mat - mat.conj().T).max())
+        herm = hermiticity_deviation(mat)
         if herm > HERM_TOL:
             raise ValueError(f"matrix is not Hermitian, deviation {herm:.3e}")
         tr = complex(np.trace(mat))
@@ -66,8 +64,7 @@ def _max_entangled_vector(d: int) -> np.ndarray:
 
 def max_entangled(d: int) -> DensityMatrix:
     """Projector onto the canonical maximally entangled two-qudit vector."""
-    if d < 2:
-        raise ValueError(f"need dimension >= 2, got {d}")
+    check_dim(d)
     vec = _max_entangled_vector(d)
     return DensityMatrix(local_dim=d, parties=2,
                          matrix=np.outer(vec, vec.conj()),
@@ -82,8 +79,6 @@ def isotropic(d: int, alpha: float) -> DensityMatrix:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {alpha}")
-    if d < 2:
-        raise ValueError(f"need dimension >= 2, got {d}")
     mat = alpha * max_entangled(d).matrix \
         + (1.0 - alpha) * np.eye(d * d, dtype=complex) / (d * d)
     return DensityMatrix(local_dim=d, parties=2, matrix=mat,
@@ -92,8 +87,7 @@ def isotropic(d: int, alpha: float) -> DensityMatrix:
 
 def weyl_operator(d: int, s: int, t: int) -> np.ndarray:
     """Discrete phase-shift unitary sum_j w**(j*s) |j><j + t mod d|."""
-    if d < 2:
-        raise ValueError(f"need dimension >= 2, got {d}")
+    check_dim(d)
     if not (0 <= s < d and 0 <= t < d):
         raise ValueError(f"labels must lie in 0..{d - 1}, got ({s}, {t})")
     u = np.zeros((d, d), dtype=complex)
@@ -113,10 +107,9 @@ def bell_diagonal(d: int, weights: Mapping[tuple[int, int], float]) -> DensityMa
 
     weights maps (s, t) labels to probabilities; omitted labels carry
     weight zero.  The weights must be nonnegative and sum to 1 within
-    1e-12.
+    WEIGHT_SUM_TOL.
     """
-    if d < 2:
-        raise ValueError(f"need dimension >= 2, got {d}")
+    check_dim(d)
     for (s, t), p in weights.items():
         if not (0 <= s < d and 0 <= t < d):
             raise ValueError(f"label ({s}, {t}) out of range for dimension {d}")
@@ -125,7 +118,7 @@ def bell_diagonal(d: int, weights: Mapping[tuple[int, int], float]) -> DensityMa
         if p < 0:
             raise ValueError(f"negative weight {p} for label ({s}, {t})")
     total = sum(weights.values())
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(f"weights sum to {total}, expected 1")
     vecs = np.array([_bell_vector(d, s, t) for s, t in weights])
     probs = np.array(list(weights.values()), dtype=float)
@@ -144,8 +137,7 @@ def diagonal_mixture(d: int, a1: float,
     the tail weights w_delta are all equal to (1 - a1)/(d - 1); a custom
     tail of length d - 1 summing to 1 - a1 may be supplied.
     """
-    if d < 2:
-        raise ValueError(f"need dimension >= 2, got {d}")
+    check_dim(d)
     if not 0.0 <= a1 <= 1.0:
         raise ValueError(f"entangled weight must lie in [0, 1], got {a1}")
     if tail is None:
@@ -156,7 +148,7 @@ def diagonal_mixture(d: int, a1: float,
             raise ValueError(f"tail needs {d - 1} weights, got shape {tail.shape}")
         if np.any(tail < 0):
             raise ValueError("tail weights must be nonnegative")
-        if abs(a1 + tail.sum() - 1.0) > 1e-12:
+        if abs(a1 + tail.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(
                 f"weights sum to {a1 + tail.sum()}, expected 1")
     mat = a1 * max_entangled(d).matrix
@@ -176,10 +168,10 @@ def random_separable(d: int, parties: int, terms: int, seed: int) -> DensityMatr
     the mixing weights are uniform draws normalized to 1.  The output is
     fully separable by construction and deterministic per seed.
     """
-    if d < 2 or parties < 2 or terms < 1:
+    check_dim(d)
+    if parties < 2 or terms < 1:
         raise ValueError(
-            f"need dimension >= 2, parties >= 2 and terms >= 1, got "
-            f"{d}, {parties}, {terms}")
+            f"need parties >= 2 and terms >= 1, got {parties} and {terms}")
     rng = np.random.default_rng(seed)
     weights = rng.random(terms)
     weights /= weights.sum()
@@ -218,12 +210,23 @@ def partial_transpose(rho: DensityMatrix, party: int) -> np.ndarray:
     return swapped.reshape(d ** n, d ** n)
 
 
+def encode_complex(z: np.ndarray) -> list:
+    """A complex array as nested lists with one [re, im] pair per entry."""
+    return np.stack([z.real, z.imag], -1).tolist()
+
+
+def decode_complex(raw) -> np.ndarray:
+    """Inverse of encode_complex; ValueError unless all entries are pairs."""
+    pairs = np.asarray(raw)
+    if pairs.dtype.kind not in "iuf" or pairs.shape[-1:] != (2,):
+        raise ValueError("entries must be [re, im] pairs of numbers")
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+
+
 def write_state(rho: DensityMatrix, path: str | Path) -> None:
     """Serialize a density matrix to JSON."""
-    entries = [[float(z.real), float(z.imag)]
-               for z in np.asarray(rho.matrix).reshape(-1)]
     payload = {"local_dim": rho.local_dim, "parties": rho.parties,
-               "matrix": entries}
+               "matrix": encode_complex(np.asarray(rho.matrix).reshape(-1))}
     Path(path).write_text(json.dumps(payload))
 
 
@@ -233,8 +236,7 @@ def read_state(path: str | Path) -> DensityMatrix:
     try:
         local_dim = int(payload["local_dim"])
         parties = int(payload["parties"])
-        flat = np.array([complex(re, im) for re, im in payload["matrix"]],
-                        dtype=complex)
+        flat = decode_complex(payload["matrix"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from exc
     dim = local_dim ** parties

@@ -262,6 +262,22 @@ def test_argparse_usage_errors():
         main([])
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--dim", "2", "--t", "0.01", "--max-t", "--out", "g.json"],
+    ["detect", "--state", "maxent:2", "--t", "0.01", "--max-t"],
+    ["detect", "--state", "maxent:2", "--gsic", "g.json", "--t", "0.01"],
+    ["detect", "--state", "maxent:2", "--gsic", "g.json", "--max-t"],
+    ["scan", "--family", "isotropic", "--dim", "2", "--t", "0.01",
+     "--max-t", "--csv", "x.csv"],
+])
+def test_conflicting_t_sources_exit_2(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
 def test_detect_nan_weight_exits_2_without_invalid_json(tmp_path, capsys):
     wfile = tmp_path / "w.json"
     wfile.write_text('{"0,0": NaN, "0,1": 0.5, "1,0": 0.5}')

@@ -183,6 +183,16 @@ def test_json_reader_rejects_malformed_payload(tmp_path):
         read_gsic(path)
 
 
+def test_json_reader_rejects_a_string_entry(tmp_path):
+    path = tmp_path / "set.json"
+    write_gsic(construct_gsic(gell_mann_basis(2), 0.05), path)
+    payload = json.loads(path.read_text())
+    payload["operators"][0][0][0] = "0.25"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="malformed"):
+        read_gsic(path)
+
+
 def _bisected_cap(basis):
     # the former algorithm: bisect on the smallest operator eigenvalue,
     # with the operators assembled here from the generators

@@ -242,6 +242,16 @@ def test_state_json_rejects_bad_payloads(tmp_path):
         read_state(path)
 
 
+def test_state_json_rejects_a_string_entry(tmp_path):
+    path = tmp_path / "rho.json"
+    write_state(max_entangled(2), path)
+    payload = json.loads(path.read_text())
+    payload["matrix"][0][0] = "0.5"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="malformed"):
+        read_state(path)
+
+
 def test_from_matrix_validation():
     good = np.eye(2, dtype=complex) / 2
     DensityMatrix.from_matrix(good, 2, 1)
