@@ -29,7 +29,7 @@ from .errors import (CAP_EIG_SLACK, PSD_TOL, VALIDATION_TOL,
                      InfeasibleParameterError, check_measurements,
                      hermiticity_deviation)
 from .operator_basis import OperatorBasis, ValidationOutcome
-from .states import DensityMatrix, decode_complex, encode_complex
+from .states import DensityMatrix, decode_complex, decode_int, encode_complex
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,9 @@ def validate_gsic(g: GsicSet, tol: float = VALIDATION_TOL) -> ValidationOutcome:
 
     Deviations reported: hermiticity, completeness (sum to identity),
     operator traces against 1/d, common purity against a, pairwise
-    traces against (1 - d*a)/(d*(d**2 - 1)), the PSD floor, and the
-    admissible purity range.
+    traces against (1 - d*a)/(d*(d**2 - 1)), the PSD floor, the
+    admissible purity range, and a against purity_from_t(d, t), which
+    is infinite unless t is finite and nonnegative.
     """
     ops = np.asarray(g.operators)
     d = g.dim
@@ -150,6 +151,7 @@ def validate_gsic(g: GsicSet, tol: float = VALIDATION_TOL) -> ValidationOutcome:
     min_eig = float(np.linalg.eigvalsh(ops)[:, 0].min())
     psd = max(0.0, -min_eig)
     a_range = max(0.0, 1.0 / d**3 - g.a, g.a - 1.0 / d**2)
+    t_purity = abs(purity_from_t(d, g.t) - g.a) if g.t >= 0 else np.inf
     deviations = {
         "hermiticity": herm,
         "completeness": completeness,
@@ -158,6 +160,7 @@ def validate_gsic(g: GsicSet, tol: float = VALIDATION_TOL) -> ValidationOutcome:
         "cross_trace": cross,
         "psd": psd,
         "a_range": a_range,
+        "t_purity": t_purity,
     }
     return ValidationOutcome(deviations=deviations, tolerance=tol)
 
@@ -184,7 +187,7 @@ def read_gsic(path: str | Path) -> GsicSet:
     """Load a measurement set from JSON and re-validate it."""
     payload = json.loads(Path(path).read_text())
     try:
-        d = int(payload["d"])
+        d = decode_int(payload["d"])
         t = float(payload["t"])
         a = float(payload["a"])
         basis_id = str(payload["basis_id"])

@@ -56,19 +56,29 @@ class DensityMatrix:
         return cls(local_dim=local_dim, parties=parties, matrix=mat, label=label)
 
 
-def _max_entangled_vector(d: int) -> np.ndarray:
-    vec = np.zeros(d * d, dtype=complex)
-    vec[:: d + 1] = 1.0 / np.sqrt(d)
-    return vec
+def _bell_mixture(weights: np.ndarray, label: str) -> DensityMatrix:
+    """sum over labels of weights[s, t] |Phi_st><Phi_st| for a (d, d) weight table.
+
+    Phi_st = (U_st (x) I)|phi+> with U_st = weyl_operator(d, s, t) lives on
+    the kets |j, j+t mod d>, so the only nonzero entries are
+    <j, j+t|rho|k, k+t> = (1/d) sum_s weights[s, t] w**(s*(j - k)): one
+    inverse DFT over s, scattered into the d**3 slots (j, k, t).
+    """
+    d = len(weights)
+    j = np.arange(d)
+    ket = j[:, None] * d + (j[:, None] + j) % d  # ket[j, t] indexes |j, j+t>
+    coeff = np.fft.ifft(weights, axis=0)  # coeff[m, t] for j - k = m mod d
+    mat = np.zeros((d * d, d * d), dtype=complex)
+    mat[ket[:, None], ket[None]] = coeff[(j[:, None] - j) % d]
+    return DensityMatrix(local_dim=d, parties=2, matrix=mat, label=label)
 
 
 def max_entangled(d: int) -> DensityMatrix:
     """Projector onto the canonical maximally entangled two-qudit vector."""
     check_dim(d)
-    vec = _max_entangled_vector(d)
-    return DensityMatrix(local_dim=d, parties=2,
-                         matrix=np.outer(vec, vec.conj()),
-                         label=f"maxent-d{d}")
+    table = np.zeros((d, d))
+    table[0, 0] = 1.0
+    return _bell_mixture(table, f"maxent-d{d}")
 
 
 def isotropic(d: int, alpha: float) -> DensityMatrix:
@@ -79,10 +89,10 @@ def isotropic(d: int, alpha: float) -> DensityMatrix:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {alpha}")
-    mat = alpha * max_entangled(d).matrix \
-        + (1.0 - alpha) * np.eye(d * d, dtype=complex) / (d * d)
-    return DensityMatrix(local_dim=d, parties=2, matrix=mat,
-                         label=f"isotropic-d{d}-alpha{alpha:g}")
+    check_dim(d)
+    table = np.full((d, d), (1.0 - alpha) / (d * d))
+    table[0, 0] += alpha
+    return _bell_mixture(table, f"isotropic-d{d}-alpha{alpha:g}")
 
 
 def weyl_operator(d: int, s: int, t: int) -> np.ndarray:
@@ -97,11 +107,6 @@ def weyl_operator(d: int, s: int, t: int) -> np.ndarray:
     return u
 
 
-def _bell_vector(d: int, s: int, t: int) -> np.ndarray:
-    # (U_{s,t} (x) I) |phi+> written as the flattened matrix U / sqrt(d)
-    return weyl_operator(d, s, t).reshape(-1) / np.sqrt(d)
-
-
 def bell_diagonal(d: int, weights: Mapping[tuple[int, int], float]) -> DensityMatrix:
     """Mixture of the d**2 generalized Bell projectors.
 
@@ -110,6 +115,7 @@ def bell_diagonal(d: int, weights: Mapping[tuple[int, int], float]) -> DensityMa
     WEIGHT_SUM_TOL.
     """
     check_dim(d)
+    table = np.zeros((d, d))
     for (s, t), p in weights.items():
         if not (0 <= s < d and 0 <= t < d):
             raise ValueError(f"label ({s}, {t}) out of range for dimension {d}")
@@ -117,15 +123,11 @@ def bell_diagonal(d: int, weights: Mapping[tuple[int, int], float]) -> DensityMa
             raise ValueError(f"non-finite weight {p} for label ({s}, {t})")
         if p < 0:
             raise ValueError(f"negative weight {p} for label ({s}, {t})")
+        table[s, t] = p
     total = sum(weights.values())
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(f"weights sum to {total}, expected 1")
-    vecs = np.array([_bell_vector(d, s, t) for s, t in weights])
-    probs = np.array(list(weights.values()), dtype=float)
-    mat = vecs.T @ (probs[:, None] * vecs.conj())
-    c = max(weights.values())
-    return DensityMatrix(local_dim=d, parties=2, matrix=mat,
-                         label=f"belldiag-d{d}-c{c:g}")
+    return _bell_mixture(table, f"belldiag-d{d}-c{max(weights.values()):g}")
 
 
 def diagonal_mixture(d: int, a1: float,
@@ -135,7 +137,8 @@ def diagonal_mixture(d: int, a1: float,
     rho = a1 * maxent + sum over offsets delta = 1..d-1 and k = 0..d-1 of
     (w_delta / d) |k><k| (x) |k+delta mod d><k+delta mod d|.  By default
     the tail weights w_delta are all equal to (1 - a1)/(d - 1); a custom
-    tail of length d - 1 summing to 1 - a1 may be supplied.
+    tail of length d - 1 summing to 1 - a1 may be supplied.  The offset
+    delta diagonal is the uniform mixture of the Bell labels (s, delta).
     """
     check_dim(d)
     if not 0.0 <= a1 <= 1.0:
@@ -146,19 +149,15 @@ def diagonal_mixture(d: int, a1: float,
         tail = np.asarray(tail, dtype=float)
         if tail.shape != (d - 1,):
             raise ValueError(f"tail needs {d - 1} weights, got shape {tail.shape}")
-        if np.any(tail < 0):
+        if not np.all(tail >= 0):
             raise ValueError("tail weights must be nonnegative")
-        if abs(a1 + tail.sum() - 1.0) > WEIGHT_SUM_TOL:
+        if not abs(a1 + tail.sum() - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(
                 f"weights sum to {a1 + tail.sum()}, expected 1")
-    mat = a1 * max_entangled(d).matrix
-    for delta in range(1, d):
-        w = tail[delta - 1] / d
-        for k in range(d):
-            m = (k + delta) % d
-            mat[k * d + m, k * d + m] += w
-    return DensityMatrix(local_dim=d, parties=2, matrix=mat,
-                         label=f"diagmix-d{d}-a1{a1:g}")
+    table = np.zeros((d, d))
+    table[:, 1:] = tail / d
+    table[0, 0] = a1
+    return _bell_mixture(table, f"diagmix-d{d}-a1{a1:g}")
 
 
 def random_separable(d: int, parties: int, terms: int, seed: int) -> DensityMatrix:
@@ -223,6 +222,13 @@ def decode_complex(raw) -> np.ndarray:
     return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
+def decode_int(raw) -> int:
+    """A JSON integer field; ValueError for a float, a bool or anything else."""
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return raw
+
+
 def write_state(rho: DensityMatrix, path: str | Path) -> None:
     """Serialize a density matrix to JSON."""
     payload = {"local_dim": rho.local_dim, "parties": rho.parties,
@@ -234,8 +240,8 @@ def read_state(path: str | Path) -> DensityMatrix:
     """Load a density matrix from JSON and re-validate it."""
     payload = json.loads(Path(path).read_text())
     try:
-        local_dim = int(payload["local_dim"])
-        parties = int(payload["parties"])
+        local_dim = decode_int(payload["local_dim"])
+        parties = decode_int(payload["parties"])
         flat = decode_complex(payload["matrix"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from exc

@@ -287,3 +287,29 @@ def test_detect_nan_weight_exits_2_without_invalid_json(tmp_path, capsys):
     assert rc == 2
     assert captured.out == ""
     assert "non-finite" in captured.err
+
+
+def test_detect_rejects_a_measurement_file_with_a_forged_t(tmp_path, capsys):
+    gfile = tmp_path / "g.json"
+    assert main(["build", "--dim", "3", "--max-t", "--out", str(gfile)]) == 0
+    payload = json.loads(gfile.read_text())
+    payload["t"] = 0.5
+    gfile.write_text(json.dumps(payload))
+    capsys.readouterr()
+    rc = main(["detect", "--state", "maxent:3", "--gsic", str(gfile)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "t_purity" in captured.err
+
+
+def test_detect_rejects_a_truncated_state_dimension(tmp_path, capsys):
+    sfile = tmp_path / "rho.json"
+    write_state(max_entangled(2), sfile)
+    payload = json.loads(sfile.read_text())
+    payload["local_dim"] = 2.5
+    sfile.write_text(json.dumps(payload))
+    rc = main(["detect", "--state", f"file:@{sfile}", "--max-t"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "malformed" in captured.err

@@ -176,6 +176,38 @@ def test_json_reader_rejects_non_finite_purity(tmp_path):
         read_gsic(path)
 
 
+@pytest.mark.parametrize("value", [2.9, 2.0, True])
+def test_json_reader_rejects_a_non_integer_dimension(tmp_path, value):
+    path = tmp_path / "set.json"
+    write_gsic(construct_gsic(gell_mann_basis(2), 0.05), path)
+    payload = json.loads(path.read_text())
+    payload["d"] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="malformed"):
+        read_gsic(path)
+
+
+def test_built_sets_reproduce_their_purity_from_t():
+    for d in (2, 3, 5):
+        basis = gell_mann_basis(d)
+        for t in (0.0, 0.5 * max_feasible_t(basis), max_feasible_t(basis)):
+            g = construct_gsic(basis, t)
+            assert validate_gsic(g).deviations["t_purity"] == 0.0
+            assert validate_gsic(conjugate_gsic(g)).deviations["t_purity"] == 0.0
+
+
+@pytest.mark.parametrize("t", [0.5, -0.05, float("inf"), float("nan")])
+def test_json_reader_rejects_a_t_that_misses_a(tmp_path, t):
+    # -0.05 gives the same t**2, hence the same purity, as the written 0.05
+    path = tmp_path / "set.json"
+    write_gsic(construct_gsic(gell_mann_basis(2), 0.05), path)
+    payload = json.loads(path.read_text())
+    payload["t"] = t
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="t_purity deviates"):
+        read_gsic(path)
+
+
 def test_json_reader_rejects_malformed_payload(tmp_path):
     path = tmp_path / "set.json"
     path.write_text(json.dumps({"d": 2, "t": 0.0}))

@@ -147,6 +147,57 @@ def test_diagonal_mixture_custom_tail():
         diagonal_mixture(d, 1.2)
 
 
+def _weyl_reference(table):
+    # sum_st p_st |Phi_st><Phi_st| with Phi_st = (U_st (x) I)|phi+>, i.e. the
+    # flattened U_st / sqrt(d), built term by term from weyl_operator
+    d = len(table)
+    mat = np.zeros((d * d, d * d), dtype=complex)
+    for s in range(d):
+        for t in range(d):
+            phi = weyl_operator(d, s, t).reshape(-1) / np.sqrt(d)
+            mat += table[s, t] * np.outer(phi, phi.conj())
+    return mat
+
+
+def _assert_matches_reference(rho, table):
+    mat = rho.matrix
+    assert np.abs(mat - _weyl_reference(table)).max() <= 1e-15
+    assert np.abs(mat - mat.conj().T).max() <= 1e-15
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_families_match_the_weyl_reference(d):
+    rng = np.random.default_rng(100 + d)
+    table = rng.random((d, d))
+    table /= table.sum()
+    weights = {(s, t): table[s, t] for s in range(d) for t in range(d)}
+    _assert_matches_reference(bell_diagonal(d, weights), table)
+
+    point = np.zeros((d, d))
+    point[0, 0] = 1.0
+    _assert_matches_reference(max_entangled(d), point)
+
+    alpha = rng.random()
+    noisy = np.full((d, d), (1 - alpha) / d**2)
+    noisy[0, 0] += alpha
+    _assert_matches_reference(isotropic(d, alpha), noisy)
+
+    a1 = rng.random()
+    tail = rng.random(d - 1)
+    tail *= (1 - a1) / tail.sum()
+    # offset delta's diagonal is the uniform mixture of the labels (s, delta)
+    mixed = np.zeros((d, d))
+    mixed[:, 1:] = tail / d
+    mixed[0, 0] = a1
+    _assert_matches_reference(diagonal_mixture(d, a1, tail=tail), mixed)
+
+
+@pytest.mark.parametrize("tail", [[float("nan"), 0.3], [0.3, float("nan")]])
+def test_diagonal_mixture_rejects_a_nan_tail(tail):
+    with pytest.raises(ValueError, match="nonnegative"):
+        diagonal_mixture(3, 0.4, tail=tail)
+
+
 def test_random_separable_is_deterministic():
     one = random_separable(3, 2, 4, seed=9)
     two = random_separable(3, 2, 4, seed=9)
@@ -277,3 +328,16 @@ def test_from_matrix_rejects_non_finite_entries(bad):
 def test_bell_diagonal_rejects_non_finite_weights(bad):
     with pytest.raises(ValueError, match="non-finite"):
         bell_diagonal(2, {(0, 0): 1.0, (1, 1): bad})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("local_dim", 2.5), ("local_dim", 2.0), ("parties", 2.9),
+    ("parties", True), ("local_dim", "2")])
+def test_state_json_rejects_non_integer_dimensions(tmp_path, field, value):
+    path = tmp_path / "rho.json"
+    write_state(max_entangled(2), path)
+    payload = json.loads(path.read_text())
+    payload[field] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="malformed"):
+        read_state(path)
