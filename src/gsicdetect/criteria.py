@@ -24,7 +24,8 @@ from .errors import (CORR_IMAG_TOL, DECISION_MARGIN, IMAG_TOL,
                      check_measurements, require_real)
 from .gsic import GsicSet, conjugate_gsic, construct_gsic
 from .operator_basis import OperatorBasis, gell_mann_basis
-from .states import DensityMatrix, bell_diagonal, diagonal_mixture, isotropic
+from .states import (DensityMatrix, _bell_mixture, diagonal_mixture, isotropic,
+                     pair_axes)
 
 ENTANGLED_DETECTED = "ENTANGLED_DETECTED"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -48,17 +49,11 @@ class DetectionReport:
 def _correlation_sum(rho: DensityMatrix, sets: list[GsicSet]) -> float:
     """sum_j Tr((P_j (x) Q_j (x) ...) rho), contracted one party at a time.
 
-    rho is regrouped so that each party's (column, row) index pair forms
-    one axis of length d**2.  The first party is a single GEMM of its
-    (d**2, d**2) operator matrix over (outcome, pair) against rho as
-    (pair, rest); every later party multiplies and sums over its own
-    pair, outcome by outcome, keeping the outcome axis until the end.
+    The first party is one GEMM of its operator matrix with pair_axes(rho);
+    each later party multiplies and sums over its own pair, outcome by outcome.
     """
-    d, n = rho.local_dim, rho.parties
-    dd = d * d
-    order = [axis for k in range(n) for axis in (n + k, k)]
-    x = rho.matrix.reshape((d,) * (2 * n)).transpose(order).reshape(dd, -1)
-    x = sets[0].operators.reshape(dd, dd) @ x
+    dd = rho.local_dim ** 2
+    x = sets[0].operators.reshape(dd, dd) @ pair_axes(rho)
     for g in sets[1:]:
         x = np.matmul(g.operators.reshape(dd, 1, dd), x.reshape(dd, dd, -1))
     return float(require_real(x.sum(), IMAG_TOL, "correlation sum"))
@@ -67,8 +62,7 @@ def _correlation_sum(rho: DensityMatrix, sets: list[GsicSet]) -> float:
 def j_bipartite(rho: DensityMatrix, p: GsicSet, q: GsicSet) -> float:
     """Matched-outcome correlation sum of two equal-purity measurements.
 
-    Contracts p with rho in one (d**2, d**2) x (d**2, d**2) GEMM, which
-    costs O(d**6), then q over its d**2 outcomes in O(d**4).
+    Costs O(d**6) for the GEMM over p, then O(d**4) for q.
     """
     check_measurements(rho, [p, q])
     if not abs(p.a - q.a) <= PURITY_MATCH_TOL:
@@ -106,8 +100,7 @@ def detect_bipartite(rho: DensityMatrix, p: GsicSet, q: GsicSet) -> DetectionRep
 def j_multipartite(rho: DensityMatrix, sets: list[GsicSet]) -> float:
     """Matched-outcome correlation sum with one measurement per party.
 
-    Contracts the parties in order: the first in one GEMM of cost
-    O(d**(2N + 2)), then O(d**(2N)) for each further party.
+    Costs O(d**(2N + 2)) for the first party, O(d**(2N)) for each further one.
     """
     n = rho.parties
     if n < 2:
@@ -127,15 +120,14 @@ def multipartite_bound(d: int, a_values: list[float]) -> float:
 def correlation_matrix(rho: DensityMatrix, basis: OperatorBasis) -> np.ndarray:
     """Two-body correlation coefficients of a bipartite state.
 
-    Entry (j, k) is Tr(rho F_j (x) F_k) / 2, the expansion coefficient
-    of rho over the generator products when the generators are scaled to
-    the conventional normalization Tr(lambda**2) = 2.  Any separable
-    state keeps the trace of this matrix at or below (d - 1)/(2d).
+    Entry (j, k) is Tr(rho F_j (x) F_k) / 2, the expansion coefficient of
+    rho over generator products at the normalization Tr(lambda**2) = 2,
+    computed as G pair_axes(rho) G^T / 2 with G the generator matrix, in
+    O(d**6).  Any separable state keeps the trace at or below (d - 1)/(2d).
     """
     check_measurements(rho, [basis, basis])
-    d = rho.local_dim
-    rho4 = rho.matrix.reshape(d, d, d, d)
-    raw = np.einsum("aij,bkl,jlik->ab", basis.generators, basis.generators, rho4)
+    gens = basis.generators.reshape(len(basis.generators), -1)
+    raw = gens @ pair_axes(rho) @ gens.T
     return 0.5 * require_real(raw, CORR_IMAG_TOL, "correlation matrix")
 
 
@@ -147,10 +139,9 @@ def trace_t_bound(d: int) -> float:
 
 def _belldiag_c(d: int, c: float) -> DensityMatrix:
     """Weight c on the identity Bell label, the rest spread uniformly."""
-    rest = (1.0 - c) / (d * d - 1.0)
-    weights = {(s, t): rest for s in range(d) for t in range(d)}
-    weights[(0, 0)] = c
-    return bell_diagonal(d, weights)
+    table = np.full((d, d), (1.0 - c) / (d * d - 1.0))
+    table[0, 0] = c
+    return _bell_mixture(table, f"belldiag-d{d}-c{table.max():g}")
 
 
 # family -> dimension -> (grid start, state factory); every grid ends at 1

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# Every tolerance of the package, each absolute and defined only here.
+# Every tolerance of the package, defined only here; all absolute but PSD_TOL.
 HERM_TOL = 1e-10  # largest |rho - rho^H| entry of an accepted density matrix
 TRACE_TOL = 1e-10  # largest |Tr rho - 1| of an accepted density matrix
-PSD_TOL = 1e-10  # an eigenvalue below -PSD_TOL counts as negative
+PSD_TOL = 1e-10  # eigenvalue floor -PSD_TOL; -PSD_TOL/d**2 for GSIC operators
 WEIGHT_SUM_TOL = 1e-12  # largest |sum - 1| of the weights of a state mixture
 PURITY_MATCH_TOL = 1e-12  # largest |a_p - a_q| of two sets paired in one test
 RANGE_SLACK = 1e-12  # rounding allowed outside the purity range [1/d**3, 1/d**2]

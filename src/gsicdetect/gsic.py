@@ -25,11 +25,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (CAP_EIG_SLACK, PSD_TOL, VALIDATION_TOL,
+from .errors import (CAP_EIG_SLACK, IMAG_TOL, PSD_TOL, VALIDATION_TOL,
                      InfeasibleParameterError, check_measurements,
-                     hermiticity_deviation)
+                     hermiticity_deviation, require_real)
 from .operator_basis import OperatorBasis, ValidationOutcome
-from .states import DensityMatrix, decode_complex, decode_int, encode_complex
+from .states import (DensityMatrix, decode_complex, decode_int, encode_complex,
+                     pair_axes)
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,8 @@ def construct_gsic(basis: OperatorBasis, t: float) -> GsicSet:
     """Build the measurement at mixing parameter t.
 
     Raises InfeasibleParameterError when some operator acquires an
-    eigenvalue below -PSD_TOL; the exception carries the offending
-    operator index and the eigenvalue.
+    eigenvalue below -PSD_TOL/d**2 (a relative overshoot eps of the cap
+    gives -eps/d**2); the exception carries the operator index and eigenvalue.
     """
     if not np.isfinite(t):
         raise ValueError(f"mixing parameter must be finite, got {t}")
@@ -82,7 +83,7 @@ def construct_gsic(basis: OperatorBasis, t: float) -> GsicSet:
     ops = _operators(basis, t)
     smallest = np.linalg.eigvalsh(ops)[:, 0]
     worst = int(np.argmin(smallest))
-    if smallest[worst] < -PSD_TOL:
+    if smallest[worst] < -PSD_TOL / d**2:
         raise InfeasibleParameterError(
             f"t = {t} is infeasible: operator {worst} of {d * d} has "
             f"eigenvalue {smallest[worst]:.3e}",
@@ -166,12 +167,10 @@ def validate_gsic(g: GsicSet, tol: float = VALIDATION_TOL) -> ValidationOutcome:
 
 
 def index_of_coincidence(rho: DensityMatrix, g: GsicSet) -> float:
-    """Sum of squared outcome probabilities of the measurement on rho.
-
-    Computed by direct summation of Tr(P_j rho)**2 over all outcomes.
-    """
+    """Sum over outcomes of Tr(P_j rho)**2, from one O(d**4) product, checked real."""
     check_measurements(rho, [g])
-    probs = np.einsum("aij,ji->a", g.operators, rho.matrix).real
+    ops = g.operators.reshape(g.dim ** 2, -1)
+    probs = require_real(ops @ pair_axes(rho), IMAG_TOL, "probabilities")
     return float(np.sum(probs * probs))
 
 

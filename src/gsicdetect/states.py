@@ -56,6 +56,16 @@ class DensityMatrix:
         return cls(local_dim=local_dim, parties=parties, matrix=mat, label=label)
 
 
+def pair_axes(rho: DensityMatrix) -> np.ndarray:
+    """rho as (d**2, d**(2N - 2)), one (column, row) axis per party.
+
+    Operators reshaped to (m, d**2) times it contract with the first party.
+    """
+    d, n = rho.local_dim, rho.parties
+    order = [axis for k in range(n) for axis in (n + k, k)]
+    return rho.matrix.reshape((d,) * (2 * n)).transpose(order).reshape(d * d, -1)
+
+
 def _bell_mixture(weights: np.ndarray, label: str) -> DensityMatrix:
     """sum over labels of weights[s, t] |Phi_st><Phi_st| for a (d, d) weight table.
 

@@ -203,10 +203,16 @@ def test_correlation_identity_on_random_states(random_state):
 def test_max_entangled_sits_on_the_same_pairing_ceiling():
     # Tr(T) of the maximally entangled state equals the separable bound,
     # so the same-set pairing never flags it
-    for d in (2, 3, 4):
+    for d in (2, 3, 4, 8, 12):
         basis = gell_mann_basis(d)
         rho = max_entangled(d)
         t_corr = correlation_matrix(rho, basis)
+        # T = diag(+-1/(2d)): Tr(rho F (x) G) = Tr(F G^T)/d, and the
+        # antisymmetric generators are the ones with F^T = -F
+        pairs = d * (d - 1) // 2
+        signs = np.ones(d * d - 1)
+        signs[pairs:2 * pairs] = -1.0
+        assert np.abs(t_corr - np.diag(signs / (2 * d))).max() <= 1e-15
         assert np.trace(t_corr) == pytest.approx(trace_t_bound(d), abs=1e-12)
         p = construct_gsic(basis, max_feasible_t(basis))
         assert j_bipartite(rho, p, p) == pytest.approx(
@@ -319,3 +325,13 @@ def test_contraction_matches_brute_force(d, n):
         for q in (pc, p):
             want = brute_force_j(rho, [p, q])
             assert abs(j_bipartite(rho, p, q) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_correlation_matrix_matches_the_einsum_reference(d):
+    rho = _ginibre(d, 2, np.random.default_rng(40 + d))
+    gens = gell_mann_basis(d).generators
+    want = 0.5 * np.einsum("aij,bkl,jlik->ab", gens, gens,
+                           rho.matrix.reshape(d, d, d, d)).real
+    got = correlation_matrix(rho, gell_mann_basis(d))
+    assert np.abs(got - want).max() <= 1e-15

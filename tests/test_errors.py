@@ -25,6 +25,23 @@ def test_no_tolerance_literal_outside_the_table():
     assert not found, found
 
 
+def test_no_einsum_of_three_or_more_operands():
+    # no benchmark workload times correlation_matrix or index_of_coincidence,
+    # so a nested-loop einsum over three operands would come back unnoticed;
+    # subscript strings and interleaved sublists are not operands
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if getattr(func, "attr", getattr(func, "id", None)) != "einsum":
+                continue
+            operands = [a for a in node.args if not isinstance(
+                a, (ast.Constant, ast.List, ast.Tuple))]
+            if len(operands) >= 3:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_hermiticity_deviation_of_a_matrix_and_a_stack():
     m = np.array([[1.0, 2.0 + 1j], [2.0 - 1j, 0.0]])
     assert hermiticity_deviation(m) == 0.0

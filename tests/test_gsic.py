@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from gsicdetect import (InfeasibleParameterError, conjugate_gsic,
-                        construct_gsic, feasible_t, gell_mann_basis,
-                        index_of_coincidence, max_feasible_t, read_gsic,
-                        validate_gsic, write_gsic)
+from gsicdetect import (InfeasibleParameterError, NumericIntegrityError,
+                        conjugate_gsic, construct_gsic, feasible_t,
+                        gell_mann_basis, index_of_coincidence, max_feasible_t,
+                        read_gsic, validate_gsic, write_gsic)
 from gsicdetect.states import DensityMatrix
 
 
@@ -141,6 +141,15 @@ def test_coincidence_input_checks():
         index_of_coincidence(rho3, g)
 
 
+def test_coincidence_rejects_complex_probabilities():
+    # a non-Hermitian matrix bypassing from_matrix gives complex Tr(P_j rho)
+    g = construct_gsic(gell_mann_basis(2), 0.01)
+    rho = DensityMatrix(local_dim=2, parties=1,
+                        matrix=np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex))
+    with pytest.raises(NumericIntegrityError, match="imaginary residue"):
+        index_of_coincidence(rho, g)
+
+
 def test_json_round_trip(tmp_path):
     basis = gell_mann_basis(3)
     g = construct_gsic(basis, max_feasible_t(basis))
@@ -261,17 +270,13 @@ def test_closed_form_cap_matches_bisection(d):
 @pytest.mark.parametrize("d", range(2, 9))
 def test_cap_is_the_exact_positivity_boundary(d):
     # the smallest eigenvalue is affine in t, so a relative overshoot eps
-    # of the cap drives it to exactly -eps/d**2
+    # of the cap drives it to exactly -eps/d**2, below the -PSD_TOL/d**2 floor
     basis = gell_mann_basis(d)
-    t = feasible_t(basis).t * (1 + 1e-9)
-    if d <= 3:
-        # -1e-9/d**2 lies below the -1e-10 PSD tolerance only for d <= 3
-        with pytest.raises(InfeasibleParameterError):
-            construct_gsic(basis, t)
-    else:
-        ops = construct_gsic(basis, t).operators
-        assert np.linalg.eigvalsh(ops)[:, 0].min() == pytest.approx(
-            -1e-9 / d**2, abs=1e-14)
+    cap = feasible_t(basis).t
+    construct_gsic(basis, cap)
+    with pytest.raises(InfeasibleParameterError) as err:
+        construct_gsic(basis, cap * (1 + 1e-9))
+    assert err.value.eigenvalue == pytest.approx(-1e-9 / d**2, abs=1e-14)
 
 
 @pytest.mark.parametrize("t", [float("nan"), float("inf")])
