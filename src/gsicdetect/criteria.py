@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (CORR_IMAG_TOL, DECISION_MARGIN, IMAG_TOL,
                      PURITY_MATCH_TOL, RANGE_SLACK, check_dim,
-                     check_measurements, require_real)
+                     check_measurements, purity_range_deviation, require_real)
 from .gsic import GsicSet, conjugate_gsic, construct_gsic
 from .operator_basis import OperatorBasis, gell_mann_basis
 from .states import (DensityMatrix, _bell_mixture, diagonal_mixture, isotropic,
@@ -78,8 +78,7 @@ def bipartite_bound(d: int, a: float) -> float:
     Rejects a purity outside [1/d**3, 1/d**2].
     """
     check_dim(d)
-    # written so that a NaN purity fails the comparison
-    if not 1.0 / d**3 - RANGE_SLACK <= a <= 1.0 / d**2 + RANGE_SLACK:
+    if not purity_range_deviation(d, a) <= RANGE_SLACK:
         raise ValueError(
             f"purity {a} outside the admissible range "
             f"[{1.0 / d**3}, {1.0 / d**2}] for dimension {d}")

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-# Every tolerance of the package, defined only here; all absolute but PSD_TOL.
+# Every tolerance of the package, defined only here; all absolute.
 HERM_TOL = 1e-10  # largest |rho - rho^H| entry of an accepted density matrix
 TRACE_TOL = 1e-10  # largest |Tr rho - 1| of an accepted density matrix
-PSD_TOL = 1e-10  # eigenvalue floor -PSD_TOL; -PSD_TOL/d**2 for GSIC operators
+PSD_TOL = 1e-10  # eigenvalue floor -PSD_TOL of density matrices and partial transposes
 WEIGHT_SUM_TOL = 1e-12  # largest |sum - 1| of the weights of a state mixture
 PURITY_MATCH_TOL = 1e-12  # largest |a_p - a_q| of two sets paired in one test
 RANGE_SLACK = 1e-12  # rounding allowed outside the purity range [1/d**3, 1/d**2]
 CAP_EIG_SLACK = 1e-13  # eigensolver noise ignored when choosing which cap on t binds
-VALIDATION_TOL = 1e-10  # default largest deviation of a basis or measurement check
+# default largest deviation of a basis or measurement check; a measurement's
+# psd deviation is d**2 * max(0, -lambda_min), on its eigenvalues' 1/d**2 scale
+VALIDATION_TOL = 1e-10
 IMAG_TOL = 1e-8  # largest imaginary residue of a correlation sum
 CORR_IMAG_TOL = 1e-10  # largest imaginary residue of a correlation-matrix entry
 DECISION_MARGIN = 1e-9  # J must exceed the separable bound by more than this
@@ -49,6 +53,13 @@ def check_measurements(rho, sets) -> None:
         raise ValueError(
             f"state has {rho.parties} parties of dimension {rho.local_dim}, "
             f"got measurement sets of dimensions {[g.dim for g in sets]}")
+
+
+def purity_range_deviation(d: int, a: float) -> float:
+    """Distance of a purity from [1/d**3, 1/d**2]; NaN for a NaN purity."""
+    if math.isnan(a):
+        return math.nan
+    return max(0.0, 1.0 / d**3 - a, a - 1.0 / d**2)
 
 
 def hermiticity_deviation(m: np.ndarray) -> float:

@@ -25,10 +25,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (CAP_EIG_SLACK, IMAG_TOL, PSD_TOL, VALIDATION_TOL,
+from .errors import (CAP_EIG_SLACK, IMAG_TOL, VALIDATION_TOL,
                      InfeasibleParameterError, check_measurements,
-                     hermiticity_deviation, require_real)
-from .operator_basis import OperatorBasis, ValidationOutcome
+                     hermiticity_deviation, purity_range_deviation,
+                     require_real)
+from .operator_basis import (OperatorBasis, ValidationOutcome,
+                             hilbert_schmidt_gram)
 from .states import (DensityMatrix, decode_complex, decode_int, encode_complex,
                      pair_axes)
 
@@ -71,25 +73,19 @@ def _operators(basis: OperatorBasis, t: float) -> np.ndarray:
 def construct_gsic(basis: OperatorBasis, t: float) -> GsicSet:
     """Build the measurement at mixing parameter t.
 
-    Raises InfeasibleParameterError when some operator acquires an
-    eigenvalue below -PSD_TOL/d**2 (a relative overshoot eps of the cap
-    gives -eps/d**2); the exception carries the operator index and eigenvalue.
+    The set is returned only if validate_gsic passes it, whatever basis
+    it came from.  Raises InfeasibleParameterError when some operator
+    acquires an eigenvalue below -VALIDATION_TOL/d**2 (a relative
+    overshoot eps of the cap gives -eps/d**2), carrying the operator
+    index and eigenvalue; ValueError for any other failed check.
     """
     if not np.isfinite(t):
         raise ValueError(f"mixing parameter must be finite, got {t}")
     if t < 0:
         raise ValueError(f"mixing parameter must be nonnegative, got {t}")
-    d = basis.dim
-    ops = _operators(basis, t)
-    smallest = np.linalg.eigvalsh(ops)[:, 0]
-    worst = int(np.argmin(smallest))
-    if smallest[worst] < -PSD_TOL / d**2:
-        raise InfeasibleParameterError(
-            f"t = {t} is infeasible: operator {worst} of {d * d} has "
-            f"eigenvalue {smallest[worst]:.3e}",
-            index=worst, eigenvalue=float(smallest[worst]))
-    return GsicSet(dim=d, t=float(t), a=purity_from_t(d, t), operators=ops,
-                   basis_id=basis.basis_id)
+    g = GsicSet(dim=basis.dim, t=float(t), a=purity_from_t(basis.dim, t),
+                operators=_operators(basis, t), basis_id=basis.basis_id)
+    return _require_valid(g, f"t = {t}")
 
 
 def feasible_t(basis: OperatorBasis) -> FeasibleT:
@@ -130,9 +126,11 @@ def validate_gsic(g: GsicSet, tol: float = VALIDATION_TOL) -> ValidationOutcome:
 
     Deviations reported: hermiticity, completeness (sum to identity),
     operator traces against 1/d, common purity against a, pairwise
-    traces against (1 - d*a)/(d*(d**2 - 1)), the PSD floor, the
-    admissible purity range, and a against purity_from_t(d, t), which
-    is infinite unless t is finite and nonnegative.
+    traces against (1 - d*a)/(d*(d**2 - 1)), the PSD floor as
+    d**2 * max(0, -lambda_min), on the 1/d**2 scale of the operators'
+    eigenvalues, the admissible purity range, and a against
+    purity_from_t(d, t), which is infinite unless t is finite and
+    nonnegative.
     """
     ops = np.asarray(g.operators)
     d = g.dim
@@ -143,15 +141,13 @@ def validate_gsic(g: GsicSet, tol: float = VALIDATION_TOL) -> ValidationOutcome:
     completeness = float(np.abs(ops.sum(axis=0) - np.eye(d)).max())
     traces = np.einsum("aii->a", ops)
     op_trace = float(np.abs(traces - 1.0 / d).max())
-    flat = ops.reshape(d * d, d * d)
-    gram = (flat @ ops.transpose(0, 2, 1).reshape(d * d, d * d).T).real
+    gram = hilbert_schmidt_gram(ops).real
     purity = float(np.abs(np.diag(gram) - g.a).max())
-    cross_target = (1.0 - d * g.a) / (d * (d * d - 1.0))
-    off = gram - np.diag(np.diag(gram))
-    cross = float(np.abs(off - cross_target * (1.0 - np.eye(d * d))).max())
+    off = gram - (1.0 - d * g.a) / (d * (d * d - 1.0))
+    np.fill_diagonal(off, 0.0)
+    cross = float(np.abs(off).max())
     min_eig = float(np.linalg.eigvalsh(ops)[:, 0].min())
-    psd = max(0.0, -min_eig)
-    a_range = max(0.0, 1.0 / d**3 - g.a, g.a - 1.0 / d**2)
+    psd = d * d * max(0.0, -min_eig)
     t_purity = abs(purity_from_t(d, g.t) - g.a) if g.t >= 0 else np.inf
     deviations = {
         "hermiticity": herm,
@@ -160,10 +156,33 @@ def validate_gsic(g: GsicSet, tol: float = VALIDATION_TOL) -> ValidationOutcome:
         "purity": purity,
         "cross_trace": cross,
         "psd": psd,
-        "a_range": a_range,
+        "a_range": purity_range_deviation(d, g.a),
         "t_purity": t_purity,
     }
     return ValidationOutcome(deviations=deviations, tolerance=tol)
+
+
+def _require_valid(g: GsicSet, what: str) -> GsicSet:
+    """g if validate_gsic passes it; the one gate for every set returned.
+
+    A failed psd check raises InfeasibleParameterError with the index and
+    eigenvalue of the worst operator; any other failure raises ValueError
+    naming the largest deviation, a NaN counting as the largest.
+    """
+    outcome = validate_gsic(g)
+    if outcome.passed:
+        return g
+    dev = outcome.deviations
+    if not dev["psd"] <= outcome.tolerance:
+        smallest = np.linalg.eigvalsh(g.operators)[:, 0]
+        worst = int(np.argmin(smallest))
+        raise InfeasibleParameterError(
+            f"{what} is infeasible: operator {worst} of {g.dim ** 2} has "
+            f"eigenvalue {smallest[worst]:.3e}",
+            index=worst, eigenvalue=float(smallest[worst]))
+    worst = max(dev, key=lambda k: np.nan_to_num(dev[k], nan=np.inf))
+    raise ValueError(f"{what} fails validation: {worst} deviates by "
+                     f"{dev[worst]:.3e}")
 
 
 def index_of_coincidence(rho: DensityMatrix, g: GsicSet) -> float:
@@ -183,7 +202,7 @@ def write_gsic(g: GsicSet, path: str | Path) -> None:
 
 
 def read_gsic(path: str | Path) -> GsicSet:
-    """Load a measurement set from JSON and re-validate it."""
+    """Load a measurement set from JSON; it must pass validate_gsic."""
     payload = json.loads(Path(path).read_text())
     try:
         d = decode_int(payload["d"])
@@ -199,12 +218,4 @@ def read_gsic(path: str | Path) -> GsicSet:
             f"expected ({d * d}, {d * d})")
     g = GsicSet(dim=d, t=t, a=a, operators=ops.reshape(d * d, d, d),
                 basis_id=basis_id)
-    outcome = validate_gsic(g)
-    if not outcome.passed:
-        worst = max(outcome.deviations, key=lambda k: np.nan_to_num(
-            outcome.deviations[k], nan=np.inf))
-        raise ValueError(
-            f"measurement file {path} fails validation: {worst} deviates "
-            f"by {outcome.deviations[worst]:.3e}")
-    return g
-
+    return _require_valid(g, f"measurement file {path}")

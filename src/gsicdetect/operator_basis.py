@@ -83,6 +83,12 @@ def gell_mann_basis(d: int) -> OperatorBasis:
                          basis_id=f"gellmann-d{d}")
 
 
+def hilbert_schmidt_gram(mats: np.ndarray) -> np.ndarray:
+    """Tr(A_a A_b) for a stack of m square matrices, as one (m, m) GEMM."""
+    m = len(mats)
+    return mats.reshape(m, -1) @ mats.transpose(0, 2, 1).reshape(m, -1).T
+
+
 def verify_basis(basis: OperatorBasis,
                  tol: float = VALIDATION_TOL) -> ValidationOutcome:
     """Check orthonormality, tracelessness and hermiticity of a basis."""
@@ -91,9 +97,8 @@ def verify_basis(basis: OperatorBasis,
     want = (d * d - 1, d, d)
     if gens.shape != want:
         raise ValueError(f"generator array has shape {gens.shape}, expected {want}")
-    gram = np.einsum("aij,bji->ab", gens, gens)
-    orth = float(np.abs(gram - np.eye(d * d - 1)).max())
-    trace = float(np.abs(np.einsum("aii->a", gens)).max())
+    orth = float(np.abs(hilbert_schmidt_gram(gens) - np.eye(d * d - 1)).max())
+    trace = float(np.abs(np.trace(gens, axis1=1, axis2=2)).max())
     herm = hermiticity_deviation(gens)
     deviations = {"orthonormality": orth, "trace": trace, "hermiticity": herm}
     return ValidationOutcome(deviations=deviations, tolerance=tol)

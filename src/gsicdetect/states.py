@@ -7,6 +7,7 @@ factor is the most significant index, matching numpy.kron.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
@@ -225,10 +226,12 @@ def encode_complex(z: np.ndarray) -> list:
 
 
 def decode_complex(raw) -> np.ndarray:
-    """Inverse of encode_complex; ValueError unless all entries are pairs."""
+    """Inverse of encode_complex; ValueError unless all entries are finite pairs."""
     pairs = np.asarray(raw)
     if pairs.dtype.kind not in "iuf" or pairs.shape[-1:] != (2,):
         raise ValueError("entries must be [re, im] pairs of numbers")
+    if not np.isfinite(pairs).all():
+        raise ValueError("non-finite entry; entries must be finite numbers")
     return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
@@ -255,9 +258,13 @@ def read_state(path: str | Path) -> DensityMatrix:
         flat = decode_complex(payload["matrix"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from exc
-    dim = local_dim ** parties
-    if flat.shape != (dim * dim,):
+    dim = math.isqrt(flat.size)
+    # local_dim >= 2 gives local_dim**parties >= 2**parties, so a parties
+    # beyond dim's bit length cannot match, and the power is never formed
+    if not (flat.shape == (dim * dim,) and parties <= dim.bit_length()
+            and local_dim ** parties == dim):
         raise ValueError(
-            f"state file {path} holds {flat.shape[0]} entries, expected {dim * dim}")
+            f"state file {path} holds {flat.size} entries, expected "
+            f"({local_dim}**{parties})**2")
     return DensityMatrix.from_matrix(flat.reshape(dim, dim), local_dim, parties,
                                      label=f"file:{Path(path).name}")

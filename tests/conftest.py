@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gsicdetect import GsicSet, construct_gsic, feasible_t, purity_from_t
 from gsicdetect.states import DensityMatrix
 
 
@@ -22,5 +23,25 @@ def random_state():
             mat += w * np.outer(vec, vec.conj())
         mat = 0.5 * (mat + mat.conj().T)
         return DensityMatrix.from_matrix(mat, local_dim, parties)
+
+    return make
+
+
+@pytest.fixture
+def above_cap_set():
+    """Factory for the set at t = cap*(1 + eps), which construct_gsic refuses.
+
+    P_j = I/d**2 + t*M_j is affine in t, so stretching the set built at the
+    cap about I/d**2 by 1 + eps gives the operators at cap*(1 + eps).
+    """
+
+    def make(basis, eps: float) -> GsicSet:
+        d = basis.dim
+        cap = feasible_t(basis).t
+        eye = np.eye(d) / d**2
+        ops = eye + (1 + eps) * (construct_gsic(basis, cap).operators - eye)
+        t = cap * (1 + eps)
+        return GsicSet(dim=d, t=t, a=purity_from_t(d, t), operators=ops,
+                       basis_id=basis.basis_id)
 
     return make

@@ -1,12 +1,13 @@
 """End-to-end tests for the gsic command line, run in process."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 from gsicdetect import (gell_mann_basis, max_entangled, max_feasible_t,
-                        read_gsic, write_state)
+                        read_gsic, write_gsic, write_state)
 from gsicdetect.cli import main
 
 
@@ -313,3 +314,52 @@ def test_detect_rejects_a_truncated_state_dimension(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "malformed" in captured.err
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_detect_rejects_a_measurement_file_above_the_cap(tmp_path, capsys,
+                                                         above_cap_set, d):
+    gfile = tmp_path / "g.json"
+    write_gsic(above_cap_set(gell_mann_basis(d), 1e-9), gfile)
+    rc = main(["detect", "--state", f"maxent:{d}", "--gsic", str(gfile)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "is infeasible" in captured.err
+
+
+@pytest.mark.parametrize("kind", ["gsic", "state"])
+def test_detect_rejects_a_non_finite_file_entry(tmp_path, capsys, kind):
+    path = tmp_path / "in.json"
+    if kind == "gsic":
+        assert main(["build", "--dim", "3", "--max-t", "--out",
+                     str(path)]) == 0
+        argv = ["detect", "--state", "maxent:3", "--gsic", str(path)]
+        payload = json.loads(path.read_text())
+        payload["operators"][0][4][0] = float("nan")
+    else:
+        write_state(max_entangled(3), path)
+        argv = ["detect", "--state", f"file:@{path}", "--max-t"]
+        payload = json.loads(path.read_text())
+        payload["matrix"][4][1] = float("inf")
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "malformed" in captured.err and "non-finite" in captured.err
+
+
+def test_detect_rejects_an_absurd_party_count_fast(tmp_path, capsys):
+    # 3**(10**8) must never be formed: the entry count decides first
+    sfile = tmp_path / "rho.json"
+    sfile.write_text(json.dumps({"local_dim": 3, "parties": 10**8,
+                                 "matrix": [[1, 0]]}))
+    start = time.perf_counter()
+    rc = main(["detect", "--state", f"file:@{sfile}", "--max-t"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "holds 1 entries" in captured.err
+    assert elapsed < 0.5

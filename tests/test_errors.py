@@ -8,7 +8,8 @@ import pytest
 
 import gsicdetect
 from gsicdetect import NumericIntegrityError, ValidationOutcome
-from gsicdetect.errors import hermiticity_deviation, require_real
+from gsicdetect.errors import (hermiticity_deviation, purity_range_deviation,
+                               require_real)
 
 PACKAGE = Path(gsicdetect.__file__).parent
 
@@ -66,3 +67,10 @@ def test_validation_outcome_fails_on_any_nan_deviation():
     for key in ok:
         dev = dict(ok, **{key: float("nan")})
         assert not ValidationOutcome(dev, tolerance=1e-10).passed
+
+
+def test_purity_range_deviation():
+    assert purity_range_deviation(2, 0.2) == 0.0
+    assert purity_range_deviation(2, 0.25 + 1e-3) == pytest.approx(1e-3)
+    assert purity_range_deviation(2, 0.125 - 1e-3) == pytest.approx(1e-3)
+    assert np.isnan(purity_range_deviation(2, float("nan")))

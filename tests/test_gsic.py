@@ -1,14 +1,16 @@
 """Tests for the tunable-purity measurement construction."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from gsicdetect import (InfeasibleParameterError, NumericIntegrityError,
-                        conjugate_gsic, construct_gsic, feasible_t,
-                        gell_mann_basis, index_of_coincidence, max_feasible_t,
-                        read_gsic, validate_gsic, write_gsic)
+                        OperatorBasis, brute_force_j, conjugate_gsic,
+                        construct_gsic, feasible_t, gell_mann_basis,
+                        index_of_coincidence, j_bipartite, max_feasible_t,
+                        read_gsic, validate_gsic, verify_basis, write_gsic)
 from gsicdetect.states import DensityMatrix
 
 
@@ -283,3 +285,64 @@ def test_cap_is_the_exact_positivity_boundary(d):
 def test_non_finite_t_rejected(t):
     with pytest.raises(ValueError, match="finite"):
         construct_gsic(gell_mann_basis(2), t)
+
+
+@pytest.mark.parametrize("scale", [1.5, 3.0])
+def test_construct_rejects_a_scaled_basis(scale):
+    # scaled generators are not orthonormal: the operators stay PSD at the
+    # scaled basis's own cap, but their purity misses purity_from_t
+    gens = gell_mann_basis(3).generators * scale
+    basis = OperatorBasis(dim=3, generators=gens, basis_id="scaled")
+    with pytest.raises(ValueError, match="purity deviates") as err:
+        construct_gsic(basis, feasible_t(basis).t)
+    assert not isinstance(err.value, InfeasibleParameterError)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_json_reader_rejects_a_set_above_the_cap(tmp_path, above_cap_set, d):
+    g = above_cap_set(gell_mann_basis(d), 1e-9)
+    assert validate_gsic(g).deviations["psd"] == pytest.approx(1e-9, rel=1e-4)
+    path = tmp_path / "set.json"
+    write_gsic(g, path)
+    with pytest.raises(InfeasibleParameterError, match="is infeasible") as err:
+        read_gsic(path)
+    assert err.value.index in range(d * d)
+    assert err.value.eigenvalue == pytest.approx(-1e-9 / d**2, abs=1e-14)
+
+
+def test_validation_fails_a_nan_purity_on_the_range_check():
+    g = construct_gsic(gell_mann_basis(2), 0.05)
+    deviations = validate_gsic(dataclasses.replace(g, a=float("nan"))).deviations
+    assert np.isnan(deviations["a_range"])
+
+
+def _rotated_basis(d):
+    # a real-orthogonal mix of orthonormal traceless Hermitian generators
+    # is again such a basis
+    gens = gell_mann_basis(d).generators
+    rng = np.random.default_rng(70 + d)
+    rotation, _ = np.linalg.qr(rng.normal(size=(d * d - 1, d * d - 1)))
+    return OperatorBasis(dim=d, generators=np.tensordot(rotation, gens, 1),
+                         basis_id=f"rotated-d{d}")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_rotated_bases_pass_every_gate(tmp_path, above_cap_set, random_state,
+                                        d):
+    basis = _rotated_basis(d)
+    assert verify_basis(basis).passed
+    cap = feasible_t(basis).t
+    p = construct_gsic(basis, cap)
+    assert validate_gsic(p).passed
+    with pytest.raises(InfeasibleParameterError) as err:
+        construct_gsic(basis, cap * (1 + 1e-9))
+    assert err.value.eigenvalue == pytest.approx(-1e-9 / d**2, abs=1e-14)
+    path = tmp_path / "set.json"
+    write_gsic(above_cap_set(basis, 1e-9), path)
+    with pytest.raises(InfeasibleParameterError):
+        read_gsic(path)
+    rng = np.random.default_rng(80 + d)
+    for q in (conjugate_gsic(p), p):
+        rho = random_state(d, 2, rng)
+        want = brute_force_j(rho, [p, q])
+        assert abs(j_bipartite(rho, p, q) - want) <= 1e-12 * abs(want)
