@@ -31,8 +31,8 @@ from .errors import (CAP_EIG_SLACK, IMAG_TOL, VALIDATION_TOL,
                      require_real)
 from .operator_basis import (OperatorBasis, ValidationOutcome,
                              hilbert_schmidt_gram)
-from .states import (DensityMatrix, decode_complex, decode_int, encode_complex,
-                     pair_axes)
+from .states import (ENCODING, DensityMatrix, decode_complex, decode_int,
+                     encode_complex, pair_axes)
 
 
 @dataclass(frozen=True)
@@ -194,25 +194,34 @@ def index_of_coincidence(rho: DensityMatrix, g: GsicSet) -> float:
 
 
 def write_gsic(g: GsicSet, path: str | Path) -> None:
-    """Serialize a measurement set to JSON."""
-    ops = np.asarray(g.operators)
-    payload = {"d": g.dim, "t": g.t, "a": g.a, "basis_id": g.basis_id,
-               "operators": encode_complex(ops.reshape(len(ops), -1))}
+    """Serialize a measurement set to JSON.
+
+    {"encoding", "d", "t", "a", "basis_id", "operators"}, with the
+    (d**2, d, d) operators one row-major encode_complex string.
+    """
+    payload = {"encoding": ENCODING, "d": g.dim, "t": g.t, "a": g.a,
+               "basis_id": g.basis_id, "operators": encode_complex(g.operators)}
     Path(path).write_text(json.dumps(payload))
 
 
 def read_gsic(path: str | Path) -> GsicSet:
-    """Load a measurement set from JSON; it must pass validate_gsic."""
+    """Load a measurement set from JSON; it must pass validate_gsic.
+
+    The operators are read by decode_complex: a tagged file holds d**4
+    entries in one flat string, an untagged one d**2 rows of d**2
+    [re, im] pairs.  d must be an integer >= 2.  A malformed file raises
+    ValueError; a set above the cap on t, InfeasibleParameterError.
+    """
     payload = json.loads(Path(path).read_text())
     try:
-        d = decode_int(payload["d"])
+        d = decode_int(payload["d"], 2)
         t = float(payload["t"])
         a = float(payload["a"])
         basis_id = str(payload["basis_id"])
-        ops = decode_complex(payload["operators"])
+        ops = decode_complex(payload, "operators")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed measurement file {path}: {exc}") from exc
-    if ops.shape != (d * d, d * d):
+    if ops.shape not in ((d**4,), (d * d, d * d)):
         raise ValueError(
             f"measurement file {path} holds {ops.shape} entries, "
             f"expected ({d * d}, {d * d})")

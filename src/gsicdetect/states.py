@@ -6,6 +6,7 @@ factor is the most significant index, matching numpy.kron.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass
@@ -220,42 +221,87 @@ def partial_transpose(rho: DensityMatrix, party: int) -> np.ndarray:
     return swapped.reshape(d ** n, d ** n)
 
 
-def encode_complex(z: np.ndarray) -> list:
-    """A complex array as nested lists with one [re, im] pair per entry."""
-    return np.stack([z.real, z.imag], -1).tolist()
+# Tag of the payload that encode_complex writes; files without it are read
+# in the [re, im] form written before it.
+ENCODING = "c16le-base64"
 
 
-def decode_complex(raw) -> np.ndarray:
-    """Inverse of encode_complex; ValueError unless all entries are finite pairs."""
-    pairs = np.asarray(raw)
-    if pairs.dtype.kind not in "iuf" or pairs.shape[-1:] != (2,):
-        raise ValueError("entries must be [re, im] pairs of numbers")
-    if not np.isfinite(pairs).all():
+def encode_complex(z: np.ndarray) -> str:
+    """z's entries in row-major order as base64 of little-endian complex128.
+
+    Writers store the result beside the top-level field
+    "encoding": ENCODING.  Every float, -0.0 and subnormals included,
+    reloads bit-exact.
+    """
+    return base64.b64encode(np.asarray(z, dtype="<c16").tobytes()).decode("ascii")
+
+
+def decode_complex(payload: dict, key: str) -> np.ndarray:
+    """payload[key] as a complex array; ValueError unless every entry is finite.
+
+    Tagged with ENCODING, payload[key] must be a base64 string (decoded
+    with validate=True) of a whole number of 16-byte entries, and the
+    result is flat.  Untagged, it must be nested [re, im] pairs of
+    numbers, and the result keeps their nesting.  Any other tag raises.
+    """
+    raw = payload[key]
+    if "encoding" in payload:
+        if payload["encoding"] != ENCODING:
+            raise ValueError(f"unknown encoding {payload['encoding']!r}, "
+                             f"expected {ENCODING!r}")
+        if not isinstance(raw, str):
+            raise ValueError(f"{key} must be a base64 string under {ENCODING}")
+        data = base64.b64decode(raw, validate=True)
+        if len(data) % 16:
+            raise ValueError(f"{key} holds {len(data)} bytes, not a whole "
+                             "number of 16-byte complex128 entries")
+        z = np.frombuffer(data, "<c16").astype(complex)
+    else:
+        pairs = np.asarray(raw)
+        if pairs.dtype.kind not in "iuf" or pairs.shape[-1:] != (2,):
+            raise ValueError("entries must be [re, im] pairs of numbers")
+        z = np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+    if not np.isfinite(z).all():
         raise ValueError("non-finite entry; entries must be finite numbers")
-    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+    return z
 
 
-def decode_int(raw) -> int:
-    """A JSON integer field; ValueError for a float, a bool or anything else."""
+def decode_int(raw, minimum: int) -> int:
+    """A JSON integer field of at least minimum; ValueError otherwise.
+
+    A float, a bool or anything else that is not an int is refused too.
+    """
     if isinstance(raw, bool) or not isinstance(raw, int):
         raise ValueError(f"expected an integer, got {raw!r}")
+    if raw < minimum:
+        raise ValueError(f"expected an integer >= {minimum}, got {raw}")
     return raw
 
 
 def write_state(rho: DensityMatrix, path: str | Path) -> None:
-    """Serialize a density matrix to JSON."""
-    payload = {"local_dim": rho.local_dim, "parties": rho.parties,
-               "matrix": encode_complex(np.asarray(rho.matrix).reshape(-1))}
+    """Serialize a density matrix to JSON.
+
+    {"encoding", "local_dim", "parties", "matrix"}, with the matrix one
+    row-major encode_complex string.
+    """
+    payload = {"encoding": ENCODING, "local_dim": rho.local_dim,
+               "parties": rho.parties, "matrix": encode_complex(rho.matrix)}
     Path(path).write_text(json.dumps(payload))
 
 
 def read_state(path: str | Path) -> DensityMatrix:
-    """Load a density matrix from JSON and re-validate it."""
+    """Load a density matrix from JSON and re-validate it.
+
+    The matrix is read by decode_complex, tagged or in [re, im] pairs.
+    local_dim must be an integer >= 2 and parties one >= 1, the file must
+    hold (local_dim**parties)**2 entries, and the result passes
+    DensityMatrix.from_matrix.  A malformed file raises ValueError.
+    """
     payload = json.loads(Path(path).read_text())
     try:
-        local_dim = decode_int(payload["local_dim"])
-        parties = decode_int(payload["parties"])
-        flat = decode_complex(payload["matrix"])
+        local_dim = decode_int(payload["local_dim"], 2)
+        parties = decode_int(payload["parties"], 1)
+        flat = decode_complex(payload, "matrix")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from exc
     dim = math.isqrt(flat.size)

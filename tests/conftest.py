@@ -1,5 +1,9 @@
 """Shared test helpers."""
 
+import base64
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -43,5 +47,51 @@ def above_cap_set():
         t = cap * (1 + eps)
         return GsicSet(dim=d, t=t, a=purity_from_t(d, t), operators=ops,
                        basis_id=basis.basis_id)
+
+    return make
+
+
+def _file_entries(payload: dict) -> tuple[str, np.ndarray]:
+    """The complex field of a tagged file payload and its decoded entries."""
+    assert payload["encoding"] == "c16le-base64"
+    key = "operators" if "operators" in payload else "matrix"
+    return key, np.frombuffer(base64.b64decode(payload[key]), "<c16").copy()
+
+
+@pytest.fixture
+def legacy_payload():
+    """Factory: the payload of a written file in the untagged [re, im] form.
+
+    The entries are laid out as the writers did before the encoding tag:
+    one row of pairs per operator in a measurement file, one flat row of
+    pairs in a state file.
+    """
+
+    def make(path) -> dict:
+        payload = json.loads(Path(path).read_text())
+        key, z = _file_entries(payload)
+        del payload["encoding"]
+        if key == "operators":
+            z = z.reshape(payload["d"] ** 2, -1)
+        payload[key] = np.stack([z.real, z.imag], -1).tolist()
+        return payload
+
+    return make
+
+
+@pytest.fixture
+def edit_entries():
+    """Factory: rewrite a written file with edit(entries) as its payload.
+
+    edit receives the decoded complex entries, flat and writable, and
+    returns the array to store, base64-encoded as the writers do.
+    """
+
+    def make(path, edit) -> None:
+        payload = json.loads(Path(path).read_text())
+        key, z = _file_entries(payload)
+        raw = np.asarray(edit(z), dtype="<c16").tobytes()
+        payload[key] = base64.b64encode(raw).decode("ascii")
+        Path(path).write_text(json.dumps(payload))
 
     return make

@@ -6,8 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from gsicdetect import (gell_mann_basis, max_entangled, max_feasible_t,
-                        read_gsic, write_gsic, write_state)
+from gsicdetect import (construct_gsic, gell_mann_basis, max_entangled,
+                        max_feasible_t, read_gsic, write_gsic, write_state)
 from gsicdetect.cli import main
 
 
@@ -329,18 +329,19 @@ def test_detect_rejects_a_measurement_file_above_the_cap(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("kind", ["gsic", "state"])
-def test_detect_rejects_a_non_finite_file_entry(tmp_path, capsys, kind):
+def test_detect_rejects_a_non_finite_file_entry(tmp_path, capsys, kind,
+                                                legacy_payload):
     path = tmp_path / "in.json"
     if kind == "gsic":
         assert main(["build", "--dim", "3", "--max-t", "--out",
                      str(path)]) == 0
         argv = ["detect", "--state", "maxent:3", "--gsic", str(path)]
-        payload = json.loads(path.read_text())
+        payload = legacy_payload(path)
         payload["operators"][0][4][0] = float("nan")
     else:
         write_state(max_entangled(3), path)
         argv = ["detect", "--state", f"file:@{path}", "--max-t"]
-        payload = json.loads(path.read_text())
+        payload = legacy_payload(path)
         payload["matrix"][4][1] = float("inf")
     path.write_text(json.dumps(payload))
     capsys.readouterr()
@@ -349,6 +350,58 @@ def test_detect_rejects_a_non_finite_file_entry(tmp_path, capsys, kind):
     assert rc == 2
     assert captured.out == ""
     assert "malformed" in captured.err and "non-finite" in captured.err
+
+
+def _written_file(path, kind):
+    """A valid d=3 file of one kind and the detect argv that reads it."""
+    if kind == "gsic":
+        basis = gell_mann_basis(3)
+        write_gsic(construct_gsic(basis, max_feasible_t(basis)), path)
+        return ["detect", "--state", "maxent:3", "--gsic", str(path)]
+    write_state(max_entangled(3), path)
+    return ["detect", "--state", f"file:@{path}", "--max-t"]
+
+
+@pytest.mark.parametrize("kind", ["gsic", "state"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, -np.inf)])
+def test_detect_rejects_non_finite_file_bytes(tmp_path, capsys, edit_entries,
+                                              kind, bad):
+    def poison(z):
+        z[4] = bad
+        return z
+
+    path = tmp_path / "in.json"
+    argv = _written_file(path, kind)
+    edit_entries(path, poison)
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "malformed" in captured.err and "non-finite" in captured.err
+
+
+@pytest.mark.parametrize("kind", ["gsic", "state"])
+@pytest.mark.parametrize("field,value,reason", [
+    ("encoding", "c16be-base64", "unknown encoding"),
+    ("encoding", None, "unknown encoding"),
+    ("payload", [[0.25, 0.0]], "must be a base64 string"),
+    ("payload", "AAAA AAAA", "base64"),
+    ("payload", "AAAA", "not a whole number"),
+])
+def test_detect_rejects_a_malformed_tagged_payload(tmp_path, capsys, kind,
+                                                   field, value, reason):
+    path = tmp_path / "in.json"
+    argv = _written_file(path, kind)
+    payload = json.loads(path.read_text())
+    if field == "payload":
+        field = "operators" if kind == "gsic" else "matrix"
+    payload[field] = value
+    path.write_text(json.dumps(payload))
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "malformed" in captured.err and reason in captured.err
 
 
 def test_detect_rejects_an_absurd_party_count_fast(tmp_path, capsys):
@@ -362,4 +415,21 @@ def test_detect_rejects_an_absurd_party_count_fast(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "holds 1 entries" in captured.err
+    assert elapsed < 0.5
+
+
+
+def test_detect_rejects_an_absurd_party_count_fast_when_tagged(tmp_path,
+                                                               capsys):
+    sfile = tmp_path / "rho.json"
+    write_state(max_entangled(3), sfile)
+    payload = json.loads(sfile.read_text())
+    payload["parties"] = 10**8
+    sfile.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    rc = main(["detect", "--state", f"file:@{sfile}", "--max-t"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "holds 81 entries" in captured.err
     assert elapsed < 0.5

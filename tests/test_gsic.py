@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ import pytest
 from gsicdetect import (InfeasibleParameterError, NumericIntegrityError,
                         OperatorBasis, brute_force_j, conjugate_gsic,
                         construct_gsic, feasible_t, gell_mann_basis,
-                        index_of_coincidence, j_bipartite, max_feasible_t,
-                        read_gsic, validate_gsic, verify_basis, write_gsic)
+                        index_of_coincidence, isotropic, j_bipartite,
+                        max_feasible_t, read_gsic, read_state, validate_gsic,
+                        verify_basis, write_gsic, write_state)
 from gsicdetect.states import DensityMatrix
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_zero_mixing_gives_flat_measurement():
@@ -165,11 +169,11 @@ def test_json_round_trip(tmp_path):
     assert np.array_equal(loaded.operators, g.operators)
 
 
-def test_json_reader_rejects_tampering(tmp_path):
+def test_json_reader_rejects_tampering(tmp_path, legacy_payload):
     g = construct_gsic(gell_mann_basis(2), 0.05)
     path = tmp_path / "set.json"
     write_gsic(g, path)
-    payload = json.loads(path.read_text())
+    payload = legacy_payload(path)
     payload["operators"][0][0][0] += 1e-3
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="fails validation"):
@@ -226,14 +230,72 @@ def test_json_reader_rejects_malformed_payload(tmp_path):
         read_gsic(path)
 
 
-def test_json_reader_rejects_a_string_entry(tmp_path):
+def test_json_reader_rejects_a_string_entry(tmp_path, legacy_payload):
     path = tmp_path / "set.json"
     write_gsic(construct_gsic(gell_mann_basis(2), 0.05), path)
-    payload = json.loads(path.read_text())
+    payload = legacy_payload(path)
     payload["operators"][0][0][0] = "0.25"
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="malformed"):
         read_gsic(path)
+
+
+
+def test_json_reader_rejects_tampered_bytes(tmp_path, edit_entries):
+    def bump(z):
+        z[0] += 1e-3
+        return z
+
+    path = tmp_path / "set.json"
+    write_gsic(construct_gsic(gell_mann_basis(2), 0.05), path)
+    edit_entries(path, bump)
+    with pytest.raises(ValueError, match="fails validation"):
+        read_gsic(path)
+
+
+def test_json_reader_rejects_a_wrong_entry_count(tmp_path, edit_entries):
+    path = tmp_path / "set.json"
+    write_gsic(construct_gsic(gell_mann_basis(2), 0.05), path)
+    edit_entries(path, lambda z: z[:-1])
+    with pytest.raises(ValueError, match=r"holds \(15,\) entries"):
+        read_gsic(path)
+
+
+@pytest.mark.parametrize("form", ["tagged", "legacy"])
+@pytest.mark.parametrize("value", [-2, 0, 1])
+def test_json_reader_rejects_a_dimension_below_two(tmp_path, legacy_payload,
+                                                    form, value):
+    path = tmp_path / "set.json"
+    write_gsic(construct_gsic(gell_mann_basis(2), 0.05), path)
+    if form == "legacy":
+        payload = legacy_payload(path)
+    else:
+        payload = json.loads(path.read_text())
+    payload["d"] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="malformed.*>= 2"):
+        read_gsic(path)
+
+
+def test_legacy_files_load_bit_identical_to_the_new_format(tmp_path):
+    # both fixtures were written by the [re, im] writers, before the tag
+    basis = gell_mann_basis(3)
+    g = construct_gsic(basis, max_feasible_t(basis))
+    write_gsic(g, tmp_path / "g.json")
+    old = read_gsic(DATA / "legacy-gsic-d3.json")
+    new = read_gsic(tmp_path / "g.json")
+    fields = ("dim", "t", "a", "basis_id")
+    assert [getattr(old, f) for f in fields] == [getattr(new, f) for f in fields]
+    assert old.operators.dtype == new.operators.dtype == complex
+    assert (old.operators.tobytes() == new.operators.tobytes()
+            == g.operators.tobytes())
+    rho = isotropic(3, 0.5)
+    write_state(rho, tmp_path / "rho.json")
+    old = read_state(DATA / "legacy-state-d3.json")
+    new = read_state(tmp_path / "rho.json")
+    assert (old.local_dim, old.parties) == (new.local_dim, new.parties) == (3, 2)
+    assert old.matrix.dtype == new.matrix.dtype == complex
+    assert old.matrix.tobytes() == new.matrix.tobytes() == rho.matrix.tobytes()
 
 
 def _bisected_cap(basis):

@@ -8,7 +8,7 @@ import pytest
 from gsicdetect import (bell_diagonal, diagonal_mixture, isotropic,
                         max_entangled, partial_transpose, random_separable,
                         read_state, tensor, weyl_operator, write_state)
-from gsicdetect.states import DensityMatrix
+from gsicdetect.states import DensityMatrix, decode_complex
 
 
 def _reduced(rho, d, keep):
@@ -293,13 +293,51 @@ def test_state_json_rejects_bad_payloads(tmp_path):
         read_state(path)
 
 
-def test_state_json_rejects_a_string_entry(tmp_path):
+def test_state_json_rejects_a_string_entry(tmp_path, legacy_payload):
     path = tmp_path / "rho.json"
     write_state(max_entangled(2), path)
-    payload = json.loads(path.read_text())
+    payload = legacy_payload(path)
     payload["matrix"][0][0] = "0.5"
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="malformed"):
+        read_state(path)
+
+
+
+def test_state_json_round_trips_extreme_floats_bit_exact(tmp_path):
+    vals = [-0.0, 5e-324, 1e308, -1e308]
+    z = np.array([complex(re, im) for re in vals for im in vals])
+    path = tmp_path / "rho.json"
+    # bypasses from_matrix: only the codec is under test
+    write_state(DensityMatrix(local_dim=2, parties=2, matrix=z.reshape(4, 4)),
+                path)
+    back = decode_complex(json.loads(path.read_text()), "matrix")
+    assert back.dtype == complex and back.flags.writeable
+    assert back.tobytes() == z.tobytes()
+
+
+def test_state_json_rejects_a_wrong_entry_count(tmp_path, edit_entries):
+    path = tmp_path / "rho.json"
+    write_state(max_entangled(2), path)
+    edit_entries(path, lambda z: z[:-1])
+    with pytest.raises(ValueError, match="holds 15 entries"):
+        read_state(path)
+
+
+@pytest.mark.parametrize("form", ["tagged", "legacy"])
+@pytest.mark.parametrize("field,value", [
+    ("local_dim", -2), ("local_dim", 1), ("parties", 0), ("parties", -1)])
+def test_state_json_rejects_dimensions_below_their_minimum(
+        tmp_path, legacy_payload, form, field, value):
+    path = tmp_path / "rho.json"
+    write_state(max_entangled(2), path)
+    if form == "legacy":
+        payload = legacy_payload(path)
+    else:
+        payload = json.loads(path.read_text())
+    payload[field] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="malformed.*expected an integer >="):
         read_state(path)
 
 
