@@ -95,7 +95,10 @@ def _path_arg(text: str, what: str) -> Path:
 
 
 def _load_weights(path: Path) -> dict[tuple[int, int], float]:
-    data = json.loads(path.read_text())
+    try:
+        data = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"malformed weights file {path}: {exc}") from exc
     if not isinstance(data, dict) or not data:
         raise ValueError(f"weights file {path} must hold a nonempty object")
     weights = {}

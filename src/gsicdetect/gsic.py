@@ -212,8 +212,8 @@ def read_gsic(path: str | Path) -> GsicSet:
     [re, im] pairs.  d must be an integer >= 2.  A malformed file raises
     ValueError; a set above the cap on t, InfeasibleParameterError.
     """
-    payload = json.loads(Path(path).read_text())
     try:
+        payload = json.loads(Path(path).read_text())
         d = decode_int(payload["d"], 2)
         t = float(payload["t"])
         a = float(payload["a"])

@@ -178,6 +178,15 @@ def random_separable(d: int, parties: int, terms: int, seed: int) -> DensityMatr
     Each term is a product of independent Gaussian random unit vectors;
     the mixing weights are uniform draws normalized to 1.  The output is
     fully separable by construction and deterministic per seed.
+
+    Draw order: the `terms` weights, then one normal draw of shape
+    (terms, 2, parties, d) holding, within each term, the real parts of
+    all factors before their imaginary parts.  That is the order of one
+    pair of (parties, d) draws per term, so a seed gives the same state,
+    to rounding, as the per-term loop kept in the tests.  The product
+    vectors are the rows of one (terms, d**parties) array V, built by
+    broadcast outer products, and rho = V^T diag(w) conj(V) is exactly
+    Hermitian.
     """
     check_dim(d)
     if parties < 2 or terms < 1:
@@ -186,14 +195,21 @@ def random_separable(d: int, parties: int, terms: int, seed: int) -> DensityMatr
     rng = np.random.default_rng(seed)
     weights = rng.random(terms)
     weights /= weights.sum()
-    dim = d ** parties
-    mat = np.zeros((dim, dim), dtype=complex)
-    for w in weights:
-        factors = rng.normal(size=(parties, d)) + 1j * rng.normal(size=(parties, d))
-        factors /= np.linalg.norm(factors, axis=1, keepdims=True)
-        vec = reduce(np.kron, factors)
-        mat += w * np.outer(vec, vec.conj())
-    mat = 0.5 * (mat + mat.conj().T)
+    draws = rng.normal(size=(terms, 2, parties, d))
+    factors = draws[:, 0] + 1j * draws[:, 1]
+    factors /= np.linalg.norm(factors, axis=2, keepdims=True)
+    vecs = factors[:, 0]
+    for k in range(1, parties):
+        vecs = (vecs[:, :, None] * factors[:, k, None, :]).reshape(terms, -1)
+    # With U = sqrt(w) V: Re rho = S^T S for S = [Re U; Im U], exactly
+    # symmetric, and Im rho = X - X^T for X = Im(U)^T Re(U), exactly
+    # antisymmetric.
+    u = np.sqrt(weights)[:, None] * vecs
+    s = np.concatenate((u.real, u.imag))
+    x = u.imag.T @ u.real
+    mat = np.empty(x.shape, dtype=complex)
+    mat.real = s.T @ s
+    mat.imag = x - x.T
     return DensityMatrix(local_dim=d, parties=parties, matrix=mat,
                          label=f"randsep-d{d}-n{parties}-seed{seed}")
 
@@ -297,8 +313,8 @@ def read_state(path: str | Path) -> DensityMatrix:
     hold (local_dim**parties)**2 entries, and the result passes
     DensityMatrix.from_matrix.  A malformed file raises ValueError.
     """
-    payload = json.loads(Path(path).read_text())
     try:
+        payload = json.loads(Path(path).read_text())
         local_dim = decode_int(payload["local_dim"], 2)
         parties = decode_int(payload["parties"], 1)
         flat = decode_complex(payload, "matrix")

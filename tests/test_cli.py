@@ -433,3 +433,18 @@ def test_detect_rejects_an_absurd_party_count_fast_when_tagged(tmp_path,
     assert rc == 2
     assert "holds 81 entries" in captured.err
     assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["--state", "maxent:2", "--gsic", "{path}"], "malformed measurement file"),
+    (["--state", "file:@{path}", "--max-t"], "malformed state file"),
+    (["--state", "belldiag:2:@{path}", "--max-t"], "malformed weights file"),
+])
+def test_detect_names_a_file_that_is_not_json(tmp_path, capsys, argv, what):
+    path = tmp_path / "bad.json"
+    path.write_text("not json")
+    rc = main(["detect"] + [arg.format(path=path) for arg in argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"{what} {path}: Expecting value" in captured.err

@@ -327,6 +327,24 @@ def test_contraction_matches_brute_force(d, n):
             assert abs(j_bipartite(rho, p, q) - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("d, n", [(2, 3), (2, 4), (2, 5),
+                                  (3, 3), (3, 4), (3, 5)])
+def test_separable_contraction_matches_brute_force_within_the_bound(d, n):
+    basis = gell_mann_basis(d)
+    tm = max_feasible_t(basis)
+    p = construct_gsic(basis, tm)
+    mixed = [construct_gsic(basis, tm * (k + 1) / n) for k in range(n)]
+    mixed[-1] = conjugate_gsic(mixed[-1])
+    cases = [[p] * n, [conjugate_gsic(p)] * n, mixed]
+    for seed in range(3):
+        rho = random_separable(d, n, 4, seed=seed)
+        for sets in cases:
+            got = j_multipartite(rho, sets)
+            want = brute_force_j(rho, sets)
+            assert abs(got - want) <= 1e-12 * abs(want)
+            assert got <= multipartite_bound(d, [g.a for g in sets])
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_correlation_matrix_matches_the_einsum_reference(d):
     rho = _ginibre(d, 2, np.random.default_rng(40 + d))

@@ -1,6 +1,7 @@
 """Tests for the state factories and tensor utilities."""
 
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -222,10 +223,40 @@ def test_random_separable_single_term_is_pure():
 
 
 def test_random_separable_input_checks():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need parties >= 2 and terms >= 1, "
+                                         "got 1 and 3"):
         random_separable(2, 1, 3, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need parties >= 2 and terms >= 1, "
+                                         "got 2 and 0"):
         random_separable(2, 2, 0, seed=0)
+
+
+def _per_term_random_separable(d, parties, terms, seed):
+    """One Kronecker product and one outer-product accumulation per term."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random(terms)
+    weights /= weights.sum()
+    mat = np.zeros((d ** parties, d ** parties), dtype=complex)
+    for w in weights:
+        factors = rng.normal(size=(parties, d)) + 1j * rng.normal(size=(parties, d))
+        factors /= np.linalg.norm(factors, axis=1, keepdims=True)
+        vec = reduce(np.kron, factors)
+        mat += w * np.outer(vec, vec.conj())
+    return 0.5 * (mat + mat.conj().T), f"randsep-d{d}-n{parties}-seed{seed}"
+
+
+@pytest.mark.parametrize("d, parties", [(d, n) for d in (2, 3, 4)
+                                        for n in (2, 3, 4, 5) if d ** n <= 256])
+def test_random_separable_matches_the_per_term_reference(d, parties):
+    for terms in range(1, 6):
+        for seed in (0, 1, 17, 2024):
+            rho = random_separable(d, parties, terms, seed)
+            want, label = _per_term_random_separable(d, parties, terms, seed)
+            mat = rho.matrix
+            assert np.abs(mat - want).max() <= 1e-15
+            assert np.array_equal(mat, mat.conj().T)
+            assert abs(np.trace(mat) - 1) <= 1e-14
+            assert rho.label == label
 
 
 def test_tensor_matches_kron():
