@@ -106,6 +106,10 @@ def _load_weights(path: Path) -> dict[tuple[int, int], float]:
         s_txt, sep, t_txt = key.partition(",")
         if not sep:
             raise ValueError(f"weights key {key!r} is not of the form 's,t'")
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise ValueError(
+                f"malformed weights file {path}: weight of {key!r} must be "
+                f"a number, got {json.dumps(val)}")
         weights[(int(s_txt), int(t_txt))] = float(val)
     return weights
 

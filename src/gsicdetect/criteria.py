@@ -19,9 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (CORR_IMAG_TOL, DECISION_MARGIN, IMAG_TOL,
-                     PURITY_MATCH_TOL, RANGE_SLACK, check_dim,
-                     check_measurements, purity_range_deviation, require_real)
+from .errors import (CORR_IMAG_TOL, IMAG_TOL, PURITY_MATCH_TOL, RANGE_SLACK,
+                     check_dim, check_measurements, margin_rounding_bound,
+                     purity_range_deviation, require_real)
 from .gsic import GsicSet, conjugate_gsic, construct_gsic
 from .operator_basis import OperatorBasis, gell_mann_basis
 from .states import (DensityMatrix, _bell_mixture, diagonal_mixture, isotropic,
@@ -85,15 +85,27 @@ def bipartite_bound(d: int, a: float) -> float:
     return (a * d * d + 1.0) / (d * (d + 1.0))
 
 
-def detect_bipartite(rho: DensityMatrix, p: GsicSet, q: GsicSet) -> DetectionReport:
-    """Evaluate the bipartite test and wrap the outcome in a report."""
+def _report(rho: DensityMatrix, p: GsicSet, q: GsicSet,
+            error_bound: float) -> DetectionReport:
+    """Bipartite report, flagged when the margin exceeds error_bound."""
     j = j_bipartite(rho, p, q)
     bound = bipartite_bound(p.dim, p.a)
     margin = j - bound
-    verdict = ENTANGLED_DETECTED if margin > DECISION_MARGIN else INCONCLUSIVE
+    verdict = ENTANGLED_DETECTED if margin > error_bound else INCONCLUSIVE
     return DetectionReport(state_label=rho.label, dim=p.dim, parties=2,
                            t=p.t, a=p.a, j_value=j, bound=bound,
                            margin=margin, verdict=verdict)
+
+
+def detect_bipartite(rho: DensityMatrix, p: GsicSet, q: GsicSet) -> DetectionReport:
+    """Evaluate the bipartite test and wrap the outcome in a report.
+
+    The state is flagged only when J - bound exceeds E =
+    margin_rounding_bound(p, q), the worst-case rounding error of that
+    difference, so a flag never rests on rounding and a state on the
+    bound reads INCONCLUSIVE.
+    """
+    return _report(rho, p, q, margin_rounding_bound(p, q))
 
 
 def j_multipartite(rho: DensityMatrix, sets: list[GsicSet]) -> float:
@@ -167,9 +179,12 @@ def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
     parameter and J is linear in rho, so the margin J - bound is affine
     and the crossing is exact by linear interpolation between the two
     grid points that bracket the sign change.  Every family's fidelity
-    rises with its parameter, so margins that do not rise strictly along
-    the grid are rounding noise; the crossing is then NaN, as it is when
-    the grid never crosses the bound.  The paired set is conj(p).
+    rises with its parameter.  With E = margin_rounding_bound(p, conj(p)),
+    computed once, the crossing counts as resolved only when every grid
+    step raises the margin by more than 2E: each margin is off by at most
+    E, so only such a rise is certainly real.  Otherwise the crossing is
+    NaN, as it is when the grid never crosses the bound.  Each report is
+    flagged above E, as in detect_bipartite.  The paired set is conj(p).
     """
     if steps < 10:
         raise ValueError(f"need at least 10 grid steps, got {steps}")
@@ -181,11 +196,12 @@ def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
     start, make = SCAN_FAMILIES[family](d)
     q = conjugate_gsic(p)
     grid = np.linspace(start, 1.0, steps)
-    reports = [detect_bipartite(make(float(x)), p, q) for x in grid]
+    error_bound = margin_rounding_bound(p, q)
+    reports = [_report(make(float(x)), p, q, error_bound) for x in grid]
     m = np.array([r.margin for r in reports])
     threshold = float("nan")
     crossed = np.flatnonzero((m[:-1] <= 0.0) & (m[1:] > 0.0))
-    if np.all(np.diff(m) > 0.0) and crossed.size:
+    if np.all(np.diff(m) > 2.0 * error_bound) and crossed.size:
         i = crossed[0]
         threshold = float(grid[i] - m[i] * (grid[i + 1] - grid[i])
                           / (m[i + 1] - m[i]))

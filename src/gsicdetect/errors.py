@@ -1,4 +1,4 @@
-"""Exception types, numeric tolerances and input checks shared across the package."""
+"""Shared exception types, tolerances, input checks and J's rounding bound."""
 
 from __future__ import annotations
 
@@ -6,7 +6,9 @@ import math
 
 import numpy as np
 
-# Every tolerance of the package, defined only here; all absolute.
+# Every tolerance of the package, defined only here; all absolute.  The
+# decision margin of a test is no constant: margin_rounding_bound derives it
+# from the two measurement sets.
 HERM_TOL = 1e-10  # largest |rho - rho^H| entry of an accepted density matrix
 TRACE_TOL = 1e-10  # largest |Tr rho - 1| of an accepted density matrix
 PSD_TOL = 1e-10  # eigenvalue floor -PSD_TOL of density matrices and partial transposes
@@ -19,7 +21,6 @@ CAP_EIG_SLACK = 1e-13  # eigensolver noise ignored when choosing which cap on t 
 VALIDATION_TOL = 1e-10
 IMAG_TOL = 1e-8  # largest imaginary residue of a correlation sum
 CORR_IMAG_TOL = 1e-10  # largest imaginary residue of a correlation-matrix entry
-DECISION_MARGIN = 1e-9  # J must exceed the separable bound by more than this
 
 
 class NumericIntegrityError(ArithmeticError):
@@ -53,6 +54,38 @@ def check_measurements(rho, sets) -> None:
         raise ValueError(
             f"state has {rho.parties} parties of dimension {rho.local_dim}, "
             f"got measurement sets of dimensions {[g.dim for g in sets]}")
+
+
+def margin_rounding_bound(p, q) -> float:
+    """Worst-case rounding error E of j_bipartite(rho, p, q) - bipartite_bound.
+
+    E = 2 (m**2 + 2m) eps S, with m = d**2 outcomes, eps the machine
+    epsilon and S = sum_j ||P_j||_1 ||Q_j||_1 over entrywise 1-norms; it
+    holds for every density matrix rho.  Derivation, with u = eps/2 and
+    gamma_n = n u / (1 - n u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sections 3.1 and 3.6): the kernel reads rho as
+    X = pair_axes(rho), whose entries obey |X_ab| <= 1.
+
+    1. x_jb = sum_a P_ja X_ab is a complex inner product of length m.  Its
+       real and imaginary parts are real inner products of length 2m in
+       some order, so each is off by at most gamma_2m sum_a |P_ja||X_ab|,
+       and |dx_jb| <= sqrt(2) gamma_2m ||P_j||_1 while |x_jb| <= ||P_j||_1.
+    2. Re J = sum_jb Re(Q_jb x_jb) is one real inner product of length
+       2m**2, whatever order the batched product and the final sum take:
+       off by at most gamma_{2m**2} (1 + sqrt(2) gamma_2m) S, plus the
+       carried stage-1 error sum_jb |Q_jb||dx_jb| <= sqrt(2) gamma_2m S.
+
+    To first order that is (m**2 + sqrt(2) m) eps S.  E is more than
+    twice that, which also covers the gamma denominators (n u <= 0.01 up
+    to d = 2000), the relative 4u of bipartite_bound (at most 1/3) and the
+    rounding of the subtraction, since S >= 1: each ||P_j||_1 >= |Tr P_j|
+    = 1/d.  p and q are duck-typed: anything with dim and a (d**2, d, d)
+    operators array.
+    """
+    m = p.dim ** 2
+    s = (np.abs(p.operators).sum(axis=(1, 2))
+         @ np.abs(q.operators).sum(axis=(1, 2)))
+    return float(2.0 * (m * m + 2.0 * m) * np.finfo(float).eps * s)
 
 
 def purity_range_deviation(d: int, a: float) -> float:

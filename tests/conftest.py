@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gsicdetect import GsicSet, construct_gsic, feasible_t, purity_from_t
+from gsicdetect import (GsicSet, OperatorBasis, construct_gsic, feasible_t,
+                        gell_mann_basis, purity_from_t)
 from gsicdetect.states import DensityMatrix
 
 
@@ -27,6 +28,24 @@ def random_state():
             mat += w * np.outer(vec, vec.conj())
         mat = 0.5 * (mat + mat.conj().T)
         return DensityMatrix.from_matrix(mat, local_dim, parties)
+
+    return make
+
+
+@pytest.fixture
+def rotated_basis():
+    """Factory for a seeded real-orthogonal rotation of the Gell-Mann basis.
+
+    A real-orthogonal mix of orthonormal traceless Hermitian generators is
+    again such a basis.
+    """
+
+    def make(d: int) -> OperatorBasis:
+        gens = gell_mann_basis(d).generators
+        rng = np.random.default_rng(70 + d)
+        rotation, _ = np.linalg.qr(rng.normal(size=(d * d - 1, d * d - 1)))
+        return OperatorBasis(dim=d, generators=np.tensordot(rotation, gens, 1),
+                             basis_id=f"rotated-d{d}")
 
     return make
 

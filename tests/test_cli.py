@@ -242,6 +242,33 @@ def test_scan_threshold_below_rounding_is_nan(tmp_path, capsys):
     assert csv.read_text().splitlines()[-2] == "threshold,nan,,,"
 
 
+@pytest.mark.parametrize("family", ["isotropic", "belldiag-c", "diagmix"])
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
+def test_scan_steps_below_the_rounding_bound_give_nan(tmp_path, capsys,
+                                                      family, d):
+    # at t = 1e-9 every grid step raises the margin by less than twice the
+    # rounding bound of J, even where the noisy margins happen to rise
+    assert main(["scan", "--family", family, "--dim", str(d), "--t", "1e-9",
+                 "--steps", "40", "--csv", str(tmp_path / "s.csv")]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "threshold nan"
+
+
+@pytest.mark.parametrize("family", ["isotropic", "belldiag-c", "diagmix"])
+@pytest.mark.parametrize("d", [3, 8])
+def test_scan_verdicts_agree_with_the_threshold(tmp_path, capsys, family, d):
+    csv = tmp_path / "s.csv"
+    assert main(["scan", "--family", family, "--dim", str(d), "--t", "1e-6",
+                 "--steps", "40", "--csv", str(csv)]) == 0
+    threshold = float(capsys.readouterr().out.splitlines()[0].split()[1])
+    rows = [row.split(",") for row in csv.read_text().splitlines()[1:41]]
+    params = [float(row[0]) for row in rows]
+    # the first row at or past the crossing may read either way
+    crossing = next(i for i, x in enumerate(params) if x >= threshold)
+    for i, row in enumerate(rows):
+        if i != crossing:
+            assert (row[4] == "ENTANGLED_DETECTED") == (params[i] > threshold)
+
+
 def test_scan_input_checks(tmp_path, capsys):
     csv = tmp_path / "x.csv"
     assert main(["scan", "--family", "isotropic", "--dim", "2", "--max-t",
@@ -433,6 +460,18 @@ def test_detect_rejects_an_absurd_party_count_fast_when_tagged(tmp_path,
     assert rc == 2
     assert "holds 81 entries" in captured.err
     assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("weight", ["[1]", "null", "{}", "true", '"1"'])
+def test_detect_refuses_a_weight_that_is_not_a_number(tmp_path, capsys,
+                                                      weight):
+    path = tmp_path / "w.json"
+    path.write_text('{"0,0": %s}' % weight)
+    rc = main(["detect", "--state", f"belldiag:2:@{path}", "--max-t"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"malformed weights file {path}: " in captured.err
 
 
 @pytest.mark.parametrize("argv,what", [

@@ -12,6 +12,7 @@ from gsicdetect import (ENTANGLED_DETECTED, INCONCLUSIVE,
                         isotropic, isotropic_threshold_scan, j_bipartite,
                         j_multipartite, max_entangled, max_feasible_t,
                         multipartite_bound, random_separable, trace_t_bound)
+from gsicdetect.errors import margin_rounding_bound
 from gsicdetect.oracle import brute_force_j
 from gsicdetect.states import DensityMatrix
 
@@ -245,6 +246,53 @@ def test_isotropic_threshold_scan_rejects_a_crossing_below_rounding():
     # at t = 1e-9 the margin (of order t**2) is below the rounding of J
     with pytest.raises(ValueError):
         isotropic_threshold_scan(3, 1e-9, 40)
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_isotropic_threshold_scan_rejects_steps_below_the_rounding_bound(d):
+    # at t = 1e-9 no grid step raises the margin by more than 2E, however
+    # the rounding noise happens to order the margins
+    with pytest.raises(ValueError, match="no resolved crossing"):
+        isotropic_threshold_scan(d, 1e-9, 40)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 12, 16])
+def test_rounding_bound_covers_j_and_keeps_the_bound_inconclusive(d):
+    basis = gell_mann_basis(d)
+    cap = max_feasible_t(basis)
+    rng = np.random.default_rng(90 + d)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi = np.kron(psi, psi.conj()) / np.vdot(psi, psi).real
+    product = DensityMatrix.from_matrix(np.outer(psi, psi.conj()), d, 2)
+    for t in (cap, cap / 50, 1e-6, 1e-9):
+        p = construct_gsic(basis, t)
+        q = conjugate_gsic(p)
+        bound = bipartite_bound(d, p.a)
+        # J of the maximally entangled state: d*a against conj(p), and the
+        # separable bound itself against p
+        for other, j_maxent in ((q, d * p.a), (p, bound)):
+            e = margin_rounding_bound(p, other)
+            for alpha in (0.0, 1 / (d + 1), 1.0):
+                exact = alpha * j_maxent + (1 - alpha) / d**2
+                j = j_bipartite(isotropic(d, alpha), p, other)
+                assert abs(j - exact) <= e, (t, alpha)
+        # states whose J equals the bound exactly
+        assert detect_bipartite(max_entangled(d), p, p).verdict == INCONCLUSIVE
+        assert detect_bipartite(product, p, q).verdict == INCONCLUSIVE
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_rounding_bound_covers_j_against_brute_force(d, random_state,
+                                                     rotated_basis):
+    rng = np.random.default_rng(100 + d)
+    for basis in (gell_mann_basis(d), rotated_basis(d)):
+        cap = max_feasible_t(basis)
+        for t in (cap, cap / 50, 1e-6, 1e-9):
+            p = construct_gsic(basis, t)
+            for q in (conjugate_gsic(p), p):
+                rho = random_state(d, 2, rng)
+                err = abs(j_bipartite(rho, p, q) - brute_force_j(rho, [p, q]))
+                assert err <= margin_rounding_bound(p, q), (basis.basis_id, t)
 
 
 def test_separable_states_stay_inconclusive():

@@ -378,20 +378,10 @@ def test_validation_fails_a_nan_purity_on_the_range_check():
     assert np.isnan(deviations["a_range"])
 
 
-def _rotated_basis(d):
-    # a real-orthogonal mix of orthonormal traceless Hermitian generators
-    # is again such a basis
-    gens = gell_mann_basis(d).generators
-    rng = np.random.default_rng(70 + d)
-    rotation, _ = np.linalg.qr(rng.normal(size=(d * d - 1, d * d - 1)))
-    return OperatorBasis(dim=d, generators=np.tensordot(rotation, gens, 1),
-                         basis_id=f"rotated-d{d}")
-
-
 @pytest.mark.parametrize("d", [2, 3, 4, 6])
 def test_rotated_bases_pass_every_gate(tmp_path, above_cap_set, random_state,
-                                        d):
-    basis = _rotated_basis(d)
+                                        rotated_basis, d):
+    basis = rotated_basis(d)
     assert verify_basis(basis).passed
     cap = feasible_t(basis).t
     p = construct_gsic(basis, cap)
