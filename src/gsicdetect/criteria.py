@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (CORR_IMAG_TOL, IMAG_TOL, PURITY_MATCH_TOL, RANGE_SLACK,
-                     check_dim, check_measurements, margin_rounding_bound,
+                     check_dim, check_measurements, margin_error_bound,
                      purity_range_deviation, require_real)
 from .gsic import GsicSet, conjugate_gsic, construct_gsic
 from .operator_basis import OperatorBasis, gell_mann_basis
@@ -87,11 +87,13 @@ def bipartite_bound(d: int, a: float) -> float:
 
 def _report(rho: DensityMatrix, p: GsicSet, q: GsicSet,
             error_bound: float) -> DetectionReport:
-    """Bipartite report, flagged when the margin exceeds error_bound."""
+    """Bipartite report, flagged when the margin exceeds error_bound plus
+    the deviation of rho."""
     j = j_bipartite(rho, p, q)
     bound = bipartite_bound(p.dim, p.a)
     margin = j - bound
-    verdict = ENTANGLED_DETECTED if margin > error_bound else INCONCLUSIVE
+    flagged = margin > error_bound + rho.deviation
+    verdict = ENTANGLED_DETECTED if flagged else INCONCLUSIVE
     return DetectionReport(state_label=rho.label, dim=p.dim, parties=2,
                            t=p.t, a=p.a, j_value=j, bound=bound,
                            margin=margin, verdict=verdict)
@@ -101,11 +103,12 @@ def detect_bipartite(rho: DensityMatrix, p: GsicSet, q: GsicSet) -> DetectionRep
     """Evaluate the bipartite test and wrap the outcome in a report.
 
     The state is flagged only when J - bound exceeds E =
-    margin_rounding_bound(p, q), the worst-case rounding error of that
-    difference, so a flag never rests on rounding and a state on the
-    bound reads INCONCLUSIVE.
+    margin_error_bound(p, q) plus rho.deviation: the worst-case error of
+    that difference from rounding, from the sets' deviations and from
+    the state's own.  So a flag never rests on rounding or on what an
+    input tolerance admits, and a state on the bound reads INCONCLUSIVE.
     """
-    return _report(rho, p, q, margin_rounding_bound(p, q))
+    return _report(rho, p, q, margin_error_bound(p, q))
 
 
 def j_multipartite(rho: DensityMatrix, sets: list[GsicSet]) -> float:
@@ -179,12 +182,13 @@ def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
     parameter and J is linear in rho, so the margin J - bound is affine
     and the crossing is exact by linear interpolation between the two
     grid points that bracket the sign change.  Every family's fidelity
-    rises with its parameter.  With E = margin_rounding_bound(p, conj(p)),
+    rises with its parameter.  With E = margin_error_bound(p, conj(p)),
     computed once, the crossing counts as resolved only when every grid
     step raises the margin by more than 2E: each margin is off by at most
-    E, so only such a rise is certainly real.  Otherwise the crossing is
-    NaN, as it is when the grid never crosses the bound.  Each report is
-    flagged above E, as in detect_bipartite.  The paired set is conj(p).
+    E, the family's weights summing to 1 to within a few eps, so only
+    such a rise is certainly real.  Otherwise the crossing is NaN, as it
+    is when the grid never crosses the bound.  Each report is flagged as
+    in detect_bipartite.  The paired set is conj(p).
     """
     if steps < 10:
         raise ValueError(f"need at least 10 grid steps, got {steps}")
@@ -196,7 +200,7 @@ def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
     start, make = SCAN_FAMILIES[family](d)
     q = conjugate_gsic(p)
     grid = np.linspace(start, 1.0, steps)
-    error_bound = margin_rounding_bound(p, q)
+    error_bound = margin_error_bound(p, q)
     reports = [_report(make(float(x)), p, q, error_bound) for x in grid]
     m = np.array([r.margin for r in reports])
     threshold = float("nan")

@@ -1,4 +1,4 @@
-"""Shared exception types, tolerances, input checks and J's rounding bound."""
+"""Shared exception types, tolerances, input checks and J's error bound."""
 
 from __future__ import annotations
 
@@ -7,8 +7,9 @@ import math
 import numpy as np
 
 # Every tolerance of the package, defined only here; all absolute.  The
-# decision margin of a test is no constant: margin_rounding_bound derives it
-# from the two measurement sets.
+# decision margin of a test is no constant: margin_error_bound derives it
+# from the two measurement sets, and a verdict adds the state's deviation,
+# so what these tolerances admit never turns into a flag.
 HERM_TOL = 1e-10  # largest |rho - rho^H| entry of an accepted density matrix
 TRACE_TOL = 1e-10  # largest |Tr rho - 1| of an accepted density matrix
 PSD_TOL = 1e-10  # eigenvalue floor -PSD_TOL of density matrices and partial transposes
@@ -56,15 +57,25 @@ def check_measurements(rho, sets) -> None:
             f"got measurement sets of dimensions {[g.dim for g in sets]}")
 
 
-def margin_rounding_bound(p, q) -> float:
-    """Worst-case rounding error E of j_bipartite(rho, p, q) - bipartite_bound.
+def margin_error_bound(p, q) -> float:
+    """Worst-case error E of j_bipartite(rho, p, q) - bipartite_bound.
 
-    E = 2 (m**2 + 2m) eps S, with m = d**2 outcomes, eps the machine
-    epsilon and S = sum_j ||P_j||_1 ||Q_j||_1 over entrywise 1-norms; it
-    holds for every density matrix rho.  Derivation, with u = eps/2 and
-    gamma_n = n u / (1 - n u) (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., sections 3.1 and 3.6): the kernel reads rho as
-    X = pair_axes(rho), whose entries obey |X_ab| <= 1.
+    E = 2 (m**2 + 2m) eps S + ((d + 2)**2 (dp + dq) + d |ap - aq|/(d + 1))/2
+
+    with m = d**2 outcomes, eps the machine epsilon, S = sum_j ||P_j||_1
+    ||Q_j||_1 over entrywise 1-norms, dp, dq the sets' deviation fields
+    and ap, aq their purities.
+    The first term bounds the rounding of the difference for every
+    density matrix rho, the second how far the sets' separable ceiling
+    can sit above the bound.  A state admitted at trace-norm distance
+    delta from a density matrix moves J by at most ||W||_op delta <=
+    delta more, W = sum_j P_j (x) Q_j, since ||W||_op <= max_j ||Q_j||_op
+    ||sum_j P_j||_op <= 1/d; a verdict adds rho's deviation to E.
+
+    Rounding, with u = eps/2 and gamma_n = n u / (1 - n u) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sections 3.1
+    and 3.6): the kernel reads rho as X = pair_axes(rho), whose entries
+    obey |X_ab| <= 1.
 
     1. x_jb = sum_a P_ja X_ab is a complex inner product of length m.  Its
        real and imaginary parts are real inner products of length 2m in
@@ -75,17 +86,35 @@ def margin_rounding_bound(p, q) -> float:
        off by at most gamma_{2m**2} (1 + sqrt(2) gamma_2m) S, plus the
        carried stage-1 error sum_jb |Q_jb||dx_jb| <= sqrt(2) gamma_2m S.
 
-    To first order that is (m**2 + sqrt(2) m) eps S.  E is more than
-    twice that, which also covers the gamma denominators (n u <= 0.01 up
-    to d = 2000), the relative 4u of bipartite_bound (at most 1/3) and the
-    rounding of the subtraction, since S >= 1: each ||P_j||_1 >= |Tr P_j|
-    = 1/d.  p and q are duck-typed: anything with dim and a (d**2, d, d)
-    operators array.
+    To first order that is (m**2 + sqrt(2) m) eps S.  The first term of E
+    is more than twice that, which also covers the gamma denominators
+    (n u <= 0.01 up to d = 2000), the relative 4u of bipartite_bound (at
+    most 1/3) and the rounding of the subtraction, since S >= 1: each
+    ||P_j||_1 >= |Tr P_j| = 1/d.
+
+    Sets, to first order in a set's largest validation deviation delta:
+    for a pure product state, J <= (IC_P + IC_Q)/2 with IC_P = sum_j
+    Tr(P_j rho_A)**2 by Cauchy-Schwarz.  Write rho_A = I/d + r, Tr r = 0,
+    ||r||_2**2 = 1 - 1/d.  The operator traces add at most 2 delta/d to
+    IC_P, the completeness residual and the traces together 2 delta/d + 2
+    delta through the cross term, and the Gram matrix of the traceless
+    parts, of top eigenvalue a - c for an exact set (c the pairwise
+    trace), at most (d**2 + 2) delta through sum_j Tr(P_j r)**2.  So IC_P
+    <= (a_p d**2 + 1)/(d (d + 1)) + (d + 2)**2 delta, and the ceiling of
+    Q, at purity a_q, sits d (a_q - a_p)/(d + 1) above that of P.
+    Separable states are mixtures of pure product states, and J is linear.
+
+    p and q are duck-typed: anything with dim, a, deviation and a (d**2,
+    d, d) operators array.
     """
-    m = p.dim ** 2
+    d = p.dim
+    m = d * d
     s = (np.abs(p.operators).sum(axis=(1, 2))
          @ np.abs(q.operators).sum(axis=(1, 2)))
-    return float(2.0 * (m * m + 2.0 * m) * np.finfo(float).eps * s)
+    rounding = 2.0 * (m * m + 2.0 * m) * np.finfo(float).eps * s
+    sets = ((d + 2.0) ** 2 * (p.deviation + q.deviation)
+            + d * abs(p.a - q.a) / (d + 1.0)) / 2.0
+    return float(rounding + sets)
 
 
 def purity_range_deviation(d: int, a: float) -> float:

@@ -19,7 +19,7 @@ most 1/d**2, the rank-one limit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,7 +40,9 @@ class GsicSet:
     """A symmetric informationally complete measurement.
 
     operators has shape (d**2, d, d); a is the common purity Tr(P_j**2)
-    and t the mixing parameter the set was built with.
+    and t the mixing parameter the set was built with.  deviation is the
+    largest deviation validate_gsic found when construct_gsic or read_gsic
+    returned the set; a set made directly is taken as exact.
     """
 
     dim: int
@@ -48,6 +50,7 @@ class GsicSet:
     a: float
     operators: np.ndarray
     basis_id: str
+    deviation: float = 0.0
 
 
 class FeasibleT(NamedTuple):
@@ -117,7 +120,7 @@ def conjugate_gsic(g: GsicSet) -> GsicSet:
     The conjugate set has the same trace statistics and the same purity,
     and is the canonical partner in the two-sided entanglement tests.
     """
-    return GsicSet(dim=g.dim, t=g.t, a=g.a, operators=g.operators.conj(),
+    return replace(g, operators=g.operators.conj(),
                    basis_id=g.basis_id + ":conj")
 
 
@@ -163,15 +166,16 @@ def validate_gsic(g: GsicSet, tol: float = VALIDATION_TOL) -> ValidationOutcome:
 
 
 def _require_valid(g: GsicSet, what: str) -> GsicSet:
-    """g if validate_gsic passes it; the one gate for every set returned.
+    """g, with its largest deviation, if validate_gsic passes it.
 
-    A failed psd check raises InfeasibleParameterError with the index and
-    eigenvalue of the worst operator; any other failure raises ValueError
-    naming the largest deviation, a NaN counting as the largest.
+    The one gate for every set returned.  A failed psd check raises
+    InfeasibleParameterError with the index and eigenvalue of the worst
+    operator; any other failure raises ValueError naming the largest
+    deviation, a NaN counting as the largest.
     """
     outcome = validate_gsic(g)
     if outcome.passed:
-        return g
+        return replace(g, deviation=max(outcome.deviations.values()))
     dev = outcome.deviations
     if not dev["psd"] <= outcome.tolerance:
         smallest = np.linalg.eigvalsh(g.operators)[:, 0]

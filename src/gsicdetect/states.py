@@ -25,18 +25,32 @@ class DensityMatrix:
     """A state of `parties` qudits of equal local dimension.
 
     matrix has shape (local_dim**parties, local_dim**parties).  label is
-    free text used in reports.
+    free text used in reports.  deviation bounds the trace-norm distance
+    from matrix to a density matrix, as far as the tolerances of
+    from_matrix or of a mixture's weights let it stray; a state made
+    directly is taken as exact.
     """
 
     local_dim: int
     parties: int
     matrix: np.ndarray
     label: str = ""
+    deviation: float = 0.0
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, local_dim: int, parties: int,
                     label: str = "") -> "DensityMatrix":
-        """Wrap and validate a raw matrix as a density matrix."""
+        """Wrap and validate a raw matrix as a density matrix.
+
+        The matrix is kept as given, and the deviation recorded is
+        |tau - 1| + 2 dim max(0, -lambda_min), with tau its trace and
+        lambda_min the smallest eigenvalue of its Hermitian part H, which
+        is all that an expectation value of a Hermitian operator reads.
+        It bounds the trace-norm distance from H to a density matrix:
+        dropping the negative part of H moves it by that part's weight,
+        at most dim max(0, -lambda_min), and rescaling what is left to
+        trace 1 by at most |tau - 1| plus that weight again.
+        """
         mat = np.asarray(matrix, dtype=complex)
         check_dim(local_dim)
         if parties < 1:
@@ -52,10 +66,12 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"matrix has trace {tr}, expected 1")
-        min_eig = float(np.linalg.eigvalsh(mat)[0].real)
+        min_eig = float(np.linalg.eigvalsh(0.5 * mat + 0.5 * mat.conj().T)[0])
         if min_eig < -PSD_TOL:
             raise ValueError(f"matrix has negative eigenvalue {min_eig:.3e}")
-        return cls(local_dim=local_dim, parties=parties, matrix=mat, label=label)
+        return cls(local_dim=local_dim, parties=parties, matrix=mat,
+                   label=label,
+                   deviation=abs(tr - 1.0) + 2.0 * dim * max(0.0, -min_eig))
 
 
 def pair_axes(rho: DensityMatrix) -> np.ndarray:
@@ -74,7 +90,8 @@ def _bell_mixture(weights: np.ndarray, label: str) -> DensityMatrix:
     Phi_st = (U_st (x) I)|phi+> with U_st = weyl_operator(d, s, t) lives on
     the kets |j, j+t mod d>, so the only nonzero entries are
     <j, j+t|rho|k, k+t> = (1/d) sum_s weights[s, t] w**(s*(j - k)): one
-    inverse DFT over s, scattered into the d**3 slots (j, k, t).
+    inverse DFT over s, scattered into the d**3 slots (j, k, t).  With
+    nonnegative weights the deviation is |sum of weights - 1|.
     """
     d = len(weights)
     j = np.arange(d)
@@ -82,7 +99,8 @@ def _bell_mixture(weights: np.ndarray, label: str) -> DensityMatrix:
     coeff = np.fft.ifft(weights, axis=0)  # coeff[m, t] for j - k = m mod d
     mat = np.zeros((d * d, d * d), dtype=complex)
     mat[ket[:, None], ket[None]] = coeff[(j[:, None] - j) % d]
-    return DensityMatrix(local_dim=d, parties=2, matrix=mat, label=label)
+    return DensityMatrix(local_dim=d, parties=2, matrix=mat, label=label,
+                         deviation=abs(float(weights.sum()) - 1.0))
 
 
 def max_entangled(d: int) -> DensityMatrix:

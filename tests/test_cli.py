@@ -9,6 +9,7 @@ import pytest
 from gsicdetect import (construct_gsic, gell_mann_basis, max_entangled,
                         max_feasible_t, read_gsic, write_gsic, write_state)
 from gsicdetect.cli import main
+from gsicdetect.states import DensityMatrix
 
 
 def test_build_flat_qubit_set(tmp_path, capsys):
@@ -104,6 +105,24 @@ def test_detect_same_pairing_misses_max_entangled(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "INCONCLUSIVE"
     assert abs(payload["margin"]) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_detect_reads_a_product_file_at_the_trace_tolerance_inconclusive(
+        tmp_path, capsys, d):
+    # |psi>|conj psi> sits on the bound against the conj pairing; at trace
+    # 1 + 9e-11, within TRACE_TOL, its J sits about 9e-11 * J above it
+    rng = np.random.default_rng(70 + d)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi = np.kron(psi, psi.conj()) / np.vdot(psi, psi).real
+    mat = (1 + 9e-11) * np.outer(psi, psi.conj())
+    path = tmp_path / "rho.json"
+    write_state(DensityMatrix(local_dim=d, parties=2, matrix=mat), path)
+    assert main(["detect", "--state", f"file:@{path}", "--max-t",
+                 "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["margin"] > 0
+    assert payload["verdict"] == "INCONCLUSIVE"
 
 
 def test_detect_bell_diagonal_weights_file(tmp_path, capsys):
@@ -234,23 +253,17 @@ def test_scan_threshold_is_exact(tmp_path, capsys, family, d, fraction):
 
 
 def test_scan_threshold_below_rounding_is_nan(tmp_path, capsys):
-    # at t = 1e-9 the margin (of order t**2) is below the rounding of J
+    # at t = 1e-9 the margin (of order t**2) is below the rounding of J:
+    # every grid step raises it by less than 2E, even where the noisy
+    # margins happen to rise
     csv = tmp_path / "noise.csv"
-    assert main(["scan", "--family", "isotropic", "--dim", "3", "--t", "1e-9",
-                 "--steps", "40", "--csv", str(csv)]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == "threshold nan"
-    assert csv.read_text().splitlines()[-2] == "threshold,nan,,,"
-
-
-@pytest.mark.parametrize("family", ["isotropic", "belldiag-c", "diagmix"])
-@pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
-def test_scan_steps_below_the_rounding_bound_give_nan(tmp_path, capsys,
-                                                      family, d):
-    # at t = 1e-9 every grid step raises the margin by less than twice the
-    # rounding bound of J, even where the noisy margins happen to rise
-    assert main(["scan", "--family", family, "--dim", str(d), "--t", "1e-9",
-                 "--steps", "40", "--csv", str(tmp_path / "s.csv")]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == "threshold nan"
+    for family in ("isotropic", "belldiag-c", "diagmix"):
+        for d in (2, 3, 4, 6, 8):
+            assert main(["scan", "--family", family, "--dim", str(d),
+                         "--t", "1e-9", "--steps", "40", "--csv",
+                         str(csv)]) == 0
+            assert capsys.readouterr().out.splitlines()[0] == "threshold nan"
+            assert csv.read_text().splitlines()[-2] == "threshold,nan,,,"
 
 
 @pytest.mark.parametrize("family", ["isotropic", "belldiag-c", "diagmix"])

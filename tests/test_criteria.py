@@ -11,8 +11,9 @@ from gsicdetect import (ENTANGLED_DETECTED, INCONCLUSIVE,
                         detect_bipartite, diagonal_mixture, gell_mann_basis,
                         isotropic, isotropic_threshold_scan, j_bipartite,
                         j_multipartite, max_entangled, max_feasible_t,
-                        multipartite_bound, random_separable, trace_t_bound)
-from gsicdetect.errors import margin_rounding_bound
+                        multipartite_bound, random_separable, read_gsic,
+                        trace_t_bound, write_gsic)
+from gsicdetect.errors import margin_error_bound
 from gsicdetect.oracle import brute_force_j
 from gsicdetect.states import DensityMatrix
 
@@ -243,27 +244,27 @@ def test_isotropic_threshold_scan_input_checks():
 
 
 def test_isotropic_threshold_scan_rejects_a_crossing_below_rounding():
-    # at t = 1e-9 the margin (of order t**2) is below the rounding of J
-    with pytest.raises(ValueError):
-        isotropic_threshold_scan(3, 1e-9, 40)
+    # at t = 1e-9 the margin (of order t**2) is below the rounding of J: no
+    # grid step raises it by more than 2E, however the rounding noise
+    # happens to order the margins
+    for d in (3, 4, 8):
+        with pytest.raises(ValueError, match="no resolved crossing"):
+            isotropic_threshold_scan(d, 1e-9, 40)
 
 
-@pytest.mark.parametrize("d", [4, 8])
-def test_isotropic_threshold_scan_rejects_steps_below_the_rounding_bound(d):
-    # at t = 1e-9 no grid step raises the margin by more than 2E, however
-    # the rounding noise happens to order the margins
-    with pytest.raises(ValueError, match="no resolved crossing"):
-        isotropic_threshold_scan(d, 1e-9, 40)
+def _product_on_the_bound(d, rng):
+    """|psi>|conj psi> as a matrix: J equals the bound against conj(p)."""
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi = np.kron(psi, psi.conj()) / np.vdot(psi, psi).real
+    return np.outer(psi, psi.conj())
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 12, 16])
 def test_rounding_bound_covers_j_and_keeps_the_bound_inconclusive(d):
     basis = gell_mann_basis(d)
     cap = max_feasible_t(basis)
-    rng = np.random.default_rng(90 + d)
-    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-    psi = np.kron(psi, psi.conj()) / np.vdot(psi, psi).real
-    product = DensityMatrix.from_matrix(np.outer(psi, psi.conj()), d, 2)
+    product = DensityMatrix.from_matrix(
+        _product_on_the_bound(d, np.random.default_rng(90 + d)), d, 2)
     for t in (cap, cap / 50, 1e-6, 1e-9):
         p = construct_gsic(basis, t)
         q = conjugate_gsic(p)
@@ -271,7 +272,7 @@ def test_rounding_bound_covers_j_and_keeps_the_bound_inconclusive(d):
         # J of the maximally entangled state: d*a against conj(p), and the
         # separable bound itself against p
         for other, j_maxent in ((q, d * p.a), (p, bound)):
-            e = margin_rounding_bound(p, other)
+            e = margin_error_bound(p, other)
             for alpha in (0.0, 1 / (d + 1), 1.0):
                 exact = alpha * j_maxent + (1 - alpha) / d**2
                 j = j_bipartite(isotropic(d, alpha), p, other)
@@ -292,7 +293,63 @@ def test_rounding_bound_covers_j_against_brute_force(d, random_state,
             for q in (conjugate_gsic(p), p):
                 rho = random_state(d, 2, rng)
                 err = abs(j_bipartite(rho, p, q) - brute_force_j(rho, [p, q]))
-                assert err <= margin_rounding_bound(p, q), (basis.basis_id, t)
+                assert err <= margin_error_bound(p, q), (basis.basis_id, t)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_negative_eigenvalue_within_psd_tol_flags_no_product_state(d):
+    # sigma + eps (|phi+><phi+| - |v><v|) with v orthogonal to both: trace 1,
+    # one eigenvalue -eps, and J above the bound by about eps * (d a - J(v))
+    rng = np.random.default_rng(30 + d)
+    sigma = _product_on_the_bound(d, rng)
+    phi = np.eye(d).reshape(-1) / np.sqrt(d)
+    span = np.linalg.qr(np.column_stack([sigma[:, 0], phi]))[0]
+    v = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+    v -= span @ (span.conj().T @ v)
+    v /= np.linalg.norm(v)
+    eps = 9e-11
+    mat = sigma + eps * (np.outer(phi, phi) - np.outer(v, v.conj()))
+    rho = DensityMatrix.from_matrix(mat, d, 2)
+    p, q = _pair(d)
+    report = detect_bipartite(rho, p, q)
+    assert report.margin > margin_error_bound(p, q)
+    assert report.verdict == INCONCLUSIVE
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_set_within_validation_tol_flags_no_product_state(d, tmp_path):
+    # the set at t = cap/2 stretched about I/d**2 by 1 + eta, filed under
+    # its old t and a: its purity sits 9e-11 above a, within the tolerance
+    # of read_gsic, and |psi>|conj psi> sits that far above the bound
+    basis = gell_mann_basis(d)
+    g = construct_gsic(basis, max_feasible_t(basis) / 2)
+    eta = 4.5e-11 / (g.a - 1 / d**3)
+    eye = np.eye(d) / d**2
+    path = tmp_path / "g.json"
+    write_gsic(dataclasses.replace(
+        g, operators=eye + (1 + eta) * (g.operators - eye)), path)
+    p = read_gsic(path)
+    assert p.deviation == pytest.approx(9e-11, rel=1e-3)
+    q = conjugate_gsic(p)
+    rho = DensityMatrix.from_matrix(
+        _product_on_the_bound(d, np.random.default_rng(40 + d)), d, 2)
+    report = detect_bipartite(rho, p, q)
+    assert report.margin > 10 * margin_error_bound(g, conjugate_gsic(g))
+    assert report.verdict == INCONCLUSIVE
+
+
+def test_weights_within_the_sum_tolerance_flag_no_separable_state():
+    # Bell-diagonal weight 1/d on the identity label, the rest uniform, sits
+    # on the bound; weights summing to 1 + 9e-13 lift J by about 9e-13 * J,
+    # above E at d = 2
+    d = 2
+    rest = (1 - 1 / d) / (d * d - 1)
+    weights = {(s, t): (1 + 9e-13) * (1 / d if s == t == 0 else rest)
+               for s in range(d) for t in range(d)}
+    p, q = _pair(d)
+    report = detect_bipartite(bell_diagonal(d, weights), p, q)
+    assert report.margin > margin_error_bound(p, q)
+    assert report.verdict == INCONCLUSIVE
 
 
 def test_separable_states_stay_inconclusive():

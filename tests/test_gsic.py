@@ -169,6 +169,16 @@ def test_json_round_trip(tmp_path):
     assert np.array_equal(loaded.operators, g.operators)
 
 
+def test_a_returned_set_carries_its_largest_deviation(tmp_path):
+    basis = gell_mann_basis(3)
+    g = construct_gsic(basis, max_feasible_t(basis))
+    assert g.deviation == max(validate_gsic(g).deviations.values())
+    assert conjugate_gsic(g).deviation == g.deviation
+    path = tmp_path / "set.json"
+    write_gsic(g, path)
+    assert read_gsic(path).deviation == g.deviation
+
+
 def test_json_reader_rejects_tampering(tmp_path, legacy_payload):
     g = construct_gsic(gell_mann_basis(2), 0.05)
     path = tmp_path / "set.json"

@@ -372,6 +372,20 @@ def test_state_json_rejects_dimensions_below_their_minimum(
         read_state(path)
 
 
+def test_an_accepted_state_records_its_distance_from_a_density_matrix():
+    eye = np.eye(4, dtype=complex) / 4
+    assert DensityMatrix.from_matrix(eye, 2, 2).deviation == 0.0
+    scaled = DensityMatrix.from_matrix((1 + 9e-11) * eye, 2, 2)
+    assert scaled.deviation == pytest.approx(9e-11, rel=1e-6)
+    # one eigenvalue at -5e-11: twice the dimension times its weight
+    tilted = np.diag([0.5 + 5e-11, 0.25, 0.25, -5e-11]).astype(complex)
+    assert DensityMatrix.from_matrix(tilted, 2, 2).deviation == pytest.approx(
+        2 * 4 * 5e-11, rel=1e-6)
+    weights = {(0, 0): 0.5 + 9e-13, (1, 1): 0.5}
+    assert bell_diagonal(2, weights).deviation == pytest.approx(9e-13,
+                                                                rel=1e-3)
+
+
 def test_from_matrix_validation():
     good = np.eye(2, dtype=complex) / 2
     DensityMatrix.from_matrix(good, 2, 1)
