@@ -1,13 +1,16 @@
 """Command-line front end: build measurements, test states, scan families.
 
 Exit codes: 0 when an evaluation ran (whatever the verdict), 2 on usage
-or data errors, 3 when a numeric integrity check tripped.
+or data errors, 3 when a numeric integrity check tripped, 141 when the
+reader of stdout closed it early (128 + SIGPIPE, as a shell reports a
+writer that the signal ended).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -17,8 +20,8 @@ from .errors import NumericIntegrityError
 from .gsic import (GsicSet, conjugate_gsic, construct_gsic, feasible_t,
                    read_gsic, write_gsic)
 from .operator_basis import gell_mann_basis
-from .states import (DensityMatrix, bell_diagonal, diagonal_mixture,
-                     isotropic, max_entangled, read_state)
+from .states import (DensityMatrix, bell_diagonal, decode_float,
+                     diagonal_mixture, isotropic, max_entangled, read_state)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,11 +109,12 @@ def _load_weights(path: Path) -> dict[tuple[int, int], float]:
         s_txt, sep, t_txt = key.partition(",")
         if not sep:
             raise ValueError(f"weights key {key!r} is not of the form 's,t'")
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ValueError(
-                f"malformed weights file {path}: weight of {key!r} must be "
-                f"a number, got {json.dumps(val)}")
-        weights[(int(s_txt), int(t_txt))] = float(val)
+        try:
+            weight = decode_float(val)
+        except ValueError as exc:
+            raise ValueError(f"malformed weights file {path}: weight of "
+                             f"{key!r}: {exc}") from exc
+        weights[(int(s_txt), int(t_txt))] = weight
     return weights
 
 
@@ -185,10 +189,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except NumericIntegrityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader of stdout is gone; point stdout at devnull so that
+        # the flush at interpreter exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

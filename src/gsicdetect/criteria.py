@@ -8,8 +8,10 @@ outcome correlations
 and compares against the separable ceiling (a*d**2 + 1)/(d*(d + 1)),
 which any separable state obeys whenever both sets share the purity a.
 A value above the ceiling certifies entanglement; a value below it is
-inconclusive.  The multipartite variant averages the per-party ceilings
-and tolerates different purities per party.
+inconclusive.  Two-party tests evaluate J through the pair's centred
+witness (_Witness), which also gives the margin above the ceiling
+directly.  The multipartite variant averages the per-party ceilings and
+tolerates different purities per party.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .errors import (CORR_IMAG_TOL, IMAG_TOL, PURITY_MATCH_TOL, RANGE_SLACK,
                      check_dim, check_measurements, margin_error_bound,
                      purity_range_deviation, require_real)
-from .gsic import GsicSet, conjugate_gsic, construct_gsic
+from .gsic import GsicSet, _purity_excess, conjugate_gsic, construct_gsic
 from .operator_basis import OperatorBasis, gell_mann_basis
 from .states import (DensityMatrix, _bell_mixture, diagonal_mixture, isotropic,
                      pair_axes)
@@ -49,8 +51,10 @@ class DetectionReport:
 def _correlation_sum(rho: DensityMatrix, sets: list[GsicSet]) -> float:
     """sum_j Tr((P_j (x) Q_j (x) ...) rho), contracted one party at a time.
 
-    The first party is one GEMM of its operator matrix with pair_axes(rho);
-    each later party multiplies and sums over its own pair, outcome by outcome.
+    The kernel of j_multipartite, so in practice of N >= 3 parties: the
+    two-party test goes through _Witness.  The first party is one GEMM
+    of its operator matrix with pair_axes(rho); each later party
+    multiplies and sums over its own pair, outcome by outcome.
     """
     dd = rho.local_dim ** 2
     x = sets[0].operators.reshape(dd, dd) @ pair_axes(rho)
@@ -59,17 +63,79 @@ def _correlation_sum(rho: DensityMatrix, sets: list[GsicSet]) -> float:
     return float(require_real(x.sum(), IMAG_TOL, "correlation sum"))
 
 
+class _Witness:
+    """The centred witness of one measurement pair, built once.
+
+    With X_j = P_j - I/d**2 and Y_j = Q_j - I/d**2, completeness gives
+    sum_j X_j = sum_j Y_j = 0, so for any state of unit trace
+
+        J = 1/d**2 + Tr(K rho),   K = sum_j X_j (x) Y_j,
+
+    and the separable ceiling sits excess = d (a_ex,p + a_ex,q)/(2(d + 1))
+    above 1/d**2, with a_ex = t**2 (d - 1)(d + 1)**3 = a - 1/d**3 taken
+    from each set's t.  So the margin Tr(K rho) - excess is formed
+    without a difference of two numbers near 1/d**2.  K is one GEMM of
+    the sets' centred matrices and one axis permutation, O(d**6), kept
+    as its transpose flattened so that Tr(K rho) is one O(d**4) dot
+    product with the row-major entries of rho.
+    """
+
+    def __init__(self, p: GsicSet, q: GsicSet):
+        if not abs(p.a - q.a) <= PURITY_MATCH_TOL:
+            raise ValueError(
+                f"the two sets must share the purity parameter, got "
+                f"{p.a} and {q.a}")
+        d = p.dim
+        self.p, self.q = p, q
+        self.excess = d * (_purity_excess(d, p.t) + _purity_excess(d, q.t)) / (
+            2.0 * (d + 1.0))
+        self.error_bound = margin_error_bound(p, q)
+        # (p.centred.T @ q.centred)[(a, b), (c, e)] = K[(a, c), (b, e)]
+        k = (p.centred.T @ q.centred).reshape((d,) * 4)
+        self.kernel = k.transpose(1, 3, 0, 2).reshape(-1)
+
+    def trace(self, rho: DensityMatrix) -> float:
+        """Tr(K rho), checked real."""
+        value = self.kernel @ rho.matrix.reshape(-1)
+        return float(require_real(value, IMAG_TOL, "correlation sum"))
+
+    def report(self, rho: DensityMatrix, trace: float,
+               j: float) -> DetectionReport:
+        """Report of rho from its Tr(K rho) and J, flagged when the margin
+        exceeds error_bound plus the deviation of rho."""
+        p = self.p
+        bound = bipartite_bound(p.dim, p.a)
+        margin = trace - self.excess
+        flagged = margin > self.error_bound + rho.deviation
+        return DetectionReport(
+            state_label=rho.label, dim=p.dim, parties=2, t=p.t, a=p.a,
+            j_value=j, bound=bound, margin=margin,
+            verdict=ENTANGLED_DETECTED if flagged else INCONCLUSIVE)
+
+
+# The witness built last, reused by a later call on the very same pair:
+# detect_bipartite takes J from j_bipartite and the margin from the same
+# witness, and a loop of j_bipartite over states builds it once.
+_last_witness: list[_Witness | None] = [None]
+
+
+def _witness(p: GsicSet, q: GsicSet) -> _Witness:
+    """The witness of (p, q), built unless it was the last one built."""
+    w = _last_witness[0]
+    if w is None or w.p is not p or w.q is not q:
+        w = _last_witness[0] = _Witness(p, q)
+    return w
+
+
 def j_bipartite(rho: DensityMatrix, p: GsicSet, q: GsicSet) -> float:
     """Matched-outcome correlation sum of two equal-purity measurements.
 
-    Costs O(d**6) for the GEMM over p, then O(d**4) for q.
+    J = 1/d**2 + Tr(K rho) from the pair's centred witness: O(d**6) to
+    build it, which a repeated call on the same pair skips, then one
+    O(d**4) dot product.
     """
     check_measurements(rho, [p, q])
-    if not abs(p.a - q.a) <= PURITY_MATCH_TOL:
-        raise ValueError(
-            f"the two sets must share the purity parameter, got "
-            f"{p.a} and {q.a}")
-    return _correlation_sum(rho, [p, q])
+    return 1.0 / p.dim ** 2 + _witness(p, q).trace(rho)
 
 
 def bipartite_bound(d: int, a: float) -> float:
@@ -85,30 +151,22 @@ def bipartite_bound(d: int, a: float) -> float:
     return (a * d * d + 1.0) / (d * (d + 1.0))
 
 
-def _report(rho: DensityMatrix, p: GsicSet, q: GsicSet,
-            error_bound: float) -> DetectionReport:
-    """Bipartite report, flagged when the margin exceeds error_bound plus
-    the deviation of rho."""
-    j = j_bipartite(rho, p, q)
-    bound = bipartite_bound(p.dim, p.a)
-    margin = j - bound
-    flagged = margin > error_bound + rho.deviation
-    verdict = ENTANGLED_DETECTED if flagged else INCONCLUSIVE
-    return DetectionReport(state_label=rho.label, dim=p.dim, parties=2,
-                           t=p.t, a=p.a, j_value=j, bound=bound,
-                           margin=margin, verdict=verdict)
-
-
 def detect_bipartite(rho: DensityMatrix, p: GsicSet, q: GsicSet) -> DetectionReport:
     """Evaluate the bipartite test and wrap the outcome in a report.
 
-    The state is flagged only when J - bound exceeds E =
-    margin_error_bound(p, q) plus rho.deviation: the worst-case error of
-    that difference from rounding, from the sets' deviations and from
-    the state's own.  So a flag never rests on rounding or on what an
-    input tolerance admits, and a state on the bound reads INCONCLUSIVE.
+    j_value is j_bipartite(rho, p, q) and bound is bipartite_bound(d,
+    p.a).  The margin is Tr(K rho) - excess from the pair's witness,
+    built once for the call, which equals J - bound up to rounding and
+    the sets' deviations.  The state is flagged only when the margin
+    exceeds E = margin_error_bound(p, q) plus rho.deviation: the
+    worst-case error of the margin from rounding, from the sets'
+    deviations and from the state's own.  So a flag never rests on
+    rounding or on what an input tolerance admits, and a state on the
+    bound reads INCONCLUSIVE.
     """
-    return _report(rho, p, q, margin_error_bound(p, q))
+    j = j_bipartite(rho, p, q)
+    w = _witness(p, q)
+    return w.report(rho, w.trace(rho), j)
 
 
 def j_multipartite(rho: DensityMatrix, sets: list[GsicSet]) -> float:
@@ -178,17 +236,19 @@ def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
 
     Families: "isotropic" (mixing weight alpha on [0, 1]), "belldiag-c"
     (identity-label weight c on [1/d**2, 1], rest uniform) and "diagmix"
-    (dominant weight a1 on [0, 1]).  Each state is affine in its
-    parameter and J is linear in rho, so the margin J - bound is affine
+    (dominant weight a1 on [0, 1]).  The paired set is conj(p), and the
+    pair's witness is built once: each grid state then costs one O(d**4)
+    dot product, Tr(K rho), which gives both its J and its margin, and
+    is flagged as in detect_bipartite.  Each state is affine in its
+    parameter and Tr(K rho) is linear in rho, so the margin is affine
     and the crossing is exact by linear interpolation between the two
     grid points that bracket the sign change.  Every family's fidelity
     rises with its parameter.  With E = margin_error_bound(p, conj(p)),
-    computed once, the crossing counts as resolved only when every grid
-    step raises the margin by more than 2E: each margin is off by at most
-    E, the family's weights summing to 1 to within a few eps, so only
-    such a rise is certainly real.  Otherwise the crossing is NaN, as it
-    is when the grid never crosses the bound.  Each report is flagged as
-    in detect_bipartite.  The paired set is conj(p).
+    the crossing counts as resolved only when every grid step raises the
+    margin by more than 2E: each margin is off by at most E, the
+    family's weights summing to 1 to within a few eps, so only such a
+    rise is certainly real.  Otherwise the crossing is NaN, as it is
+    when the grid never crosses the bound.
     """
     if steps < 10:
         raise ValueError(f"need at least 10 grid steps, got {steps}")
@@ -198,14 +258,17 @@ def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
         raise ValueError(f"unknown scan family {family!r}")
     d = p.dim
     start, make = SCAN_FAMILIES[family](d)
-    q = conjugate_gsic(p)
+    w = _Witness(p, conjugate_gsic(p))
     grid = np.linspace(start, 1.0, steps)
-    error_bound = margin_error_bound(p, q)
-    reports = [_report(make(float(x)), p, q, error_bound) for x in grid]
+    reports = []
+    for x in grid:
+        rho = make(float(x))
+        trace = w.trace(rho)
+        reports.append(w.report(rho, trace, 1.0 / d**2 + trace))
     m = np.array([r.margin for r in reports])
     threshold = float("nan")
     crossed = np.flatnonzero((m[:-1] <= 0.0) & (m[1:] > 0.0))
-    if np.all(np.diff(m) > 2.0 * error_bound) and crossed.size:
+    if np.all(np.diff(m) > 2.0 * w.error_bound) and crossed.size:
         i = crossed[0]
         threshold = float(grid[i] - m[i] * (grid[i + 1] - grid[i])
                           / (m[i + 1] - m[i]))

@@ -58,39 +58,55 @@ def check_measurements(rho, sets) -> None:
 
 
 def margin_error_bound(p, q) -> float:
-    """Worst-case error E of j_bipartite(rho, p, q) - bipartite_bound.
+    """Worst-case error E of the margin Tr(K rho) - excess of detect_bipartite.
 
     E = 2 (m**2 + 2m) eps S + ((d + 2)**2 (dp + dq) + d |ap - aq|/(d + 1))/2
 
-    with m = d**2 outcomes, eps the machine epsilon, S = sum_j ||P_j||_1
-    ||Q_j||_1 over entrywise 1-norms, dp, dq the sets' deviation fields
-    and ap, aq their purities.
-    The first term bounds the rounding of the difference for every
-    density matrix rho, the second how far the sets' separable ceiling
-    can sit above the bound.  A state admitted at trace-norm distance
-    delta from a density matrix moves J by at most ||W||_op delta <=
-    delta more, W = sum_j P_j (x) Q_j, since ||W||_op <= max_j ||Q_j||_op
-    ||sum_j P_j||_op <= 1/d; a verdict adds rho's deviation to E.
+    with m = d**2 outcomes, eps the machine epsilon, S = sum_j ||X_j||_1
+    ||Y_j||_1 over the entrywise 1-norms of the centred operators X_j =
+    P_j - I/d**2 and Y_j = Q_j - I/d**2 (the sets' centred_norms), dp,
+    dq the sets' deviation fields and ap, aq their purities.  The first
+    term bounds the rounding of the margin for every density matrix rho,
+    the second how far the sets' deviations can lift a separable state's
+    margin above 0.  K = sum_j X_j (x) Y_j and excess = d (a_ex,p +
+    a_ex,q)/(2(d + 1)), a_ex = t**2 (d - 1)(d + 1)**3, as in
+    criteria._Witness.  A state admitted at trace-norm distance delta
+    from a density matrix moves the margin by at most ||K||_op delta <=
+    delta/d more, since K = W - I/d**2 up to the completeness residuals,
+    with 0 <= W = sum_j P_j (x) Q_j <= I/d; a verdict adds rho's
+    deviation to E.
 
     Rounding, with u = eps/2 and gamma_n = n u / (1 - n u) (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., sections 3.1
-    and 3.6): the kernel reads rho as X = pair_axes(rho), whose entries
-    obey |X_ab| <= 1.
+    and 3.6); every entry of rho obeys |rho_ik| <= 1.
 
-    1. x_jb = sum_a P_ja X_ab is a complex inner product of length m.  Its
-       real and imaginary parts are real inner products of length 2m in
-       some order, so each is off by at most gamma_2m sum_a |P_ja||X_ab|,
-       and |dx_jb| <= sqrt(2) gamma_2m ||P_j||_1 while |x_jb| <= ||P_j||_1.
-    2. Re J = sum_jb Re(Q_jb x_jb) is one real inner product of length
-       2m**2, whatever order the batched product and the final sum take:
-       off by at most gamma_{2m**2} (1 + sqrt(2) gamma_2m) S, plus the
-       carried stage-1 error sum_jb |Q_jb||dx_jb| <= sqrt(2) gamma_2m S.
+    1. Centring.  Shifting a diagonal entry of P_j by fl(1/d**2) leaves
+       it off by at most u |X_j,aa|, so K moves by at most 2u S in sum
+       of entries.  The shift's own error e <= u/d**2 is common to all j
+       and cancels through completeness: sum_j (X_j - e I) (x) (Y_j - e
+       I) = K - e (R_P (x) I + I (x) R_Q) + d**2 e**2 I, with R the
+       residuals, so it adds at most 2u (dp + dq)/d, inside the second
+       term, and d**2 e**2 <= u**2/d**2, of second order.
+    2. The GEMM.  Each entry of K, sum_j X_j,ab Y_j,ce, is a complex
+       inner product of length m: off by at most sqrt(2) gamma_2m
+       sum_j |X_j,ab||Y_j,ce|, so sqrt(2) gamma_2m S over all entries.
+    3. The inner product.  Re Tr(K rho) is one real inner product of
+       length 2 m**2, whatever order the dot product takes: off by at
+       most gamma_{2m**2} sum_ik |K_ik||rho_ki| <= gamma_{2m**2} S, since
+       sum_ik |K_ik| <= S.
+    4. The excess.  It takes six roundings from t, (d + 1)**3 being
+       exact, so it is off by at most gamma_6 excess, and the final
+       subtraction by at most u (|Tr(K rho)| + excess) <= u (S +
+       excess).  Since ||X||_1 >= ||X||_F and Tr X_j**2 = a_p - 1/d**3
+       to first order in dp, S >= d**2 sqrt(a_ex,p a_ex,q), and the
+       mean of a_ex,p and a_ex,q exceeds that root by at most (|ap -
+       aq| + dp + dq)/2.  So 7u excess <= 7u S/d**2 + 7u (|ap - aq| +
+       dp + dq)/2, and the second part lies far inside the second term.
 
-    To first order that is (m**2 + sqrt(2) m) eps S.  The first term of E
-    is more than twice that, which also covers the gamma denominators
-    (n u <= 0.01 up to d = 2000), the relative 4u of bipartite_bound (at
-    most 1/3) and the rounding of the subtraction, since S >= 1: each
-    ||P_j||_1 >= |Tr P_j| = 1/d.
+    To first order that is (m**2 + sqrt(2) m + 3/2 + 7/(2m)) eps S.  The
+    first term of E is at least 1.99 times that (at m = 4, more above),
+    which also covers the gamma denominators (n u <= 0.01 up to d =
+    2000).
 
     Sets, to first order in a set's largest validation deviation delta:
     for a pure product state, J <= (IC_P + IC_Q)/2 with IC_P = sum_j
@@ -100,18 +116,26 @@ def margin_error_bound(p, q) -> float:
     delta through the cross term, and the Gram matrix of the traceless
     parts, of top eigenvalue a - c for an exact set (c the pairwise
     trace), at most (d**2 + 2) delta through sum_j Tr(P_j r)**2.  So IC_P
-    <= (a_p d**2 + 1)/(d (d + 1)) + (d + 2)**2 delta, and the ceiling of
-    Q, at purity a_q, sits d (a_q - a_p)/(d + 1) above that of P.
-    Separable states are mixtures of pure product states, and J is linear.
+    <= (a_p d**2 + 1)/(d (d + 1)) + (d**2 + 4 + 4/d) delta, and the mean
+    of the two ceilings is 1/d**2 + d (a_ex,p + a_ex,q)/(2(d + 1)), each
+    a_ex off a - 1/d**3 by at most delta (the t_purity check).  Two terms
+    J holds and the margin leaves out add to that: the completeness
+    residuals, (Tr((R_P (x) I + I (x) R_Q) rho))/d**2, at most (dp +
+    dq)/d, and (Tr rho - 1)/d**2, which rho's deviation covers.  In all,
+    delta ((d**2 + 4 + 4/d)/2 + d/(2(d + 1)) + 1/d) per set, within
+    (d + 2)**2 delta/2.  Separable states are mixtures of pure product
+    states, and the margin is linear.  The |ap - aq| part, which the
+    mean ceiling no longer needs, is kept: it covers the excess in step
+    4, and the gap between the mean ceiling and bipartite_bound at p's
+    purity, which the reported bound uses.
 
-    p and q are duck-typed: anything with dim, a, deviation and a (d**2,
-    d, d) operators array.
+    p and q are duck-typed: anything with dim, a, deviation and a (d**2,)
+    centred_norms array.
     """
     d = p.dim
     m = d * d
-    s = (np.abs(p.operators).sum(axis=(1, 2))
-         @ np.abs(q.operators).sum(axis=(1, 2)))
-    rounding = 2.0 * (m * m + 2.0 * m) * np.finfo(float).eps * s
+    rounding = (2.0 * (m * m + 2.0 * m) * np.finfo(float).eps
+                * float(p.centred_norms @ q.centred_norms))
     sets = ((d + 2.0) ** 2 * (p.deviation + q.deviation)
             + d * abs(p.a - q.a) / (d + 1.0)) / 2.0
     return float(rounding + sets)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -31,8 +32,8 @@ from .errors import (CAP_EIG_SLACK, IMAG_TOL, VALIDATION_TOL,
                      require_real)
 from .operator_basis import (OperatorBasis, ValidationOutcome,
                              hilbert_schmidt_gram)
-from .states import (ENCODING, DensityMatrix, decode_complex, decode_int,
-                     encode_complex, pair_axes)
+from .states import (ENCODING, DensityMatrix, decode_complex, decode_float,
+                     decode_int, encode_complex, pair_axes)
 
 
 @dataclass(frozen=True)
@@ -52,15 +53,37 @@ class GsicSet:
     basis_id: str
     deviation: float = 0.0
 
+    @cached_property
+    def centred(self) -> np.ndarray:
+        """(d**2, d**2) matrix whose row j is X_j = P_j - I/d**2, row-major.
+
+        Computed on first use and kept: replace() and conjugate_gsic()
+        return new sets, which compute their own.
+        """
+        d = self.dim
+        x = np.array(self.operators, dtype=complex).reshape(d * d, d * d)
+        x[:, ::d + 1] -= 1.0 / (d * d)
+        return x
+
+    @cached_property
+    def centred_norms(self) -> np.ndarray:
+        """Entrywise 1-norms ||X_j||_1 of the rows of centred."""
+        return np.abs(self.centred).sum(axis=1)
+
 
 class FeasibleT(NamedTuple):
     t: float
     cap: str  # "positivity" or "a-max"
 
 
+def _purity_excess(d: int, t: float) -> float:
+    """a - 1/d**3 = Tr X_j**2 of the measurement built at mixing parameter t."""
+    return t * t * (d - 1.0) * (d + 1.0) ** 3
+
+
 def purity_from_t(d: int, t: float) -> float:
     """Common purity of the measurement built at mixing parameter t."""
-    return 1.0 / d**3 + t * t * (d - 1.0) * (d + 1.0) ** 3
+    return 1.0 / d**3 + _purity_excess(d, t)
 
 
 def _operators(basis: OperatorBasis, t: float) -> np.ndarray:
@@ -213,14 +236,15 @@ def read_gsic(path: str | Path) -> GsicSet:
 
     The operators are read by decode_complex: a tagged file holds d**4
     entries in one flat string, an untagged one d**2 rows of d**2
-    [re, im] pairs.  d must be an integer >= 2.  A malformed file raises
+    [re, im] pairs.  d must be an integer >= 2, and t and a finite JSON
+    numbers (decode_float).  A malformed file raises
     ValueError; a set above the cap on t, InfeasibleParameterError.
     """
     try:
         payload = json.loads(Path(path).read_text())
         d = decode_int(payload["d"], 2)
-        t = float(payload["t"])
-        a = float(payload["a"])
+        t = decode_float(payload["t"])
+        a = decode_float(payload["a"])
         basis_id = str(payload["basis_id"])
         ops = decode_complex(payload, "operators")
     except (KeyError, TypeError, ValueError) as exc:

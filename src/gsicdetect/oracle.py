@@ -38,8 +38,9 @@ def ppt_test(rho: DensityMatrix) -> PptResult:
 def brute_force_j(rho: DensityMatrix, sets: list[GsicSet]) -> float:
     """Correlation sum via explicit Kronecker products.
 
-    Slow reference implementation used to cross-check the contraction
-    kernel behind j_bipartite and j_multipartite.
+    Slow reference implementation used to cross-check the centred
+    witness behind j_bipartite and the contraction kernel behind
+    j_multipartite.
     """
     check_measurements(rho, sets)
     d = rho.local_dim

@@ -312,6 +312,21 @@ def decode_int(raw, minimum: int) -> int:
     return raw
 
 
+def decode_float(raw) -> float:
+    """A JSON number field as a float; ValueError otherwise.
+
+    Only an int or a float is accepted, not a bool, a string or anything
+    else, and an int must lie within float range.  A float is returned
+    as it is, NaN and infinities included, for the caller's own checks.
+    """
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ValueError(f"expected a number, got {json.dumps(raw)}")
+    try:
+        return float(raw)
+    except OverflowError:
+        raise ValueError("integer beyond the float range") from None
+
+
 def write_state(rho: DensityMatrix, path: str | Path) -> None:
     """Serialize a density matrix to JSON.
 

@@ -1,11 +1,16 @@
 """End-to-end tests for the gsic command line, run in process."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gsicdetect
 from gsicdetect import (construct_gsic, gell_mann_basis, max_entangled,
                         max_feasible_t, read_gsic, write_gsic, write_state)
 from gsicdetect.cli import main
@@ -500,3 +505,50 @@ def test_detect_names_a_file_that_is_not_json(tmp_path, capsys, argv, what):
     assert rc == 2
     assert captured.out == ""
     assert f"{what} {path}: Expecting value" in captured.err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("t", "0.0680413817439772"), ("t", 10**400), ("a", 10**400),
+    ("a", "0.25"), ("t", True), ("a", None)],
+    ids=["t-string", "t-huge-int", "a-huge-int", "a-string", "t-bool",
+         "a-null"])
+def test_detect_refuses_a_measurement_number_that_is_not_a_float(
+        tmp_path, capsys, field, value):
+    gfile = tmp_path / "g.json"
+    assert main(["build", "--dim", "2", "--max-t", "--out", str(gfile)]) == 0
+    payload = json.loads(gfile.read_text())
+    payload[field] = value
+    gfile.write_text(json.dumps(payload))
+    capsys.readouterr()
+    rc = main(["detect", "--state", "maxent:2", "--gsic", str(gfile)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"error: malformed measurement file {gfile}: " in captured.err
+
+
+def test_detect_refuses_a_weight_beyond_the_float_range(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    path.write_text('{"0,0": 1%s}' % ("0" * 400))
+    rc = main(["detect", "--state", f"belldiag:2:@{path}", "--max-t"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"error: malformed weights file {path}: " in captured.err
+    assert "float range" in captured.err
+
+
+def test_a_closed_stdout_pipe_exits_141_quietly(tmp_path):
+    # the read end is closed before the command writes, as after `| head -0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(gsicdetect.__file__).parents[1]))
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "gsicdetect.cli", "build", "--dim", "2",
+             "--t", "0", "--out", str(tmp_path / "g.json")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert child.returncode == 141
+    assert child.stderr == b""

@@ -12,7 +12,7 @@ from gsicdetect import (ENTANGLED_DETECTED, INCONCLUSIVE,
                         isotropic, isotropic_threshold_scan, j_bipartite,
                         j_multipartite, max_entangled, max_feasible_t,
                         multipartite_bound, random_separable, read_gsic,
-                        trace_t_bound, write_gsic)
+                        scan_family, trace_t_bound, write_gsic)
 from gsicdetect.errors import margin_error_bound
 from gsicdetect.oracle import brute_force_j
 from gsicdetect.states import DensityMatrix
@@ -250,6 +250,29 @@ def test_isotropic_threshold_scan_rejects_a_crossing_below_rounding():
     for d in (3, 4, 8):
         with pytest.raises(ValueError, match="no resolved crossing"):
             isotropic_threshold_scan(d, 1e-9, 40)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 16])
+def test_margin_matches_the_closed_form_down_to_small_t(d):
+    # isotropic(alpha) against the conj pair has margin
+    # d a_ex (alpha - 1/(d + 1)) with a_ex = a - 1/d**3: the centred witness
+    # never forms J - bound, a difference of two numbers near 1/d**2
+    basis = gell_mann_basis(d)
+    for t in (max_feasible_t(basis), 1e-6, 1e-9):
+        p, q = _pair(d, t)
+        scale = d * t * t * (d - 1) * (d + 1) ** 3
+        for alpha in (0.0, 0.1, 1 / (d + 1), 0.5, 1.0):
+            margin = detect_bipartite(isotropic(d, alpha), p, q).margin
+            assert abs(margin - scale * (alpha - 1 / (d + 1))) <= 1e-8 * scale, (
+                t, alpha)
+
+
+@pytest.mark.parametrize("family", ["isotropic", "belldiag-c", "diagmix"])
+@pytest.mark.parametrize("d", [3, 8])
+def test_scan_threshold_is_exact_at_small_t(family, d):
+    p, _ = _pair(d, 1e-6)
+    exact = 1 / (d + 1) if family == "isotropic" else 1 / d
+    assert abs(scan_family(family, p, 40).threshold - exact) <= 1e-12
 
 
 def _product_on_the_bound(d, rng):

@@ -408,3 +408,18 @@ def test_rotated_bases_pass_every_gate(tmp_path, above_cap_set, random_state,
         rho = random_state(d, 2, rng)
         want = brute_force_j(rho, [p, q])
         assert abs(j_bipartite(rho, p, q) - want) <= 1e-12 * abs(want)
+
+
+def test_centred_operators_are_computed_per_set():
+    d = 3
+    eye = np.eye(d) / d**2
+    g = construct_gsic(gell_mann_basis(d), 0.01)
+    want = (g.operators - eye).reshape(d * d, d * d)
+    assert np.array_equal(g.centred, want)
+    assert np.array_equal(g.centred_norms, np.abs(want).sum(axis=1))
+    assert np.array_equal(conjugate_gsic(g).centred, g.centred.conj())
+    # g's values are cached by now; a replaced set computes its own
+    doubled = dataclasses.replace(g, operators=2 * g.operators)
+    assert np.array_equal(doubled.centred,
+                          (2 * g.operators - eye).reshape(d * d, d * d))
+    assert np.array_equal(g.centred, want)

@@ -9,7 +9,7 @@ import pytest
 from gsicdetect import (bell_diagonal, diagonal_mixture, isotropic,
                         max_entangled, partial_transpose, random_separable,
                         read_state, tensor, weyl_operator, write_state)
-from gsicdetect.states import DensityMatrix, decode_complex
+from gsicdetect.states import DensityMatrix, decode_complex, decode_float
 
 
 def _reduced(rho, d, keep):
@@ -424,3 +424,13 @@ def test_state_json_rejects_non_integer_dimensions(tmp_path, field, value):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="malformed"):
         read_state(path)
+
+
+def test_decode_float_takes_only_json_numbers_within_float_range():
+    assert decode_float(3) == 3.0 and type(decode_float(3)) is float
+    assert decode_float(0.25) == 0.25
+    # non-finite floats pass through to the caller's own range checks
+    assert np.isnan(decode_float(float("nan")))
+    for bad in ("0.25", True, None, [1.0], 10**400):
+        with pytest.raises(ValueError):
+            decode_float(bad)
