@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .criteria import (SCAN_FAMILIES, DetectionReport, detect_bipartite,
                        scan_family)
-from .errors import NumericIntegrityError
+from .errors import MAX_DIM, NumericIntegrityError
 from .gsic import (GsicSet, conjugate_gsic, construct_gsic, feasible_t,
                    read_gsic, write_gsic)
 from .operator_basis import gell_mann_basis
@@ -71,9 +71,18 @@ def _add_t_arguments(parser: argparse.ArgumentParser, required: bool):
     return group
 
 
+def _dim(value) -> int:
+    """A local dimension from command-line text, refused above MAX_DIM."""
+    d = int(value)
+    if d > MAX_DIM:
+        raise ValueError(f"dimension {d} exceeds MAX_DIM = {MAX_DIM}, the "
+                         f"largest one accepted")
+    return d
+
+
 def _gsic_from_args(args, d: int) -> tuple[GsicSet, str | None]:
     """Measurement set at --t or --max-t, and the cap kind for --max-t."""
-    basis = gell_mann_basis(d)
+    basis = gell_mann_basis(_dim(d))
     if args.max_t:
         t, cap = feasible_t(basis)
     elif args.t is None:
@@ -122,17 +131,17 @@ def _parse_state_spec(spec: str) -> tuple[DensityMatrix, dict]:
     parts = spec.split(":")
     family = parts[0]
     if family == "maxent" and len(parts) == 2:
-        return max_entangled(int(parts[1])), {}
+        return max_entangled(_dim(parts[1])), {}
     if family == "isotropic" and len(parts) == 3:
-        alpha = float(parts[2])
-        return isotropic(int(parts[1]), alpha), {"alpha": alpha}
+        d, alpha = _dim(parts[1]), float(parts[2])
+        return isotropic(d, alpha), {"alpha": alpha}
     if family == "belldiag" and len(parts) == 3:
+        d = _dim(parts[1])
         weights = _load_weights(_path_arg(parts[2], "belldiag weights"))
-        rho = bell_diagonal(int(parts[1]), weights)
-        return rho, {"c": max(weights.values())}
+        return bell_diagonal(d, weights), {"c": max(weights.values())}
     if family == "diagmix" and len(parts) == 3:
-        a1 = float(parts[2])
-        return diagonal_mixture(int(parts[1]), a1), {"a1": a1}
+        d, a1 = _dim(parts[1]), float(parts[2])
+        return diagonal_mixture(d, a1), {"a1": a1}
     if family == "file" and len(parts) == 2:
         return read_state(_path_arg(parts[1], "state file")), {}
     raise ValueError(

@@ -26,8 +26,9 @@ from .errors import (CORR_IMAG_TOL, IMAG_TOL, PURITY_MATCH_TOL, RANGE_SLACK,
                      purity_range_deviation, require_real)
 from .gsic import GsicSet, _purity_excess, conjugate_gsic, construct_gsic
 from .operator_basis import OperatorBasis, gell_mann_basis
-from .states import (DensityMatrix, _bell_mixture, diagonal_mixture, isotropic,
-                     pair_axes)
+from .states import (DensityMatrix, _bell_kets, _bell_mixture,
+                     _belldiag_c_weights, _diagmix_weights, _isotropic_weights,
+                     _weights_deviation, pair_axes)
 
 ENTANGLED_DETECTED = "ENTANGLED_DETECTED"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -77,7 +78,9 @@ class _Witness:
     without a difference of two numbers near 1/d**2.  K is one GEMM of
     the sets' centred matrices and one axis permutation, O(d**6), kept
     as its transpose flattened so that Tr(K rho) is one O(d**4) dot
-    product with the row-major entries of rho.
+    product with the row-major entries of rho.  For a Bell mixture, the
+    (d, d) table of K's Bell diagonal (bell_table) gives it in d**2
+    terms.
     """
 
     def __init__(self, p: GsicSet, q: GsicSet):
@@ -90,6 +93,7 @@ class _Witness:
         self.excess = d * (_purity_excess(d, p.t) + _purity_excess(d, q.t)) / (
             2.0 * (d + 1.0))
         self.error_bound = margin_error_bound(p, q)
+        self.bound = bipartite_bound(d, p.a)
         # (p.centred.T @ q.centred)[(a, b), (c, e)] = K[(a, c), (b, e)]
         k = (p.centred.T @ q.centred).reshape((d,) * 4)
         self.kernel = k.transpose(1, 3, 0, 2).reshape(-1)
@@ -99,17 +103,38 @@ class _Witness:
         value = self.kernel @ rho.matrix.reshape(-1)
         return float(require_real(value, IMAG_TOL, "correlation sum"))
 
-    def report(self, rho: DensityMatrix, trace: float,
-               j: float) -> DetectionReport:
-        """Report of rho from its Tr(K rho) and J, flagged when the margin
-        exceeds error_bound plus the deviation of rho."""
+    def bell_table(self) -> np.ndarray:
+        """The (d, d) real table B[s, t] = <Phi_st|K|Phi_st> of Bell labels.
+
+        For the Bell mixture rho = sum_st W[s, t] |Phi_st><Phi_st|,
+        Tr(K rho) = sum_st W[s, t] B[s, t].  With Phi_st = (1/sqrt(d))
+        sum_j w**(j*s) |j, j+t> (states._bell_kets), B[s, t] = (1/d)
+        sum_m w**(s*m) H[m, t], where H[m, t] = sum_j K[(j, j+t), (j+m,
+        j+m+t)] gathers the d**3 entries of K on those kets: one inverse
+        DFT over s, O(d**3) in all.
+        """
+        d = self.p.dim
+        ket = _bell_kets(d)
+        j = np.arange(d)
+        # kernel holds K transposed: k_t[x, y] = K[y, x]
+        k_t = self.kernel.reshape(d * d, d * d)
+        h = k_t[ket[(j[:, None] + j) % d], ket].sum(axis=1)
+        return require_real(np.fft.ifft(h, axis=0), IMAG_TOL,
+                            "correlation sum")
+
+    def report(self, label: str, deviation: float,
+               trace: float) -> DetectionReport:
+        """Report of a state from its label, deviation and Tr(K rho).
+
+        j_value is 1/d**2 + trace, and the state is flagged when the
+        margin exceeds error_bound plus its deviation.
+        """
         p = self.p
-        bound = bipartite_bound(p.dim, p.a)
         margin = trace - self.excess
-        flagged = margin > self.error_bound + rho.deviation
+        flagged = margin > self.error_bound + deviation
         return DetectionReport(
-            state_label=rho.label, dim=p.dim, parties=2, t=p.t, a=p.a,
-            j_value=j, bound=bound, margin=margin,
+            state_label=label, dim=p.dim, parties=2, t=p.t, a=p.a,
+            j_value=1.0 / p.dim ** 2 + trace, bound=self.bound, margin=margin,
             verdict=ENTANGLED_DETECTED if flagged else INCONCLUSIVE)
 
 
@@ -164,9 +189,9 @@ def detect_bipartite(rho: DensityMatrix, p: GsicSet, q: GsicSet) -> DetectionRep
     rounding or on what an input tolerance admits, and a state on the
     bound reads INCONCLUSIVE.
     """
-    j = j_bipartite(rho, p, q)
+    j_bipartite(rho, p, q)  # checks rho against the pair, builds the witness
     w = _witness(p, q)
-    return w.report(rho, w.trace(rho), j)
+    return w.report(rho.label, rho.deviation, w.trace(rho))
 
 
 def j_multipartite(rho: DensityMatrix, sets: list[GsicSet]) -> float:
@@ -210,17 +235,17 @@ def trace_t_bound(d: int) -> float:
 
 
 def _belldiag_c(d: int, c: float) -> DensityMatrix:
-    """Weight c on the identity Bell label, the rest spread uniformly."""
-    table = np.full((d, d), (1.0 - c) / (d * d - 1.0))
-    table[0, 0] = c
-    return _bell_mixture(table, f"belldiag-d{d}-c{table.max():g}")
+    """The state of the belldiag-c scan at identity-label weight c."""
+    return _bell_mixture(*_belldiag_c_weights(d, c))
 
 
-# family -> dimension -> (grid start, state factory); every grid ends at 1
+# family -> dimension -> (grid start, factory of a grid point's Bell-label
+# weight table and state label); every grid ends at 1
 SCAN_FAMILIES = {
-    "isotropic": lambda d: (0.0, lambda x: isotropic(d, x)),
-    "belldiag-c": lambda d: (1.0 / (d * d), lambda c: _belldiag_c(d, c)),
-    "diagmix": lambda d: (0.0, lambda x: diagonal_mixture(d, x)),
+    "isotropic": lambda d: (0.0, lambda x: _isotropic_weights(d, x)),
+    "belldiag-c": lambda d: (1.0 / (d * d),
+                             lambda c: _belldiag_c_weights(d, c)),
+    "diagmix": lambda d: (0.0, lambda x: _diagmix_weights(d, x)),
 }
 
 
@@ -236,10 +261,14 @@ def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
 
     Families: "isotropic" (mixing weight alpha on [0, 1]), "belldiag-c"
     (identity-label weight c on [1/d**2, 1], rest uniform) and "diagmix"
-    (dominant weight a1 on [0, 1]).  The paired set is conj(p), and the
-    pair's witness is built once: each grid state then costs one O(d**4)
-    dot product, Tr(K rho), which gives both its J and its margin, and
-    is flagged as in detect_bipartite.  Each state is affine in its
+    (dominant weight a1 on [0, 1]), all Bell mixtures.  The paired set is
+    conj(p), and the pair's witness and its Bell table B are built once:
+    a grid state is then its weight table W, the one the family's state
+    constructor mixes, and Tr(K rho) = W . B, a dot product of d**2
+    terms, gives both its J and its margin.  Its report, label and
+    deviation |sum W - 1| included, is the one detect_bipartite gives
+    the constructed state, up to rounding well inside E (see
+    errors.margin_error_bound).  Each state is affine in its
     parameter and Tr(K rho) is linear in rho, so the margin is affine
     and the crossing is exact by linear interpolation between the two
     grid points that bracket the sign change.  Every family's fidelity
@@ -257,14 +286,15 @@ def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
     if family not in SCAN_FAMILIES:
         raise ValueError(f"unknown scan family {family!r}")
     d = p.dim
-    start, make = SCAN_FAMILIES[family](d)
+    start, weights = SCAN_FAMILIES[family](d)
     w = _Witness(p, conjugate_gsic(p))
+    bell = w.bell_table().ravel()
     grid = np.linspace(start, 1.0, steps)
     reports = []
     for x in grid:
-        rho = make(float(x))
-        trace = w.trace(rho)
-        reports.append(w.report(rho, trace, 1.0 / d**2 + trace))
+        table, label = weights(float(x))
+        reports.append(w.report(label, _weights_deviation(table),
+                                float(table.ravel() @ bell)))
     m = np.array([r.margin for r in reports])
     threshold = float("nan")
     crossed = np.flatnonzero((m[:-1] <= 0.0) & (m[1:] > 0.0))

@@ -22,6 +22,9 @@ CAP_EIG_SLACK = 1e-13  # eigensolver noise ignored when choosing which cap on t 
 VALIDATION_TOL = 1e-10
 IMAG_TOL = 1e-8  # largest imaginary residue of a correlation sum
 CORR_IMAG_TOL = 1e-10  # largest imaginary residue of a correlation-matrix entry
+# Largest local dimension taken from command-line text: a measurement set's
+# (d**2, d, d) complex128 operator stack, 16 d**4 bytes, is 256 MiB at d = 64.
+MAX_DIM = 64
 
 
 class NumericIntegrityError(ArithmeticError):
@@ -107,6 +110,23 @@ def margin_error_bound(p, q) -> float:
     first term of E is at least 1.99 times that (at m = 4, more above),
     which also covers the gamma denominators (n u <= 0.01 up to d =
     2000).
+
+    The Bell-table path.  criteria.scan_family takes Tr(K rho) of a Bell
+    mixture as W . B, with W its (d, d) weight table, entries in [0, 1]
+    summing to 1 up to rho's deviation, and B_st = <Phi_st|K|Phi_st>
+    from _Witness.bell_table.  That replaces step 3; steps 1, 2 and 4
+    stand, since an error dK of K moves W . B by at most sum |dK|, as it
+    moves Tr(K rho).  B_st = (1/d) sum_jk w**(s(k - j)) K[(j, j+t), (k,
+    k+t)] is a sum of d**2 entries of K with unit phases, divided by d.
+    The sum over j is off by at most sqrt(2) gamma_d of the |K| it reads.
+    The inverse DFT over s is 1/sqrt(d) times a unitary map, so in the
+    1-norm over s it passes that error on undiminished and adds its own
+    normwise error, O(log d) u (Higham, section 24.1).  Column t reads
+    d**2 entries of K and the d columns read disjoint ones, so sum_st
+    |dB_st| <= (sqrt(2) gamma_d + O(log d) u) S, and the dot product adds
+    gamma_{d**2} sum_st W_st |B_st| <= gamma_{d**2} S.  In all that is
+    gamma_{O(d**2)} S, far inside the gamma_{2m**2} S of step 3, so the
+    first term of E covers both paths.
 
     Sets, to first order in a set's largest validation deviation delta:
     for a pure product state, J <= (IC_P + IC_Q)/2 with IC_P = sum_j

@@ -84,23 +84,68 @@ def pair_axes(rho: DensityMatrix) -> np.ndarray:
     return rho.matrix.reshape((d,) * (2 * n)).transpose(order).reshape(d * d, -1)
 
 
+def _bell_kets(d: int) -> np.ndarray:
+    """ket[j, t], the index of |j, j+t mod d> among the d**2 product kets.
+
+    Phi_st = (U_st (x) I)|phi+> with U_st = weyl_operator(d, s, t) is
+    (1/sqrt(d)) sum_j w**(j*s) |j, j+t>: it lives on the kets of column t.
+    """
+    j = np.arange(d)
+    return j[:, None] * d + (j[:, None] + j) % d
+
+
+def _weights_deviation(weights: np.ndarray) -> float:
+    """Deviation of a Bell mixture with nonnegative weights: |sum - 1|."""
+    return abs(float(weights.sum()) - 1.0)
+
+
 def _bell_mixture(weights: np.ndarray, label: str) -> DensityMatrix:
     """sum over labels of weights[s, t] |Phi_st><Phi_st| for a (d, d) weight table.
 
-    Phi_st = (U_st (x) I)|phi+> with U_st = weyl_operator(d, s, t) lives on
-    the kets |j, j+t mod d>, so the only nonzero entries are
-    <j, j+t|rho|k, k+t> = (1/d) sum_s weights[s, t] w**(s*(j - k)): one
-    inverse DFT over s, scattered into the d**3 slots (j, k, t).  With
-    nonnegative weights the deviation is |sum of weights - 1|.
+    The only nonzero entries are <j, j+t|rho|k, k+t> = (1/d) sum_s
+    weights[s, t] w**(s*(j - k)): one inverse DFT over s, scattered into
+    the d**3 slots (j, k, t) of _bell_kets.
     """
     d = len(weights)
     j = np.arange(d)
-    ket = j[:, None] * d + (j[:, None] + j) % d  # ket[j, t] indexes |j, j+t>
+    ket = _bell_kets(d)
     coeff = np.fft.ifft(weights, axis=0)  # coeff[m, t] for j - k = m mod d
     mat = np.zeros((d * d, d * d), dtype=complex)
     mat[ket[:, None], ket[None]] = coeff[(j[:, None] - j) % d]
     return DensityMatrix(local_dim=d, parties=2, matrix=mat, label=label,
-                         deviation=abs(float(weights.sum()) - 1.0))
+                         deviation=_weights_deviation(weights))
+
+
+# Weight table and label of each mixture family that criteria.scan_family
+# scans, shared with the family's state constructor.
+
+def _isotropic_weights(d: int, alpha: float) -> tuple[np.ndarray, str]:
+    """Table and label of isotropic(d, alpha)."""
+    table = np.full((d, d), (1.0 - alpha) / (d * d))
+    table[0, 0] += alpha
+    return table, f"isotropic-d{d}-alpha{alpha:g}"
+
+
+def _belldiag_c_weights(d: int, c: float) -> tuple[np.ndarray, str]:
+    """Weight c on the identity Bell label, the rest spread uniformly."""
+    table = np.full((d, d), (1.0 - c) / (d * d - 1.0))
+    table[0, 0] = c
+    return table, f"belldiag-d{d}-c{table.max():g}"
+
+
+def _diagmix_weights(d: int, a1: float,
+                     tail: np.ndarray | None = None) -> tuple[np.ndarray, str]:
+    """Table and label of diagonal_mixture(d, a1, tail).
+
+    Offset delta's tail weight is spread over the d labels (s, delta); the
+    default tail spreads 1 - a1 evenly over the d - 1 offsets.
+    """
+    if tail is None:
+        tail = np.full(d - 1, (1.0 - a1) / (d - 1))
+    table = np.zeros((d, d))
+    table[:, 1:] = tail / d
+    table[0, 0] = a1
+    return table, f"diagmix-d{d}-a1{a1:g}"
 
 
 def max_entangled(d: int) -> DensityMatrix:
@@ -120,9 +165,7 @@ def isotropic(d: int, alpha: float) -> DensityMatrix:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {alpha}")
     check_dim(d)
-    table = np.full((d, d), (1.0 - alpha) / (d * d))
-    table[0, 0] += alpha
-    return _bell_mixture(table, f"isotropic-d{d}-alpha{alpha:g}")
+    return _bell_mixture(*_isotropic_weights(d, alpha))
 
 
 def weyl_operator(d: int, s: int, t: int) -> np.ndarray:
@@ -173,9 +216,7 @@ def diagonal_mixture(d: int, a1: float,
     check_dim(d)
     if not 0.0 <= a1 <= 1.0:
         raise ValueError(f"entangled weight must lie in [0, 1], got {a1}")
-    if tail is None:
-        tail = np.full(d - 1, (1.0 - a1) / (d - 1))
-    else:
+    if tail is not None:
         tail = np.asarray(tail, dtype=float)
         if tail.shape != (d - 1,):
             raise ValueError(f"tail needs {d - 1} weights, got shape {tail.shape}")
@@ -184,10 +225,7 @@ def diagonal_mixture(d: int, a1: float,
         if not abs(a1 + tail.sum() - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(
                 f"weights sum to {a1 + tail.sum()}, expected 1")
-    table = np.zeros((d, d))
-    table[:, 1:] = tail / d
-    table[0, 0] = a1
-    return _bell_mixture(table, f"diagmix-d{d}-a1{a1:g}")
+    return _bell_mixture(*_diagmix_weights(d, a1, tail))
 
 
 def random_separable(d: int, parties: int, terms: int, seed: int) -> DensityMatrix:

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import gsicdetect
+from gsicdetect import cli, states
 from gsicdetect import (construct_gsic, gell_mann_basis, max_entangled,
                         max_feasible_t, read_gsic, write_gsic, write_state)
 from gsicdetect.cli import main
+from gsicdetect.errors import MAX_DIM
 from gsicdetect.states import DensityMatrix
 
 
@@ -462,6 +464,53 @@ def test_detect_rejects_an_absurd_party_count_fast(tmp_path, capsys):
     assert "holds 1 entries" in captured.err
     assert elapsed < 0.5
 
+
+
+class _Reached(Exception):
+    """Raised by a stand-in for code that allocates per dimension."""
+
+
+def _refuse_allocation(monkeypatch):
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(cli, "gell_mann_basis", reached)
+    monkeypatch.setattr(states, "_bell_mixture", reached)
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--dim", "{big}", "--max-t", "--out", "g.json"],
+    ["build", "--dim", "{big}", "--t", "0", "--out", "g.json"],
+    ["scan", "--family", "isotropic", "--dim", "{big}", "--t", "1e-6",
+     "--csv", "s.csv"],
+    ["detect", "--state", "maxent:{big}", "--max-t"],
+    ["detect", "--state", "isotropic:{big}:0.5", "--t", "1e-6"],
+    ["detect", "--state", "belldiag:{big}:@w.json", "--max-t"],
+    ["detect", "--state", "diagmix:{big}:0.5", "--max-t"],
+], ids=["build-max-t", "build-t", "scan", "maxent", "isotropic", "belldiag",
+        "diagmix"])
+@pytest.mark.parametrize("big", [MAX_DIM + 1, 100000])
+def test_a_dimension_above_max_dim_exits_2_before_allocating(
+        tmp_path, capsys, monkeypatch, argv, big):
+    monkeypatch.chdir(tmp_path)
+    Path("w.json").write_text('{"0,0": 1}')
+    _refuse_allocation(monkeypatch)
+    rc = main([arg.format(big=big) for arg in argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"dimension {big} exceeds MAX_DIM = {MAX_DIM}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--dim", str(MAX_DIM), "--max-t", "--out", "g.json"],
+    ["detect", "--state", f"maxent:{MAX_DIM}", "--max-t"],
+])
+def test_max_dim_itself_passes_the_size_guard(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    _refuse_allocation(monkeypatch)
+    with pytest.raises(_Reached):
+        main(argv)
 
 
 def test_detect_rejects_an_absurd_party_count_fast_when_tagged(tmp_path,

@@ -13,6 +13,7 @@ from gsicdetect import (ENTANGLED_DETECTED, INCONCLUSIVE,
                         j_multipartite, max_entangled, max_feasible_t,
                         multipartite_bound, random_separable, read_gsic,
                         scan_family, trace_t_bound, write_gsic)
+from gsicdetect.criteria import SCAN_FAMILIES, _belldiag_c
 from gsicdetect.errors import margin_error_bound
 from gsicdetect.oracle import brute_force_j
 from gsicdetect.states import DensityMatrix
@@ -273,6 +274,38 @@ def test_scan_threshold_is_exact_at_small_t(family, d):
     p, _ = _pair(d, 1e-6)
     exact = 1 / (d + 1) if family == "isotropic" else 1 / d
     assert abs(scan_family(family, p, 40).threshold - exact) <= 1e-12
+
+
+SCAN_STATES = {"isotropic": isotropic, "belldiag-c": _belldiag_c,
+               "diagmix": diagonal_mixture}
+
+
+@pytest.mark.parametrize("family", list(SCAN_STATES))
+@pytest.mark.parametrize("d", [2, 3, 6, 8, 16])
+def test_scan_reports_match_detect_on_the_constructed_states(family, d):
+    # the scan reads Tr(K rho) off the witness's Bell table; each grid
+    # point must report what detect_bipartite reports on the state its
+    # family constructor builds at that parameter
+    basis = gell_mann_basis(d)
+    eps = np.finfo(float).eps
+    _, weights = SCAN_FAMILIES[family](d)
+    for t in (max_feasible_t(basis), 1e-6, 1e-9):
+        p, q = _pair(d, t)
+        e = margin_error_bound(p, q)
+        s = float(p.centred_norms @ q.centred_norms)
+        scan = scan_family(family, p, 40)
+        for x, got in zip(scan.grid, scan.reports):
+            rho = SCAN_STATES[family](d, float(x))
+            want = detect_bipartite(rho, p, q)
+            assert abs(got.margin - want.margin) <= eps * s <= e, (t, x)
+            assert abs(got.j_value - want.j_value) <= eps * s, (t, x)
+            assert got.verdict == want.verdict, (t, x)
+            assert got.state_label == want.state_label == rho.label
+            assert (got.dim, got.parties, got.t, got.a, got.bound) == (
+                want.dim, want.parties, want.t, want.a, want.bound)
+            table, label = weights(float(x))
+            assert label == rho.label
+            assert abs(float(table.sum()) - 1.0) == rho.deviation
 
 
 def _product_on_the_bound(d, rng):
