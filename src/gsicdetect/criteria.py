@@ -11,12 +11,17 @@ A value above the ceiling certifies entanglement; a value below it is
 inconclusive.  Two-party tests evaluate J through the pair's centred
 witness (_Witness), which also gives the margin above the ceiling
 directly.  The multipartite variant averages the per-party ceilings and
-tolerates different purities per party.
+tolerates different purities per party; it evaluates J through the
+uncentred W = sum_j P_j (x) Q_j (x) ..., laid out like rho, so that J
+is one dot product with rho's entries.  Each witness is built once per
+measurement tuple and kept on the tuple's first set (GsicSet.witnesses),
+so it lives as long as that set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -49,19 +54,10 @@ class DetectionReport:
     verdict: str
 
 
-def _correlation_sum(rho: DensityMatrix, sets: list[GsicSet]) -> float:
-    """sum_j Tr((P_j (x) Q_j (x) ...) rho), contracted one party at a time.
-
-    The kernel of j_multipartite, so in practice of N >= 3 parties: the
-    two-party test goes through _Witness.  The first party is one GEMM
-    of its operator matrix with pair_axes(rho); each later party
-    multiplies and sums over its own pair, outcome by outcome.
-    """
-    dd = rho.local_dim ** 2
-    x = sets[0].operators.reshape(dd, dd) @ pair_axes(rho)
-    for g in sets[1:]:
-        x = np.matmul(g.operators.reshape(dd, 1, dd), x.reshape(dd, dd, -1))
-    return float(require_real(x.sum(), IMAG_TOL, "correlation sum"))
+def _trace(kernel: np.ndarray, rho: DensityMatrix) -> float:
+    """Tr(A rho), checked real, from A transposed and flattened row-major."""
+    value = kernel @ rho.matrix.reshape(-1)
+    return float(require_real(value, IMAG_TOL, "correlation sum"))
 
 
 class _Witness:
@@ -100,8 +96,7 @@ class _Witness:
 
     def trace(self, rho: DensityMatrix) -> float:
         """Tr(K rho), checked real."""
-        value = self.kernel @ rho.matrix.reshape(-1)
-        return float(require_real(value, IMAG_TOL, "correlation sum"))
+        return _trace(self.kernel, rho)
 
     def bell_table(self) -> np.ndarray:
         """The (d, d) real table B[s, t] = <Phi_st|K|Phi_st> of Bell labels.
@@ -138,26 +133,32 @@ class _Witness:
             verdict=ENTANGLED_DETECTED if flagged else INCONCLUSIVE)
 
 
-# The witness built last, reused by a later call on the very same pair:
-# detect_bipartite takes J from j_bipartite and the margin from the same
-# witness, and a loop of j_bipartite over states builds it once.
-_last_witness: list[_Witness | None] = [None]
+def _cached(kind: str, sets, build):
+    """build(), kept on sets[0] under kind and the ids of the later sets.
+
+    The entry holds the later sets, and a hit needs each of them to be
+    the very object it was built with.  kind tells apart what different
+    callers build on one tuple: the _Witness of a pair and the
+    multipartite kernel of the same two sets.
+    """
+    later = tuple(sets[1:])
+    key = (kind, *map(id, later))
+    hit = sets[0].witnesses.get(key)
+    if hit is None or any(a is not b for a, b in zip(hit[0], later)):
+        hit = sets[0].witnesses[key] = (later, build())
+    return hit[1]
 
 
 def _witness(p: GsicSet, q: GsicSet) -> _Witness:
-    """The witness of (p, q), built unless it was the last one built."""
-    w = _last_witness[0]
-    if w is None or w.p is not p or w.q is not q:
-        w = _last_witness[0] = _Witness(p, q)
-    return w
+    """The witness of (p, q), built on the first call for the pair."""
+    return _cached("pair", (p, q), lambda: _Witness(p, q))
 
 
 def j_bipartite(rho: DensityMatrix, p: GsicSet, q: GsicSet) -> float:
     """Matched-outcome correlation sum of two equal-purity measurements.
 
     J = 1/d**2 + Tr(K rho) from the pair's centred witness: O(d**6) to
-    build it, which a repeated call on the same pair skips, then one
-    O(d**4) dot product.
+    build it, once while p lives, then one O(d**4) dot product.
     """
     check_measurements(rho, [p, q])
     return 1.0 / p.dim ** 2 + _witness(p, q).trace(rho)
@@ -181,7 +182,7 @@ def detect_bipartite(rho: DensityMatrix, p: GsicSet, q: GsicSet) -> DetectionRep
 
     j_value is j_bipartite(rho, p, q) and bound is bipartite_bound(d,
     p.a).  The margin is Tr(K rho) - excess from the pair's witness,
-    built once for the call, which equals J - bound up to rounding and
+    the one j_bipartite reads, which equals J - bound up to rounding and
     the sets' deviations.  The state is flagged only when the margin
     exceeds E = margin_error_bound(p, q) plus rho.deviation: the
     worst-case error of the margin from rounding, from the sets'
@@ -194,16 +195,43 @@ def detect_bipartite(rho: DensityMatrix, p: GsicSet, q: GsicSet) -> DetectionRep
     return w.report(rho.label, rho.deviation, w.trace(rho))
 
 
+def _multipartite_kernel(sets: list[GsicSet]) -> np.ndarray:
+    """W = sum_j P_j (x) Q_j (x) ..., transposed and flattened row-major.
+
+    So Tr(W rho) is its dot product with the row-major entries of rho.
+    Row j of a Khatri-Rao product holds the Kronecker product of its
+    sets' j-th operators; one GEMM of inner size d**2 joins the product
+    of the first N//2 sets' (d**2, d**2) operator matrices with that of
+    the rest, O(d**(2N + 2)), and one permutation of the 2N axes, (row,
+    column) per party, puts every column axis first.
+    """
+    d, n = sets[0].dim, len(sets)
+    m = d * d
+
+    def khatri_rao(group):
+        mats = [g.operators.reshape(m, m) for g in group]
+        return reduce(lambda x, y: (x[:, :, None] * y[:, None]).reshape(m, -1),
+                      mats)
+
+    w = khatri_rao(sets[:n // 2]).T @ khatri_rao(sets[n // 2:])
+    order = [*range(1, 2 * n, 2), *range(0, 2 * n, 2)]
+    return w.reshape((d,) * (2 * n)).transpose(order).reshape(-1)
+
+
 def j_multipartite(rho: DensityMatrix, sets: list[GsicSet]) -> float:
     """Matched-outcome correlation sum with one measurement per party.
 
-    Costs O(d**(2N + 2)) for the first party, O(d**(2N)) for each further one.
+    J = Tr(W rho), W = sum_j P_j (x) Q_j (x) ..., for any N >= 2 and sets
+    of different t.  W costs O(d**(2N + 2)) once per tuple of sets and
+    is kept on the first set, which frees it (GsicSet.witnesses); each
+    state then costs one O(d**(2N)) dot product.
     """
     n = rho.parties
     if n < 2:
         raise ValueError(f"need at least two parties, got {n}")
     check_measurements(rho, sets)
-    return _correlation_sum(rho, sets)
+    return _trace(_cached("multipartite", sets,
+                          lambda: _multipartite_kernel(sets)), rho)
 
 
 def multipartite_bound(d: int, a_values: list[float]) -> float:

@@ -70,6 +70,17 @@ class GsicSet:
         """Entrywise 1-norms ||X_j||_1 of the rows of centred."""
         return np.abs(self.centred).sum(axis=1)
 
+    @cached_property
+    def witnesses(self) -> dict:
+        """Witnesses built with this set as the first party, filled by criteria.
+
+        Keyed by the witness kind and the ids of the later sets; each
+        value keeps those sets.  So an entry lives exactly as long as
+        this set, and replace() and conjugate_gsic() start a new set with
+        an empty dict.
+        """
+        return {}
+
 
 class FeasibleT(NamedTuple):
     t: float

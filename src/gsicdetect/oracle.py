@@ -39,8 +39,8 @@ def brute_force_j(rho: DensityMatrix, sets: list[GsicSet]) -> float:
     """Correlation sum via explicit Kronecker products.
 
     Slow reference implementation used to cross-check the centred
-    witness behind j_bipartite and the contraction kernel behind
-    j_multipartite.
+    witness behind j_bipartite and the uncentred witness W = sum_j P_j
+    (x) Q_j (x) ... behind j_multipartite.
     """
     check_measurements(rho, sets)
     d = rho.local_dim

@@ -1,6 +1,8 @@
 """Tests for the correlation-sum entanglement tests."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from gsicdetect import (ENTANGLED_DETECTED, INCONCLUSIVE,
                         j_multipartite, max_entangled, max_feasible_t,
                         multipartite_bound, random_separable, read_gsic,
                         scan_family, trace_t_bound, write_gsic)
+from gsicdetect import criteria
 from gsicdetect.criteria import SCAN_FAMILIES, _belldiag_c
 from gsicdetect.errors import margin_error_bound
 from gsicdetect.oracle import brute_force_j
@@ -514,3 +517,65 @@ def test_correlation_matrix_matches_the_einsum_reference(d):
                            rho.matrix.reshape(d, d, d, d)).real
     got = correlation_matrix(rho, gell_mann_basis(d))
     assert np.abs(got - want).max() <= 1e-15
+
+
+def test_cached_witnesses_match_brute_force_in_any_call_order():
+    # the pair's _Witness and the multipartite kernel of the same two sets
+    # share a first set; neither may be read back as the other
+    d = 3
+    rng = np.random.default_rng(61)
+    basis = gell_mann_basis(d)
+    tm = max_feasible_t(basis)
+    p = construct_gsic(basis, tm)
+    pc = conjugate_gsic(p)
+    mixed = [construct_gsic(basis, tm * (k + 1) / 3) for k in range(3)]
+    mixed[-1] = conjugate_gsic(mixed[-1])
+    rho = {n: _ginibre(d, n, rng) for n in (2, 3, 4)}
+
+    def pair(state, sets):
+        return j_bipartite(state, *sets)
+
+    calls = [(j_multipartite, [p] * 3), (j_multipartite, [p] * 4),
+             (j_multipartite, [pc] * 3), (j_multipartite, mixed),
+             (j_multipartite, [p, pc]), (pair, [p, pc])] * 3
+    for k in rng.permutation(len(calls)):
+        f, sets = calls[k]
+        state = rho[len(sets)]
+        got = f(state, sets)
+        want = brute_force_j(state, sets)
+        assert abs(got - want) <= 1e-12 * abs(want), (f.__name__, k)
+        fresh = [dataclasses.replace(g) for g in sets]
+        assert abs(got - f(state, fresh)) <= 1e-14 * abs(want)
+
+
+def test_a_witness_is_built_once_per_set_tuple(monkeypatch):
+    kernel = criteria._multipartite_kernel
+    built = []
+
+    def counted(sets):
+        built.append(tuple(sets))
+        return kernel(sets)
+
+    monkeypatch.setattr(criteria, "_multipartite_kernel", counted)
+    p, pc = _pair(2)
+    assert criteria._witness(p, pc) is criteria._witness(p, pc)
+    assert criteria._witness(pc, p) is not criteria._witness(p, pc)
+    rho = random_separable(2, 3, 2, seed=5)
+    first = j_multipartite(rho, [p, pc, p])
+    assert j_multipartite(rho, [p, pc, p]) == first
+    assert len(built) == 1
+    j_multipartite(rho, [p, p, pc])
+    assert len(built) == 2
+    j_multipartite(rho, [p, pc, p])
+    assert len(built) == 2
+
+
+def test_cached_witnesses_die_with_their_sets():
+    p, pc = _pair(2)
+    ref = weakref.ref(p)
+    j_bipartite(max_entangled(2), p, pc)
+    j_bipartite(max_entangled(2), pc, p)
+    j_multipartite(random_separable(2, 3, 2, seed=1), [p, pc, p])
+    del p, pc
+    gc.collect()
+    assert ref() is None

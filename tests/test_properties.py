@@ -9,9 +9,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from gsicdetect import (conjugate_gsic, construct_gsic,  # noqa: E402
-                        gell_mann_basis, max_feasible_t, weyl_operator)
+from gsicdetect import (DensityMatrix, conjugate_gsic,  # noqa: E402
+                        construct_gsic, gell_mann_basis, j_multipartite,
+                        max_feasible_t, multipartite_bound, random_separable,
+                        weyl_operator)
 from gsicdetect.criteria import _Witness  # noqa: E402
+from gsicdetect.oracle import brute_force_j  # noqa: E402
 from gsicdetect.states import _bell_mixture  # noqa: E402
 
 
@@ -66,3 +69,41 @@ def test_bell_table_is_the_bell_diagonal_of_any_hermitian_kernel(d, seed):
             vec = np.kron(weyl_operator(d, s, t), np.eye(d)) @ phi
             want = np.vdot(vec, k @ vec).real
             assert abs(got[s, t] - want) <= 1e-13 * np.abs(k).sum(), (s, t)
+
+
+@st.composite
+def _party_sets(draw):
+    """d in {2, 3}, N in 2..5 (so d**N <= 243), and per party a set at a
+    drawn t in [0, cap], conjugated or not."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 5))
+    basis = gell_mann_basis(d)
+    cap = max_feasible_t(basis)
+    sets = []
+    for _ in range(n):
+        g = construct_gsic(basis, draw(st.floats(0.0, cap)))
+        sets.append(conjugate_gsic(g) if draw(st.booleans()) else g)
+    return d, sets
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(drawn=_party_sets(), separable=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_j_multipartite_matches_brute_force_on_any_set_tuple(drawn, separable,
+                                                            seed):
+    d, sets = drawn
+    n = len(sets)
+    if separable:
+        rho = random_separable(d, n, 4, seed=seed)
+    else:
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(d ** n,) * 2) + 1j * rng.normal(size=(d ** n,) * 2)
+        mat = z @ z.conj().T
+        rho = DensityMatrix.from_matrix(mat / np.trace(mat).real, d, n)
+    got = j_multipartite(rho, sets)
+    want = brute_force_j(rho, sets)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    if separable:
+        # all sets at t = 0 and N = 2 put every state on the bound
+        bound = multipartite_bound(d, [g.a for g in sets])
+        assert got <= bound * (1 + 1e-12)
