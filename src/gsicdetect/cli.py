@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .criteria import (SCAN_FAMILIES, DetectionReport, detect_bipartite,
@@ -24,7 +25,13 @@ from .states import (DensityMatrix, bell_diagonal, decode_float,
                      diagonal_mixture, isotropic, max_entangled, read_state)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call of the process.
+
+    parse_args returns a fresh namespace on every call, so one parser
+    serves every call of main.
+    """
     parser = argparse.ArgumentParser(
         prog="gsic",
         description="Symmetric informationally complete measurements and "
@@ -195,8 +202,7 @@ def _cmd_scan(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit

@@ -15,11 +15,12 @@ tolerates different purities per party; it evaluates J through the
 uncentred W = sum_j P_j (x) Q_j (x) ..., laid out like rho, so that J
 is one dot product with rho's entries.  Each witness is built once per
 measurement tuple and kept on the tuple's first set (GsicSet.witnesses),
-so it lives as long as that set.
+so it lives no longer than any set of the tuple.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import reduce
 from typing import NamedTuple
@@ -85,7 +86,7 @@ class _Witness:
                 f"the two sets must share the purity parameter, got "
                 f"{p.a} and {q.a}")
         d = p.dim
-        self.p, self.q = p, q
+        self.p = p
         self.excess = d * (_purity_excess(d, p.t) + _purity_excess(d, q.t)) / (
             2.0 * (d + 1.0))
         self.error_bound = margin_error_bound(p, q)
@@ -133,19 +134,34 @@ class _Witness:
             verdict=ENTANGLED_DETECTED if flagged else INCONCLUSIVE)
 
 
+def _drop_witness(first: weakref.ref, key: tuple) -> None:
+    """Remove key from the witnesses of first, if first still lives."""
+    owner = first()
+    if owner is not None:
+        owner.witnesses.pop(key, None)
+
+
 def _cached(kind: str, sets, build):
     """build(), kept on sets[0] under kind and the ids of the later sets.
 
-    The entry holds the later sets, and a hit needs each of them to be
-    the very object it was built with.  kind tells apart what different
-    callers build on one tuple: the _Witness of a pair and the
-    multipartite kernel of the same two sets.
+    The entry holds weak references to the later sets, and a hit needs
+    each of them to be the very object it was built with.  A finalizer
+    on each later set removes the entry when that set dies, so an entry
+    lives only as long as every set of its tuple; it holds no set but
+    the first strongly, and the finalizer holds only a weak reference to
+    that one.  kind tells apart what different callers build on one
+    tuple: the _Witness of a pair and the multipartite kernel of the
+    same two sets.
     """
     later = tuple(sets[1:])
     key = (kind, *map(id, later))
     hit = sets[0].witnesses.get(key)
-    if hit is None or any(a is not b for a, b in zip(hit[0], later)):
-        hit = sets[0].witnesses[key] = (later, build())
+    if hit is None or any(r() is not g for r, g in zip(hit[0], later)):
+        hit = sets[0].witnesses[key] = (tuple(map(weakref.ref, later)),
+                                        build())
+        first = weakref.ref(sets[0])
+        for g in later:
+            weakref.finalize(g, _drop_witness, first, key)
     return hit[1]
 
 
@@ -223,8 +239,9 @@ def j_multipartite(rho: DensityMatrix, sets: list[GsicSet]) -> float:
 
     J = Tr(W rho), W = sum_j P_j (x) Q_j (x) ..., for any N >= 2 and sets
     of different t.  W costs O(d**(2N + 2)) once per tuple of sets and
-    is kept on the first set, which frees it (GsicSet.witnesses); each
-    state then costs one O(d**(2N)) dot product.
+    is kept on the first set and freed with any set of the tuple
+    (GsicSet.witnesses); each state then costs one O(d**(2N)) dot
+    product.
     """
     n = rho.parties
     if n < 2:

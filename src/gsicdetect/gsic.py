@@ -75,9 +75,10 @@ class GsicSet:
         """Witnesses built with this set as the first party, filled by criteria.
 
         Keyed by the witness kind and the ids of the later sets; each
-        value keeps those sets.  So an entry lives exactly as long as
-        this set, and replace() and conjugate_gsic() start a new set with
-        an empty dict.
+        value holds only weak references to those sets, and the death of
+        any of them removes the entry.  So an entry lives no longer than
+        this set or any later set, and replace() and conjugate_gsic()
+        start a new set with an empty dict.
         """
         return {}
 

@@ -579,3 +579,25 @@ def test_cached_witnesses_die_with_their_sets():
     del p, pc
     gc.collect()
     assert ref() is None
+
+
+def test_a_cached_witness_dies_with_any_of_its_sets():
+    # a long-lived first set paired with a fresh partner on every call:
+    # once the partners are dropped, only the live tuples keep entries
+    p, keep = _pair(3)
+    rho2, rho3 = max_entangled(3), random_separable(3, 3, 2, seed=2)
+    want = (j_bipartite(rho2, p, keep), j_multipartite(rho3, [p, keep, p]))
+    fresh = []
+    for _ in range(4):
+        fresh.append(conjugate_gsic(p))
+        j_bipartite(rho2, p, fresh[-1])
+        j_multipartite(rho3, [p, p, fresh[-1]])
+    assert len(p.witnesses) == 10
+    refs = [weakref.ref(g) for g in fresh]
+    del fresh
+    gc.collect()
+    assert all(r() is None for r in refs)
+    assert set(p.witnesses) == {("pair", id(keep)),
+                                ("multipartite", id(keep), id(p))}
+    assert (j_bipartite(rho2, p, keep),
+            j_multipartite(rho3, [p, keep, p])) == want

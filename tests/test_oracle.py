@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from gsicdetect import (brute_force_j, conjugate_gsic, construct_gsic,
-                        gell_mann_basis, isotropic, j_bipartite,
-                        j_multipartite, max_entangled, max_feasible_t,
-                        ppt_test, random_separable)
+from gsicdetect import (bell_diagonal, brute_force_j, conjugate_gsic,
+                        construct_gsic, gell_mann_basis, isotropic,
+                        j_bipartite, j_multipartite, max_entangled,
+                        max_feasible_t, partial_transpose, ppt_test,
+                        random_separable)
+from gsicdetect.errors import PSD_TOL
 
 
 def test_ppt_flags_max_entangled():
@@ -23,6 +25,28 @@ def test_ppt_on_isotropic_boundary():
         assert not onbound.npt
         assert ppt_test(isotropic(d, 1 / (d + 1) + 1e-3)).npt
         assert not ppt_test(isotropic(d, 1 / (d + 1) - 1e-3)).npt
+
+
+def _assert_ppt_pinned(rho, closed):
+    # against the closed form and a plain eigvalsh of the partial transpose
+    res = ppt_test(rho)
+    plain = np.linalg.eigvalsh(partial_transpose(rho, 1))[0]
+    assert abs(res.min_eigenvalue - closed) <= 1e-14
+    assert abs(res.min_eigenvalue - plain) <= 1e-14
+    assert res.npt == (plain < -PSD_TOL)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_ppt_of_every_bell_label_is_minus_one_over_d(d):
+    # each label is a maximally entangled pure state: (1 - (d + 1))/d**2
+    for s in range(d):
+        for t in range(d):
+            _assert_ppt_pinned(bell_diagonal(d, {(s, t): 1.0}), -1.0 / d)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1 / 17, 0.3, 0.75, 1.0])
+def test_ppt_of_isotropic_d16_matches_its_closed_form(alpha):
+    _assert_ppt_pinned(isotropic(16, alpha), (1 - alpha * 17) / 256)
 
 
 def test_ppt_on_separable_states():

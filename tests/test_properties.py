@@ -15,14 +15,16 @@ from gsicdetect import (DensityMatrix, conjugate_gsic,  # noqa: E402
                         weyl_operator)
 from gsicdetect.criteria import _Witness  # noqa: E402
 from gsicdetect.oracle import brute_force_j  # noqa: E402
-from gsicdetect.states import _bell_mixture  # noqa: E402
+from gsicdetect.states import _bell_mixture, _min_eigenvalue  # noqa: E402
 
 
 @cache
-def _witness(d: int, at_cap: bool) -> _Witness:
+def _witness(d: int, at_cap: bool) -> tuple[_Witness, float]:
+    """The witness of a set and its conjugate, and the pair's scale S."""
     basis = gell_mann_basis(d)
     p = construct_gsic(basis, max_feasible_t(basis) if at_cap else 1e-6)
-    return _Witness(p, conjugate_gsic(p))
+    q = conjugate_gsic(p)
+    return _Witness(p, q), float(p.centred_norms @ q.centred_norms)
 
 
 @st.composite
@@ -46,8 +48,7 @@ def test_bell_table_gives_the_trace_of_every_bell_mixture(table, at_cap):
     # W . B, with B the witness's Bell table, against the dense
     # Tr(K rho) of the mixture built from W
     d = len(table)
-    w = _witness(d, at_cap)
-    s = float(w.p.centred_norms @ w.q.centred_norms)
+    w, s = _witness(d, at_cap)
     dense = w.trace(_bell_mixture(table, ""))
     assert abs(float(table.ravel() @ w.bell_table().ravel()) - dense) <= (
         np.finfo(float).eps * s)
@@ -107,3 +108,56 @@ def test_j_multipartite_matches_brute_force_on_any_set_tuple(drawn, separable,
         # all sets at t = 0 and N = 2 put every state on the bound
         bound = multipartite_bound(d, [g.a for g in sets])
         assert got <= bound * (1 + 1e-12)
+
+
+def _hermitian(rng, n):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return z + z.conj().T
+
+
+def _assert_lowest_matches_eigvalsh(h):
+    spectrum = np.linalg.eigvalsh(h)
+    scale = np.abs(spectrum).max()
+    assert abs(_min_eigenvalue(h) - spectrum[0]) <= 1e-14 * scale
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(sizes=st.lists(st.integers(1, 8), min_size=1, max_size=12),
+       couple=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_min_eigenvalue_of_a_permuted_block_diagonal_matrix(sizes, couple,
+                                                             seed):
+    # blocks of sizes 1..8 with rows and columns permuted alike, and
+    # sometimes one entry that joins two of them
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    h = np.zeros((n, n), dtype=complex)
+    ends = np.cumsum(sizes)
+    for end, size in zip(ends, sizes):
+        h[end - size:end, end - size:end] = _hermitian(rng, size)
+    if couple and len(sizes) > 1:
+        i = rng.integers(ends[0])
+        j = rng.integers(ends[0], n)
+        h[i, j] = complex(*rng.normal(size=2))
+        h[j, i] = h[i, j].conjugate()
+    perm = rng.permutation(n)
+    _assert_lowest_matches_eigvalsh(h[perm][:, perm])
+
+
+@pytest.mark.parametrize("i, j", [(0, 5), (3, 7)])
+def test_min_eigenvalue_of_a_dense_matrix_with_one_zero(i, j):
+    # a zero in the first row skips the dense-row exit; one elsewhere takes it
+    h = _hermitian(np.random.default_rng(10 * i + j), 16)
+    h[i, j] = h[j, i] = 0.0
+    _assert_lowest_matches_eigvalsh(h)
+
+
+def test_min_eigenvalue_of_a_permuted_path():
+    # a tridiagonal pattern, permuted: one component that the labelling
+    # reaches only through long chains of neighbours
+    rng = np.random.default_rng(256)
+    n = 256
+    h = np.diag(rng.normal(size=n)).astype(complex)
+    off = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
+    h += np.diag(off, 1) + np.diag(off.conj(), -1)
+    perm = rng.permutation(n)
+    _assert_lowest_matches_eigvalsh(h[perm][:, perm])

@@ -6,9 +6,11 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from gsicdetect import (bell_diagonal, diagonal_mixture, isotropic,
-                        max_entangled, partial_transpose, random_separable,
-                        read_state, tensor, weyl_operator, write_state)
+from gsicdetect import (bell_diagonal, conjugate_gsic, construct_gsic,
+                        detect_bipartite, diagonal_mixture, feasible_t,
+                        gell_mann_basis, isotropic, max_entangled,
+                        partial_transpose, random_separable, read_state,
+                        tensor, weyl_operator, write_state)
 from gsicdetect.states import DensityMatrix, decode_complex, decode_float
 
 
@@ -384,6 +386,29 @@ def test_an_accepted_state_records_its_distance_from_a_density_matrix():
     weights = {(0, 0): 0.5 + 9e-13, (1, 1): 0.5}
     assert bell_diagonal(2, weights).deviation == pytest.approx(9e-13,
                                                                 rel=1e-3)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_a_bell_mixture_keeps_its_verdict_through_a_state_file(tmp_path, d):
+    basis = gell_mann_basis(d)
+    p = construct_gsic(basis, feasible_t(basis).t)
+    q = conjugate_gsic(p)
+    w = np.random.default_rng(d).dirichlet(np.full(d * d, 0.3))
+    table = {(s, t): float(w[s * d + t]) for s in range(d) for t in range(d)}
+    dim = d * d
+    for k, rho in enumerate([isotropic(d, 0.1), isotropic(d, 0.9),
+                             diagonal_mixture(d, 0.8),
+                             bell_diagonal(d, table)]):
+        path = tmp_path / f"rho{k}.json"
+        write_state(rho, path)
+        loaded = read_state(path)
+        assert (detect_bipartite(loaded, p, q).verdict
+                == detect_bipartite(rho, p, q).verdict)
+        # against the deviation from a plain eigvalsh of the Hermitian part
+        h = 0.5 * loaded.matrix + 0.5 * loaded.matrix.conj().T
+        plain = (abs(np.trace(loaded.matrix) - 1.0)
+                 + 2.0 * dim * max(0.0, -np.linalg.eigvalsh(h)[0]))
+        assert abs(loaded.deviation - plain) <= 2 * dim * 1e-14
 
 
 def test_from_matrix_validation():
