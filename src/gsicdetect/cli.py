@@ -21,7 +21,7 @@ from .errors import MAX_DIM, NumericIntegrityError
 from .gsic import (GsicSet, conjugate_gsic, construct_gsic, feasible_t,
                    read_gsic, write_gsic)
 from .operator_basis import gell_mann_basis
-from .states import (DensityMatrix, bell_diagonal, decode_float,
+from .states import (DensityMatrix, _read_json, bell_diagonal, decode_float,
                      diagonal_mixture, isotropic, max_entangled, read_state)
 
 
@@ -115,7 +115,7 @@ def _path_arg(text: str, what: str) -> Path:
 
 def _load_weights(path: Path) -> dict[tuple[int, int], float]:
     try:
-        data = json.loads(path.read_text())
+        data = _read_json(path)
     except ValueError as exc:
         raise ValueError(f"malformed weights file {path}: {exc}") from exc
     if not isinstance(data, dict) or not data:

@@ -18,7 +18,6 @@ most 1/d**2, the rank-one limit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -32,8 +31,8 @@ from .errors import (CAP_EIG_SLACK, IMAG_TOL, VALIDATION_TOL,
                      require_real)
 from .operator_basis import (OperatorBasis, ValidationOutcome,
                              hilbert_schmidt_gram)
-from .states import (ENCODING, DensityMatrix, decode_complex, decode_float,
-                     decode_int, encode_complex, pair_axes)
+from .states import (DensityMatrix, _read_json, _write_json, decode_complex,
+                     decode_float, decode_int, pair_axes)
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,12 @@ def _operators(basis: OperatorBasis, t: float) -> np.ndarray:
     f_sum = basis.basis_sum
     eye = np.eye(d, dtype=complex) / d**2
     ops = np.empty((d * d, d, d), dtype=complex)
-    ops[:-1] = eye + t * (f_sum - d * (d + 1.0) * basis.generators)
+    # In place, in the order c*F_j, F - that, t*that, I/d**2 + that, on
+    # which the operators, and so the files, depend bit for bit.
+    np.multiply(d * (d + 1.0), basis.generators, out=ops[:-1])
+    np.subtract(f_sum, ops[:-1], out=ops[:-1])
+    ops[:-1] *= t
+    ops[:-1] += eye
     ops[-1] = eye + t * (d + 1.0) * f_sum
     return ops
 
@@ -137,7 +141,8 @@ def feasible_t(basis: OperatorBasis) -> FeasibleT:
     """
     d = basis.dim
     t_purity = (d * (d + 1.0)) ** -1.5
-    directions = _operators(basis, 1.0) - np.eye(d) / d**2
+    directions = _operators(basis, 1.0)
+    directions -= np.eye(d) / d**2
     lam = float(np.linalg.eigvalsh(directions)[:, 0].min())
     if 1.0 / d**2 + t_purity * lam >= -CAP_EIG_SLACK:
         return FeasibleT(t=t_purity, cap="a-max")
@@ -179,7 +184,7 @@ def validate_gsic(g: GsicSet, tol: float = VALIDATION_TOL) -> ValidationOutcome:
     completeness = float(np.abs(ops.sum(axis=0) - np.eye(d)).max())
     traces = np.einsum("aii->a", ops)
     op_trace = float(np.abs(traces - 1.0 / d).max())
-    gram = hilbert_schmidt_gram(ops).real
+    gram = hilbert_schmidt_gram(ops)
     purity = float(np.abs(np.diag(gram) - g.a).max())
     off = gram - (1.0 - d * g.a) / (d * (d * d - 1.0))
     np.fill_diagonal(off, 0.0)
@@ -236,11 +241,10 @@ def write_gsic(g: GsicSet, path: str | Path) -> None:
     """Serialize a measurement set to JSON.
 
     {"encoding", "d", "t", "a", "basis_id", "operators"}, with the
-    (d**2, d, d) operators one row-major encode_complex string.
+    (d**2, d, d) operators one base64 string (_write_json).
     """
-    payload = {"encoding": ENCODING, "d": g.dim, "t": g.t, "a": g.a,
-               "basis_id": g.basis_id, "operators": encode_complex(g.operators)}
-    Path(path).write_text(json.dumps(payload))
+    _write_json(path, {"d": g.dim, "t": g.t, "a": g.a, "basis_id": g.basis_id},
+                "operators", g.operators)
 
 
 def read_gsic(path: str | Path) -> GsicSet:
@@ -253,7 +257,7 @@ def read_gsic(path: str | Path) -> GsicSet:
     ValueError; a set above the cap on t, InfeasibleParameterError.
     """
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = _read_json(path)
         d = decode_int(payload["d"], 2)
         t = decode_float(payload["t"])
         a = decode_float(payload["a"])

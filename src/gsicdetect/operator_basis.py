@@ -62,31 +62,30 @@ def gell_mann_basis(d: int) -> OperatorBasis:
         The d**2 - 1 orthonormal traceless Hermitian generators.
     """
     check_dim(d)
-    mats = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = m[k, j] = 1.0 / np.sqrt(2.0)
-            mats.append(m)
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1j / np.sqrt(2.0)
-            m[k, j] = 1j / np.sqrt(2.0)
-            mats.append(m)
-    for l in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        m[np.arange(l), np.arange(l)] = 1.0
-        m[l, l] = -float(l)
-        mats.append(m / np.sqrt(l * (l + 1.0)))
-    return OperatorBasis(dim=d, generators=np.stack(mats),
-                         basis_id=f"gellmann-d{d}")
+    # -1j/sqrt(2) keeps a real part of -0.0, and the diagonal rows are divided
+    # as complex numbers, which rounds apart from a real division at d >= 4.
+    n = d * (d - 1) // 2
+    pair = np.arange(n)
+    j, k = np.triu_indices(d, 1)
+    gens = np.zeros((d * d - 1, d, d), dtype=complex)
+    gens[pair, j, k] = gens[pair, k, j] = 1.0 / np.sqrt(2.0)
+    gens[n + pair, j, k] = -1j / np.sqrt(2.0)
+    gens[n + pair, k, j] = 1j / np.sqrt(2.0)
+    l = np.arange(1, d)
+    diag = (np.arange(d) < l[:, None]).astype(complex)
+    diag[l - 1, l] = -l
+    gens[2 * n:, np.arange(d), np.arange(d)] = diag / np.sqrt(l * (l + 1.0))[:, None]
+    return OperatorBasis(dim=d, generators=gens, basis_id=f"gellmann-d{d}")
 
 
 def hilbert_schmidt_gram(mats: np.ndarray) -> np.ndarray:
-    """Tr(A_a A_b) for a stack of m square matrices, as one (m, m) GEMM."""
+    """Re Tr(A_a^H A_b) for a stack of m square matrices, as one real SYRK.
+
+    On a Hermitian stack that is Tr(A_a A_b); callers check hermiticity.
+    """
     m = len(mats)
-    return mats.reshape(m, -1) @ mats.transpose(0, 2, 1).reshape(m, -1).T
+    y = np.ascontiguousarray(mats, dtype=complex).reshape(m, -1).view(float)
+    return y @ y.T
 
 
 def verify_basis(basis: OperatorBasis,

@@ -338,19 +338,27 @@ def partial_transpose(rho: DensityMatrix, party: int) -> np.ndarray:
     return swapped.reshape(d ** n, d ** n)
 
 
-# Tag of the payload that encode_complex writes; files without it are read
+# Tag of the payload that _write_json writes; files without it are read
 # in the [re, im] form written before it.
 ENCODING = "c16le-base64"
 
 
-def encode_complex(z: np.ndarray) -> str:
-    """z's entries in row-major order as base64 of little-endian complex128.
+def _write_json(path: str | Path, fields: dict, key: str, z: np.ndarray) -> None:
+    """Write the tag, fields, then key: z as base64 of little-endian complex128.
 
-    Writers store the result beside the top-level field
-    "encoding": ENCODING.  Every float, -0.0 and subnormals included,
-    reloads bit-exact.
+    z goes in row-major order; every float reloads bit-exact, -0.0 and
+    subnormals included.  base64 needs no JSON escaping, so splicing it
+    after json.dumps of the small fields writes json.dumps of the whole.
     """
-    return base64.b64encode(np.asarray(z, dtype="<c16").tobytes()).decode("ascii")
+    head = json.dumps({"encoding": ENCODING, **fields})[:-1]
+    head += f", {json.dumps(key)}: \""
+    data = base64.b64encode(np.ascontiguousarray(z, dtype="<c16"))
+    Path(path).write_bytes(b"".join((head.encode(), data, b'"}')))
+
+
+def _read_json(path: str | Path):
+    """A file's JSON value; a BOM or bytes that are not UTF-8 raise ValueError."""
+    return json.loads(Path(path).read_bytes().decode("utf-8"))
 
 
 def decode_complex(payload: dict, key: str) -> np.ndarray:
@@ -414,11 +422,10 @@ def write_state(rho: DensityMatrix, path: str | Path) -> None:
     """Serialize a density matrix to JSON.
 
     {"encoding", "local_dim", "parties", "matrix"}, with the matrix one
-    row-major encode_complex string.
+    base64 string (_write_json).
     """
-    payload = {"encoding": ENCODING, "local_dim": rho.local_dim,
-               "parties": rho.parties, "matrix": encode_complex(rho.matrix)}
-    Path(path).write_text(json.dumps(payload))
+    _write_json(path, {"local_dim": rho.local_dim, "parties": rho.parties},
+                "matrix", rho.matrix)
 
 
 def read_state(path: str | Path) -> DensityMatrix:
@@ -430,7 +437,7 @@ def read_state(path: str | Path) -> DensityMatrix:
     DensityMatrix.from_matrix.  A malformed file raises ValueError.
     """
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = _read_json(path)
         local_dim = decode_int(payload["local_dim"], 2)
         parties = decode_int(payload["parties"], 1)
         flat = decode_complex(payload, "matrix")

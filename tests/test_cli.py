@@ -556,6 +556,26 @@ def test_detect_names_a_file_that_is_not_json(tmp_path, capsys, argv, what):
     assert f"{what} {path}: Expecting value" in captured.err
 
 
+@pytest.mark.parametrize("kind", ["gsic", "state"])
+@pytest.mark.parametrize("damage", ["bom", "0xff"])
+def test_detect_refuses_a_file_that_is_not_plain_utf8(tmp_path, capsys, kind,
+                                                     damage):
+    path = tmp_path / "in.json"
+    argv = _written_file(path, kind)
+    raw = path.read_bytes()
+    if damage == "bom":
+        raw = b"\xef\xbb\xbf" + raw
+    else:  # 0xff is never part of UTF-8
+        raw = raw.replace(b'"c16le-base64"', b'"c16le-base64\xff"')
+    path.write_bytes(raw)
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"malformed {'measurement' if kind == 'gsic' else 'state'} file" \
+        in captured.err
+
+
 @pytest.mark.parametrize("field,value", [
     ("t", "0.0680413817439772"), ("t", 10**400), ("a", 10**400),
     ("a", "0.25"), ("t", True), ("a", None)],

@@ -1,5 +1,6 @@
 """Tests for the tunable-purity measurement construction."""
 
+import base64
 import dataclasses
 import json
 from pathlib import Path
@@ -13,6 +14,8 @@ from gsicdetect import (InfeasibleParameterError, NumericIntegrityError,
                         index_of_coincidence, isotropic, j_bipartite,
                         max_feasible_t, read_gsic, read_state, validate_gsic,
                         verify_basis, write_gsic, write_state)
+from gsicdetect.errors import hermiticity_deviation
+from gsicdetect.operator_basis import hilbert_schmidt_gram
 from gsicdetect.states import DensityMatrix
 
 DATA = Path(__file__).parent / "data"
@@ -423,3 +426,69 @@ def test_centred_operators_are_computed_per_set():
     assert np.array_equal(doubled.centred,
                           (2 * g.operators - eye).reshape(d * d, d * d))
     assert np.array_equal(g.centred, want)
+
+
+def _dumped(payload: dict, key: str, z: np.ndarray) -> bytes:
+    """json.dumps of a payload whose key holds z as a base64 string, encoded."""
+    raw = np.asarray(z, dtype="<c16").tobytes()
+    payload = dict(payload, **{key: base64.b64encode(raw).decode("ascii")})
+    return json.dumps(payload).encode()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+def test_written_files_are_json_dumps_of_their_payload(tmp_path, d):
+    basis = gell_mann_basis(d)
+    g = construct_gsic(basis, max_feasible_t(basis))
+    write_gsic(g, tmp_path / "g.json")
+    want = _dumped({"encoding": "c16le-base64", "d": d, "t": g.t, "a": g.a,
+                    "basis_id": g.basis_id}, "operators", g.operators)
+    assert (tmp_path / "g.json").read_bytes() == want
+    mat = isotropic(d, 0.3).matrix.copy()
+    # -0.0 and subnormal parts, off the diagonal so the state stays valid
+    mat[0, 1], mat[1, 0] = complex(-0.0, 5e-324), complex(-0.0, -5e-324)
+    mat[1, 2], mat[2, 1] = complex(2.2e-310, -0.0), complex(2.2e-310, 0.0)
+    rho = DensityMatrix(local_dim=d, parties=2, matrix=mat)
+    write_state(rho, tmp_path / "rho.json")
+    want = _dumped({"encoding": "c16le-base64", "local_dim": d, "parties": 2},
+                   "matrix", mat)
+    assert (tmp_path / "rho.json").read_bytes() == want
+    assert read_state(tmp_path / "rho.json").matrix.tobytes() == mat.tobytes()
+
+
+def _gram_bound(mats: np.ndarray) -> np.ndarray:
+    """Rounding bound of two real inner products of length 2d**2, entrywise."""
+    y = np.abs(mats.reshape(len(mats), -1).view(float))
+    return 2 * y.shape[1] * np.finfo(float).eps * (y @ y.T)
+
+
+def _measurement_sets(rotated_basis):
+    for d in (2, 3, 5, 8, 16):
+        for basis in (gell_mann_basis(d), rotated_basis(d)):
+            yield basis, construct_gsic(basis, max_feasible_t(basis))
+
+
+def test_the_real_gram_matches_the_trace_of_products(rotated_basis):
+    for basis, g in _measurement_sets(rotated_basis):
+        for mats in (basis.generators, g.operators):
+            ref = np.einsum("aij,bji->ab", mats, mats)
+            got = hilbert_schmidt_gram(mats)
+            assert got.dtype == float and (got == got.T).all()
+            assert (np.abs(got - ref.real) <= _gram_bound(mats)).all()
+            assert np.abs(ref.imag).max() <= _gram_bound(mats).max()
+
+
+def test_validate_gsic_deviations_match_the_complex_gram(rotated_basis):
+    # the Gram deviations as computed before the real Gram: the real part
+    # of the complex Tr(P_a P_b), everything else as validate_gsic has it
+    for _, g in _measurement_sets(rotated_basis):
+        ops, d = g.operators, g.dim
+        gram = np.einsum("aij,bji->ab", ops, ops).real
+        off = gram - (1.0 - d * g.a) / (d * (d * d - 1.0))
+        np.fill_diagonal(off, 0.0)
+        dev = validate_gsic(g).deviations
+        slack = _gram_bound(ops).max()
+        assert abs(dev["purity"] - np.abs(np.diag(gram) - g.a).max()) <= slack
+        assert abs(dev["cross_trace"] - np.abs(off).max()) <= slack
+        assert dev["hermiticity"] == hermiticity_deviation(ops)
+        assert dev["psd"] == d * d * max(
+            0.0, -np.linalg.eigvalsh(ops)[:, 0].min())

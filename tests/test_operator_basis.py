@@ -79,3 +79,32 @@ def test_too_small_dimension_rejected():
     for d in (-1, 0, 1):
         with pytest.raises(ValueError):
             gell_mann_basis(d)
+
+
+def _looped_gell_mann(d):
+    # the former construction, one generator at a time
+    mats = []
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = m[k, j] = 1.0 / np.sqrt(2.0)
+            mats.append(m)
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = -1j / np.sqrt(2.0)
+            m[k, j] = 1j / np.sqrt(2.0)
+            mats.append(m)
+    for l in range(1, d):
+        m = np.zeros((d, d), dtype=complex)
+        m[np.arange(l), np.arange(l)] = 1.0
+        m[l, l] = -float(l)
+        mats.append(m / np.sqrt(l * (l + 1.0)))
+    return np.stack(mats)
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_generators_are_bit_identical_to_the_loop(d):
+    gens = gell_mann_basis(d).generators
+    assert gens.dtype == complex and gens.flags.c_contiguous
+    assert gens.tobytes() == _looped_gell_mann(d).tobytes()
