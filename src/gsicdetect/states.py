@@ -287,7 +287,9 @@ def random_separable(d: int, parties: int, terms: int, seed: int) -> DensityMatr
     to rounding, as the per-term loop kept in the tests.  The product
     vectors are the rows of one (terms, d**parties) array V, built by
     broadcast outer products, and rho = V^T diag(w) conj(V) is exactly
-    Hermitian.
+    Hermitian.  Its real and imaginary parts are written in place into
+    the one result buffer, so a call peaks at about 1.6 times the
+    state's bytes.
     """
     check_dim(d)
     if parties < 2 or terms < 1:
@@ -304,13 +306,15 @@ def random_separable(d: int, parties: int, terms: int, seed: int) -> DensityMatr
         vecs = (vecs[:, :, None] * factors[:, k, None, :]).reshape(terms, -1)
     # With U = sqrt(w) V: Re rho = S^T S for S = [Re U; Im U], exactly
     # symmetric, and Im rho = X - X^T for X = Im(U)^T Re(U), exactly
-    # antisymmetric.
+    # antisymmetric.  X is freed before S^T S is formed, so at most one
+    # real half-size temporary lives beside the result.
     u = np.sqrt(weights)[:, None] * vecs
-    s = np.concatenate((u.real, u.imag))
     x = u.imag.T @ u.real
     mat = np.empty(x.shape, dtype=complex)
+    np.subtract(x, x.T, out=mat.imag)
+    del x
+    s = np.concatenate((u.real, u.imag))
     mat.real = s.T @ s
-    mat.imag = x - x.T
     return DensityMatrix(local_dim=d, parties=parties, matrix=mat,
                          label=f"randsep-d{d}-n{parties}-seed{seed}")
 
@@ -347,13 +351,17 @@ def _write_json(path: str | Path, fields: dict, key: str, z: np.ndarray) -> None
     """Write the tag, fields, then key: z as base64 of little-endian complex128.
 
     z goes in row-major order; every float reloads bit-exact, -0.0 and
-    subnormals included.  base64 needs no JSON escaping, so splicing it
-    after json.dumps of the small fields writes json.dumps of the whole.
+    subnormals included.  base64 needs no JSON escaping, so writing it
+    between json.dumps of the small fields and the closing '"}' writes
+    json.dumps of the whole, with no joined copy of the payload.
     """
     head = json.dumps({"encoding": ENCODING, **fields})[:-1]
     head += f", {json.dumps(key)}: \""
     data = base64.b64encode(np.ascontiguousarray(z, dtype="<c16"))
-    Path(path).write_bytes(b"".join((head.encode(), data, b'"}')))
+    with open(path, "wb") as out:
+        out.write(head.encode())
+        out.write(data)
+        out.write(b'"}')
 
 
 def _read_json(path: str | Path):

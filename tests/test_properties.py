@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import (HealthCheck, given, settings,  # noqa: E402
+                        strategies as st)
 
-from gsicdetect import (DensityMatrix, conjugate_gsic,  # noqa: E402
-                        construct_gsic, gell_mann_basis, j_multipartite,
+from gsicdetect import (INCONCLUSIVE, DensityMatrix,  # noqa: E402
+                        conjugate_gsic, construct_gsic, detect_bipartite,
+                        feasible_t, gell_mann_basis, j_multipartite,
                         max_feasible_t, multipartite_bound, random_separable,
-                        weyl_operator)
+                        validate_gsic, weyl_operator)
 from gsicdetect.criteria import _Witness  # noqa: E402
+from gsicdetect.errors import margin_error_bound  # noqa: E402
 from gsicdetect.oracle import brute_force_j  # noqa: E402
 from gsicdetect.states import _bell_mixture, _min_eigenvalue  # noqa: E402
 
@@ -70,6 +73,41 @@ def test_bell_table_is_the_bell_diagonal_of_any_hermitian_kernel(d, seed):
             vec = np.kron(weyl_operator(d, s, t), np.eye(d)) @ phi
             want = np.vdot(vec, k @ vec).real
             assert abs(got[s, t] - want) <= 1e-13 * np.abs(k).sum(), (s, t)
+
+
+# the rotated_basis fixture is a pure factory, so sharing it across the
+# drawn examples of one test is safe
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(d=st.integers(2, 6), rotated=st.booleans(), data=st.data())
+def test_every_t_up_to_the_cap_builds_a_valid_set(rotated_basis, d, rotated,
+                                                  data):
+    basis = rotated_basis(d) if rotated else gell_mann_basis(d)
+    t = data.draw(st.floats(0.0, feasible_t(basis).t), label="t")
+    outcome = validate_gsic(construct_gsic(basis, t))
+    assert outcome.passed, outcome.deviations
+
+
+@cache
+def _pair(d: int, at_cap: bool, conj: bool):
+    """A Gell-Mann set at the cap or at t = 1e-6, paired with its conjugate
+    or with itself, and the pair's E."""
+    basis = gell_mann_basis(d)
+    p = construct_gsic(basis, max_feasible_t(basis) if at_cap else 1e-6)
+    q = conjugate_gsic(p) if conj else p
+    return p, q, margin_error_bound(p, q)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(d=st.sampled_from([2, 3, 4]), terms=st.integers(1, 9),
+       seed=st.integers(0, 2**32 - 1), at_cap=st.booleans(),
+       conj=st.booleans())
+def test_random_separable_states_are_never_flagged(d, terms, seed, at_cap,
+                                                   conj):
+    p, q, e = _pair(d, at_cap, conj)
+    report = detect_bipartite(random_separable(d, 2, terms, seed), p, q)
+    assert report.verdict == INCONCLUSIVE
+    assert report.margin <= e, (report.margin, e)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Tests for the state factories and tensor utilities."""
 
 import json
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -259,6 +260,51 @@ def test_random_separable_matches_the_per_term_reference(d, parties):
             assert np.array_equal(mat, mat.conj().T)
             assert abs(np.trace(mat) - 1) <= 1e-14
             assert rho.label == label
+
+
+def _two_buffer_random_separable(d, parties, terms, seed):
+    """The same draws and products, with X - X^T formed as its own array."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random(terms)
+    weights /= weights.sum()
+    draws = rng.normal(size=(terms, 2, parties, d))
+    factors = draws[:, 0] + 1j * draws[:, 1]
+    factors /= np.linalg.norm(factors, axis=2, keepdims=True)
+    vecs = factors[:, 0]
+    for k in range(1, parties):
+        vecs = (vecs[:, :, None] * factors[:, k, None, :]).reshape(terms, -1)
+    u = np.sqrt(weights)[:, None] * vecs
+    s = np.concatenate((u.real, u.imag))
+    x = u.imag.T @ u.real
+    mat = np.empty(x.shape, dtype=complex)
+    mat.real = s.T @ s
+    mat.imag = x - x.T
+    return mat
+
+
+@pytest.mark.parametrize("d, parties", [(d, n) for d in (2, 3, 4, 16)
+                                        for n in range(2, 9) if d ** n <= 256])
+def test_random_separable_in_place_matches_the_two_buffer_form(d, parties):
+    for terms in (1, 2, 4, 5, 9):
+        for seed in (0, 1, 17, 2024):
+            mat = random_separable(d, parties, terms, seed).matrix
+            assert np.array_equal(
+                mat, _two_buffer_random_separable(d, parties, terms, seed))
+            assert mat.flags.c_contiguous and mat.flags.owndata
+
+
+@pytest.mark.parametrize("d, parties", [(3, 5), (2, 8), (16, 2)])
+def test_random_separable_peaks_below_two_states(d, parties):
+    # one result buffer and at most one real half-size temporary: about
+    # 1.6 times the state's bytes; a separate X - X^T array reads 2.1
+    random_separable(d, parties, 4, seed=6)
+    tracemalloc.start()
+    try:
+        rho = random_separable(d, parties, 4, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * rho.matrix.nbytes, peak / rho.matrix.nbytes
 
 
 def test_tensor_matches_kron():
