@@ -1,4 +1,4 @@
-"""Shared exception types, tolerances, input checks and J's error bound."""
+"""Shared exception types, tolerances, input checks and error bounds."""
 
 from __future__ import annotations
 
@@ -22,6 +22,12 @@ CAP_EIG_SLACK = 1e-13  # eigensolver noise ignored when choosing which cap on t 
 VALIDATION_TOL = 1e-10
 IMAG_TOL = 1e-8  # largest imaginary residue of a correlation sum
 CORR_IMAG_TOL = 1e-10  # largest imaginary residue of a correlation-matrix entry
+# unit roundoff u of float64, the u of gamma_k = k u / (1 - k u)
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# p(n) = n**EIGVALSH_ERROR_POWER in eigvalsh's eigenvalue error p(n) u ||A||_2,
+# which LAPACK calls modestly growing and leaves unstated; n**2 lies far
+# above the few u ||A||_2 seen in practice
+EIGVALSH_ERROR_POWER = 2
 # Largest local dimension taken from command-line text: a measurement set's
 # (d**2, d, d) complex128 operator stack, 16 d**4 bytes, is 256 MiB at d = 64.
 MAX_DIM = 64
@@ -168,9 +174,32 @@ def purity_range_deviation(d: int, a: float) -> float:
     return max(0.0, 1.0 / d**3 - a, a - 1.0 / d**2)
 
 
+def cholesky_proof_slack(n: int) -> float:
+    """kappa_n = sqrt(2) gamma_{2n+3} + 2 n**EIGVALSH_ERROR_POWER u.
+
+    A Cholesky factor R of fl(A - sigma I), A Hermitian of order n, proves
+    that eigvalsh returns every eigenvalue of A above sigma - kappa_n
+    (|sigma| + ||R||_F**2); states._lowest_eigenvalue derives it.
+    """
+    u = UNIT_ROUNDOFF
+    k = 2 * n + 3
+    return (math.sqrt(2.0) * k * u / (1.0 - k * u)
+            + 2.0 * n ** EIGVALSH_ERROR_POWER * u)
+
+
 def hermiticity_deviation(m: np.ndarray) -> float:
-    """Largest entry of |M - M^H|, for one matrix or a stack of matrices."""
-    return float(np.abs(m - np.swapaxes(m, -1, -2).conj()).max())
+    """Largest entry of |M - M^H|, for one matrix or a stack of matrices.
+
+    0.0 at once when M equals M^H entry for entry, as on any Hermitian
+    stack the package builds.  A NaN entry never compares equal and still
+    reads NaN.  An infinite entry mirrored by its conjugate reads 0.0, not
+    the NaN of inf - inf; from_matrix refuses it before, and validate_gsic
+    fails its stack on completeness.
+    """
+    mh = np.swapaxes(m, -1, -2).conj()
+    if np.array_equal(m, mh):
+        return 0.0
+    return float(np.abs(m - mh).max())
 
 
 def require_real(value, tol: float, what: str) -> np.ndarray:

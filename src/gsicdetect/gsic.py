@@ -18,6 +18,7 @@ most 1/d**2, the rank-one limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -31,8 +32,9 @@ from .errors import (CAP_EIG_SLACK, IMAG_TOL, VALIDATION_TOL,
                      require_real)
 from .operator_basis import (OperatorBasis, ValidationOutcome,
                              hilbert_schmidt_gram)
-from .states import (DensityMatrix, _read_json, _write_json, decode_complex,
-                     decode_float, decode_int, pair_axes)
+from .states import (DensityMatrix, _lowest_eigenvalue, _read_json,
+                     _write_json, decode_complex, decode_float, decode_int,
+                     pair_axes)
 
 
 @dataclass(frozen=True)
@@ -138,12 +140,16 @@ def feasible_t(basis: OperatorBasis) -> FeasibleT:
     Since P_j = I/d**2 + t*M_j with M_j independent of t, the smallest
     eigenvalue of P_j is exactly 1/d**2 + t*lambda_min(M_j), so the
     positivity cap is 1/(d**2 |min_j lambda_min(M_j)|) in closed form.
+    Only the one smallest eigenvalue of the stack is needed: it comes from
+    _lowest_eigenvalue with floor +inf, which solves the chunk of lowest
+    Gershgorin bound and proves the others above it by Cholesky factors,
+    bit for bit the batched eigvalsh minimum.
     """
     d = basis.dim
     t_purity = (d * (d + 1.0)) ** -1.5
     directions = _operators(basis, 1.0)
     directions -= np.eye(d) / d**2
-    lam = float(np.linalg.eigvalsh(directions)[:, 0].min())
+    lam = _lowest_eigenvalue(directions, np.inf)
     if 1.0 / d**2 + t_purity * lam >= -CAP_EIG_SLACK:
         return FeasibleT(t=t_purity, cap="a-max")
     return FeasibleT(t=1.0 / (d * d * abs(lam)), cap="positivity")
@@ -173,7 +179,12 @@ def validate_gsic(g: GsicSet, tol: float = VALIDATION_TOL) -> ValidationOutcome:
     d**2 * max(0, -lambda_min), on the 1/d**2 scale of the operators'
     eigenvalues, the admissible purity range, and a against
     purity_from_t(d, t), which is infinite unless t is finite and
-    nonnegative.
+    nonnegative.  The PSD floor reads only min(0, lambda_min), from
+    _lowest_eigenvalue with floor 0: Cholesky factors prove the operators
+    positive definite, and eigvalsh runs only on a chunk where that proof
+    fails, as on the one singular operator at the cap; the value is bit
+    for bit that of a batched eigvalsh.  An operator stack with a NaN or
+    infinite entry has no spectrum taken and a NaN PSD floor.
     """
     ops = np.asarray(g.operators)
     d = g.dim
@@ -189,8 +200,10 @@ def validate_gsic(g: GsicSet, tol: float = VALIDATION_TOL) -> ValidationOutcome:
     off = gram - (1.0 - d * g.a) / (d * (d * d - 1.0))
     np.fill_diagonal(off, 0.0)
     cross = float(np.abs(off).max())
-    min_eig = float(np.linalg.eigvalsh(ops)[:, 0].min())
-    psd = d * d * max(0.0, -min_eig)
+    # a NaN or infinite entry leaves the completeness residual non-finite,
+    # and so does nothing else but an overflow of the sum
+    psd = (d * d * max(0.0, -_lowest_eigenvalue(ops, 0.0))
+           if math.isfinite(completeness) else np.nan)
     t_purity = abs(purity_from_t(d, g.t) - g.a) if g.t >= 0 else np.inf
     deviations = {
         "hermiticity": herm,
@@ -208,16 +221,17 @@ def validate_gsic(g: GsicSet, tol: float = VALIDATION_TOL) -> ValidationOutcome:
 def _require_valid(g: GsicSet, what: str) -> GsicSet:
     """g, with its largest deviation, if validate_gsic passes it.
 
-    The one gate for every set returned.  A failed psd check raises
-    InfeasibleParameterError with the index and eigenvalue of the worst
-    operator; any other failure raises ValueError naming the largest
-    deviation, a NaN counting as the largest.
+    The one gate for every set returned.  A psd deviation above the
+    tolerance raises InfeasibleParameterError with the index and
+    eigenvalue of the worst operator; any other failure, a NaN psd
+    deviation of a non-finite stack included, raises ValueError naming
+    the largest deviation, a NaN counting as the largest.
     """
     outcome = validate_gsic(g)
     if outcome.passed:
         return replace(g, deviation=max(outcome.deviations.values()))
     dev = outcome.deviations
-    if not dev["psd"] <= outcome.tolerance:
+    if dev["psd"] > outcome.tolerance:
         smallest = np.linalg.eigvalsh(g.operators)[:, 0]
         worst = int(np.argmin(smallest))
         raise InfeasibleParameterError(

@@ -17,7 +17,21 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (HERM_TOL, PSD_TOL, TRACE_TOL, WEIGHT_SUM_TOL, check_dim,
-                     hermiticity_deviation)
+                     cholesky_proof_slack, hermiticity_deviation)
+
+# Matrices below this size go to eigvalsh whole in _min_eigenvalue, where
+# labelling the zero pattern costs more than the spectrum (about n = 40).
+LABEL_MIN_SIZE = 40
+# Stacks of m matrices of order n with m n**3 below this go to eigvalsh
+# whole in _lowest_eigenvalue, where factors save less than their Python
+# cost: a measurement's d**2 operators below d = 8, one matrix below n = 32.
+PROOF_MIN_WORK = 8 ** 5
+# Matrices per Cholesky factor in _lowest_eigenvalue.
+PROOF_CHUNK = 16
+# A lone matrix of at least this order is first factored on its leading
+# quarter, which fails at once on a state of low rank, where a failed
+# factor of the whole would cost about as much as a successful one.
+PROBE_MIN_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -49,11 +63,16 @@ class DensityMatrix:
         It bounds the trace-norm distance from H to a density matrix:
         dropping the negative part of H moves it by that part's weight,
         at most dim max(0, -lambda_min), and rescaling what is left to
-        trace 1 by at most |tau - 1| plus that weight again.  lambda_min
-        comes from _min_eigenvalue, block by block on H's zero pattern,
-        exact because reordering rows and columns alike keeps the spectrum
-        and a block-diagonal one is the union of its blocks': d blocks of
-        d for a two-qudit Bell mixture, one dense O(dim**3) solve otherwise.
+        trace 1 by at most |tau - 1| plus that weight again.  Only
+        min(0, lambda_min) is read.  A dense first row of H sends it to
+        _lowest_eigenvalue with floor 0, which proves H positive definite
+        by a Cholesky factor and takes the O(dim**3) spectrum only when
+        that proof fails, as on a rank-deficient state.  Otherwise
+        lambda_min comes from _min_eigenvalue, block by block on H's zero
+        pattern, exact because reordering rows and columns alike keeps the
+        spectrum and a block-diagonal one is the union of its blocks': d
+        blocks of d for a two-qudit Bell mixture.  Either way the value is
+        bit for bit that of eigvalsh.
         """
         mat = np.asarray(matrix, dtype=complex)
         check_dim(local_dim)
@@ -70,7 +89,11 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"matrix has trace {tr}, expected 1")
-        min_eig = _min_eigenvalue(0.5 * mat + 0.5 * mat.conj().T)
+        h = 0.5 * mat + 0.5 * mat.conj().T
+        if (h[0] != 0).all():
+            min_eig = _lowest_eigenvalue(h[None], 0.0)
+        else:
+            min_eig = _min_eigenvalue(h)
         if min_eig < -PSD_TOL:
             raise ValueError(f"matrix has negative eigenvalue {min_eig:.3e}")
         return cls(local_dim=local_dim, parties=parties, matrix=mat,
@@ -91,10 +114,11 @@ def _min_eigenvalue(h: np.ndarray) -> float:
     the spectrum, and a block-diagonal spectrum is the union of its
     blocks' spectra.  A two-qudit Bell mixture and its partial transpose
     split into d blocks of size d, d solves of O(d**3) in place of one of
-    O(d**6).  A first row with no zero entry, as in a dense state, or a
-    pattern of one component goes to eigvalsh whole.
+    O(d**6).  A matrix below LABEL_MIN_SIZE, where the labelling costs
+    more than the spectrum, a first row with no zero entry, as in a dense
+    state, or a pattern of one component goes to eigvalsh whole.
     """
-    if (h[0] != 0).all():
+    if len(h) < LABEL_MIN_SIZE or (h[0] != 0).all():
         return float(np.linalg.eigvalsh(h)[0])
     nz = h != 0
     nz |= nz.T  # hooking pulls along each stored direction only
@@ -117,6 +141,99 @@ def _min_eigenvalue(h: np.ndarray) -> float:
         blocks = h[idx[:, :, None], idx[:, None, :]]
         lowest = min(lowest, np.linalg.eigvalsh(blocks)[:, 0].min())
     return float(lowest)
+
+
+def _lowest_eigenvalue(stack: np.ndarray, floor: float) -> float:
+    """min(floor, smallest eigenvalue over a stack of Hermitian matrices).
+
+    The value is bit for bit min(floor, eigvalsh(stack)[:, 0].min()), but
+    eigvalsh runs only where a Cholesky factor cannot prove the answer.
+    Like eigvalsh, the factor reads each matrix's lower triangle only.  A
+    stack of m matrices of order n with m n**3 below PROOF_MIN_WORK goes
+    to eigvalsh whole.  Else the matrices are ordered by Gershgorin lower
+    bound, lowest first, and walked in chunks of PROOF_CHUNK against a
+    running floor f: floor, lowered to each solved chunk's smallest
+    eigenvalue, so that the chunk holding the minimum tends to come
+    first and set f for the proofs of the others.  A chunk is
+    skipped when a factor of it shifted by sigma, just above f, proves
+    that eigvalsh would return all its eigenvalues above f, so that they
+    cannot change the minimum.  A chunk goes to eigvalsh when f is
+    infinite, when it holds a non-finite entry, or when the factor fails
+    or proves too little.
+
+    The proof, for A of order n in a chunk, with u the unit roundoff and
+    gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sections 3.1, 3.6 and 10.1):
+
+    1. The shift.  B = fl(A - sigma I) differs from A - sigma I on the
+       diagonal only, by D with |D_ii| <= gamma_1 |B_ii|.
+    2. The factor.  If it completes, R^H R = B + dB with |dB| <= sqrt(2)
+       gamma_{2(n+1)} |R^H| |R|.  Theorem 10.3 has gamma_{n+1} for real
+       arithmetic.  In complex arithmetic with conventional products (no
+       Strassen-like or 3M multiplication), the real and the imaginary
+       part of an entry of R^H R are each a real inner product of at most
+       2(n + 1) terms, whatever the blocking and summation order, and the
+       modulus of the pair costs the sqrt(2) (section 3.6).
+    3. The bound.  R^H R is positive semidefinite and ||dB||_2 <= ||dB||_F
+       <= sqrt(2) gamma_{2(n+1)} F with F = ||R||_F**2, and ||D||_2 <=
+       gamma_1 (1 + sqrt(2) gamma_{2(n+1)}) F, since |B_ii| <= (R^H R)_ii
+       + |dB_ii|.  So lambda_min(A) >= sigma - sqrt(2) gamma_{2n+3} F
+       (Lemma 3.3).
+    4. eigvalsh.  It returns each eigenvalue within p(n) u ||A||_2
+       (LAPACK Users' Guide, section 4.7), with p(n) = n**2 taken, and
+       ||A||_2 <= |sigma| + (1 + O(n u)) F.  So every eigenvalue eigvalsh
+       returns exceeds sigma - kappa_n (|sigma| + F), with kappa_n =
+       sqrt(2) gamma_{2n+3} + 2 p(n) u (errors.cholesky_proof_slack): the
+       second p(n) u covers the relative O(n**2 u) roundings of the check.
+
+    The chunk is proved when sigma - f > kappa_n (|sigma| + F) for its
+    largest F.  sigma = f + 2 kappa_n (T - n f + |f|), T the chunk's
+    largest trace, is about twice that bound, since F is about Tr A - n
+    sigma; a successful factor thus proves all but what lies within about
+    4 kappa_n (T + (n + 1) |f|) of f: 4 kappa_n is 2.5e-13 at n = 16
+    and 5.9e-11 at n = 256.
+    """
+    m, n = len(stack), stack.shape[-1]
+    if m * n ** 3 < PROOF_MIN_WORK:
+        return min(floor, float(np.linalg.eigvalsh(stack)[:, 0].min()))
+    diag = np.einsum("kii->ki", stack).real
+    rows = np.abs(stack).sum(axis=2)
+    bounds = (diag + np.abs(diag) - rows).min(axis=1)
+    order = np.argsort(bounds, kind="stable")
+    traces = diag.sum(axis=1)
+    kappa = cholesky_proof_slack(n)
+    lowest = floor
+    for start in range(0, m, PROOF_CHUNK):
+        idx = order[start:start + PROOF_CHUNK]
+        if (math.isfinite(lowest) and np.isfinite(bounds[idx]).all()
+                and _proves_above(stack[idx], float(traces[idx].max()),
+                                  lowest, kappa)):
+            continue
+        chunk = stack if len(idx) == m else stack[idx]
+        lowest = min(lowest, float(np.linalg.eigvalsh(chunk)[:, 0].min()))
+    return lowest
+
+
+def _proves_above(b: np.ndarray, trace: float, floor: float,
+                  kappa: float) -> bool:
+    """Whether a factor of b, shifted in place, puts its eigenvalues above floor.
+
+    b is a chunk of _lowest_eigenvalue, copied for it, trace its largest
+    trace and kappa its kappa_n.
+    """
+    n = b.shape[-1]
+    shift = floor + 2.0 * kappa * (trace - n * floor + abs(floor))
+    i = np.arange(n)
+    b[:, i, i] -= shift  # in place whatever b's memory order
+    try:
+        if len(b) == 1 and n >= PROBE_MIN_SIZE:
+            np.linalg.cholesky(b[:, :n // 4, :n // 4])
+        r = np.linalg.cholesky(b)
+    except np.linalg.LinAlgError:
+        return False
+    r = r.view(r.real.dtype)
+    fro2 = float(np.einsum("kij,kij->k", r, r).max())
+    return shift - floor > kappa * (abs(shift) + fro2)
 
 
 def pair_axes(rho: DensityMatrix) -> np.ndarray:

@@ -52,6 +52,20 @@ def test_hermiticity_deviation_of_a_matrix_and_a_stack():
     assert hermiticity_deviation(np.stack([m, bad, m])) == 0.5
 
 
+def test_hermiticity_deviation_is_the_full_formula_off_the_exact_case():
+    # an exactly Hermitian stack returns 0.0 at once; anything else,
+    # a NaN entry included, gets the largest |M - M^H| entry as before
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    herm = z + np.swapaxes(z, 1, 2).conj()
+    assert hermiticity_deviation(herm) == 0.0
+    for bad in (z, herm + 1e-13 * z):
+        assert hermiticity_deviation(bad) == float(
+            np.abs(bad - np.swapaxes(bad, 1, 2).conj()).max())
+    herm[2, 1, 1] = np.nan
+    assert np.isnan(hermiticity_deviation(herm))
+
+
 def test_require_real_rejects_residue_and_nan():
     assert require_real(2.0 + 1e-12j, 1e-10, "x") == 2.0
     assert np.array_equal(require_real(np.array([1.0, 2.0 + 1e-12j]), 1e-10,

@@ -3,6 +3,7 @@
 import base64
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,9 @@ from gsicdetect import (InfeasibleParameterError, NumericIntegrityError,
                         max_feasible_t, read_gsic, read_state, validate_gsic,
                         verify_basis, write_gsic, write_state)
 from gsicdetect.errors import hermiticity_deviation
+from gsicdetect.gsic import _require_valid
 from gsicdetect.operator_basis import hilbert_schmidt_gram
-from gsicdetect.states import DensityMatrix
+from gsicdetect.states import PROOF_CHUNK, DensityMatrix
 
 DATA = Path(__file__).parent / "data"
 
@@ -389,6 +391,52 @@ def test_validation_fails_a_nan_purity_on_the_range_check():
     g = construct_gsic(gell_mann_basis(2), 0.05)
     deviations = validate_gsic(dataclasses.replace(g, a=float("nan"))).deviations
     assert np.isnan(deviations["a_range"])
+
+
+@pytest.mark.parametrize("d", [3, 8])
+@pytest.mark.parametrize("where", [(0, 0), (1, 0)], ids=["diagonal", "lower"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_validation_reports_a_non_finite_entry(d, where, value):
+    # no spectrum and no factor: the psd deviation is NaN, the outcome
+    # fails, and the gate names a deviation in a ValueError, all without
+    # a warning; d = 3 takes eigvalsh whole, d = 8 the Cholesky proofs
+    basis = gell_mann_basis(d)
+    g = construct_gsic(basis, feasible_t(basis).t)
+    ops = g.operators.copy()
+    ops[d][where] = value
+    bad = dataclasses.replace(g, operators=ops)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcome = validate_gsic(bad)
+        assert not outcome.passed
+        assert np.isnan(outcome.deviations["psd"])
+        with pytest.raises(ValueError, match="fails validation") as err:
+            _require_valid(bad, "the set")
+    assert not isinstance(err.value, InfeasibleParameterError)
+
+
+def test_a_d16_build_solves_two_chunks_for_the_cap_and_one_per_gate(
+        monkeypatch, tmp_path):
+    # matrices handed to eigvalsh, against the 256 operators of a set
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        solved.append(len(a) if a.ndim == 3 else 1)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    basis = gell_mann_basis(16)
+    cap = feasible_t(basis).t
+    assert sum(solved) <= 2 * PROOF_CHUNK, solved
+    solved.clear()
+    g = construct_gsic(basis, cap)
+    assert sum(solved) <= PROOF_CHUNK, solved
+    path = tmp_path / "set.json"
+    write_gsic(g, path)
+    solved.clear()
+    read_gsic(path)
+    assert sum(solved) <= PROOF_CHUNK, solved
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])

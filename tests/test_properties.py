@@ -2,6 +2,7 @@
 
 from functools import cache
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -10,15 +11,19 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import (HealthCheck, given, settings,  # noqa: E402
                         strategies as st)
 
-from gsicdetect import (INCONCLUSIVE, DensityMatrix,  # noqa: E402
+from gsicdetect import (INCONCLUSIVE, DensityMatrix, GsicSet,  # noqa: E402
                         conjugate_gsic, construct_gsic, detect_bipartite,
                         feasible_t, gell_mann_basis, j_multipartite,
-                        max_feasible_t, multipartite_bound, random_separable,
+                        isotropic, max_feasible_t, multipartite_bound,
+                        partial_transpose, purity_from_t, random_separable,
                         validate_gsic, weyl_operator)
+from gsicdetect import states  # noqa: E402
 from gsicdetect.criteria import _Witness  # noqa: E402
-from gsicdetect.errors import margin_error_bound  # noqa: E402
+from gsicdetect.errors import CAP_EIG_SLACK, margin_error_bound  # noqa: E402
+from gsicdetect.gsic import _operators  # noqa: E402
 from gsicdetect.oracle import brute_force_j  # noqa: E402
-from gsicdetect.states import _bell_mixture, _min_eigenvalue  # noqa: E402
+from gsicdetect.states import (_bell_mixture, _lowest_eigenvalue,  # noqa: E402
+                               _min_eigenvalue)
 
 
 @cache
@@ -148,6 +153,10 @@ def test_j_multipartite_matches_brute_force_on_any_set_tuple(drawn, separable,
         assert got <= bound * (1 + 1e-12)
 
 
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
 def _hermitian(rng, n):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return z + z.conj().T
@@ -189,6 +198,15 @@ def test_min_eigenvalue_of_a_dense_matrix_with_one_zero(i, j):
     _assert_lowest_matches_eigvalsh(h)
 
 
+@pytest.mark.parametrize("d", range(2, 7))
+def test_min_eigenvalue_below_the_label_size_is_the_whole_spectrum(d):
+    # a Bell mixture's partial transpose has d blocks, but below
+    # LABEL_MIN_SIZE it goes to eigvalsh whole, bit for bit
+    h = partial_transpose(isotropic(d, 0.3), 1)
+    assert len(h) < states.LABEL_MIN_SIZE
+    assert _bits(_min_eigenvalue(h)) == _bits(np.linalg.eigvalsh(h)[0])
+
+
 def test_min_eigenvalue_of_a_permuted_path():
     # a tridiagonal pattern, permuted: one component that the labelling
     # reaches only through long chains of neighbours
@@ -199,3 +217,121 @@ def test_min_eigenvalue_of_a_permuted_path():
     h += np.diag(off, 1) + np.diag(off.conj(), -1)
     perm = rng.permutation(n)
     _assert_lowest_matches_eigvalsh(h[perm][:, perm])
+
+
+@st.composite
+def _hermitian_stacks(draw):
+    """A stack of 1..40 Hermitian matrices of order 2..16, real or complex,
+    PSD, rank-deficient or indefinite, one of them with its lowest
+    eigenvalue set to 0, +-1e-17, 1e-13 or 1e-9 times the scale,
+    sometimes junk above the diagonal, which eigvalsh does not read, and
+    in C order, Fortran order or a strided view."""
+    m = draw(st.integers(1, 40), label="m")
+    n = draw(st.integers(2, 16), label="n")
+    real = draw(st.booleans(), label="real")
+    kind = draw(st.sampled_from(["psd", "rank-deficient", "indefinite"]))
+    target = draw(st.sampled_from([0.0, 1e-17, -1e-17, 1e-13, 1e-9]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    junk = draw(st.booleans(), label="junk")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    z = rng.normal(size=(m, n, n))
+    if not real:
+        z = z + 1j * rng.normal(size=(m, n, n))
+    vecs = np.linalg.qr(z)[0]
+    if kind == "indefinite":
+        w = rng.normal(size=(m, n))
+    else:
+        w = rng.uniform(0.1, 1.0, size=(m, n))
+        if kind == "rank-deficient":
+            w[:, :n // 2] = 0.0
+    w[rng.integers(m), 0] = target
+    w = np.sort(w, axis=1) * scale
+    stack = (vecs * w[:, None, :]) @ np.swapaxes(vecs, 1, 2).conj()
+    if junk:
+        upper = np.triu_indices(n, 1)
+        stack[:, upper[0], upper[1]] += scale * rng.normal(size=len(upper[0]))
+    layout = draw(st.sampled_from(["C", "F", "strided"]), label="layout")
+    if layout == "F":
+        return np.asfortranarray(stack)
+    if layout == "strided":
+        # every other matrix of a stack twice as long, with both axes reversed
+        # and restored, so that no axis is contiguous
+        doubled = np.repeat(stack[:, ::-1, ::-1], 2, axis=0)
+        return doubled[::2, ::-1, ::-1]
+    return stack
+
+
+# drawn stacks are too small to reach the factors at the package's
+# threshold unless it is lifted, so half the examples lift it
+@settings(max_examples=300, deadline=None, database=None)
+@given(stack=_hermitian_stacks(),
+       floor_kind=st.sampled_from(["0", "inf", "min-ulp", "min+ulp"]),
+       every_stack=st.booleans())
+def test_lowest_eigenvalue_is_bit_for_bit_the_eigvalsh_minimum(
+        stack, floor_kind, every_stack):
+    lowest = float(np.linalg.eigvalsh(stack)[:, 0].min())
+    floor = {"0": 0.0, "inf": np.inf,
+             "min-ulp": np.nextafter(lowest, -np.inf),
+             "min+ulp": np.nextafter(lowest, np.inf)}[floor_kind]
+    threshold = 0 if every_stack else states.PROOF_MIN_WORK
+    with patch.object(states, "PROOF_MIN_WORK", threshold):
+        got = _lowest_eigenvalue(stack, floor)
+    assert _bits(got) == _bits(min(floor, lowest)), (got, floor, lowest)
+
+
+def _spectrum_cap(basis) -> float:
+    # feasible_t with the batched eigvalsh of every direction
+    d = basis.dim
+    directions = _operators(basis, 1.0)
+    directions -= np.eye(d) / d**2
+    lam = float(np.linalg.eigvalsh(directions)[:, 0].min())
+    t_purity = (d * (d + 1.0)) ** -1.5
+    if 1.0 / d**2 + t_purity * lam >= -CAP_EIG_SLACK:
+        return t_purity
+    return 1.0 / (d * d * abs(lam))
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(d=st.integers(2, 16), rotated=st.booleans(),
+       stretch=st.sampled_from([0.0, 1e-6, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-14,
+                                1.0 + 1e-9]))
+def test_cap_and_psd_deviation_match_the_whole_spectrum(rotated_basis, d,
+                                                       rotated, stretch):
+    basis = rotated_basis(d) if rotated else gell_mann_basis(d)
+    cap = feasible_t(basis).t
+    assert _bits(cap) == _bits(_spectrum_cap(basis))
+    # the operators at stretch * cap, built as construct_gsic would, so
+    # that a stretch above 1 reaches validate_gsic too
+    t = stretch * cap
+    ops = _operators(basis, t)
+    g = GsicSet(dim=d, t=t, a=purity_from_t(d, t), operators=ops,
+                basis_id=basis.basis_id)
+    dev = validate_gsic(g).deviations
+    assert _bits(dev["psd"]) == _bits(
+        d * d * max(0.0, -np.linalg.eigvalsh(ops)[:, 0].min()))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(d=st.integers(2, 8), rank=st.integers(1, 64),
+       nudge=st.sampled_from([0.0, -1e-13, 1e-12]),
+       seed=st.integers(0, 2**32 - 1))
+def test_from_matrix_deviation_matches_the_whole_spectrum(d, rank, nudge,
+                                                         seed):
+    # dense two-qudit states of any rank, the lowest eigenvalue sometimes
+    # nudged just below or above 0
+    n = d * d
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, min(rank, n))) + 1j * rng.normal(
+        size=(n, min(rank, n)))
+    mat = z @ z.conj().T
+    if nudge:
+        w, v = np.linalg.eigh(mat)
+        w[0] = nudge * w[-1]
+        mat = (v * w) @ v.conj().T
+    mat /= np.trace(mat).real
+    rho = DensityMatrix.from_matrix(mat, d, 2)
+    h = 0.5 * mat + 0.5 * mat.conj().T
+    plain = (abs(np.trace(mat) - 1.0)
+             + 2.0 * n * max(0.0, -np.linalg.eigvalsh(h)[0]))
+    assert _bits(rho.deviation) == _bits(plain)
