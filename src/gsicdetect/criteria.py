@@ -27,9 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (CORR_IMAG_TOL, IMAG_TOL, PURITY_MATCH_TOL, RANGE_SLACK,
-                     check_dim, check_measurements, margin_error_bound,
-                     purity_range_deviation, require_real)
+from .errors import (CORR_IMAG_TOL, IMAG_TOL, MAX_STEPS, PURITY_MATCH_TOL,
+                     RANGE_SLACK, check_dim, check_measurements,
+                     margin_error_bound, purity_range_deviation, require_real)
 from .gsic import GsicSet, _purity_excess, conjugate_gsic, construct_gsic
 from .operator_basis import OperatorBasis, gell_mann_basis
 from .states import (DensityMatrix, _bell_kets, _bell_mixture,
@@ -118,19 +118,30 @@ class _Witness:
         return require_real(np.fft.ifft(h, axis=0), IMAG_TOL,
                             "correlation sum")
 
+    def assess(self, deviation, trace):
+        """j_value, margin and flag of states from deviation and Tr(K rho).
+
+        j_value is 1/d**2 + trace, the margin is trace - excess, and a
+        state is flagged when its margin exceeds error_bound plus its
+        deviation.  Floats give floats, and arrays give arrays with one
+        entry per state.
+        """
+        margin = trace - self.excess
+        return (1.0 / self.p.dim ** 2 + trace, margin,
+                margin > self.error_bound + deviation)
+
     def report(self, label: str, deviation: float,
                trace: float) -> DetectionReport:
-        """Report of a state from its label, deviation and Tr(K rho).
+        """Report of a state from its label, deviation and Tr(K rho)."""
+        return self.make_report(label, *self.assess(deviation, trace))
 
-        j_value is 1/d**2 + trace, and the state is flagged when the
-        margin exceeds error_bound plus its deviation.
-        """
+    def make_report(self, label: str, j_value: float, margin: float,
+                    flagged: bool) -> DetectionReport:
+        """Report of a state from its label and what assess gives."""
         p = self.p
-        margin = trace - self.excess
-        flagged = margin > self.error_bound + deviation
         return DetectionReport(
             state_label=label, dim=p.dim, parties=2, t=p.t, a=p.a,
-            j_value=1.0 / p.dim ** 2 + trace, bound=self.bound, margin=margin,
+            j_value=j_value, bound=self.bound, margin=margin,
             verdict=ENTANGLED_DETECTED if flagged else INCONCLUSIVE)
 
 
@@ -284,8 +295,9 @@ def _belldiag_c(d: int, c: float) -> DensityMatrix:
     return _bell_mixture(*_belldiag_c_weights(d, c))
 
 
-# family -> dimension -> (grid start, factory of a grid point's Bell-label
-# weight table and state label); every grid ends at 1
+# family -> dimension -> (grid start, factory of the Bell-label weight
+# tables and state labels of a grid, or of one point given a float); every
+# grid ends at 1
 SCAN_FAMILIES = {
     "isotropic": lambda d: (0.0, lambda x: _isotropic_weights(d, x)),
     "belldiag-c": lambda d: (1.0 / (d * d),
@@ -310,8 +322,13 @@ def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
     conj(p), and the pair's witness and its Bell table B are built once:
     a grid state is then its weight table W, the one the family's state
     constructor mixes, and Tr(K rho) = W . B, a dot product of d**2
-    terms, gives both its J and its margin.  Its report, label and
-    deviation |sum W - 1| included, is the one detect_bipartite gives
+    terms, gives both its J and its margin.  The whole grid is one
+    (steps, d, d) stack of tables from the family's weight helper, one
+    reduction gives every deviation |sum W - 1|, and array expressions
+    (_Witness.assess) every J, margin and verdict; only W . B runs per
+    row, as the dot product a lone table gets, bit for bit.  At most
+    MAX_STEPS steps, which bounds the stack's memory.  Each report,
+    label and deviation included, is the one detect_bipartite gives
     the constructed state, up to rounding well inside E (see
     errors.margin_error_bound).  Each state is affine in its
     parameter and Tr(K rho) is linear in rho, so the margin is affine
@@ -324,8 +341,9 @@ def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
     rise is certainly real.  Otherwise the crossing is NaN, as it is
     when the grid never crosses the bound.
     """
-    if steps < 10:
-        raise ValueError(f"need at least 10 grid steps, got {steps}")
+    if not 10 <= steps <= MAX_STEPS:
+        raise ValueError(f"need 10 to MAX_STEPS = {MAX_STEPS} grid steps, "
+                         f"got {steps}")
     if p.t <= 0:
         raise ValueError(f"scan needs a positive mixing parameter, got {p.t}")
     if family not in SCAN_FAMILIES:
@@ -335,12 +353,14 @@ def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
     w = _Witness(p, conjugate_gsic(p))
     bell = w.bell_table().ravel()
     grid = np.linspace(start, 1.0, steps)
-    reports = []
-    for x in grid:
-        table, label = weights(float(x))
-        reports.append(w.report(label, _weights_deviation(table),
-                                float(table.ravel() @ bell)))
-    m = np.array([r.margin for r in reports])
+    tables, labels = weights(grid)
+    flat = tables.reshape(steps, -1)
+    # one d**2-term dot product per row, as a lone table gets: a stacked
+    # flat @ bell (GEMV) rounds otherwise on some rows
+    traces = np.array([row @ bell for row in flat])
+    j_values, m, flagged = w.assess(_weights_deviation(tables), traces)
+    reports = list(map(w.make_report, labels, j_values.tolist(), m.tolist(),
+                       flagged.tolist()))
     threshold = float("nan")
     crossed = np.flatnonzero((m[:-1] <= 0.0) & (m[1:] > 0.0))
     if np.all(np.diff(m) > 2.0 * w.error_bound) and crossed.size:

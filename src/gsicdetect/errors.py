@@ -31,6 +31,9 @@ EIGVALSH_ERROR_POWER = 2
 # Largest local dimension taken from command-line text: a measurement set's
 # (d**2, d, d) complex128 operator stack, 16 d**4 bytes, is 256 MiB at d = 64.
 MAX_DIM = 64
+# Largest scan grid: its (steps, d, d) stack of weight tables takes 8 steps
+# d**2 bytes, 328 MB at MAX_DIM.
+MAX_STEPS = 10_000
 
 
 class NumericIntegrityError(ArithmeticError):

@@ -256,9 +256,12 @@ def _bell_kets(d: int) -> np.ndarray:
     return j[:, None] * d + (j[:, None] + j) % d
 
 
-def _weights_deviation(weights: np.ndarray) -> float:
-    """Deviation of a Bell mixture with nonnegative weights: |sum - 1|."""
-    return abs(float(weights.sum()) - 1.0)
+def _weights_deviation(weights: np.ndarray) -> np.ndarray | float:
+    """Deviation of a Bell mixture with nonnegative weights: |sum - 1|.
+
+    Over the last two axes, so a stack of (d, d) tables gives one per table.
+    """
+    return abs(weights.sum(axis=(-2, -1)) - 1.0)
 
 
 def _bell_mixture(weights: np.ndarray, label: str) -> DensityMatrix:
@@ -275,39 +278,57 @@ def _bell_mixture(weights: np.ndarray, label: str) -> DensityMatrix:
     mat = np.zeros((d * d, d * d), dtype=complex)
     mat[ket[:, None], ket[None]] = coeff[(j[:, None] - j) % d]
     return DensityMatrix(local_dim=d, parties=2, matrix=mat, label=label,
-                         deviation=_weights_deviation(weights))
+                         deviation=float(_weights_deviation(weights)))
 
 
 # Weight table and label of each mixture family that criteria.scan_family
-# scans, shared with the family's state constructor.
+# scans, shared with the family's state constructor.  Each takes its
+# parameter as a float, for one (d, d) table and its label, or as a 1-D
+# array, for a stack of tables, one per entry, and a list of labels; a
+# row of the stack holds the very bits the float gives.  table.T puts
+# the stack axis last, where the parameter broadcasts.
 
-def _isotropic_weights(d: int, alpha: float) -> tuple[np.ndarray, str]:
+def _labels(prefix: str, x) -> str | list[str]:
+    """prefix followed by x in %g form, one label per entry of an array."""
+    if isinstance(x, np.ndarray):
+        return [f"{prefix}{v:g}" for v in x.tolist()]
+    return f"{prefix}{x:g}"
+
+
+def _isotropic_weights(d: int, alpha) -> tuple[np.ndarray, str | list[str]]:
     """Table and label of isotropic(d, alpha)."""
-    table = np.full((d, d), (1.0 - alpha) / (d * d))
-    table[0, 0] += alpha
-    return table, f"isotropic-d{d}-alpha{alpha:g}"
+    table = np.empty(getattr(alpha, "shape", ()) + (d, d))
+    table.T[...] = (1.0 - alpha) / (d * d)
+    table.T[0, 0] += alpha
+    return table, _labels(f"isotropic-d{d}-alpha", alpha)
 
 
-def _belldiag_c_weights(d: int, c: float) -> tuple[np.ndarray, str]:
-    """Weight c on the identity Bell label, the rest spread uniformly."""
-    table = np.full((d, d), (1.0 - c) / (d * d - 1.0))
-    table[0, 0] = c
-    return table, f"belldiag-d{d}-c{table.max():g}"
+def _belldiag_c_weights(d: int, c) -> tuple[np.ndarray, str | list[str]]:
+    """Weight c on the identity Bell label, the rest spread uniformly.
+
+    The label carries the table's largest weight.
+    """
+    table = np.empty(getattr(c, "shape", ()) + (d, d))
+    table.T[...] = (1.0 - c) / (d * d - 1.0)
+    table.T[0, 0] = c
+    return table, _labels(f"belldiag-d{d}-c", table.max(axis=(-2, -1)))
 
 
-def _diagmix_weights(d: int, a1: float,
-                     tail: np.ndarray | None = None) -> tuple[np.ndarray, str]:
+def _diagmix_weights(d: int, a1, tail: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, str | list[str]]:
     """Table and label of diagonal_mixture(d, a1, tail).
 
     Offset delta's tail weight is spread over the d labels (s, delta); the
-    default tail spreads 1 - a1 evenly over the d - 1 offsets.
+    default tail spreads 1 - a1 evenly over the d - 1 offsets.  A custom
+    tail goes with a float a1.
     """
+    table = np.zeros(getattr(a1, "shape", ()) + (d, d))
     if tail is None:
-        tail = np.full(d - 1, (1.0 - a1) / (d - 1))
-    table = np.zeros((d, d))
-    table[:, 1:] = tail / d
-    table[0, 0] = a1
-    return table, f"diagmix-d{d}-a1{a1:g}"
+        table.T[1:] = (1.0 - a1) / (d - 1) / d
+    else:
+        table[:, 1:] = tail / d
+    table.T[0, 0] = a1
+    return table, _labels(f"diagmix-d{d}-a1", a1)
 
 
 def max_entangled(d: int) -> DensityMatrix:

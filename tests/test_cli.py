@@ -15,7 +15,7 @@ from gsicdetect import cli, states
 from gsicdetect import (construct_gsic, gell_mann_basis, max_entangled,
                         max_feasible_t, read_gsic, write_gsic, write_state)
 from gsicdetect.cli import main
-from gsicdetect.errors import MAX_DIM
+from gsicdetect.errors import MAX_DIM, MAX_STEPS
 from gsicdetect.states import DensityMatrix
 
 
@@ -296,6 +296,20 @@ def test_scan_input_checks(tmp_path, capsys):
     assert main(["scan", "--family", "isotropic", "--dim", "2", "--t", "0",
                  "--csv", str(csv)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("steps", [MAX_STEPS + 1, 10 ** 8, 10 ** 12])
+def test_scan_steps_above_max_steps_exit_2_at_once(tmp_path, capsys, steps):
+    csv = tmp_path / "x.csv"
+    start = time.perf_counter()
+    rc = main(["scan", "--family", "isotropic", "--dim", "3", "--t", "1e-6",
+               "--steps", str(steps), "--csv", str(csv)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert elapsed < 1.0
+    assert f"MAX_STEPS = {MAX_STEPS}" in captured.err
+    assert captured.out == "" and not csv.exists()
 
 
 def test_argparse_usage_errors():

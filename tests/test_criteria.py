@@ -1,6 +1,7 @@
 """Tests for the correlation-sum entanglement tests."""
 
 import dataclasses
+import functools
 import gc
 import weakref
 
@@ -16,10 +17,10 @@ from gsicdetect import (ENTANGLED_DETECTED, INCONCLUSIVE,
                         multipartite_bound, random_separable, read_gsic,
                         scan_family, trace_t_bound, write_gsic)
 from gsicdetect import criteria
-from gsicdetect.criteria import SCAN_FAMILIES, _belldiag_c
-from gsicdetect.errors import margin_error_bound
+from gsicdetect.criteria import SCAN_FAMILIES, DetectionReport, _belldiag_c
+from gsicdetect.errors import MAX_STEPS, margin_error_bound
 from gsicdetect.oracle import brute_force_j
-from gsicdetect.states import DensityMatrix
+from gsicdetect.states import DensityMatrix, _weights_deviation
 
 
 def _pair(d, t=None):
@@ -309,6 +310,97 @@ def test_scan_reports_match_detect_on_the_constructed_states(family, d):
             table, label = weights(float(x))
             assert label == rho.label
             assert abs(float(table.sum()) - 1.0) == rho.deviation
+
+
+def _reference_weights(family, d, x):
+    """One grid point's weight table and label, written for a float x only."""
+    if family == "isotropic":
+        table = np.full((d, d), (1.0 - x) / (d * d))
+        table[0, 0] += x
+        return table, f"isotropic-d{d}-alpha{x:g}"
+    if family == "belldiag-c":
+        table = np.full((d, d), (1.0 - x) / (d * d - 1.0))
+        table[0, 0] = x
+        return table, f"belldiag-d{d}-c{table.max():g}"
+    tail = np.full(d - 1, (1.0 - x) / (d - 1))
+    table = np.zeros((d, d))
+    table[:, 1:] = tail / d
+    table[0, 0] = x
+    return table, f"diagmix-d{d}-a1{x:g}"
+
+
+def _reference_scan_reports(family, p, steps):
+    """scan_family's reports, one table, dot product and report per point."""
+    d = p.dim
+    start, _ = SCAN_FAMILIES[family](d)
+    w = criteria._Witness(p, conjugate_gsic(p))
+    bell = w.bell_table().ravel()
+    reports = []
+    for x in np.linspace(start, 1.0, steps):
+        table, label = _reference_weights(family, d, float(x))
+        deviation = abs(float(table.sum()) - 1.0)
+        trace = float(table.ravel() @ bell)
+        margin = trace - w.excess
+        flagged = margin > w.error_bound + deviation
+        reports.append(DetectionReport(
+            state_label=label, dim=d, parties=2, t=p.t, a=p.a,
+            j_value=1.0 / d ** 2 + trace, bound=w.bound, margin=margin,
+            verdict=ENTANGLED_DETECTED if flagged else INCONCLUSIVE))
+    return reports
+
+
+@functools.cache
+def _scan_set(d, t):
+    """A Gell-Mann set at t, or at the cap for t = "cap"."""
+    basis = gell_mann_basis(d)
+    return construct_gsic(basis, max_feasible_t(basis) if t == "cap" else t)
+
+
+@pytest.mark.parametrize("family", list(SCAN_FAMILIES))
+@pytest.mark.parametrize("d, t", [
+    *((d, t) for d in (2, 3, 4, 6, 8, 16) for t in ("cap", 1e-6, 1e-9)),
+    (32, "cap")])
+def test_scan_reports_equal_the_per_point_reference(family, d, t):
+    # the stacked tables, the one deviation reduction and the array
+    # margins must give, bit for bit, what one table, one sum and one
+    # report per grid point give; repr pins the float type the CSV prints
+    p = _scan_set(d, t)
+    got = scan_family(family, p, 40).reports
+    want = _reference_scan_reports(family, p, 40)
+    assert got == want
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+
+
+@pytest.mark.parametrize("family", list(SCAN_FAMILIES))
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 16, 32])
+def test_weight_stack_rows_are_the_scalar_tables(family, d):
+    # the scan grid and random parameters: each row of the stack, its
+    # label and its deviation are what the helper gives for a float,
+    # and what the float-only reference gives
+    start, weights = SCAN_FAMILIES[family](d)
+    rng = np.random.default_rng(d)
+    params = np.concatenate((np.linspace(start, 1.0, 40),
+                             rng.uniform(start, 1.0, 20)))
+    tables, labels = weights(params)
+    deviations = _weights_deviation(tables)
+    assert tables.shape == (len(params), d, d)
+    assert len(labels) == len(deviations) == len(params)
+    for x, table, label, deviation in zip(params.tolist(), tables, labels,
+                                          deviations.tolist()):
+        one, one_label = weights(x)
+        ref, ref_label = _reference_weights(family, d, x)
+        assert one.shape == (d, d)
+        assert one.tobytes() == table.tobytes() == ref.tobytes()
+        assert one_label == label == ref_label
+        assert deviation == abs(float(ref.sum()) - 1.0)
+
+
+def test_scan_refuses_a_grid_outside_its_bounds():
+    p = _scan_set(2, "cap")
+    for steps in (-1, 9, MAX_STEPS + 1, 10 ** 12):
+        with pytest.raises(ValueError, match="grid steps"):
+            scan_family("isotropic", p, steps)
+    assert len(scan_family("isotropic", p, MAX_STEPS).reports) == MAX_STEPS
 
 
 def _product_on_the_bound(d, rng):

@@ -1,5 +1,8 @@
 """Property tests over drawn inputs, run with hypothesis."""
 
+import contextlib
+import io
+import json
 from functools import cache
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -10,6 +13,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import (HealthCheck, given, settings,  # noqa: E402
                         strategies as st)
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from gsicdetect import (INCONCLUSIVE, DensityMatrix, GsicSet,  # noqa: E402
                         conjugate_gsic, construct_gsic, detect_bipartite,
@@ -18,12 +22,15 @@ from gsicdetect import (INCONCLUSIVE, DensityMatrix, GsicSet,  # noqa: E402
                         partial_transpose, purity_from_t, random_separable,
                         validate_gsic, weyl_operator)
 from gsicdetect import states  # noqa: E402
-from gsicdetect.criteria import _Witness  # noqa: E402
-from gsicdetect.errors import CAP_EIG_SLACK, margin_error_bound  # noqa: E402
+from gsicdetect.cli import main  # noqa: E402
+from gsicdetect.criteria import SCAN_FAMILIES, _Witness  # noqa: E402
+from gsicdetect.errors import (CAP_EIG_SLACK, MAX_STEPS,  # noqa: E402
+                               margin_error_bound)
 from gsicdetect.gsic import _operators  # noqa: E402
 from gsicdetect.oracle import brute_force_j  # noqa: E402
 from gsicdetect.states import (_bell_mixture, _lowest_eigenvalue,  # noqa: E402
-                               _min_eigenvalue)
+                               _min_eigenvalue, _read_json, _write_json,
+                               decode_complex)
 
 
 @cache
@@ -335,3 +342,60 @@ def test_from_matrix_deviation_matches_the_whole_spectrum(d, rank, nudge,
     plain = (abs(np.trace(mat) - 1.0)
              + 2.0 * n * max(0.0, -np.linalg.eigvalsh(h)[0]))
     assert _bits(rho.deviation) == _bits(plain)
+
+
+@cache
+def _cap(d: int) -> float:
+    return feasible_t(gell_mann_basis(d)).t
+
+
+# valid dimensions stay at or below 3, so that every example is fast
+@settings(max_examples=150, deadline=None, database=None)
+@given(family=st.sampled_from([*SCAN_FAMILIES, "junk", "", "ISOTROPIC"]),
+       dim=st.sampled_from([-1, 0, 1, 2, 3, 65, 10**6]),
+       t=st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-9", "cap",
+                          "2cap", "max"]),
+       steps=st.sampled_from([-1, 9, 10, 40, MAX_STEPS + 1, 10**12]))
+def test_scan_exits_only_with_0_2_or_3_and_no_traceback(
+        tmp_path_factory, family, dim, t, steps):
+    cap = _cap(dim if dim in (2, 3) else 2)
+    t_arg = {"max": ["--max-t"], "cap": [f"--t={cap!r}"],
+             "2cap": [f"--t={2 * cap!r}"]}.get(t, [f"--t={t}"])
+    csv = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    csv.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            rc = main(["scan", f"--family={family}", f"--dim={dim}", *t_arg,
+                       f"--steps={steps}", f"--csv={csv}"])
+        except SystemExit as exc:  # argparse refuses a usage error
+            rc = exc.code
+    assert rc in (0, 2, 3), (rc, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if rc == 0:
+        assert len(csv.read_text().splitlines()) == steps + 3
+
+
+# every finite float64: drawn ones, and -0.0, the smallest subnormal,
+# the largest one and values near the float range's ends
+_finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7e308,
+                     -1.7e308, np.finfo(float).max]))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(parts=hnp.arrays(np.float64,
+                        hnp.array_shapes(min_dims=1, max_dims=3, min_side=0,
+                                         max_side=5).map(lambda s: s + (2,)),
+                        elements=_finite_floats))
+def test_json_round_trip_is_bit_exact(tmp_path_factory, parts):
+    z = parts.view(np.complex128)[..., 0]
+    path = tmp_path_factory.getbasetemp() / "round-trip.json"
+    _write_json(path, {"local_dim": 2, "parties": 1}, "matrix", z)
+    payload = _read_json(path)
+    assert path.read_bytes() == json.dumps(payload).encode()
+    got = decode_complex(payload, "matrix")
+    assert got.dtype == np.complex128 and got.shape == (z.size,)
+    assert got.tobytes() == z.tobytes()
