@@ -16,13 +16,14 @@ from functools import cache
 from pathlib import Path
 
 from .criteria import (SCAN_FAMILIES, DetectionReport, detect_bipartite,
-                       scan_family)
-from .errors import MAX_DIM, NumericIntegrityError
+                       scan_family, verdict)
+from .errors import MAX_DIM, NumericIntegrityError, check_steps
 from .gsic import (GsicSet, conjugate_gsic, construct_gsic, feasible_t,
                    read_gsic, write_gsic)
 from .operator_basis import gell_mann_basis
-from .states import (DensityMatrix, _read_json, bell_diagonal, decode_float,
-                     diagonal_mixture, isotropic, max_entangled, read_state)
+from .states import (DensityMatrix, _overwrite, _read_json, bell_diagonal,
+                     decode_float, diagonal_mixture, isotropic, max_entangled,
+                     read_state)
 
 
 @cache
@@ -187,15 +188,18 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    check_steps(args.steps)  # before the set, which may take far longer
     p, _ = _gsic_from_args(args, args.dim)
     scan = scan_family(args.family, p, args.steps)
+    bound = repr(scan.bound)
     lines = ["param,j_value,bound,margin,verdict"]
-    for x, r in zip(scan.grid, scan.reports):
-        lines.append(f"{float(x)!r},{r.j_value!r},{r.bound!r},{r.margin!r},"
-                     f"{r.verdict}")
+    lines += [f"{x!r},{j!r},{bound},{m!r},{verdict(f)}"
+              for x, j, m, f in zip(scan.grid.tolist(), scan.j_values.tolist(),
+                                    scan.margins.tolist(),
+                                    scan.flagged.tolist())]
     lines.append(f"threshold,{scan.threshold!r},,,")
     lines.append(f"guaranteed_threshold,{scan.guaranteed!r},,,")
-    Path(args.csv).write_text("\n".join(lines) + "\n")
+    _overwrite(args.csv, ["\n".join(lines).encode() + b"\n"])
     print(f"threshold {scan.threshold!r}")
     print(f"guaranteed_threshold {scan.guaranteed!r}")
     return 0

@@ -21,14 +21,14 @@ so it lives no longer than any set of the tuple.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from functools import reduce
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from functools import cached_property, partial, reduce
+from typing import Callable
 
 import numpy as np
 
-from .errors import (CORR_IMAG_TOL, IMAG_TOL, MAX_STEPS, PURITY_MATCH_TOL,
-                     RANGE_SLACK, check_dim, check_measurements,
+from .errors import (CORR_IMAG_TOL, IMAG_TOL, PURITY_MATCH_TOL, RANGE_SLACK,
+                     check_dim, check_measurements, check_steps,
                      margin_error_bound, purity_range_deviation, require_real)
 from .gsic import GsicSet, _purity_excess, conjugate_gsic, construct_gsic
 from .operator_basis import OperatorBasis, gell_mann_basis
@@ -38,6 +38,11 @@ from .states import (DensityMatrix, _bell_kets, _bell_mixture,
 
 ENTANGLED_DETECTED = "ENTANGLED_DETECTED"
 INCONCLUSIVE = "INCONCLUSIVE"
+
+
+def verdict(flagged: bool) -> str:
+    """ENTANGLED_DETECTED for a flagged state, INCONCLUSIVE otherwise."""
+    return ENTANGLED_DETECTED if flagged else INCONCLUSIVE
 
 
 @dataclass(frozen=True)
@@ -133,16 +138,22 @@ class _Witness:
     def report(self, label: str, deviation: float,
                trace: float) -> DetectionReport:
         """Report of a state from its label, deviation and Tr(K rho)."""
-        return self.make_report(label, *self.assess(deviation, trace))
+        return self.make_report(self.p, self.bound, label,
+                                *self.assess(deviation, trace))
 
-    def make_report(self, label: str, j_value: float, margin: float,
-                    flagged: bool) -> DetectionReport:
-        """Report of a state from its label and what assess gives."""
-        p = self.p
+    @staticmethod
+    def make_report(p: GsicSet, bound: float, label: str, j_value: float,
+                    margin: float, flagged: bool) -> DetectionReport:
+        """Report of a state from the pair's first set and bound, the
+        state's label and what assess gives.
+
+        Static, so that a FamilyScan can build its reports late from the
+        set alone, without keeping the witness's kernel alive.
+        """
         return DetectionReport(
             state_label=label, dim=p.dim, parties=2, t=p.t, a=p.a,
-            j_value=j_value, bound=self.bound, margin=margin,
-            verdict=ENTANGLED_DETECTED if flagged else INCONCLUSIVE)
+            j_value=j_value, bound=bound, margin=margin,
+            verdict=verdict(flagged))
 
 
 def _drop_witness(first: weakref.ref, key: tuple) -> None:
@@ -295,22 +306,43 @@ def _belldiag_c(d: int, c: float) -> DensityMatrix:
     return _bell_mixture(*_belldiag_c_weights(d, c))
 
 
-# family -> dimension -> (grid start, factory of the Bell-label weight
-# tables and state labels of a grid, or of one point given a float); every
-# grid ends at 1
+# family -> dimension -> (grid start, the family's weight helper at that
+# dimension: the Bell-label weight tables and state labels of a grid, or
+# of one point given a float); every grid ends at 1
 SCAN_FAMILIES = {
-    "isotropic": lambda d: (0.0, lambda x: _isotropic_weights(d, x)),
-    "belldiag-c": lambda d: (1.0 / (d * d),
-                             lambda c: _belldiag_c_weights(d, c)),
-    "diagmix": lambda d: (0.0, lambda x: _diagmix_weights(d, x)),
+    "isotropic": lambda d: (0.0, partial(_isotropic_weights, d)),
+    "belldiag-c": lambda d: (1.0 / (d * d), partial(_belldiag_c_weights, d)),
+    "diagmix": lambda d: (0.0, partial(_diagmix_weights, d)),
 }
 
 
-class FamilyScan(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class FamilyScan:
+    """A family scan: J, margin and flag of each grid point, as arrays.
+
+    Every grid point shares the bound and the set p (gsic).  reports,
+    one DetectionReport per grid point, is built on first access and
+    kept, its state labels from a second call of the family's weight
+    helper on the grid; the command line reads only the arrays.
+    """
+
     grid: np.ndarray
-    reports: list[DetectionReport]
+    j_values: np.ndarray
+    margins: np.ndarray
+    flagged: np.ndarray  # bool
+    bound: float
     threshold: float  # NaN when the grid shows no resolved crossing
     guaranteed: float  # threshold above which the family type is always flagged
+    gsic: GsicSet = field(repr=False)
+    weights: Callable = field(repr=False)  # the family's weight helper
+
+    @cached_property
+    def reports(self) -> list[DetectionReport]:
+        """One report per grid point, as detect_bipartite words it."""
+        _, labels = self.weights(self.grid)
+        return list(map(partial(_Witness.make_report, self.gsic, self.bound),
+                        labels, self.j_values.tolist(),
+                        self.margins.tolist(), self.flagged.tolist()))
 
 
 def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
@@ -325,15 +357,16 @@ def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
     terms, gives both its J and its margin.  The whole grid is one
     (steps, d, d) stack of tables from the family's weight helper, one
     reduction gives every deviation |sum W - 1|, and array expressions
-    (_Witness.assess) every J, margin and verdict; only W . B runs per
-    row, as the dot product a lone table gets, bit for bit.  At most
-    MAX_STEPS steps, which bounds the stack's memory.  Each report,
-    label and deviation included, is the one detect_bipartite gives
-    the constructed state, up to rounding well inside E (see
-    errors.margin_error_bound).  Each state is affine in its
-    parameter and Tr(K rho) is linear in rho, so the margin is affine
-    and the crossing is exact by linear interpolation between the two
-    grid points that bracket the sign change.  Every family's fidelity
+    (_Witness.assess) every J, margin and flag, which the scan keeps as
+    arrays; only W . B runs per row, as the dot product a lone table
+    gets, bit for bit.  At most MAX_STEPS steps (errors.check_steps),
+    which bounds the stack's memory.  Each report, built on first
+    access to FamilyScan.reports, label and deviation included, is the
+    one detect_bipartite gives the constructed state, up to rounding
+    well inside E (see errors.margin_error_bound).  Each state is affine
+    in its parameter and Tr(K rho) is linear in rho, so the margin is
+    affine and the crossing is exact by linear interpolation between the
+    two grid points that bracket the sign change.  Every family's fidelity
     rises with its parameter.  With E = margin_error_bound(p, conj(p)),
     the crossing counts as resolved only when every grid step raises the
     margin by more than 2E: each margin is off by at most E, the
@@ -341,9 +374,7 @@ def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
     rise is certainly real.  Otherwise the crossing is NaN, as it is
     when the grid never crosses the bound.
     """
-    if not 10 <= steps <= MAX_STEPS:
-        raise ValueError(f"need 10 to MAX_STEPS = {MAX_STEPS} grid steps, "
-                         f"got {steps}")
+    check_steps(steps)
     if p.t <= 0:
         raise ValueError(f"scan needs a positive mixing parameter, got {p.t}")
     if family not in SCAN_FAMILIES:
@@ -353,14 +384,12 @@ def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
     w = _Witness(p, conjugate_gsic(p))
     bell = w.bell_table().ravel()
     grid = np.linspace(start, 1.0, steps)
-    tables, labels = weights(grid)
+    tables, _ = weights(grid, labels=False)
     flat = tables.reshape(steps, -1)
     # one d**2-term dot product per row, as a lone table gets: a stacked
     # flat @ bell (GEMV) rounds otherwise on some rows
     traces = np.array([row @ bell for row in flat])
     j_values, m, flagged = w.assess(_weights_deviation(tables), traces)
-    reports = list(map(w.make_report, labels, j_values.tolist(), m.tolist(),
-                       flagged.tolist()))
     threshold = float("nan")
     crossed = np.flatnonzero((m[:-1] <= 0.0) & (m[1:] > 0.0))
     if np.all(np.diff(m) > 2.0 * w.error_bound) and crossed.size:
@@ -370,8 +399,9 @@ def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
     # worst case over every state of the family type at the purity of p
     guaranteed = (1.0 / (d + 1.0) if family == "isotropic"
                   else (1.0 + 1.0 / (p.a * d * d)) / (d + 1.0))
-    return FamilyScan(grid=grid, reports=reports, threshold=threshold,
-                      guaranteed=guaranteed)
+    return FamilyScan(grid=grid, j_values=j_values, margins=m,
+                      flagged=flagged, bound=w.bound, threshold=threshold,
+                      guaranteed=guaranteed, gsic=p, weights=weights)
 
 
 def isotropic_threshold_scan(d: int, t: float, steps: int) -> float:

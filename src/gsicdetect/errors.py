@@ -61,6 +61,13 @@ def check_dim(d: int) -> None:
         raise ValueError(f"need dimension >= 2, got {d}")
 
 
+def check_steps(steps: int) -> None:
+    """Reject a scan grid of fewer than 10 or more than MAX_STEPS points."""
+    if not 10 <= steps <= MAX_STEPS:
+        raise ValueError(f"need 10 to MAX_STEPS = {MAX_STEPS} grid steps, "
+                         f"got {steps}")
+
+
 def check_measurements(rho, sets) -> None:
     """Require one measurement set per party of rho, each of its local dimension."""
     if len(sets) != rho.parties or any(g.dim != rho.local_dim for g in sets):

@@ -66,7 +66,7 @@ def gell_mann_basis(d: int) -> OperatorBasis:
     # as complex numbers, which rounds apart from a real division at d >= 4.
     n = d * (d - 1) // 2
     pair = np.arange(n)
-    j, k = np.triu_indices(d, 1)
+    j, k = np.nonzero(np.arange(d)[:, None] < np.arange(d))  # triu_indices(d, 1)
     gens = np.zeros((d * d - 1, d, d), dtype=complex)
     gens[pair, j, k] = gens[pair, k, j] = 1.0 / np.sqrt(2.0)
     gens[n + pair, j, k] = -1j / np.sqrt(2.0)

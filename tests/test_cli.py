@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 
 import gsicdetect
-from gsicdetect import cli, states
+from gsicdetect import cli, criteria, states
 from gsicdetect import (construct_gsic, gell_mann_basis, max_entangled,
-                        max_feasible_t, read_gsic, write_gsic, write_state)
+                        max_feasible_t, read_gsic, scan_family, write_gsic,
+                        write_state)
 from gsicdetect.cli import main
 from gsicdetect.errors import MAX_DIM, MAX_STEPS
 from gsicdetect.states import DensityMatrix
@@ -635,3 +637,155 @@ def test_a_closed_stdout_pipe_exits_141_quietly(tmp_path):
         os.close(write_end)
     assert child.returncode == 141
     assert child.stderr == b""
+
+
+# Each writer of an output file, given a path and whether to write its
+# long or its short form: a measurement set and a state at d = 4 or
+# d = 2, a scan CSV at 40 or 10 steps.
+def _write_gsic_file(path, long):
+    write_gsic(construct_gsic(gell_mann_basis(4 if long else 2), 0.0), path)
+
+
+def _write_state_file(path, long):
+    write_state(max_entangled(4 if long else 2), path)
+
+
+def _write_scan_csv(path, long):
+    rc = main(["scan", "--family", "isotropic", "--dim", "3", "--t", "1e-6",
+               "--steps", "40" if long else "10", "--csv", str(path)])
+    assert rc == 0
+
+
+WRITERS = {"gsic": _write_gsic_file, "state": _write_state_file,
+           "scan-csv": _write_scan_csv}
+
+
+@pytest.mark.parametrize("kind", list(WRITERS))
+def test_a_short_output_over_a_long_one_leaves_only_its_bytes(
+        tmp_path, capsys, kind):
+    write = WRITERS[kind]
+    path, fresh = tmp_path / "out", tmp_path / "fresh"
+    write(path, long=True)
+    long_size, inode = path.stat().st_size, path.stat().st_ino
+    write(path, long=False)
+    write(fresh, long=False)
+    capsys.readouterr()
+    assert path.read_bytes() == fresh.read_bytes()
+    assert path.stat().st_size < long_size
+    assert path.stat().st_ino == inode  # overwritten in place
+
+
+@pytest.mark.parametrize("kind", list(WRITERS))
+def test_an_output_to_dev_null_succeeds(capsys, kind):
+    WRITERS[kind](os.devnull, long=False)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", list(WRITERS))
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_a_new_output_gets_the_mode_of_open_w(tmp_path, capsys, kind, umask):
+    old = os.umask(umask)
+    try:
+        WRITERS[kind](tmp_path / "new", long=False)
+        with open(tmp_path / "ref", "w"):
+            pass
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert (stat.S_IMODE((tmp_path / "new").stat().st_mode)
+            == stat.S_IMODE((tmp_path / "ref").stat().st_mode))
+
+
+@pytest.mark.parametrize("kind", list(WRITERS))
+def test_an_output_through_a_symlink_updates_its_target(tmp_path, capsys,
+                                                        kind):
+    write = WRITERS[kind]
+    target, link, fresh = (tmp_path / "target", tmp_path / "link",
+                           tmp_path / "fresh")
+    write(target, long=True)
+    link.symlink_to(target)
+    write(link, long=False)
+    write(fresh, long=False)
+    capsys.readouterr()
+    assert link.is_symlink()
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"),
+                    reason="no /dev/stdout on this platform")
+def test_scan_csv_into_a_pipe_is_written_and_not_cut(tmp_path):
+    # /dev/stdout is the pipe to this process, which cannot be truncated
+    env = dict(os.environ, PYTHONPATH=str(Path(gsicdetect.__file__).parents[1]))
+    argv = ["scan", "--family", "isotropic", "--dim", "3", "--t", "1e-6",
+            "--steps", "10"]
+    child = subprocess.run(
+        [sys.executable, "-m", "gsicdetect.cli", *argv, "--csv", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=120)
+    assert child.returncode == 0 and child.stderr == b""
+    csv = tmp_path / "s.csv"
+    summary = subprocess.run(
+        [sys.executable, "-m", "gsicdetect.cli", *argv, "--csv", str(csv)],
+        stdout=subprocess.PIPE, env=env, timeout=120).stdout
+    assert child.stdout == csv.read_bytes() + summary
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-t", "--steps", str(MAX_STEPS + 1)],
+    ["--t", "1e-6", "--steps", "9"],
+])
+def test_scan_steps_are_refused_before_the_set_is_built(tmp_path, capsys,
+                                                        monkeypatch, argv):
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    for name in ("gell_mann_basis", "feasible_t", "construct_gsic"):
+        monkeypatch.setattr(cli, name, reached)
+    csv = tmp_path / "s.csv"
+    rc = main(["scan", "--family", "isotropic", "--dim", "64", *argv,
+               "--csv", str(csv)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"MAX_STEPS = {MAX_STEPS} grid steps" in captured.err
+    assert captured.out == "" and not csv.exists()
+
+
+def test_scan_builds_no_report(tmp_path, capsys, monkeypatch):
+    def make_report(*args, **kwargs):
+        raise AssertionError("a DetectionReport was built")
+
+    monkeypatch.setattr(criteria._Witness, "make_report", make_report)
+    csv = tmp_path / "s.csv"
+    for family in criteria.SCAN_FAMILIES:
+        assert main(["scan", "--family", family, "--dim", "3", "--max-t",
+                     "--csv", str(csv)]) == 0
+        assert len(csv.read_text().splitlines()) == 43
+    capsys.readouterr()
+
+
+def _reference_csv(scan) -> str:
+    """The scan's CSV as formatted from its reports, one row per report."""
+    lines = ["param,j_value,bound,margin,verdict"]
+    for x, r in zip(scan.grid, scan.reports):
+        lines.append(f"{float(x)!r},{r.j_value!r},{r.bound!r},{r.margin!r},"
+                     f"{r.verdict}")
+    lines.append(f"threshold,{scan.threshold!r},,,")
+    lines.append(f"guaranteed_threshold,{scan.guaranteed!r},,,")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("family", list(criteria.SCAN_FAMILIES))
+@pytest.mark.parametrize("d", [2, 3, 8])
+@pytest.mark.parametrize("t", ["cap", 1e-9])
+def test_scan_csv_equals_the_rows_formatted_from_the_reports(
+        tmp_path, capsys, family, d, t):
+    basis = gell_mann_basis(d)
+    p = construct_gsic(basis, max_feasible_t(basis) if t == "cap" else t)
+    want = _reference_csv(scan_family(family, p, 40))
+    csv = tmp_path / "s.csv"
+    t_args = ["--max-t"] if t == "cap" else ["--t", repr(t)]
+    assert main(["scan", "--family", family, "--dim", str(d), *t_args,
+                 "--csv", str(csv)]) == 0
+    capsys.readouterr()
+    assert csv.read_bytes() == want.encode()
+    if t == 1e-9:
+        assert "\nthreshold,nan,,,\n" in want

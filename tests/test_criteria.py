@@ -693,3 +693,18 @@ def test_a_cached_witness_dies_with_any_of_its_sets():
                                 ("multipartite", id(keep), id(p))}
     assert (j_bipartite(rho2, p, keep),
             j_multipartite(rho3, [p, keep, p])) == want
+
+
+@pytest.mark.parametrize("family", list(SCAN_FAMILIES))
+def test_scan_arrays_are_the_fields_of_its_reports(family):
+    # the command line prints the arrays, a library caller reads the
+    # reports, which are built once, on first access
+    scan = scan_family(family, _scan_set(3, "cap"), 40)
+    assert "reports" not in vars(scan)
+    reports = scan.reports
+    assert scan.reports is reports
+    assert [r.j_value for r in reports] == scan.j_values.tolist()
+    assert [r.margin for r in reports] == scan.margins.tolist()
+    assert [r.verdict == ENTANGLED_DETECTED for r in reports] == (
+        scan.flagged.tolist())
+    assert {r.bound for r in reports} == {scan.bound}
