@@ -21,9 +21,8 @@ from .errors import MAX_DIM, NumericIntegrityError, check_steps
 from .gsic import (GsicSet, conjugate_gsic, construct_gsic, feasible_t,
                    read_gsic, write_gsic)
 from .operator_basis import gell_mann_basis
-from .states import (DensityMatrix, _overwrite, _read_json, bell_diagonal,
-                     decode_float, diagonal_mixture, isotropic, max_entangled,
-                     read_state)
+from .states import (DensityMatrix, _read_json, bell_diagonal, decode_float,
+                     diagonal_mixture, isotropic, max_entangled, read_state)
 
 
 @cache
@@ -199,7 +198,7 @@ def _cmd_scan(args) -> int:
                                     scan.flagged.tolist())]
     lines.append(f"threshold,{scan.threshold!r},,,")
     lines.append(f"guaranteed_threshold,{scan.guaranteed!r},,,")
-    _overwrite(args.csv, ["\n".join(lines).encode() + b"\n"])
+    Path(args.csv).write_text("\n".join(lines) + "\n")
     print(f"threshold {scan.threshold!r}")
     print(f"guaranteed_threshold {scan.guaranteed!r}")
     return 0

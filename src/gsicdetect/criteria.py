@@ -23,7 +23,6 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
-from typing import Callable
 
 import numpy as np
 
@@ -306,13 +305,14 @@ def _belldiag_c(d: int, c: float) -> DensityMatrix:
     return _bell_mixture(*_belldiag_c_weights(d, c))
 
 
-# family -> dimension -> (grid start, the family's weight helper at that
-# dimension: the Bell-label weight tables and state labels of a grid, or
-# of one point given a float); every grid ends at 1
+# family -> dimension -> (grid start, factory of the Bell-label weight
+# tables and state labels of a grid, or of one point given a float); every
+# grid ends at 1
 SCAN_FAMILIES = {
-    "isotropic": lambda d: (0.0, partial(_isotropic_weights, d)),
-    "belldiag-c": lambda d: (1.0 / (d * d), partial(_belldiag_c_weights, d)),
-    "diagmix": lambda d: (0.0, partial(_diagmix_weights, d)),
+    "isotropic": lambda d: (0.0, lambda x: _isotropic_weights(d, x)),
+    "belldiag-c": lambda d: (1.0 / (d * d),
+                             lambda c: _belldiag_c_weights(d, c)),
+    "diagmix": lambda d: (0.0, lambda x: _diagmix_weights(d, x)),
 }
 
 
@@ -321,9 +321,9 @@ class FamilyScan:
     """A family scan: J, margin and flag of each grid point, as arrays.
 
     Every grid point shares the bound and the set p (gsic).  reports,
-    one DetectionReport per grid point, is built on first access and
-    kept, its state labels from a second call of the family's weight
-    helper on the grid; the command line reads only the arrays.
+    one DetectionReport per grid point, is built from the arrays and
+    labels on first access and kept; the command line reads only the
+    arrays.
     """
 
     grid: np.ndarray
@@ -334,14 +334,13 @@ class FamilyScan:
     threshold: float  # NaN when the grid shows no resolved crossing
     guaranteed: float  # threshold above which the family type is always flagged
     gsic: GsicSet = field(repr=False)
-    weights: Callable = field(repr=False)  # the family's weight helper
+    labels: list[str] = field(repr=False)  # state label of each grid point
 
     @cached_property
     def reports(self) -> list[DetectionReport]:
         """One report per grid point, as detect_bipartite words it."""
-        _, labels = self.weights(self.grid)
         return list(map(partial(_Witness.make_report, self.gsic, self.bound),
-                        labels, self.j_values.tolist(),
+                        self.labels, self.j_values.tolist(),
                         self.margins.tolist(), self.flagged.tolist()))
 
 
@@ -384,7 +383,7 @@ def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
     w = _Witness(p, conjugate_gsic(p))
     bell = w.bell_table().ravel()
     grid = np.linspace(start, 1.0, steps)
-    tables, _ = weights(grid, labels=False)
+    tables, labels = weights(grid)
     flat = tables.reshape(steps, -1)
     # one d**2-term dot product per row, as a lone table gets: a stacked
     # flat @ bell (GEMV) rounds otherwise on some rows
@@ -401,7 +400,7 @@ def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
                   else (1.0 + 1.0 / (p.a * d * d)) / (d + 1.0))
     return FamilyScan(grid=grid, j_values=j_values, margins=m,
                       flagged=flagged, bound=w.bound, threshold=threshold,
-                      guaranteed=guaranteed, gsic=p, weights=weights)
+                      guaranteed=guaranteed, gsic=p, labels=labels)
 
 
 def isotropic_threshold_scan(d: int, t: float, steps: int) -> float:

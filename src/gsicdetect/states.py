@@ -9,12 +9,10 @@ from __future__ import annotations
 import base64
 import json
 import math
-import os
-import stat
 from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -287,10 +285,8 @@ def _bell_mixture(weights: np.ndarray, label: str) -> DensityMatrix:
 # scans, shared with the family's state constructor.  Each takes its
 # parameter as a float, for one (d, d) table and its label, or as a 1-D
 # array, for a stack of tables, one per entry, and a list of labels; a
-# row of the stack holds the very bits the float gives.  labels=False
-# gives None for the labels, which a scan formats only when asked for
-# its reports.  table.T puts the stack axis last, where the parameter
-# broadcasts.
+# row of the stack holds the very bits the float gives.  table.T puts
+# the stack axis last, where the parameter broadcasts.
 
 def _labels(prefix: str, x) -> str | list[str]:
     """prefix followed by x in %g form, one label per entry of an array."""
@@ -299,17 +295,15 @@ def _labels(prefix: str, x) -> str | list[str]:
     return f"{prefix}{x:g}"
 
 
-def _isotropic_weights(d: int, alpha, labels: bool = True
-                       ) -> tuple[np.ndarray, str | list[str] | None]:
+def _isotropic_weights(d: int, alpha) -> tuple[np.ndarray, str | list[str]]:
     """Table and label of isotropic(d, alpha)."""
     table = np.empty(getattr(alpha, "shape", ()) + (d, d))
     table.T[...] = (1.0 - alpha) / (d * d)
     table.T[0, 0] += alpha
-    return table, _labels(f"isotropic-d{d}-alpha", alpha) if labels else None
+    return table, _labels(f"isotropic-d{d}-alpha", alpha)
 
 
-def _belldiag_c_weights(d: int, c, labels: bool = True
-                        ) -> tuple[np.ndarray, str | list[str] | None]:
+def _belldiag_c_weights(d: int, c) -> tuple[np.ndarray, str | list[str]]:
     """Weight c on the identity Bell label, the rest spread uniformly.
 
     The label carries the table's largest weight.
@@ -317,14 +311,11 @@ def _belldiag_c_weights(d: int, c, labels: bool = True
     table = np.empty(getattr(c, "shape", ()) + (d, d))
     table.T[...] = (1.0 - c) / (d * d - 1.0)
     table.T[0, 0] = c
-    if not labels:
-        return table, None
     return table, _labels(f"belldiag-d{d}-c", table.max(axis=(-2, -1)))
 
 
-def _diagmix_weights(d: int, a1, tail: np.ndarray | None = None,
-                     labels: bool = True
-                     ) -> tuple[np.ndarray, str | list[str] | None]:
+def _diagmix_weights(d: int, a1, tail: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, str | list[str]]:
     """Table and label of diagonal_mixture(d, a1, tail).
 
     Offset delta's tail weight is spread over the d labels (s, delta); the
@@ -337,7 +328,7 @@ def _diagmix_weights(d: int, a1, tail: np.ndarray | None = None,
     else:
         table[:, 1:] = tail / d
     table.T[0, 0] = a1
-    return table, _labels(f"diagmix-d{d}-a1", a1) if labels else None
+    return table, _labels(f"diagmix-d{d}-a1", a1)
 
 
 def max_entangled(d: int) -> DensityMatrix:
@@ -494,32 +485,6 @@ def partial_transpose(rho: DensityMatrix, party: int) -> np.ndarray:
 ENCODING = "c16le-base64"
 
 
-def _keep_contents(path, flags: int) -> int:
-    """os.open as open() calls it, less O_TRUNC: the opener of _overwrite."""
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
-
-
-def _overwrite(path: str | Path, pieces: Iterable[bytes]) -> None:
-    """Write the pieces to path in place, then cut a regular file to them.
-
-    The file is opened as open(path, "wb") opens it, with the same flags
-    and mode under the umask, but not truncated first: on ext4,
-    truncating a file that holds data and closing it can cost several
-    times the write itself, likely through the write-back that
-    auto_da_alloc starts at such a close.  After the pieces, a regular
-    file is cut at the end of what was written, so a shorter output
-    leaves no tail of the longer one; a device or a pipe, as /dev/null
-    or /dev/stdout, cannot be cut and is only written.  There is no
-    fsync, and a reader that races the writer may see a torn file, as
-    with a truncating write.
-    """
-    with open(path, "wb", opener=_keep_contents) as out:
-        for piece in pieces:
-            out.write(piece)
-        if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
-            out.truncate()
-
-
 def _write_json(path: str | Path, fields: dict, key: str, z: np.ndarray) -> None:
     """Write the tag, fields, then key: z as base64 of little-endian complex128.
 
@@ -527,13 +492,16 @@ def _write_json(path: str | Path, fields: dict, key: str, z: np.ndarray) -> None
     subnormals included.  base64 needs no JSON escaping, so writing it
     between json.dumps of the small fields and the closing '"}' writes
     json.dumps of the whole, with no joined copy of the payload.  The
-    file is overwritten in place and then cut to length (_overwrite),
-    with no fsync: a reader that races the writer can see a torn file.
+    file is truncated on open and then written, with no fsync: a reader
+    that races the writer can see a torn file.
     """
     head = json.dumps({"encoding": ENCODING, **fields})[:-1]
     head += f", {json.dumps(key)}: \""
     data = base64.b64encode(np.ascontiguousarray(z, dtype="<c16"))
-    _overwrite(path, (head.encode(), data, b'"}'))
+    with open(path, "wb") as out:
+        out.write(head.encode())
+        out.write(data)
+        out.write(b'"}')
 
 
 def _read_json(path: str | Path):

@@ -672,7 +672,7 @@ def test_a_short_output_over_a_long_one_leaves_only_its_bytes(
     capsys.readouterr()
     assert path.read_bytes() == fresh.read_bytes()
     assert path.stat().st_size < long_size
-    assert path.stat().st_ino == inode  # overwritten in place
+    assert path.stat().st_ino == inode  # the same file, rewritten
 
 
 @pytest.mark.parametrize("kind", list(WRITERS))
@@ -713,8 +713,8 @@ def test_an_output_through_a_symlink_updates_its_target(tmp_path, capsys,
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"),
                     reason="no /dev/stdout on this platform")
-def test_scan_csv_into_a_pipe_is_written_and_not_cut(tmp_path):
-    # /dev/stdout is the pipe to this process, which cannot be truncated
+def test_scan_csv_into_a_pipe_is_written(tmp_path):
+    # /dev/stdout is the child's pipe to this process
     env = dict(os.environ, PYTHONPATH=str(Path(gsicdetect.__file__).parents[1]))
     argv = ["scan", "--family", "isotropic", "--dim", "3", "--t", "1e-6",
             "--steps", "10"]

@@ -108,31 +108,3 @@ def test_generators_are_bit_identical_to_the_loop(d):
     gens = gell_mann_basis(d).generators
     assert gens.dtype == complex and gens.flags.c_contiguous
     assert gens.tobytes() == _looped_gell_mann(d).tobytes()
-
-
-
-def _reference_generators(d):
-    """The generators as built on np.triu_indices(d, 1)."""
-    n = d * (d - 1) // 2
-    pair = np.arange(n)
-    j, k = np.triu_indices(d, 1)
-    gens = np.zeros((d * d - 1, d, d), dtype=complex)
-    gens[pair, j, k] = gens[pair, k, j] = 1.0 / np.sqrt(2.0)
-    gens[n + pair, j, k] = -1j / np.sqrt(2.0)
-    gens[n + pair, k, j] = 1j / np.sqrt(2.0)
-    l = np.arange(1, d)
-    diag = (np.arange(d) < l[:, None]).astype(complex)
-    diag[l - 1, l] = -l
-    gens[2 * n:, np.arange(d), np.arange(d)] = (
-        diag / np.sqrt(l * (l + 1.0))[:, None])
-    return gens
-
-
-@pytest.mark.parametrize("d", range(2, 17))
-def test_generators_equal_those_built_on_triu_indices(d):
-    # the off-diagonal pairs must come in the order of np.triu_indices,
-    # and every bit, -0.0 real parts included, must match
-    got = gell_mann_basis(d).generators
-    want = _reference_generators(d)
-    assert np.array_equal(got, want)
-    assert got.tobytes() == want.tobytes()
