@@ -197,9 +197,12 @@ def validate_gsic(g: GsicSet, tol: float = VALIDATION_TOL) -> ValidationOutcome:
     op_trace = float(np.abs(traces - 1.0 / d).max())
     gram = hilbert_schmidt_gram(ops)
     purity = float(np.abs(np.diag(gram) - g.a).max())
-    off = gram - (1.0 - d * g.a) / (d * (d * d - 1.0))
-    np.fill_diagonal(off, 0.0)
-    cross = float(np.abs(off).max())
+    # in place on the real Gram matrix, with no copy of it: max(g.max(),
+    # -g.min()) is np.abs(g).max(), NaN included, up to the sign of a
+    # zero, which abs clears
+    gram -= (1.0 - d * g.a) / (d * (d * d - 1.0))
+    np.fill_diagonal(gram, 0.0)
+    cross = abs(float(max(gram.max(), -gram.min())))
     # a NaN or infinite entry leaves the completeness residual non-finite,
     # and so does nothing else but an overflow of the sum
     psd = (d * d * max(0.0, -_lowest_eigenvalue(ops, 0.0))
@@ -279,6 +282,7 @@ def read_gsic(path: str | Path) -> GsicSet:
         ops = decode_complex(payload, "operators")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed measurement file {path}: {exc}") from exc
+    del payload  # its string, 4/3 of the stack, is not needed by the gate
     if ops.shape not in ((d**4,), (d * d, d * d)):
         raise ValueError(
             f"measurement file {path} holds {ops.shape} entries, "

@@ -28,9 +28,9 @@ LABEL_MIN_SIZE = 40
 PROOF_MIN_WORK = 8 ** 5
 # Matrices per Cholesky factor in _lowest_eigenvalue.
 PROOF_CHUNK = 16
-# A lone matrix of at least this order is first factored on its leading
-# quarter, which fails at once on a state of low rank, where a failed
-# factor of the whole would cost about as much as a successful one.
+# A lone matrix of at least this order is first factored on a copy of its
+# leading quarter, which fails at once on a state of low rank, where
+# copying and factoring the whole would cost about as much as a success.
 PROBE_MIN_SIZE = 64
 
 
@@ -72,7 +72,12 @@ class DensityMatrix:
         pattern, exact because reordering rows and columns alike keeps the
         spectrum and a block-diagonal one is the union of its blocks': d
         blocks of d for a two-qudit Bell mixture.  Either way the value is
-        bit for bit that of eigvalsh.
+        bit for bit that of eigvalsh.  A matrix that hermiticity_deviation
+        finds exactly Hermitian is its own Hermitian part H and goes to
+        the solvers as it is, with no full-size temporary formed: the
+        formula 0.5 mat + 0.5 mat^H, which any other matrix takes, could
+        differ from it only where halving a subnormal entry rounds and in
+        the sign of a zero, so the value is the eigvalsh of H itself.
         """
         mat = np.asarray(matrix, dtype=complex)
         check_dim(local_dim)
@@ -89,7 +94,7 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"matrix has trace {tr}, expected 1")
-        h = 0.5 * mat + 0.5 * mat.conj().T
+        h = mat if herm == 0.0 else 0.5 * mat + 0.5 * mat.conj().T
         if (h[0] != 0).all():
             min_eig = _lowest_eigenvalue(h[None], 0.0)
         else:
@@ -150,16 +155,16 @@ def _lowest_eigenvalue(stack: np.ndarray, floor: float) -> float:
     eigvalsh runs only where a Cholesky factor cannot prove the answer.
     Like eigvalsh, the factor reads each matrix's lower triangle only.  A
     stack of m matrices of order n with m n**3 below PROOF_MIN_WORK goes
-    to eigvalsh whole.  Else the matrices are ordered by Gershgorin lower
-    bound, lowest first, and walked in chunks of PROOF_CHUNK against a
-    running floor f: floor, lowered to each solved chunk's smallest
-    eigenvalue, so that the chunk holding the minimum tends to come
-    first and set f for the proofs of the others.  A chunk is
-    skipped when a factor of it shifted by sigma, just above f, proves
-    that eigvalsh would return all its eigenvalues above f, so that they
-    cannot change the minimum.  A chunk goes to eigvalsh when f is
-    infinite, when it holds a non-finite entry, or when the factor fails
-    or proves too little.
+    to eigvalsh whole.  A lone matrix is one chunk, with nothing to
+    order.  Else the matrices are ordered by Gershgorin lower bound,
+    lowest first, and walked in chunks of PROOF_CHUNK against a running
+    floor f: floor, lowered to each solved chunk's smallest eigenvalue,
+    so that the chunk holding the minimum tends to come first and set f
+    for the proofs of the others.  A chunk is skipped when a factor of it
+    shifted by sigma, just above f, proves that eigvalsh would return all
+    its eigenvalues above f, so that they cannot change the minimum.  A
+    chunk goes to eigvalsh when f is infinite, when it holds a non-finite
+    entry, or when the factor fails or proves too little.
 
     The proof, for A of order n in a chunk, with u the unit roundoff and
     gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
@@ -196,17 +201,25 @@ def _lowest_eigenvalue(stack: np.ndarray, floor: float) -> float:
     m, n = len(stack), stack.shape[-1]
     if m * n ** 3 < PROOF_MIN_WORK:
         return min(floor, float(np.linalg.eigvalsh(stack)[:, 0].min()))
+    kappa = cholesky_proof_slack(n)
+    if m == 1:
+        # nothing to order, so no Gershgorin pass: a non-finite entry in
+        # the lower triangle, all that the factor and eigvalsh read, fails
+        # the factor or makes F non-finite, which proves nothing
+        if math.isfinite(floor) and _proves_above(
+                stack, [0], float(np.trace(stack[0]).real), floor, kappa):
+            return floor
+        return min(floor, float(np.linalg.eigvalsh(stack)[0, 0]))
     diag = np.einsum("kii->ki", stack).real
     rows = np.abs(stack).sum(axis=2)
     bounds = (diag + np.abs(diag) - rows).min(axis=1)
     order = np.argsort(bounds, kind="stable")
     traces = diag.sum(axis=1)
-    kappa = cholesky_proof_slack(n)
     lowest = floor
     for start in range(0, m, PROOF_CHUNK):
         idx = order[start:start + PROOF_CHUNK]
         if (math.isfinite(lowest) and np.isfinite(bounds[idx]).all()
-                and _proves_above(stack[idx], float(traces[idx].max()),
+                and _proves_above(stack, idx, float(traces[idx].max()),
                                   lowest, kappa)):
             continue
         chunk = stack if len(idx) == m else stack[idx]
@@ -214,21 +227,30 @@ def _lowest_eigenvalue(stack: np.ndarray, floor: float) -> float:
     return lowest
 
 
-def _proves_above(b: np.ndarray, trace: float, floor: float,
+def _proves_above(stack: np.ndarray, idx, trace: float, floor: float,
                   kappa: float) -> bool:
-    """Whether a factor of b, shifted in place, puts its eigenvalues above floor.
+    """Whether a factor of stack[idx], shifted, puts its eigenvalues above floor.
 
-    b is a chunk of _lowest_eigenvalue, copied for it, trace its largest
-    trace and kappa its kappa_n.
+    idx, an index array or list, picks a chunk of _lowest_eigenvalue or
+    a lone matrix; trace is the chunk's largest trace and kappa its
+    kappa_n.  The shift goes into copies, so stack is only read.  A lone
+    matrix of order PROBE_MIN_SIZE or more is first factored on a copy of
+    its leading quarter, 1/16 of its size, and copied whole only if that
+    succeeds.
     """
-    n = b.shape[-1]
+    n = stack.shape[-1]
     shift = floor + 2.0 * kappa * (trace - n * floor + abs(floor))
     i = np.arange(n)
-    b[:, i, i] -= shift  # in place whatever b's memory order
+
+    def shifted(k: int) -> np.ndarray:
+        b = stack[idx, :k, :k]  # a copy, through the index
+        b[:, i[:k], i[:k]] -= shift  # in place whatever b's memory order
+        return b
+
     try:
-        if len(b) == 1 and n >= PROBE_MIN_SIZE:
-            np.linalg.cholesky(b[:, :n // 4, :n // 4])
-        r = np.linalg.cholesky(b)
+        if len(idx) == 1 and n >= PROBE_MIN_SIZE:
+            np.linalg.cholesky(shifted(n // 4))
+        r = np.linalg.cholesky(shifted(n))
     except np.linalg.LinAlgError:
         return False
     r = r.view(r.real.dtype)
@@ -483,6 +505,10 @@ def partial_transpose(rho: DensityMatrix, party: int) -> np.ndarray:
 # Tag of the payload that _write_json writes; files without it are read
 # in the [re, im] form written before it.
 ENCODING = "c16le-base64"
+# Base64 characters per slice in decode_complex, a multiple of 4.  Slices
+# of 12 KiB and 96 KiB decode a d = 16 set in the same time, but a d = 8
+# set's 87 KiB payload fits in one 96 KiB slice, which copies it whole.
+DECODE_SLICE = 12 * 1024
 
 
 def _write_json(path: str | Path, fields: dict, key: str, z: np.ndarray) -> None:
@@ -516,6 +542,15 @@ def decode_complex(payload: dict, key: str) -> np.ndarray:
     with validate=True) of a whole number of 16-byte entries, and the
     result is flat.  Untagged, it must be nested [re, im] pairs of
     numbers, and the result keeps their nesting.  Any other tag raises.
+
+    A tagged string is decoded DECODE_SLICE characters at a time into one
+    buffer, which becomes the result, so no full-size copy of the string
+    or of the bytes is made.  Each slice goes through the same strict
+    decode, so a byte outside the alphabet is refused in any slice.  A
+    whole multiple of 4 characters with '=' only in its last two splits
+    into slices whose decodes join to the decode of the whole; a string
+    of any other form, or one that is not ASCII, is decoded whole as
+    before, so it fails, with the same message, or passes as it always did.
     """
     raw = payload[key]
     if "encoding" in payload:
@@ -524,11 +559,20 @@ def decode_complex(payload: dict, key: str) -> np.ndarray:
                              f"expected {ENCODING!r}")
         if not isinstance(raw, str):
             raise ValueError(f"{key} must be a base64 string under {ENCODING}")
-        data = base64.b64decode(raw, validate=True)
+        n = len(raw)
+        if n % 4 or not raw.isascii() or raw.find("=", 0, n - 2) >= 0:
+            data = bytearray(base64.b64decode(raw, validate=True))
+        else:
+            data = bytearray(n // 4 * 3 - raw.count("=", n - 2))
+            for start in range(0, n, DECODE_SLICE):
+                part = base64.b64decode(raw[start:start + DECODE_SLICE],
+                                        validate=True)
+                at = start // 4 * 3
+                data[at:at + len(part)] = part
         if len(data) % 16:
             raise ValueError(f"{key} holds {len(data)} bytes, not a whole "
                              "number of 16-byte complex128 entries")
-        z = np.frombuffer(data, "<c16").astype(complex)
+        z = np.frombuffer(data, "<c16").astype(complex, copy=False)
     else:
         pairs = np.asarray(raw)
         if pairs.dtype.kind not in "iuf" or pairs.shape[-1:] != (2,):
@@ -591,6 +635,7 @@ def read_state(path: str | Path) -> DensityMatrix:
         flat = decode_complex(payload, "matrix")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from exc
+    del payload  # its string, 4/3 of the matrix, is not needed past here
     dim = math.isqrt(flat.size)
     # local_dim >= 2 gives local_dim**parties >= 2**parties, so a parties
     # beyond dim's bit length cannot match, and the power is never formed

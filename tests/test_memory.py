@@ -1,0 +1,82 @@
+"""Peak memory of reading and building files, counted by tracemalloc.
+
+numpy reports its buffers to tracemalloc, and the counts repeat exactly
+from run to run, so each bound is a multiple of the array the call
+handles: a little above what the call takes, and below what it took when
+the decoder copied the whole payload string and the gates copied the
+whole stack.
+"""
+
+import contextlib
+import io
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from gsicdetect import (construct_gsic, feasible_t, gell_mann_basis,
+                        read_gsic, read_state, write_gsic, write_state)
+from gsicdetect.cli import main
+from gsicdetect.states import DensityMatrix
+
+
+def _peak(call) -> int:
+    """Bytes traced at the peak of call(), above what was traced before it."""
+    call()  # lazy set-up and caches, which a second call does not repeat
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _hermitian_state(n: int, seed: int) -> np.ndarray:
+    """A dense, exactly Hermitian, positive definite n x n matrix of trace 1."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    mat = z @ z.conj().T + n * np.eye(n)
+    mat = mat + mat.conj().T
+    return mat / np.trace(mat).real
+
+
+@pytest.fixture(scope="module")
+def set_file(tmp_path_factory):
+    basis = gell_mann_basis(12)
+    path = tmp_path_factory.mktemp("memory") / "g12.json"
+    write_gsic(construct_gsic(basis, feasible_t(basis).t), path)
+    return path
+
+
+# the JSON text and the decoded string it holds, 4/3 of the stack each,
+# are the peak; then one stack and the gate's bounded temporaries
+def test_reading_a_set_peaks_at_its_text_and_one_stack(set_file):
+    stack = 16 * 12**4
+    peak = _peak(lambda: read_gsic(set_file))
+    assert peak <= 2.8 * stack, peak / stack
+
+
+def test_building_a_set_peaks_near_three_stacks(set_file):
+    # the basis, the operators and the gate's temporaries
+    stack = 16 * 12**4
+    argv = ["build", "--dim", "12", "--max-t", "--out", str(set_file)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        peak = _peak(lambda: main(argv))
+    assert peak <= 3.2 * stack, peak / stack
+
+
+def test_reading_a_dense_state_peaks_at_three_matrices(tmp_path):
+    # below its text, 8/3 of the matrix: the peak is the gate, with the
+    # matrix and the Cholesky factor's copy and result
+    mat = _hermitian_state(144, seed=12)
+    path = tmp_path / "rho.json"
+    write_state(DensityMatrix.from_matrix(mat, 12, 2), path)
+    peak = _peak(lambda: read_state(path))
+    assert peak <= 3.2 * mat.nbytes, peak / mat.nbytes
+
+
+def test_an_exactly_hermitian_matrix_is_checked_with_two_copies():
+    # the Cholesky factor's copy and its result; no Hermitian part formed
+    mat = _hermitian_state(256, seed=16)
+    peak = _peak(lambda: DensityMatrix.from_matrix(mat, 16, 2))
+    assert peak <= 2.2 * mat.nbytes, peak / mat.nbytes

@@ -1,5 +1,6 @@
 """Property tests over drawn inputs, run with hypothesis."""
 
+import base64
 import contextlib
 import io
 import json
@@ -21,16 +22,16 @@ from gsicdetect import (INCONCLUSIVE, DensityMatrix, GsicSet,  # noqa: E402
                         isotropic, max_feasible_t, multipartite_bound,
                         partial_transpose, purity_from_t, random_separable,
                         validate_gsic, weyl_operator)
-from gsicdetect import states  # noqa: E402
+from gsicdetect import errors, states  # noqa: E402
 from gsicdetect.cli import main  # noqa: E402
 from gsicdetect.criteria import SCAN_FAMILIES, _Witness  # noqa: E402
 from gsicdetect.errors import (CAP_EIG_SLACK, MAX_STEPS,  # noqa: E402
-                               margin_error_bound)
+                               hermiticity_deviation, margin_error_bound)
 from gsicdetect.gsic import _operators  # noqa: E402
 from gsicdetect.oracle import brute_force_j  # noqa: E402
 from gsicdetect.states import (_bell_mixture, _lowest_eigenvalue,  # noqa: E402
                                _min_eigenvalue, _read_json, _write_json,
-                               decode_complex)
+                               decode_complex, write_state)
 
 
 @cache
@@ -399,3 +400,174 @@ def test_json_round_trip_is_bit_exact(tmp_path_factory, parts):
     got = decode_complex(payload, "matrix")
     assert got.dtype == np.complex128 and got.shape == (z.size,)
     assert got.tobytes() == z.tobytes()
+
+
+def test_from_matrix_takes_an_exactly_hermitian_matrix_as_it_is():
+    # an exactly Hermitian dense state with -0.0 and subnormal entries,
+    # where 0.5 mat + 0.5 mat^H would round: the deviation is the one
+    # read off the spectrum of mat itself
+    d = 8
+    n = d * d
+    rng = np.random.default_rng(8)
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    mat = z @ z.conj().T + n * np.eye(n)
+    mat = mat + mat.conj().T
+    mat /= np.trace(mat).real
+    mat[0, 1], mat[1, 0] = complex(5e-324, -5e-324), complex(5e-324, 5e-324)
+    mat[2, 3], mat[3, 2] = complex(-0.0, 3e-320), complex(0.0, -3e-320)
+    mat[4, 5], mat[5, 4] = complex(-0.0, -0.0), complex(0.0, 0.0)
+    assert hermiticity_deviation(mat) == 0.0
+    halves = 0.5 * mat + 0.5 * mat.conj().T
+    assert halves.tobytes() != mat.tobytes()
+    rho = DensityMatrix.from_matrix(mat, d, 2)
+    plain = (abs(np.trace(mat) - 1.0)
+             + 2.0 * n * max(0.0, -np.linalg.eigvalsh(mat)[0]))
+    assert _bits(rho.deviation) == _bits(plain)
+    assert rho.matrix is mat
+
+
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, 5e-324, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(shape=st.sampled_from([(1, 1), (3, 3), (4, 2, 2), (5, 3, 3)]),
+       mirror=st.booleans(), chunk=st.sampled_from([1, 130, 300, 1 << 17]),
+       data=st.data())
+def test_hermiticity_deviation_answers_as_array_equal(shape, mirror, chunk,
+                                                       data):
+    # entries drawn from NaN, +-inf, +-0, a subnormal and +-1, sometimes
+    # mirrored into an exactly Hermitian stack, and M^H conjugated one,
+    # two or all leading indices at a time
+    parts = data.draw(hnp.arrays(np.float64, shape + (2,),
+                                 elements=st.sampled_from(_SPECIAL)))
+    m = parts.view(complex)[..., 0]
+    if mirror:
+        lower = np.tril(np.ones(shape[-2:], dtype=bool), -1)
+        mt = np.swapaxes(m, -1, -2).conj()
+        m = np.where(lower, mt, m)
+        diag = np.einsum("...ii->...i", m)
+        diag.imag = np.where(data.draw(st.booleans()), -0.0, 0.0)
+    mh = np.swapaxes(m, -1, -2).conj()
+    with patch.object(errors, "HERM_CHUNK_BYTES", chunk):
+        got = hermiticity_deviation(m)
+    if np.array_equal(m, mh):
+        assert _bits(got) == _bits(0.0)
+    else:  # any NaN, whatever its sign bit, or the same float
+        with np.errstate(invalid="ignore"):  # inf - inf reads NaN
+            want = float(np.abs(m - mh).max())
+        assert np.isnan(got) if np.isnan(want) else _bits(got) == _bits(want)
+
+
+# characters outside the base64 alphabet: ASCII ones, non-ASCII ones and
+# the padding character, which is refused anywhere but at the end
+_NOT_BASE64 = ["!", " ", "\n", "-", "_", ".", "\x00", "\x7f", "\xe9",
+               "\u2603", "\U0001f600", "="]
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(slice_len=st.sampled_from([20, 64]), slices=st.integers(0, 2),
+       offset=st.sampled_from([-4, 0, 4]), pad=st.integers(0, 2),
+       mutation=st.sampled_from(["none", "replace", "truncate"]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_sliced_decode_matches_the_whole_string_decode(
+        slice_len, slices, offset, pad, mutation, seed, data):
+    # payloads of 0, 1 and 2 slices give or take 4 characters, padded with
+    # 0, 1 or 2 '=', valid, with one character replaced (the first and the
+    # last of each slice drawn often) or cut short by 1 to 3 characters
+    length = slices * slice_len + offset
+    hypothesis.assume(length >= 0)
+    nbytes = length // 4 * 3 - (pad if length else 0)
+    floats = np.random.default_rng(seed).normal(size=nbytes // 8 + 1)
+    raw = base64.b64encode(floats.tobytes()[:nbytes]).decode()
+    assert len(raw) == length
+    if mutation == "replace" and length:
+        ends = [i for k in range(slices + 1)
+                for i in (k * slice_len, k * slice_len + slice_len - 1)
+                if i < length]
+        i = data.draw(st.one_of(st.sampled_from(ends),
+                                st.integers(0, length - 1)))
+        raw = raw[:i] + data.draw(st.sampled_from(_NOT_BASE64)) + raw[i + 1:]
+    elif mutation == "truncate" and length:
+        raw = raw[:-data.draw(st.integers(1, min(3, length)))]
+    try:
+        want, error = base64.b64decode(raw, validate=True), None
+    except ValueError as exc:
+        want, error = None, str(exc)
+    payload = {"encoding": states.ENCODING, "z": raw}
+    with patch.object(states, "DECODE_SLICE", slice_len):
+        if want is None or len(want) % 16 or not np.isfinite(
+                np.frombuffer(want, "<c16")).all():
+            with pytest.raises(ValueError) as info:
+                decode_complex(payload, "z")
+            if error is not None:
+                assert str(info.value) == error
+        else:
+            got = decode_complex(payload, "z")
+            assert got.tobytes() == want
+            assert got.dtype == np.complex128 and got.flags.writeable
+
+
+def _state_file(path, d: int, variant: str, at: int, byte: int) -> str:
+    """A tagged file of a two-qudit state of local dimension d: whole, cut
+    at byte `at`, or with that byte replaced by `byte`."""
+    write_state(random_separable(d, 2, 3, seed=d), path)
+    raw = path.read_bytes()
+    at %= len(raw)
+    if variant == "truncated":
+        raw = raw[:at]
+    elif variant == "corrupted":
+        raw = raw[:at] + bytes([byte]) + raw[at + 1:]
+    path.write_bytes(raw)
+    return f"@{path}"
+
+
+_WEIGHTS = ['{"0,0": 1.0}', '{"0,0": 0.5, "1,1": 0.5}', '{"0,0": null}',
+            '{"9,9": 1}', '{"0,0": -1, "1,1": 2}', '{"a": 1}', "[]",
+            "not json"]
+
+
+# valid dimensions stay at or below 3, so that every example is fast
+@settings(max_examples=200, deadline=None, database=None)
+@given(family=st.sampled_from(["maxent", "isotropic", "belldiag", "diagmix",
+                               "file", "junk"]),
+       dim=st.sampled_from([-1, 0, 1, 2, 3, 65, 10**6]),
+       x=st.sampled_from(["0", "0.3", "1", "1.5", "-0.1", "nan", "inf", "x"]),
+       weights=st.sampled_from(_WEIGHTS),
+       variant=st.sampled_from(["valid", "truncated", "corrupted"]),
+       at=st.integers(0, 2**16), byte=st.integers(0, 255),
+       t=st.sampled_from(["none", "nan", "inf", "-1", "0", "1e-9", "cap",
+                          "2cap", "max"]),
+       dim_flag=st.sampled_from([None, 0, 2, 3]),
+       pairing=st.sampled_from(["conj", "same", "other"]),
+       as_json=st.booleans())
+def test_detect_exits_only_with_0_2_or_3_and_no_traceback(
+        tmp_path_factory, family, dim, x, weights, variant, at, byte, t,
+        dim_flag, pairing, as_json):
+    base = tmp_path_factory.getbasetemp()
+    if family == "file":
+        d = dim if dim in (2, 3) else 2
+        spec = f"file:{_state_file(base / 'rho.json', d, variant, at, byte)}"
+    elif family == "belldiag":
+        (base / "w.json").write_text(weights)
+        spec = f"belldiag:{dim}:@{base / 'w.json'}"
+    elif family in ("isotropic", "diagmix"):
+        spec = f"{family}:{dim}:{x}"
+    else:
+        spec = f"{family}:{dim}"
+    cap = _cap(dim if dim in (2, 3) else 2)
+    t_arg = {"none": [], "max": ["--max-t"], "cap": [f"--t={cap!r}"],
+             "2cap": [f"--t={2 * cap!r}"]}.get(t, [f"--t={t}"])
+    argv = ["detect", f"--state={spec}", *t_arg, f"--pairing={pairing}"]
+    if dim_flag is not None:
+        argv.append(f"--dim={dim_flag}")
+    if as_json:
+        argv.append("--json")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse refuses a usage error
+            rc = exc.code
+    assert rc in (0, 2, 3), (rc, err.getvalue())
+    assert "Traceback" not in err.getvalue()
