@@ -203,6 +203,41 @@ def cholesky_proof_slack(n: int) -> float:
             + 2.0 * n ** EIGVALSH_ERROR_POWER * u)
 
 
+def ritz_certificate_slack(n: int) -> float:
+    """nu_n = (1 + sqrt(2)) gamma_{2n} + 2 n**EIGVALSH_ERROR_POWER u.
+
+    For A exactly Hermitian of order n and any nonzero vector y, take the
+    computed z = fl(A y), w = fl(Re y^H z) and s = fl(y^H y), the last two
+    real dot products of y's and z's 2n float components, and F = ||A||_F.
+    If fl(w/s + nu_n F) < c for some c, eigvalsh returns a smallest
+    eigenvalue of A below c.  With u the unit roundoff and gamma_k = k u
+    / (1 - k u) (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., sections 3.1 and 3.6):
+
+    1. The product.  Re z_i and Im z_i are each a real inner product of
+       2n terms, so |z - A y| <= sqrt(2) gamma_{2n} |A| |y| entrywise.
+    2. The quotient.  |w - Re y^H z| <= gamma_{2n} |y|^T |z|, and y^H A y
+       is real, so |w - y^H A y| <= (1 + sqrt(2)) gamma_{2n} (1 +
+       gamma_{2n}) |y|^T |A| |y|, with |y|^T |A| |y| <= ||A||_F ||y||**2.
+       And s = ||y||**2 (1 + theta), |theta| <= gamma_{2n}.
+    3. eigvalsh.  The exact quotient y^H A y / ||y||**2 is at least
+       lambda_min(A), and eigvalsh returns lambda_min(A) within p(n) u
+       ||A||_2 <= p(n) u F (LAPACK Users' Guide, section 4.7), p(n) =
+       n**EIGVALSH_ERROR_POWER as in cholesky_proof_slack.
+
+    So eigvalsh's value is at most w/s + ((1 + sqrt(2)) gamma_{2n} +
+    p(n) u) F to first order.  What is left is relative to F, since |w/s|
+    <= (1 + O(n u)) F: theta moves w/s by gamma_{2n} F, and the division,
+    the sum and the roundings of fl(F) by a few u F more, so the second
+    p(n) u covers them from n = 3 on.  A c of either sign works, as the
+    sum's rounding is relative to its terms, not to c.
+    """
+    u = UNIT_ROUNDOFF
+    k = 2 * n
+    return ((1.0 + math.sqrt(2.0)) * k * u / (1.0 - k * u)
+            + 2.0 * n ** EIGVALSH_ERROR_POWER * u)
+
+
 def hermiticity_deviation(m: np.ndarray) -> float:
     """Largest entry of |M - M^H|, for one matrix or a stack of matrices.
 

@@ -2,44 +2,169 @@
 
 Both routines deliberately avoid the optimized code paths: the
 correlation sum is reassembled from explicit Kronecker products, and
-entanglement is certified through the partial-transpose spectrum.
+entanglement is certified through the partial transpose alone, by the
+sign of its smallest eigenvalue.  On a dense partial transpose that sign
+is first sought by two certificates, each of which proves what eigvalsh
+would say without running it; the spectrum is taken when they do not
+settle it, or when PptResult.min_eigenvalue is read.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from typing import NamedTuple
+import math
+from dataclasses import dataclass, field
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from .errors import IMAG_TOL, PSD_TOL, check_measurements, require_real
+from .errors import (IMAG_TOL, PSD_TOL, check_measurements,
+                     cholesky_proof_slack, hermiticity_deviation,
+                     require_real, ritz_certificate_slack)
 from .gsic import GsicSet
-from .states import DensityMatrix, _min_eigenvalue, partial_transpose
+from .states import (DensityMatrix, _min_eigenvalue, _proof_shift,
+                     _proves_above, partial_transpose)
+
+# Partial transposes of lower order go to _min_eigenvalue at once.  At
+# n = 64 (d = 8) the spectrum takes 0.26-0.29 ms and the certificates
+# 0.19 ms on a Ginibre state and 0.27 ms on a 4-term separable one, so
+# a state they leave undecided would lose; at n = 81 (d = 9) the spectrum
+# takes 0.44-0.50 ms against 0.22 and 0.33-0.35 ms (1 BLAS thread).
+CERTIFY_MIN_SIZE = 81
+# Lanczos steps behind the NPT certificate's Ritz vector.  At d = 16 each
+# step takes about 45 us.  4 steps certify a Ginibre state, whose lowest
+# eigenvalue is near -4e-3, but its mixture with I/n brought to a lowest
+# eigenvalue of -1e-4 needs 10 to 16: 10 certified 3 of 6, 16 all 6.
+LANCZOS_STEPS = 10
 
 
-class PptResult(NamedTuple):
-    min_eigenvalue: float
+@dataclass(frozen=True, eq=False)
+class PptResult:
+    """Partial-transpose verdict on a two-party state rho.
+
+    npt is True when eigvalsh would put the smallest eigenvalue of rho's
+    partial transpose below -PSD_TOL, which certifies entanglement.
+    min_eigenvalue, that eigenvalue, is taken on first access and kept,
+    unless ppt_test took it already.
+    """
+
+    rho: DensityMatrix = field(repr=False)
     npt: bool
+
+    @cached_property
+    def min_eigenvalue(self) -> float:
+        """Smallest eigenvalue of the partial transpose, by _min_eigenvalue."""
+        return _min_eigenvalue(partial_transpose(self.rho, 1))
 
 
 def ppt_test(rho: DensityMatrix) -> PptResult:
     """Partial-transpose check of a bipartite state.
 
-    npt is True when the partially transposed matrix has an eigenvalue
-    below -PSD_TOL, which certifies entanglement.  The spectrum is taken
-    block by block on the matrix's zero pattern (states._min_eigenvalue),
+    npt is min_eigenvalue < -PSD_TOL, with min_eigenvalue taken block by
+    block on the partial transpose's zero pattern (states._min_eigenvalue),
     which is exact: reordering rows and columns alike keeps the spectrum,
     and a block-diagonal one is the union of its blocks'.  A Bell mixture
     rho splits into d sectors of the labels (b - a) mod d of its kets
     |a, b>, and its partial transpose into d sectors of (a + b) mod d, so
-    the check costs d blocks of O(d**3) there and one O(d**6) solve on a
-    dense state.  It reads only the partial transpose, not any witness
-    or measurement.
+    the check costs d blocks of O(d**3) there.  A partial transpose of
+    order CERTIFY_MIN_SIZE or more that is exactly Hermitian, with a
+    first row of no zero entry, goes to eigvalsh whole in _min_eigenvalue.
+    There npt is first sought by _certified_npt, which decides it as that
+    eigvalsh would without running it, and min_eigenvalue is left to its
+    first access; only when neither certificate holds is it taken here.
+    A non-finite entry of rho raises ValueError.  It reads only the
+    partial transpose, not any witness or measurement.
     """
     if rho.parties != 2:
         raise ValueError(f"need a two-party state, got {rho.parties} parties")
-    min_eig = _min_eigenvalue(partial_transpose(rho, 1))
-    return PptResult(min_eigenvalue=min_eig, npt=min_eig < -PSD_TOL)
+    pt = partial_transpose(rho, 1)  # a copy, which the proof may shift
+    # a non-finite entry makes the sum of squares non-finite; only a
+    # finite sum that overflows needs the entrywise check
+    fro2 = float(np.vdot(pt, pt).real)
+    if not math.isfinite(fro2) and not np.isfinite(pt).all():
+        raise ValueError("matrix has non-finite entries")
+    if (len(pt) >= CERTIFY_MIN_SIZE and math.isfinite(fro2)
+            and (pt[0] != 0).all() and hermiticity_deviation(pt) == 0.0):
+        npt = _certified_npt(pt, math.sqrt(fro2))
+        if npt is not None:
+            return PptResult(rho=rho, npt=npt)
+        pt = partial_transpose(rho, 1)
+    min_eig = _min_eigenvalue(pt)
+    result = PptResult(rho=rho, npt=min_eig < -PSD_TOL)
+    vars(result)["min_eigenvalue"] = min_eig  # cached_property's slot
+    return result
+
+
+def _certified_npt(a: np.ndarray, fro: float) -> bool | None:
+    """npt of eigvalsh(a)[0] < -PSD_TOL if a certificate settles it, else None.
+
+    a is exactly Hermitian of order n and fro its Frobenius norm.
+
+    NPT.  y, the Ritz vector of _ritz_vector, has the computed Rayleigh
+    quotient w/s; if w/s + nu_n fro < -PSD_TOL, with nu_n from
+    errors.ritz_certificate_slack, eigvalsh would return a value below
+    -PSD_TOL, so npt is True.
+
+    PPT.  Otherwise, when w/s lies above the shift sigma of
+    states._proves_above for floor -PSD_TOL, the shifted Cholesky proof
+    runs on a itself, shifted in place: if the factor proves that
+    eigvalsh would return every eigenvalue above -PSD_TOL, npt is False.
+    Below sigma the factor cannot exist, since lambda_min(a) <= y^H a y /
+    ||y||**2, so it is not tried.  For a trace-one a, sigma is below 0
+    for n < 474, so a singular a, as of a separable state of fewer than n
+    product terms, can be proved there, and only a positive definite one
+    beyond.
+    """
+    n = len(a)
+    y = _ritz_vector(a)
+    yf = y.view(float)
+    s = float(yf @ yf)
+    quotient = float(yf @ (a @ y).view(float)) / s
+    if quotient + ritz_certificate_slack(n) * fro < -PSD_TOL:
+        return True
+    kappa = cholesky_proof_slack(n)
+    trace = float(np.trace(a).real)
+    if (quotient > _proof_shift(n, trace, -PSD_TOL, kappa)
+            and _proves_above(a[None], slice(None), trace, -PSD_TOL, kappa)):
+        return False
+    return None
+
+
+def _ritz_vector(a: np.ndarray) -> np.ndarray:
+    """Ritz vector of the lowest Ritz value of a Hermitian a, after Lanczos.
+
+    LANCZOS_STEPS steps of Lanczos from a fixed start vector, each new
+    vector orthogonalised twice against all earlier ones, give an
+    orthonormal basis V of a Krylov space; y = V s for the lowest
+    eigenvector s of V^H (a V).  A step that leaves no residual, on an
+    invariant space, ends the walk.  Nothing here needs to be exact: the
+    NPT certificate recomputes y's Rayleigh quotient and bounds that.
+    """
+    n = len(a)
+    k = min(LANCZOS_STEPS, n)
+    v = np.empty((k, n), dtype=complex)
+    av = np.empty((k, n), dtype=complex)
+    q = _start_vector(n)
+    for j in range(k):
+        v[j] = q
+        np.matmul(a, q, out=av[j])
+        w = av[j] - (v[:j + 1].conj() @ av[j]) @ v[:j + 1]
+        w -= (v[:j + 1].conj() @ w) @ v[:j + 1]
+        norm = np.linalg.norm(w)
+        if not norm > 0.0:
+            k = j + 1
+            break
+        q = w / norm
+    s = np.linalg.eigh(v[:k].conj() @ av[:k].T)[1][:, 0]
+    return s @ v[:k]
+
+
+@cache
+def _start_vector(n: int) -> np.ndarray:
+    """A fixed, generic unit vector of length n, read-only."""
+    q = np.random.default_rng(n).normal(size=n).astype(complex)
+    q /= np.linalg.norm(q)
+    q.flags.writeable = False
+    return q
 
 
 def brute_force_j(rho: DensityMatrix, sets: list[GsicSet]) -> float:

@@ -144,7 +144,8 @@ def _min_eigenvalue(h: np.ndarray) -> float:
     for s in np.unique(size):
         idx = order[start[size == s, None] + np.arange(s)]
         blocks = h[idx[:, :, None], idx[:, None, :]]
-        lowest = min(lowest, np.linalg.eigvalsh(blocks)[:, 0].min())
+        # np.minimum, not min: a NaN from any block must reach the result
+        lowest = np.minimum(lowest, np.linalg.eigvalsh(blocks)[:, 0].min())
     return float(lowest)
 
 
@@ -227,6 +228,15 @@ def _lowest_eigenvalue(stack: np.ndarray, floor: float) -> float:
     return lowest
 
 
+def _proof_shift(n: int, trace: float, floor: float, kappa: float) -> float:
+    """The shift sigma of _proves_above for matrices of order n.
+
+    trace is their largest trace and kappa their kappa_n.  A factor of A
+    - sigma I exists only if lambda_min(A) > sigma, up to its rounding.
+    """
+    return floor + 2.0 * kappa * (trace - n * floor + abs(floor))
+
+
 def _proves_above(stack: np.ndarray, idx, trace: float, floor: float,
                   kappa: float) -> bool:
     """Whether a factor of stack[idx], shifted, puts its eigenvalues above floor.
@@ -236,19 +246,22 @@ def _proves_above(stack: np.ndarray, idx, trace: float, floor: float,
     kappa_n.  The shift goes into copies, so stack is only read.  A lone
     matrix of order PROBE_MIN_SIZE or more is first factored on a copy of
     its leading quarter, 1/16 of its size, and copied whole only if that
-    succeeds.
+    succeeds.  idx a slice picks views instead, as numpy indexing does:
+    the shift then goes into stack itself, with no copy and no probe, for
+    a caller that owns stack as scratch, as oracle.ppt_test does.
     """
     n = stack.shape[-1]
-    shift = floor + 2.0 * kappa * (trace - n * floor + abs(floor))
+    shift = _proof_shift(n, trace, floor, kappa)
     i = np.arange(n)
 
     def shifted(k: int) -> np.ndarray:
-        b = stack[idx, :k, :k]  # a copy, through the index
+        b = stack[idx, :k, :k]  # a copy through an index, a view by a slice
         b[:, i[:k], i[:k]] -= shift  # in place whatever b's memory order
         return b
 
     try:
-        if len(idx) == 1 and n >= PROBE_MIN_SIZE:
+        if (not isinstance(idx, slice) and len(idx) == 1
+                and n >= PROBE_MIN_SIZE):
             np.linalg.cholesky(shifted(n // 4))
         r = np.linalg.cholesky(shifted(n))
     except np.linalg.LinAlgError:

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from gsicdetect import (construct_gsic, feasible_t, gell_mann_basis,
-                        read_gsic, read_state, write_gsic, write_state)
+                        ppt_test, random_separable, read_gsic, read_state,
+                        write_gsic, write_state)
 from gsicdetect.cli import main
 from gsicdetect.states import DensityMatrix
 
@@ -80,3 +81,21 @@ def test_an_exactly_hermitian_matrix_is_checked_with_two_copies():
     mat = _hermitian_state(256, seed=16)
     peak = _peak(lambda: DensityMatrix.from_matrix(mat, 16, 2))
     assert peak <= 2.2 * mat.nbytes, peak / mat.nbytes
+
+
+@pytest.mark.parametrize("kind", ["npt", "ppt"])
+def test_a_dense_ppt_test_peaks_at_its_partial_transpose_and_one_factor(kind):
+    # the partial transpose, then either the Lanczos vectors (NPT
+    # certificate) or the Cholesky factor of it, shifted in place (PPT
+    # proof): no more than from_matrix's gate on a matrix of that size
+    if kind == "npt":
+        rng = np.random.default_rng(16)
+        z = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+        mat = z @ z.conj().T
+        mat = 0.5 * (mat + mat.conj().T)
+        rho = DensityMatrix.from_matrix(mat / np.trace(mat).real, 16, 2)
+    else:
+        rho = random_separable(16, 2, 4, seed=16)
+    assert ppt_test(rho).npt == (kind == "npt")
+    peak = _peak(lambda: ppt_test(rho))
+    assert peak <= 2.2 * rho.matrix.nbytes, peak / rho.matrix.nbytes

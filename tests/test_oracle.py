@@ -1,14 +1,17 @@
 """Checks for the independent reference implementations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from gsicdetect import (bell_diagonal, brute_force_j, conjugate_gsic,
-                        construct_gsic, gell_mann_basis, isotropic,
-                        j_bipartite, j_multipartite, max_entangled,
-                        max_feasible_t, partial_transpose, ppt_test,
-                        random_separable)
+from gsicdetect import (DensityMatrix, bell_diagonal, brute_force_j,
+                        conjugate_gsic, construct_gsic, gell_mann_basis,
+                        isotropic, j_bipartite, j_multipartite,
+                        max_entangled, max_feasible_t, partial_transpose,
+                        ppt_test, random_separable)
 from gsicdetect.errors import PSD_TOL
+from gsicdetect.oracle import LANCZOS_STEPS
 
 
 def test_ppt_flags_max_entangled():
@@ -54,6 +57,70 @@ def test_ppt_on_separable_states():
         d = 2 + seed % 3
         assert not ppt_test(random_separable(d, 2, 1 + seed % 5,
                                              seed=seed)).npt
+
+
+def _ginibre(d: int, seed: int) -> DensityMatrix:
+    """A dense two-qudit Ginibre state G G^H / Tr, exactly Hermitian."""
+    rng = np.random.default_rng(seed)
+    n = d * d
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    mat = z @ z.conj().T
+    mat = 0.5 * (mat + mat.conj().T)
+    return DensityMatrix.from_matrix(mat / np.trace(mat).real, d, 2)
+
+
+@pytest.mark.parametrize("npt", [True, False], ids=["ginibre", "separable"])
+def test_a_dense_d16_ppt_test_solves_no_spectrum_until_it_is_read(
+        monkeypatch, npt):
+    # the NPT certificate settles the Ginibre state, the Cholesky proof the
+    # separable one; eigh sees only the Lanczos steps' projected matrix
+    rho = _ginibre(16, 3) if npt else random_separable(16, 2, 4, seed=7)
+    solved = []
+    eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        solved.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    def small_eigh(a, *args, **kwargs):
+        assert len(a) <= LANCZOS_STEPS, a.shape
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(np.linalg, "eigh", small_eigh)
+    res = ppt_test(rho)
+    assert solved == []
+    plain = eigvalsh(partial_transpose(rho, 1))[0]
+    assert res.npt == (plain < -PSD_TOL) == npt
+    assert res.min_eigenvalue.hex() == float(plain).hex()
+    assert solved == [(256, 256)]
+    assert res.min_eigenvalue.hex() == float(plain).hex()
+    assert solved == [(256, 256)]  # kept, not solved again
+
+
+def test_ppt_result_is_a_frozen_record_not_a_tuple():
+    rho = isotropic(3, 0.5)
+    res = ppt_test(rho)
+    assert dataclasses.is_dataclass(res) and not isinstance(res, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.npt = False
+    assert repr(res) == "PptResult(npt=True)"
+    assert res.rho is rho
+    with pytest.raises(TypeError):
+        min_eig, npt = res
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 16])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 1), (0, 1)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ppt_refuses_a_non_finite_entry(d, entry, bad):
+    # each route: one eigvalsh (d = 2, 3), the block labelling (d = 8,
+    # and the Bell mixture at 16) and the certificates (the dense d = 16)
+    for rho in (isotropic(d, 0.3), random_separable(d, 2, 3, seed=d)):
+        mat = rho.matrix.copy()
+        mat[entry] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ppt_test(DensityMatrix(local_dim=d, parties=2, matrix=mat))
 
 
 def test_ppt_requires_two_parties():

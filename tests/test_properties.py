@@ -25,10 +25,11 @@ from gsicdetect import (INCONCLUSIVE, DensityMatrix, GsicSet,  # noqa: E402
 from gsicdetect import errors, states  # noqa: E402
 from gsicdetect.cli import main  # noqa: E402
 from gsicdetect.criteria import SCAN_FAMILIES, _Witness  # noqa: E402
-from gsicdetect.errors import (CAP_EIG_SLACK, MAX_STEPS,  # noqa: E402
-                               hermiticity_deviation, margin_error_bound)
+from gsicdetect.errors import (CAP_EIG_SLACK, HERM_TOL,  # noqa: E402
+                               MAX_STEPS, PSD_TOL, hermiticity_deviation,
+                               margin_error_bound)
 from gsicdetect.gsic import _operators  # noqa: E402
-from gsicdetect.oracle import brute_force_j  # noqa: E402
+from gsicdetect.oracle import brute_force_j, ppt_test  # noqa: E402
 from gsicdetect.states import (_bell_mixture, _lowest_eigenvalue,  # noqa: E402
                                _min_eigenvalue, _read_json, _write_json,
                                decode_complex, write_state)
@@ -225,6 +226,67 @@ def test_min_eigenvalue_of_a_permuted_path():
     h += np.diag(off, 1) + np.diag(off.conj(), -1)
     perm = rng.permutation(n)
     _assert_lowest_matches_eigvalsh(h[perm][:, perm])
+
+
+
+def test_min_eigenvalue_keeps_a_nan_block():
+    # the fold over block sizes used min(), which drops a NaN that
+    # eigvalsh returns for a block: this gave -0.0266
+    h = partial_transpose(isotropic(8, 0.3), 1)
+    h[0, 0] = np.nan
+    assert np.isnan(_min_eigenvalue(h))
+
+
+@st.composite
+def _dense_two_qudit_states(draw):
+    """A dense two-qudit state at d in {10, 12, 16}, exactly Hermitian or not.
+
+    Kinds: a separable state of 1..6 product terms, whose partial
+    transpose is PSD of low rank; a Ginibre state, strongly NPT; its
+    mixture with I/n whose partial transpose has its lowest eigenvalue
+    at -10**(-9..-3) (weakly NPT) or at -PSD_TOL (1 +- 1e-2).  Then,
+    sometimes, an entrywise perturbation of up to HERM_TOL that leaves it
+    off Hermitian.
+    """
+    d = draw(st.sampled_from([10, 12, 16]), label="d")
+    kind = draw(st.sampled_from(["separable", "strong", "weak", "planted"]),
+                label="kind")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    n = d * d
+    rng = np.random.default_rng(seed)
+    if kind == "separable":
+        mat = random_separable(d, 2, int(rng.integers(1, 7)), seed).matrix
+    else:
+        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        mat = z @ z.conj().T
+        mat = 0.5 * (mat + mat.conj().T)
+        mat /= np.trace(mat).real
+    if kind in ("weak", "planted"):
+        # the partial transpose is affine in the state, so mixing with I/n
+        # moves its lowest eigenvalue from the Ginibre one to the target
+        lowest = np.linalg.eigvalsh(partial_transpose(
+            DensityMatrix(local_dim=d, parties=2, matrix=mat), 1))[0]
+        if kind == "weak":
+            target = -10.0 ** draw(st.floats(-9, -3), label="exponent")
+        else:
+            target = -PSD_TOL * (1 + draw(st.sampled_from([-1e-2, 1e-2])))
+        p = (1 / n - target) / (1 / n - lowest)
+        mat = (1 - p) * np.eye(n) / n + p * mat
+    if draw(st.booleans(), label="off-Hermitian"):
+        # entries of modulus below HERM_TOL / 2, so |m - m^H| < HERM_TOL
+        mat = mat + HERM_TOL / 3 * rng.uniform(-1, 1, size=(n, n, 2)) @ [1, 1j]
+    return DensityMatrix(local_dim=d, parties=2, matrix=mat)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(rho=_dense_two_qudit_states())
+def test_ppt_test_decides_as_a_plain_eigvalsh(rho):
+    # whether a certificate, the proof or the spectrum decided, npt is
+    # the plain rule and min_eigenvalue the plain value, bit for bit
+    res = ppt_test(rho)
+    plain = np.linalg.eigvalsh(partial_transpose(rho, 1))[0]
+    assert res.npt == (plain < -PSD_TOL), plain
+    assert _bits(res.min_eigenvalue) == _bits(plain)
 
 
 @st.composite
