@@ -30,8 +30,9 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2
 EIGVALSH_ERROR_POWER = 2
 # Largest local dimension taken from command-line text: a measurement set's
 # (d**2, d, d) complex128 operator stack, 16 d**4 bytes, is 256 MiB at d = 64.
-# gsic build peaks at about three stacks and reading its file at 8/3 of
-# one, the JSON text and its decoded string (tracemalloc, d = 12 to 32).
+# gsic build peaks at about three stacks and reading its file at 7/3 of
+# one, the file's bytes and the stack decoded from them (tracemalloc,
+# d = 12 to 32).
 MAX_DIM = 64
 # Largest scan grid: its (steps, d, d) stack of weight tables takes 8 steps
 # d**2 bytes, 328 MB at MAX_DIM.
@@ -244,7 +245,11 @@ def hermiticity_deviation(m: np.ndarray) -> float:
     0.0 at once when M equals M^H entry for entry, as on any Hermitian
     stack the package builds.  That test conjugates HERM_CHUNK_BYTES of
     M^H at a time, along M's leading axis, so a large stack is never
-    copied whole, and a stack that small is compared in one go.  A NaN
+    copied whole, and a stack that small is compared in one go.  A lone
+    matrix is compared in row strips from the diagonal on, rows a:b
+    against columns a:b from row a down: every pair of mirrored entries
+    meets in the strip of the upper one's row, so the upper triangle and
+    the diagonal decide it, in about half the work.  A NaN
     entry never compares equal and still reads NaN.  An infinite entry
     mirrored by its conjugate reads 0.0, not the NaN of inf - inf;
     from_matrix refuses it before, and validate_gsic fails its stack on
@@ -254,8 +259,9 @@ def hermiticity_deviation(m: np.ndarray) -> float:
     mt = m.swapaxes(-1, -2)
     step = HERM_CHUNK_BYTES * len(m) // (m.nbytes or 1) or 1
     for start in range(0, len(m), step):
-        if not (m[start:start + step]
-                == mt[start:start + step].conj()).all():
+        rows = slice(start, start + step)
+        part = (rows, slice(start, None)) if m.ndim == 2 else rows
+        if not (m[part] == mt[part].conj()).all():
             with np.errstate(invalid="ignore"):
                 return float(np.abs(m - mt.conj()).max())
     return 0.0

@@ -274,7 +274,7 @@ def read_gsic(path: str | Path) -> GsicSet:
     ValueError; a set above the cap on t, InfeasibleParameterError.
     """
     try:
-        payload = _read_json(path)
+        payload = _read_json(path, "operators")
         d = decode_int(payload["d"], 2)
         t = decode_float(payload["t"])
         a = decode_float(payload["a"])
@@ -282,7 +282,7 @@ def read_gsic(path: str | Path) -> GsicSet:
         ops = decode_complex(payload, "operators")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed measurement file {path}: {exc}") from exc
-    del payload  # its string, 4/3 of the stack, is not needed by the gate
+    del payload  # a parsed string, 4/3 of the stack, is not needed by the gate
     if ops.shape not in ((d**4,), (d * d, d * d)):
         raise ValueError(
             f"measurement file {path} holds {ops.shape} entries, "

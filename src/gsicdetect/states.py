@@ -122,9 +122,14 @@ def _min_eigenvalue(h: np.ndarray) -> float:
     O(d**6).  A matrix below LABEL_MIN_SIZE, where the labelling costs
     more than the spectrum, a first row with no zero entry, as in a dense
     state, or a pattern of one component goes to eigvalsh whole.
+
+    A non-finite entry anywhere gives NaN, since eigvalsh can drop a NaN
+    and return a finite value.  The blocks hold every nonzero entry of h,
+    a NaN or an infinity among them, so on the labelled path they are
+    what is checked.
     """
     if len(h) < LABEL_MIN_SIZE or (h[0] != 0).all():
-        return float(np.linalg.eigvalsh(h)[0])
+        return _whole_min_eigenvalue(h)
     nz = h != 0
     nz |= nz.T  # hooking pulls along each stored direction only
     rows, cols = np.nonzero(nz)
@@ -139,14 +144,23 @@ def _min_eigenvalue(h: np.ndarray) -> float:
     _, start, size = np.unique(root[order], return_index=True,
                                return_counts=True)
     if len(size) == 1:
-        return float(np.linalg.eigvalsh(h)[0])
+        return _whole_min_eigenvalue(h)
     lowest = np.inf
     for s in np.unique(size):
         idx = order[start[size == s, None] + np.arange(s)]
         blocks = h[idx[:, :, None], idx[:, None, :]]
+        if not np.isfinite(blocks).all():
+            return math.nan
         # np.minimum, not min: a NaN from any block must reach the result
         lowest = np.minimum(lowest, np.linalg.eigvalsh(blocks)[:, 0].min())
     return float(lowest)
+
+
+def _whole_min_eigenvalue(h: np.ndarray) -> float:
+    """eigvalsh(h)[0], or NaN if h has a non-finite entry."""
+    if not np.isfinite(h).all():
+        return math.nan
+    return float(np.linalg.eigvalsh(h)[0])
 
 
 def _lowest_eigenvalue(stack: np.ndarray, floor: float) -> float:
@@ -518,7 +532,7 @@ def partial_transpose(rho: DensityMatrix, party: int) -> np.ndarray:
 # Tag of the payload that _write_json writes; files without it are read
 # in the [re, im] form written before it.
 ENCODING = "c16le-base64"
-# Base64 characters per slice in decode_complex, a multiple of 4.  Slices
+# Base64 characters per slice in _decode_base64, a multiple of 4.  Slices
 # of 12 KiB and 96 KiB decode a d = 16 set in the same time, but a d = 8
 # set's 87 KiB payload fits in one 96 KiB slice, which copies it whole.
 DECODE_SLICE = 12 * 1024
@@ -543,49 +557,95 @@ def _write_json(path: str | Path, fields: dict, key: str, z: np.ndarray) -> None
         out.write(b'"}')
 
 
-def _read_json(path: str | Path):
-    """A file's JSON value; a BOM or bytes that are not UTF-8 raise ValueError."""
-    return json.loads(Path(path).read_bytes().decode("utf-8"))
+def _read_json(path: str | Path, key: str | None = None):
+    """A file's JSON value; a BOM or bytes that are not UTF-8 raise ValueError.
+
+    The file is read once.  Given key, a file in the layout _write_json
+    writes is not parsed whole: only its head, the bytes with the payload
+    under key cut out, goes through json, and the payload is decoded from
+    the file's bytes by _decode_base64 into a bytearray, which
+    decode_complex takes as the decoded payload.  The layout: the bytes
+    end in '"}', the last '"' before those opens the payload, and the
+    head is the UTF-8 text of json.dumps of a dict tagged with ENCODING
+    whose last key is key, holding "".  The whole file is then json.dumps
+    of that dict with the payload in place of "", and parses to it
+    whenever the strict decode accepts the payload: an escape, a control
+    character or a non-ASCII byte lies outside the base64 alphabet.  Any
+    other file, and one whose payload fails to decode, is parsed whole by
+    json.loads from the same bytes.  Decoding here, before the caller
+    reads any field, keeps every value and every error of the whole
+    parse, in the same order.
+    """
+    raw = Path(path).read_bytes()
+    end = len(raw) - 2
+    if (key is not None and raw.endswith(b'"}')
+            and (q := raw.rfind(b'"', 0, end)) >= 0):
+        try:
+            text = (raw[:q + 1] + b'"}').decode("utf-8")
+            head = json.loads(text)
+            if (isinstance(head, dict)
+                    and next(reversed(head), None) == key and head[key] == ""
+                    and head.get("encoding") == ENCODING
+                    and json.dumps(head) == text):
+                head[key] = _decode_base64(raw, q + 1, end)
+                return head
+        except ValueError:
+            pass
+    return json.loads(raw.decode("utf-8"))
+
+
+def _decode_base64(text: str | bytes, start: int = 0,
+                   stop: int | None = None) -> bytearray:
+    """Strict base64 decode (validate=True) of text[start:stop].
+
+    A whole multiple of 4 characters with '=' only in its last two is
+    decoded DECODE_SLICE characters at a time into one buffer, so no
+    full-size copy of the text or of the bytes is made.  Each slice goes
+    through the same strict decode, so a byte outside the alphabet is
+    refused in any slice, and such slices' decodes join to the decode of
+    the whole.  A text of any other form, or a str that is not ASCII, is
+    decoded whole, so it fails, with the same message, or passes as the
+    whole would.
+    """
+    stop = len(text) if stop is None else stop
+    n = stop - start
+    pad = "=" if isinstance(text, str) else b"="
+    tail = max(start, stop - 2)  # where a closing '=' may begin
+    if (n % 4 or (isinstance(text, str) and not text.isascii())
+            or text.find(pad, start, tail) >= 0):
+        return bytearray(base64.b64decode(text[start:stop], validate=True))
+    data = bytearray(n // 4 * 3 - text.count(pad, tail, stop))
+    for at in range(start, stop, DECODE_SLICE):
+        part = base64.b64decode(text[at:min(at + DECODE_SLICE, stop)],
+                                validate=True)
+        out = (at - start) // 4 * 3
+        data[out:out + len(part)] = part
+    return data
 
 
 def decode_complex(payload: dict, key: str) -> np.ndarray:
     """payload[key] as a complex array; ValueError unless every entry is finite.
 
     Tagged with ENCODING, payload[key] must be a base64 string (decoded
-    with validate=True) of a whole number of 16-byte entries, and the
-    result is flat.  Untagged, it must be nested [re, im] pairs of
-    numbers, and the result keeps their nesting.  Any other tag raises.
-
-    A tagged string is decoded DECODE_SLICE characters at a time into one
-    buffer, which becomes the result, so no full-size copy of the string
-    or of the bytes is made.  Each slice goes through the same strict
-    decode, so a byte outside the alphabet is refused in any slice.  A
-    whole multiple of 4 characters with '=' only in its last two splits
-    into slices whose decodes join to the decode of the whole; a string
-    of any other form, or one that is not ASCII, is decoded whole as
-    before, so it fails, with the same message, or passes as it always did.
+    by _decode_base64) of a whole number of 16-byte entries, or those
+    bytes already decoded, as the bytearray that _read_json puts there;
+    a JSON value is never a bytearray.  The result is flat.  Untagged,
+    payload[key] must be nested [re, im] pairs of numbers, and the result
+    keeps their nesting.  Any other tag raises.
     """
     raw = payload[key]
     if "encoding" in payload:
         if payload["encoding"] != ENCODING:
             raise ValueError(f"unknown encoding {payload['encoding']!r}, "
                              f"expected {ENCODING!r}")
-        if not isinstance(raw, str):
+        if isinstance(raw, str):
+            raw = _decode_base64(raw)
+        elif not isinstance(raw, bytearray):
             raise ValueError(f"{key} must be a base64 string under {ENCODING}")
-        n = len(raw)
-        if n % 4 or not raw.isascii() or raw.find("=", 0, n - 2) >= 0:
-            data = bytearray(base64.b64decode(raw, validate=True))
-        else:
-            data = bytearray(n // 4 * 3 - raw.count("=", n - 2))
-            for start in range(0, n, DECODE_SLICE):
-                part = base64.b64decode(raw[start:start + DECODE_SLICE],
-                                        validate=True)
-                at = start // 4 * 3
-                data[at:at + len(part)] = part
-        if len(data) % 16:
-            raise ValueError(f"{key} holds {len(data)} bytes, not a whole "
+        if len(raw) % 16:
+            raise ValueError(f"{key} holds {len(raw)} bytes, not a whole "
                              "number of 16-byte complex128 entries")
-        z = np.frombuffer(data, "<c16").astype(complex, copy=False)
+        z = np.frombuffer(raw, "<c16").astype(complex, copy=False)
     else:
         pairs = np.asarray(raw)
         if pairs.dtype.kind not in "iuf" or pairs.shape[-1:] != (2,):
@@ -642,13 +702,13 @@ def read_state(path: str | Path) -> DensityMatrix:
     DensityMatrix.from_matrix.  A malformed file raises ValueError.
     """
     try:
-        payload = _read_json(path)
+        payload = _read_json(path, "matrix")
         local_dim = decode_int(payload["local_dim"], 2)
         parties = decode_int(payload["parties"], 1)
         flat = decode_complex(payload, "matrix")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from exc
-    del payload  # its string, 4/3 of the matrix, is not needed past here
+    del payload  # a parsed string, 4/3 of the matrix, is not needed past here
     dim = math.isqrt(flat.size)
     # local_dim >= 2 gives local_dim**parties >= 2**parties, so a parties
     # beyond dim's bit length cannot match, and the power is never formed

@@ -2,9 +2,12 @@
 
 import base64
 import contextlib
+import dataclasses
 import io
 import json
+import tempfile
 from functools import cache
+from pathlib import Path
 from types import SimpleNamespace
 from unittest.mock import patch
 
@@ -21,8 +24,9 @@ from gsicdetect import (INCONCLUSIVE, DensityMatrix, GsicSet,  # noqa: E402
                         feasible_t, gell_mann_basis, j_multipartite,
                         isotropic, max_feasible_t, multipartite_bound,
                         partial_transpose, purity_from_t, random_separable,
-                        validate_gsic, weyl_operator)
-from gsicdetect import errors, states  # noqa: E402
+                        read_gsic, read_state, validate_gsic, weyl_operator,
+                        write_gsic)
+from gsicdetect import errors, gsic, states  # noqa: E402
 from gsicdetect.cli import main  # noqa: E402
 from gsicdetect.criteria import SCAN_FAMILIES, _Witness  # noqa: E402
 from gsicdetect.errors import (CAP_EIG_SLACK, HERM_TOL,  # noqa: E402
@@ -234,6 +238,26 @@ def test_min_eigenvalue_keeps_a_nan_block():
     # eigvalsh returns for a block: this gave -0.0266
     h = partial_transpose(isotropic(8, 0.3), 1)
     h[0, 0] = np.nan
+    assert np.isnan(_min_eigenvalue(h))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("case", ["labelled", "small", "dense", "one-block"])
+def test_min_eigenvalue_of_a_non_finite_entry_is_nan(case, bad):
+    # eigvalsh drops a NaN in a 2 x 2 block: the labelled case read
+    # -0.0530 and the small one 0.0 before the entries were checked
+    if case == "labelled":
+        h, at = partial_transpose(isotropic(8, 0.3), 1), (1, 1)
+    elif case == "small":
+        h, at = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex), (0, 0)
+    elif case == "dense":
+        h, at = _hermitian(np.random.default_rng(7), 64), (5, 3)
+    else:  # a permuted tridiagonal pattern with a zero in the first row
+        h = np.diag(np.arange(1.0, 65.0)).astype(complex)
+        h += np.diag(np.ones(63), 1) + np.diag(np.ones(63), -1)
+        h[0, 2] = 0.0
+        at = (40, 41)
+    h[at] = bad
     assert np.isnan(_min_eigenvalue(h))
 
 
@@ -462,6 +486,8 @@ def test_json_round_trip_is_bit_exact(tmp_path_factory, parts):
     got = decode_complex(payload, "matrix")
     assert got.dtype == np.complex128 and got.shape == (z.size,)
     assert got.tobytes() == z.tobytes()
+    fast = decode_complex(_read_json(path, "matrix"), "matrix")
+    assert fast.tobytes() == z.tobytes() and fast.flags.writeable
 
 
 def test_from_matrix_takes_an_exactly_hermitian_matrix_as_it_is():
@@ -529,13 +555,17 @@ _NOT_BASE64 = ["!", " ", "\n", "-", "_", ".", "\x00", "\x7f", "\xe9",
 @settings(max_examples=400, deadline=None, database=None)
 @given(slice_len=st.sampled_from([20, 64]), slices=st.integers(0, 2),
        offset=st.sampled_from([-4, 0, 4]), pad=st.integers(0, 2),
-       mutation=st.sampled_from(["none", "replace", "truncate"]),
-       seed=st.integers(0, 2**32 - 1), data=st.data())
+       mutation=st.sampled_from(["none", "replace", "pad-slice-end",
+                                 "truncate"]),
+       in_file=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
 def test_sliced_decode_matches_the_whole_string_decode(
-        slice_len, slices, offset, pad, mutation, seed, data):
+        slice_len, slices, offset, pad, mutation, in_file, seed, data):
     # payloads of 0, 1 and 2 slices give or take 4 characters, padded with
     # 0, 1 or 2 '=', valid, with one character replaced (the first and the
-    # last of each slice drawn often) or cut short by 1 to 3 characters
+    # last of each slice drawn often), with a '=' ending a slice, or cut
+    # short by 1 to 3 characters; as a JSON string, or as the UTF-8 bytes
+    # of a file, where only failing or not counts, not the message
     length = slices * slice_len + offset
     hypothesis.assume(length >= 0)
     nbytes = length // 4 * 3 - (pad if length else 0)
@@ -549,12 +579,25 @@ def test_sliced_decode_matches_the_whole_string_decode(
         i = data.draw(st.one_of(st.sampled_from(ends),
                                 st.integers(0, length - 1)))
         raw = raw[:i] + data.draw(st.sampled_from(_NOT_BASE64)) + raw[i + 1:]
+    elif mutation == "pad-slice-end" and length:
+        i = min(length, data.draw(st.integers(1, slices + 1)) * slice_len) - 1
+        raw = raw[:i] + "=" + raw[i + 1:]
     elif mutation == "truncate" and length:
         raw = raw[:-data.draw(st.integers(1, min(3, length)))]
+    text = raw.encode("utf-8") if in_file else raw
     try:
-        want, error = base64.b64decode(raw, validate=True), None
+        want, error = base64.b64decode(text, validate=True), None
     except ValueError as exc:
         want, error = None, str(exc)
+    if in_file:
+        framed = b'{"z": "' + text + b'"}'
+        with patch.object(states, "DECODE_SLICE", slice_len):
+            if want is None:
+                with pytest.raises(ValueError):
+                    states._decode_base64(framed, 7, 7 + len(text))
+            else:
+                assert states._decode_base64(framed, 7, 7 + len(text)) == want
+        return
     payload = {"encoding": states.ENCODING, "z": raw}
     with patch.object(states, "DECODE_SLICE", slice_len):
         if want is None or len(want) % 16 or not np.isfinite(
@@ -633,3 +676,106 @@ def test_detect_exits_only_with_0_2_or_3_and_no_traceback(
             rc = exc.code
     assert rc in (0, 2, 3), (rc, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def _read_whole(path, key=None):
+    """The reader route that parses the whole file with json.loads."""
+    return json.loads(Path(path).read_bytes().decode("utf-8"))
+
+
+def _reading(read, path) -> tuple:
+    """Everything read from path, bit for bit, or the error raised."""
+    try:
+        got = read(path)
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return type(exc), str(exc)
+    fields = dataclasses.asdict(got)
+    return tuple((name, value.dtype, value.shape, value.tobytes())
+                 if isinstance(value, np.ndarray)
+                 else (name, _bits(value)) if isinstance(value, float)
+                 else (name, value) for name, value in fields.items())
+
+
+@cache
+def _canonical_file(kind: str, d: int) -> bytes:
+    """The bytes write_gsic or write_state writes for a small set or state."""
+    path = Path(tempfile.mkdtemp()) / "f.json"
+    if kind == "set":
+        basis = gell_mann_basis(d)
+        write_gsic(construct_gsic(basis, feasible_t(basis).t), path)
+    else:
+        write_state(random_separable(d, 2, 3, seed=d), path)
+    raw = path.read_bytes()
+    path.unlink()
+    path.parent.rmdir()
+    return raw
+
+
+# a byte placed over one payload byte: an escape, a control character,
+# a character outside the alphabet, a misplaced padding character, and
+# non-ASCII bytes, valid UTF-8 or not
+_PAYLOAD_BYTES = {"slash": b"\\/", "u-escape": None, "control": b"\x01",
+                  "bang": b"!", "pad": b"=", "e-acute": b"\xc3\xa9",
+                  "not-utf8": b"\xff"}
+
+
+def _variant(raw: bytes, key: str, kind: str, at: int) -> bytes:
+    """raw, a canonical file, rewritten in one way a file can differ."""
+    value = json.loads(raw)
+    first = raw.rindex(b'"', 0, len(raw) - 2) + 1  # the payload's first byte
+    i = first + at % (len(raw) - 2 - first)
+    if kind == "indent":
+        return json.dumps(value, indent=1).encode()
+    if kind == "compact":
+        return json.dumps(value, separators=(",", ":")).encode()
+    if kind == "reordered":
+        return json.dumps(dict(reversed(value.items()))).encode()
+    if kind == "untagged":
+        del value["encoding"]
+        return json.dumps(value).encode()
+    if kind == "duplicate-payload":
+        return b'{"%s": "AAAA", ' % key.encode() + raw[1:]
+    if kind == "duplicate-field":
+        field = next(k for k in value if k not in ("encoding", key))
+        return b'{"%s": 5, ' % field.encode() + raw[1:]
+    if kind == "trailing-space":
+        return raw + b"\n"
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + raw
+    if kind == "truncated":
+        return raw[:at % len(raw)]
+    if kind == "slash" and b"/" in raw[i:]:
+        i = raw.index(b"/", i)  # an escape that keeps the payload's value
+    new = _PAYLOAD_BYTES.get(kind, raw[i:i + 1])
+    if kind == "u-escape":
+        new = b"\\u%04x" % raw[i]
+    return raw[:i] + new + raw[i + 1:]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(kind=st.sampled_from(["set", "state"]), d=st.sampled_from([2, 3]),
+       variant=st.sampled_from(["canonical", "indent", "compact", "reordered",
+                                "untagged", "duplicate-payload",
+                                "duplicate-field", "trailing-space", "bom",
+                                "truncated", *_PAYLOAD_BYTES]),
+       at=st.integers(0, 2**16), slice_len=st.sampled_from([8, 64, 1 << 14]))
+def test_reading_a_file_matches_the_whole_json_parse(
+        tmp_path_factory, kind, d, variant, at, slice_len):
+    # the same arrays, deviation and fields bit for bit, or the same
+    # exception and message, as parsing the whole file with json.loads;
+    # short slices split the payload of these small files
+    key, read = (("operators", read_gsic) if kind == "set"
+                 else ("matrix", read_state))
+    raw = _canonical_file(kind, d)
+    if variant != "canonical":
+        raw = _variant(raw, key, variant, at)
+    path = tmp_path_factory.getbasetemp() / f"{kind}.json"
+    path.write_bytes(raw)
+    with patch.object(states, "DECODE_SLICE", slice_len):
+        got = _reading(read, path)
+        with patch.object(states, "_read_json", _read_whole), \
+                patch.object(gsic, "_read_json", _read_whole):
+            want = _reading(read, path)
+    assert got == want
+    if variant == "canonical":
+        assert not isinstance(got[0], type)
