@@ -9,8 +9,9 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -536,6 +537,18 @@ ENCODING = "c16le-base64"
 # of 12 KiB and 96 KiB decode a d = 16 set in the same time, but a d = 8
 # set's 87 KiB payload fits in one 96 KiB slice, which copies it whole.
 DECODE_SLICE = 12 * 1024
+# Base64 characters per slice in _decode_in_place, a multiple of 16.
+# np.take casts each of a slice's two pair lookups to an 8-byte intp
+# index, so the slice's temporaries peak near 5 bytes per character,
+# 320 KiB, below the decoded bytes that a read holds beside the file's
+# bytes from d = 12 on.  At d = 16, 32 KiB slices decode about a fifth
+# slower, from per-slice overhead, and 128 KiB ones about 5 % faster.
+TABLE_SLICE = 64 * 1024
+# Files below this many bytes skip the head route of _read_json.  Reading
+# and decoding a file (timeit, 1 BLAS thread) took 10-35 us longer by the
+# head route than by the whole parse at d <= 4 (5.6 kB at d = 4), and
+# 15-25 us less at d = 5 (13.4 kB), 65-75 us less at d = 6.
+HEAD_MIN_SIZE = 8 * 1024
 
 
 def _write_json(path: str | Path, fields: dict, key: str, z: np.ndarray) -> None:
@@ -560,10 +573,12 @@ def _write_json(path: str | Path, fields: dict, key: str, z: np.ndarray) -> None
 def _read_json(path: str | Path, key: str | None = None):
     """A file's JSON value; a BOM or bytes that are not UTF-8 raise ValueError.
 
-    The file is read once.  Given key, a file in the layout _write_json
-    writes is not parsed whole: only its head, the bytes with the payload
-    under key cut out, goes through json, and the payload is decoded from
-    the file's bytes by _decode_base64 into a bytearray, which
+    The file is read once, into a bytearray.  Given key, a file of at
+    least HEAD_MIN_SIZE bytes in the layout _write_json writes is not
+    parsed whole: only its head, the bytes with the payload under key
+    cut out, goes through json, and the payload is decoded in place, over
+    the start of the file's bytes, by _decode_in_place; an exact-size
+    copy of the decoded bytes goes under key as a bytearray, which
     decode_complex takes as the decoded payload.  The layout: the bytes
     end in '"}', the last '"' before those opens the payload, and the
     head is the UTF-8 text of json.dumps of a dict tagged with ENCODING
@@ -571,15 +586,18 @@ def _read_json(path: str | Path, key: str | None = None):
     of that dict with the payload in place of "", and parses to it
     whenever the strict decode accepts the payload: an escape, a control
     character or a non-ASCII byte lies outside the base64 alphabet.  Any
-    other file, and one whose payload fails to decode, is parsed whole by
-    json.loads from the same bytes.  Decoding here, before the caller
-    reads any field, keeps every value and every error of the whole
-    parse, in the same order.
+    other file, a smaller one, and one whose payload fails to decode
+    (its bytes restored as read) is parsed whole by json.loads from the
+    same bytes.  Decoding here, before the caller reads any field, keeps
+    every value and every error of the whole parse, in the same order.
     """
-    raw = Path(path).read_bytes()
+    with open(path, "rb", buffering=0) as f:
+        raw = bytearray(os.fstat(f.fileno()).st_size)
+        del raw[f.readinto(raw):]  # a file that shrank since fstat
+        raw += f.read()  # one that grew, or a pipe, which fstat sizes as 0
     end = len(raw) - 2
-    if (key is not None and raw.endswith(b'"}')
-            and (q := raw.rfind(b'"', 0, end)) >= 0):
+    if (key is not None and len(raw) >= HEAD_MIN_SIZE
+            and raw.endswith(b'"}') and (q := raw.rfind(b'"', 0, end)) >= 0):
         try:
             text = (raw[:q + 1] + b'"}').decode("utf-8")
             head = json.loads(text)
@@ -587,11 +605,97 @@ def _read_json(path: str | Path, key: str | None = None):
                     and next(reversed(head), None) == key and head[key] == ""
                     and head.get("encoding") == ENCODING
                     and json.dumps(head) == text):
-                head[key] = _decode_base64(raw, q + 1, end)
-                return head
+                size = _decode_in_place(raw, q + 1, end)
+                if size is not None:
+                    head[key] = raw[:size]
+                    return head
         except ValueError:
             pass
     return json.loads(raw.decode("utf-8"))
+
+
+@cache
+def _pair_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The two decode tables of _decode_in_place, 65536 '<u4' words each.
+
+    Both are keyed by a character pair read as '<u2', its first
+    character in the low byte.  The first holds the pair's share of a
+    4-character group's 3 bytes where the pair opens the group, the
+    second where it closes it, each byte where it lies in a little-endian
+    word.  A pair holding a character outside the base64 alphabet has
+    0xFF in the fourth byte of both.  So the OR of a group's two lookups
+    is below 2**24 exactly when all four characters are in the alphabet,
+    and then its three low bytes are the group's decode.  Built on first
+    use, 512 KiB together, and read-only.
+    """
+    alphabet = np.frombuffer(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                             b"abcdefghijklmnopqrstuvwxyz0123456789+/",
+                             np.uint8)
+    v = np.zeros(256, "<u4")  # each character's 6 bits
+    v[alphabet] = np.arange(64)
+    flag = np.full(256, 0xFF000000, "<u4")
+    flag[alphabet] = 0
+    # outer ORs over [second character, first character], the order of
+    # a pair's '<u2' value: no temporary as large as a table, where int64
+    # arrays over all pairs raised a process's peak RSS by 4 MB
+    opens = np.bitwise_or.outer(v >> 4 | (v & 0xF) << 12 | flag,
+                                v << 2 | flag).reshape(-1)
+    closes = np.bitwise_or.outer(v << 16 | flag,
+                                 v >> 2 << 8 | (v & 3) << 22 | flag).reshape(-1)
+    for table in opens, closes:
+        table.flags.writeable = False
+    return opens, closes
+
+
+def _decode_in_place(buf: bytearray, start: int, stop: int) -> int | None:
+    """Strict base64 decode of buf[start:stop] into buf[:n]: n, or None.
+
+    The whole 16-character blocks before the last 4-character group are
+    decoded TABLE_SLICE characters at a time: each group is the OR of its
+    two pairs' words in _pair_tables, and each block's four groups pack
+    into three '<u4' words, written where the block's bytes go.  The
+    output trails the input, so no character is overwritten before it is
+    read.  The rest, the last group with any '=' and fewer than 16
+    characters before it, goes through base64.b64decode(validate=True),
+    so the whole is decoded as strictly as by that call.  When a
+    character lies outside the alphabet, or the rest fails, the decoded
+    bytes are encoded back over the characters they came from and the
+    bytes before start restored, so buf holds what it held, and None is
+    returned.
+    """
+    opens, closes = _pair_tables()
+    head = buf[:start]
+    body = max(stop - start - 4, 0) // 16 * 16
+    done = 0  # characters decoded
+    while done < body:
+        chars = min(TABLE_SLICE, body - done)
+        pairs = np.frombuffer(buf, "<u2", chars // 2, start + done)
+        groups = np.take(opens, pairs[0::2])
+        groups |= np.take(closes, pairs[1::2])
+        if groups.max() > 0xFFFFFF:
+            break
+        g0, g1, g2, g3 = groups.reshape(-1, 4).T
+        w0, w1, w2 = np.frombuffer(buf, "<u4", chars // 16 * 3,
+                                   done // 4 * 3).reshape(-1, 3).T
+        np.left_shift(g1, 24, out=w0)
+        w0 |= g0
+        np.left_shift(g2, 16, out=w1)
+        w1 |= g1 >> 8
+        np.left_shift(g3, 8, out=w2)
+        w2 |= g2 >> 16
+        done += chars
+    if done == body:
+        try:
+            rest = base64.b64decode(buf[start + body:stop], validate=True)
+        except ValueError:
+            pass
+        else:
+            size = body // 4 * 3
+            buf[size:size + len(rest)] = rest
+            return size + len(rest)
+    buf[start:start + done] = base64.b64encode(memoryview(buf)[:done // 4 * 3])
+    buf[:start] = head
+    return None
 
 
 def _decode_base64(text: str | bytes, start: int = 0,
@@ -628,10 +732,11 @@ def decode_complex(payload: dict, key: str) -> np.ndarray:
 
     Tagged with ENCODING, payload[key] must be a base64 string (decoded
     by _decode_base64) of a whole number of 16-byte entries, or those
-    bytes already decoded, as the bytearray that _read_json puts there;
-    a JSON value is never a bytearray.  The result is flat.  Untagged,
-    payload[key] must be nested [re, im] pairs of numbers, and the result
-    keeps their nesting.  Any other tag raises.
+    bytes already decoded, as the exact-size bytearray that _read_json
+    puts there from its table decode, which the result views without a
+    copy; a JSON value is never a bytearray.  The result is flat.
+    Untagged, payload[key] must be nested [re, im] pairs of numbers, and
+    the result keeps their nesting.  Any other tag raises.
     """
     raw = payload[key]
     if "encoding" in payload:

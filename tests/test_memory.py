@@ -20,7 +20,7 @@ from gsicdetect import (construct_gsic, feasible_t, gell_mann_basis,
                         ppt_test, random_separable, read_gsic, read_state,
                         write_gsic, write_state)
 from gsicdetect.cli import main
-from gsicdetect.states import DensityMatrix
+from gsicdetect.states import DensityMatrix, _read_json, decode_complex
 
 
 def _peak(call) -> int:
@@ -57,6 +57,28 @@ def test_reading_a_set_peaks_at_its_text_and_one_stack(set_file):
     stack = 16 * 12**4
     peak = _peak(lambda: read_gsic(set_file))
     assert peak <= 2.5 * stack, peak / stack
+
+
+@pytest.mark.parametrize("kind", ["set", "state"])
+def test_reading_a_d16_file_peaks_at_its_bytes_and_one_decoded_copy(tmp_path,
+                                                                    kind):
+    # the file's bytes, 4/3 of the array, decoded in place, and beside
+    # them the exact-size copy of the decoded bytes.  A set's gate runs
+    # after the file's bytes are freed, below that peak; a dense state's
+    # gate holds three matrices (the d = 12 test below), so the state is
+    # measured up to its decoded array
+    path = tmp_path / "f.json"
+    if kind == "set":
+        basis = gell_mann_basis(16)
+        write_gsic(construct_gsic(basis, feasible_t(basis).t), path)
+        size, call = 16 * 16**4, lambda: read_gsic(path)
+    else:
+        mat = _hermitian_state(256, seed=16)
+        write_state(DensityMatrix.from_matrix(mat, 16, 2), path)
+        size = mat.nbytes
+        call = lambda: decode_complex(_read_json(path, "matrix"), "matrix")
+    peak = _peak(call)
+    assert peak <= 2.4 * size, peak / size
 
 
 @pytest.mark.parametrize("kind", ["set", "state"])

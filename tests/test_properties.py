@@ -612,6 +612,63 @@ def test_sliced_decode_matches_the_whole_string_decode(
             assert got.dtype == np.complex128 and got.flags.writeable
 
 
+# bytes outside the base64 alphabet, the padding character among them,
+# as a file's payload may hold them
+_NOT_BASE64_BYTES = [b"!", b" ", b"\n", b"-", b"_", b".", b"\x00", b"\x7f",
+                     b"\xe9", b"\xff", b"=", b'"', b"\\"]
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(slice_len=st.sampled_from([16, 48, 64]), slices=st.integers(0, 3),
+       offset=st.sampled_from([-20, -16, -12, -8, -4, 0, 4, 8, 12, 16, 20]),
+       pad=st.integers(0, 2), start=st.integers(0, 40),
+       mutation=st.sampled_from(["none", "outside", "pad-inside", "quote",
+                                 "truncate"]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_in_place_decode_matches_the_strict_decode(
+        slice_len, slices, offset, pad, start, mutation, seed, data):
+    # payloads of whole slices give or take up to 20 characters, so their
+    # ends fall on and beside 16-character block ends, padded with 0, 1 or
+    # 2 '=', after a head of 0 to 40 bytes; valid, with a byte outside the
+    # alphabet (block and slice ends drawn often), a '=' before the last
+    # group, a '"' or a '\\', or cut short by 1 to 3 characters
+    length = slices * slice_len + offset
+    hypothesis.assume(length >= 0)
+    nbytes = length // 4 * 3 - (pad if length else 0)
+    rng = np.random.default_rng(seed)
+    text = base64.b64encode(rng.bytes(nbytes))
+    assert len(text) == length
+    if mutation in ("outside", "pad-inside", "quote") and length:
+        ends = [i for k in range(length // 16 + 1)
+                for i in (16 * k, 16 * k + 15, slice_len * k,
+                          slice_len * k + slice_len - 1) if i < length]
+        if mutation == "pad-inside":
+            hypothesis.assume(length > 4)
+            ends = [i for i in ends if i < length - 4]
+            i, new = data.draw(st.integers(0, length - 5)), b"="
+        else:
+            i = data.draw(st.integers(0, length - 1))
+            new = data.draw(st.sampled_from(
+                _NOT_BASE64_BYTES if mutation == "outside" else [b'"', b"\\"]))
+        if ends and data.draw(st.booleans()):
+            i = data.draw(st.sampled_from(ends))
+        text = text[:i] + new + text[i + 1:]
+    elif mutation == "truncate" and length:
+        text = text[:-data.draw(st.integers(1, min(3, length)))]
+    try:
+        want = base64.b64decode(text, validate=True)
+    except ValueError:
+        want = None
+    raw = bytes(rng.integers(0, 256, start, dtype=np.uint8)) + text + b'"}'
+    buf = bytearray(raw)
+    with patch.object(states, "TABLE_SLICE", slice_len):
+        size = states._decode_in_place(buf, start, start + len(text))
+    if want is None:
+        assert size is None and buf == raw
+    else:
+        assert size == len(want) and buf[:size] == want
+
+
 def _state_file(path, d: int, variant: str, at: int, byte: int) -> str:
     """A tagged file of a two-qudit state of local dimension d: whole, cut
     at byte `at`, or with that byte replaced by `byte`."""
@@ -753,17 +810,19 @@ def _variant(raw: bytes, key: str, kind: str, at: int) -> bytes:
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(kind=st.sampled_from(["set", "state"]), d=st.sampled_from([2, 3]),
+@given(kind=st.sampled_from(["set", "state"]), d=st.sampled_from([2, 3, 8]),
        variant=st.sampled_from(["canonical", "indent", "compact", "reordered",
                                 "untagged", "duplicate-payload",
                                 "duplicate-field", "trailing-space", "bom",
                                 "truncated", *_PAYLOAD_BYTES]),
-       at=st.integers(0, 2**16), slice_len=st.sampled_from([8, 64, 1 << 14]))
+       at=st.integers(0, 2**17), slice_len=st.sampled_from([16, 64, 1 << 16]),
+       head_min=st.sampled_from([0, states.HEAD_MIN_SIZE]))
 def test_reading_a_file_matches_the_whole_json_parse(
-        tmp_path_factory, kind, d, variant, at, slice_len):
+        tmp_path_factory, kind, d, variant, at, slice_len, head_min):
     # the same arrays, deviation and fields bit for bit, or the same
     # exception and message, as parsing the whole file with json.loads;
-    # short slices split the payload of these small files
+    # d = 8 files (87 kB) take the table route as they are, and the small
+    # ones when the size cut-off is lifted; short slices split each payload
     key, read = (("operators", read_gsic) if kind == "set"
                  else ("matrix", read_state))
     raw = _canonical_file(kind, d)
@@ -771,7 +830,8 @@ def test_reading_a_file_matches_the_whole_json_parse(
         raw = _variant(raw, key, variant, at)
     path = tmp_path_factory.getbasetemp() / f"{kind}.json"
     path.write_bytes(raw)
-    with patch.object(states, "DECODE_SLICE", slice_len):
+    with patch.object(states, "TABLE_SLICE", slice_len), \
+            patch.object(states, "HEAD_MIN_SIZE", head_min):
         got = _reading(read, path)
         with patch.object(states, "_read_json", _read_whole), \
                 patch.object(gsic, "_read_json", _read_whole):
