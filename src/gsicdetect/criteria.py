@@ -31,9 +31,9 @@ from .errors import (CORR_IMAG_TOL, IMAG_TOL, PURITY_MATCH_TOL, RANGE_SLACK,
                      margin_error_bound, purity_range_deviation, require_real)
 from .gsic import GsicSet, _purity_excess, conjugate_gsic, construct_gsic
 from .operator_basis import OperatorBasis, gell_mann_basis
-from .states import (DensityMatrix, _bell_kets, _bell_mixture,
-                     _belldiag_c_weights, _diagmix_weights, _isotropic_weights,
-                     _weights_deviation, pair_axes)
+from .states import (DensityMatrix, _bell_kets, _belldiag_c_weights,
+                     _diagmix_weights, _isotropic_weights, _weights_deviation,
+                     pair_axes)
 
 ENTANGLED_DETECTED = "ENTANGLED_DETECTED"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -298,11 +298,6 @@ def trace_t_bound(d: int) -> float:
     """Separable ceiling of the correlation-matrix trace."""
     check_dim(d)
     return (d - 1.0) / (2.0 * d)
-
-
-def _belldiag_c(d: int, c: float) -> DensityMatrix:
-    """The state of the belldiag-c scan at identity-label weight c."""
-    return _bell_mixture(*_belldiag_c_weights(d, c))
 
 
 # family -> dimension -> (grid start, factory of the Bell-label weight

@@ -533,10 +533,6 @@ def partial_transpose(rho: DensityMatrix, party: int) -> np.ndarray:
 # Tag of the payload that _write_json writes; files without it are read
 # in the [re, im] form written before it.
 ENCODING = "c16le-base64"
-# Base64 characters per slice in _decode_base64, a multiple of 4.  Slices
-# of 12 KiB and 96 KiB decode a d = 16 set in the same time, but a d = 8
-# set's 87 KiB payload fits in one 96 KiB slice, which copies it whole.
-DECODE_SLICE = 12 * 1024
 # Base64 characters per slice in _decode_in_place, a multiple of 16.
 # np.take casts each of a slice's two pair lookups to an 8-byte intp
 # index, so the slice's temporaries peak near 5 bytes per character,
@@ -544,11 +540,6 @@ DECODE_SLICE = 12 * 1024
 # bytes from d = 12 on.  At d = 16, 32 KiB slices decode about a fifth
 # slower, from per-slice overhead, and 128 KiB ones about 5 % faster.
 TABLE_SLICE = 64 * 1024
-# Files below this many bytes skip the head route of _read_json.  Reading
-# and decoding a file (timeit, 1 BLAS thread) took 10-35 us longer by the
-# head route than by the whole parse at d <= 4 (5.6 kB at d = 4), and
-# 15-25 us less at d = 5 (13.4 kB), 65-75 us less at d = 6.
-HEAD_MIN_SIZE = 8 * 1024
 
 
 def _write_json(path: str | Path, fields: dict, key: str, z: np.ndarray) -> None:
@@ -573,31 +564,31 @@ def _write_json(path: str | Path, fields: dict, key: str, z: np.ndarray) -> None
 def _read_json(path: str | Path, key: str | None = None):
     """A file's JSON value; a BOM or bytes that are not UTF-8 raise ValueError.
 
-    The file is read once, into a bytearray.  Given key, a file of at
-    least HEAD_MIN_SIZE bytes in the layout _write_json writes is not
-    parsed whole: only its head, the bytes with the payload under key
-    cut out, goes through json, and the payload is decoded in place, over
-    the start of the file's bytes, by _decode_in_place; an exact-size
-    copy of the decoded bytes goes under key as a bytearray, which
-    decode_complex takes as the decoded payload.  The layout: the bytes
-    end in '"}', the last '"' before those opens the payload, and the
-    head is the UTF-8 text of json.dumps of a dict tagged with ENCODING
-    whose last key is key, holding "".  The whole file is then json.dumps
-    of that dict with the payload in place of "", and parses to it
-    whenever the strict decode accepts the payload: an escape, a control
-    character or a non-ASCII byte lies outside the base64 alphabet.  Any
-    other file, a smaller one, and one whose payload fails to decode
-    (its bytes restored as read) is parsed whole by json.loads from the
-    same bytes.  Decoding here, before the caller reads any field, keeps
-    every value and every error of the whole parse, in the same order.
+    The file is read once, into a bytearray.  Given key, a file in the
+    layout _write_json writes, whatever its size, is not parsed whole:
+    only its head, the bytes with the payload under key cut out, goes
+    through json, and the payload is decoded in place, over the start of
+    the file's bytes, by _decode_in_place, whose exact-size bytearray
+    goes under key; decode_complex takes it as the decoded payload.  The
+    layout: the bytes end in '"}', the last '"' before those opens the
+    payload, and the head is the UTF-8 text of json.dumps of a dict
+    tagged with ENCODING whose last key is key, holding "".  The whole
+    file is then json.dumps of that dict with the payload in place of
+    "", and parses to it whenever the strict decode accepts the payload:
+    an escape, a control character or a non-ASCII byte lies outside the
+    base64 alphabet.  Any other file, and one whose payload fails to
+    decode (its bytes restored as read), is parsed whole by json.loads
+    from the same bytes.  Decoding here, before the caller reads any
+    field, keeps every value and every error of the whole parse, in the
+    same order.
     """
     with open(path, "rb", buffering=0) as f:
         raw = bytearray(os.fstat(f.fileno()).st_size)
         del raw[f.readinto(raw):]  # a file that shrank since fstat
         raw += f.read()  # one that grew, or a pipe, which fstat sizes as 0
     end = len(raw) - 2
-    if (key is not None and len(raw) >= HEAD_MIN_SIZE
-            and raw.endswith(b'"}') and (q := raw.rfind(b'"', 0, end)) >= 0):
+    if (key is not None and raw.endswith(b'"}')
+            and (q := raw.rfind(b'"', 0, end)) >= 0):
         try:
             text = (raw[:q + 1] + b'"}').decode("utf-8")
             head = json.loads(text)
@@ -605,9 +596,9 @@ def _read_json(path: str | Path, key: str | None = None):
                     and next(reversed(head), None) == key and head[key] == ""
                     and head.get("encoding") == ENCODING
                     and json.dumps(head) == text):
-                size = _decode_in_place(raw, q + 1, end)
-                if size is not None:
-                    head[key] = raw[:size]
+                data = _decode_in_place(raw, q + 1, end)
+                if data is not None:
+                    head[key] = data
                     return head
         except ValueError:
             pass
@@ -647,8 +638,8 @@ def _pair_tables() -> tuple[np.ndarray, np.ndarray]:
     return opens, closes
 
 
-def _decode_in_place(buf: bytearray, start: int, stop: int) -> int | None:
-    """Strict base64 decode of buf[start:stop] into buf[:n]: n, or None.
+def _decode_in_place(buf: bytearray, start: int, stop: int) -> bytearray | None:
+    """Strict base64 decode of buf[start:stop] into buf[:n]: a copy, or None.
 
     The whole 16-character blocks before the last 4-character group are
     decoded TABLE_SLICE characters at a time: each group is the OR of its
@@ -657,11 +648,11 @@ def _decode_in_place(buf: bytearray, start: int, stop: int) -> int | None:
     output trails the input, so no character is overwritten before it is
     read.  The rest, the last group with any '=' and fewer than 16
     characters before it, goes through base64.b64decode(validate=True),
-    so the whole is decoded as strictly as by that call.  When a
-    character lies outside the alphabet, or the rest fails, the decoded
-    bytes are encoded back over the characters they came from and the
-    bytes before start restored, so buf holds what it held, and None is
-    returned.
+    so the whole is decoded as strictly as by that call, and an
+    exact-size copy of buf[:n] is returned.  When a character lies
+    outside the alphabet, or the rest fails, the decoded bytes are
+    encoded back over the characters they came from and the bytes before
+    start restored, so buf holds what it held, and None is returned.
     """
     opens, closes = _pair_tables()
     head = buf[:start]
@@ -683,6 +674,7 @@ def _decode_in_place(buf: bytearray, start: int, stop: int) -> int | None:
         w1 |= g1 >> 8
         np.left_shift(g3, 8, out=w2)
         w2 |= g2 >> 16
+        del groups, g0, g1, g2, g3  # not held beside the copy returned below
         done += chars
     if done == body:
         try:
@@ -692,51 +684,25 @@ def _decode_in_place(buf: bytearray, start: int, stop: int) -> int | None:
         else:
             size = body // 4 * 3
             buf[size:size + len(rest)] = rest
-            return size + len(rest)
+            return buf[:size + len(rest)]
     buf[start:start + done] = base64.b64encode(memoryview(buf)[:done // 4 * 3])
     buf[:start] = head
     return None
 
 
-def _decode_base64(text: str | bytes, start: int = 0,
-                   stop: int | None = None) -> bytearray:
-    """Strict base64 decode (validate=True) of text[start:stop].
-
-    A whole multiple of 4 characters with '=' only in its last two is
-    decoded DECODE_SLICE characters at a time into one buffer, so no
-    full-size copy of the text or of the bytes is made.  Each slice goes
-    through the same strict decode, so a byte outside the alphabet is
-    refused in any slice, and such slices' decodes join to the decode of
-    the whole.  A text of any other form, or a str that is not ASCII, is
-    decoded whole, so it fails, with the same message, or passes as the
-    whole would.
-    """
-    stop = len(text) if stop is None else stop
-    n = stop - start
-    pad = "=" if isinstance(text, str) else b"="
-    tail = max(start, stop - 2)  # where a closing '=' may begin
-    if (n % 4 or (isinstance(text, str) and not text.isascii())
-            or text.find(pad, start, tail) >= 0):
-        return bytearray(base64.b64decode(text[start:stop], validate=True))
-    data = bytearray(n // 4 * 3 - text.count(pad, tail, stop))
-    for at in range(start, stop, DECODE_SLICE):
-        part = base64.b64decode(text[at:min(at + DECODE_SLICE, stop)],
-                                validate=True)
-        out = (at - start) // 4 * 3
-        data[out:out + len(part)] = part
-    return data
-
-
 def decode_complex(payload: dict, key: str) -> np.ndarray:
     """payload[key] as a complex array; ValueError unless every entry is finite.
 
-    Tagged with ENCODING, payload[key] must be a base64 string (decoded
-    by _decode_base64) of a whole number of 16-byte entries, or those
-    bytes already decoded, as the exact-size bytearray that _read_json
-    puts there from its table decode, which the result views without a
-    copy; a JSON value is never a bytearray.  The result is flat.
-    Untagged, payload[key] must be nested [re, im] pairs of numbers, and
-    the result keeps their nesting.  Any other tag raises.
+    Tagged with ENCODING, payload[key] must be a base64 string of a whole
+    number of 16-byte entries, or those bytes already decoded, as the
+    exact-size bytearray that _read_json puts there, which the result
+    views without a copy; a JSON value is never a bytearray.  An ASCII
+    string is copied once into a bytearray and decoded by
+    _decode_in_place; one that is not ASCII, or fails that decode, goes
+    to base64.b64decode(validate=True), which raises with its own
+    message.  The result is flat.  Untagged, payload[key] must be nested
+    [re, im] pairs of numbers, and the result keeps their nesting.  Any
+    other tag raises.
     """
     raw = payload[key]
     if "encoding" in payload:
@@ -744,7 +710,10 @@ def decode_complex(payload: dict, key: str) -> np.ndarray:
             raise ValueError(f"unknown encoding {payload['encoding']!r}, "
                              f"expected {ENCODING!r}")
         if isinstance(raw, str):
-            raw = _decode_base64(raw)
+            data = (_decode_in_place(bytearray(raw, "ascii"), 0, len(raw))
+                    if raw.isascii() else None)
+            raw = data if data is not None else bytearray(
+                base64.b64decode(raw, validate=True))
         elif not isinstance(raw, bytearray):
             raise ValueError(f"{key} must be a base64 string under {ENCODING}")
         if len(raw) % 16:

@@ -17,10 +17,11 @@ from gsicdetect import (ENTANGLED_DETECTED, INCONCLUSIVE,
                         multipartite_bound, random_separable, read_gsic,
                         scan_family, trace_t_bound, write_gsic)
 from gsicdetect import criteria
-from gsicdetect.criteria import SCAN_FAMILIES, DetectionReport, _belldiag_c
+from gsicdetect.criteria import SCAN_FAMILIES, DetectionReport
 from gsicdetect.errors import MAX_STEPS, margin_error_bound
 from gsicdetect.oracle import brute_force_j
-from gsicdetect.states import DensityMatrix, _weights_deviation
+from gsicdetect.states import (DensityMatrix, _bell_mixture,
+                               _belldiag_c_weights, _weights_deviation)
 
 
 def _pair(d, t=None):
@@ -280,7 +281,9 @@ def test_scan_threshold_is_exact_at_small_t(family, d):
     assert abs(scan_family(family, p, 40).threshold - exact) <= 1e-12
 
 
-SCAN_STATES = {"isotropic": isotropic, "belldiag-c": _belldiag_c,
+SCAN_STATES = {"isotropic": isotropic,
+               "belldiag-c": lambda d, c: _bell_mixture(
+                   *_belldiag_c_weights(d, c)),
                "diagmix": diagonal_mixture}
 
 

@@ -81,17 +81,20 @@ def test_reading_a_d16_file_peaks_at_its_bytes_and_one_decoded_copy(tmp_path,
     assert peak <= 2.4 * size, peak / size
 
 
-@pytest.mark.parametrize("kind", ["set", "state"])
-def test_reading_a_canonical_file_parses_only_its_head(tmp_path, kind):
-    # a file as written hands json.loads only its small head; the same
-    # value pretty-printed takes the general route through the whole text
+@pytest.mark.parametrize("kind, d", [("set", 16), ("state", 16),
+                                     ("set", 3), ("state", 3)],
+                         ids=["set", "state", "set-d3", "state-d3"])
+def test_reading_a_canonical_file_parses_only_its_head(tmp_path, kind, d):
+    # a file as written hands json.loads only its small head, whatever its
+    # size (1.9 kB at d = 3, 1.4 MB at d = 16); the same value
+    # pretty-printed takes the general route through the whole text
     path, pretty = tmp_path / "f.json", tmp_path / "pretty.json"
     if kind == "set":
-        basis = gell_mann_basis(16)
+        basis = gell_mann_basis(d)
         write_gsic(construct_gsic(basis, feasible_t(basis).t), path)
         read, key = read_gsic, "operators"
     else:
-        write_state(random_separable(16, 2, 4, seed=16), path)
+        write_state(random_separable(d, 2, 4, seed=d), path)
         read, key = read_state, "matrix"
     with open(pretty, "w", encoding="utf-8") as f:
         json.dump(json.loads(path.read_bytes()), f, indent=1)
