@@ -141,9 +141,11 @@ def feasible_t(basis: OperatorBasis) -> FeasibleT:
     eigenvalue of P_j is exactly 1/d**2 + t*lambda_min(M_j), so the
     positivity cap is 1/(d**2 |min_j lambda_min(M_j)|) in closed form.
     Only the one smallest eigenvalue of the stack is needed: it comes from
-    _lowest_eigenvalue with floor +inf, which solves the chunk of lowest
-    Gershgorin bound and proves the others above it by Cholesky factors,
-    bit for bit the batched eigvalsh minimum.
+    _lowest_eigenvalue with floor +inf, bit for bit the batched eigvalsh
+    minimum.  eigvalsh solves the PROOF_CHUNK directions of lowest
+    Gershgorin bound, one batched Cholesky factor per slab of PROOF_SLAB
+    proves the others above their minimum, and eigvalsh takes only those
+    it cannot prove, as a direction that attains the minimum too.
     """
     d = basis.dim
     t_purity = (d * (d + 1.0)) ** -1.5
@@ -180,11 +182,12 @@ def validate_gsic(g: GsicSet, tol: float = VALIDATION_TOL) -> ValidationOutcome:
     eigenvalues, the admissible purity range, and a against
     purity_from_t(d, t), which is infinite unless t is finite and
     nonnegative.  The PSD floor reads only min(0, lambda_min), from
-    _lowest_eigenvalue with floor 0: Cholesky factors prove the operators
-    positive definite, and eigvalsh runs only on a chunk where that proof
-    fails, as on the one singular operator at the cap; the value is bit
-    for bit that of a batched eigvalsh.  An operator stack with a NaN or
-    infinite entry has no spectrum taken and a NaN PSD floor.
+    _lowest_eigenvalue with floor 0: one batched Cholesky factor per slab
+    of PROOF_SLAB operators proves them positive definite, and eigvalsh
+    runs only on the operators whose proof fails, as on the one singular
+    operator at the cap; the value is bit for bit that of a batched
+    eigvalsh.  An operator stack with a NaN or infinite entry has no
+    spectrum taken and a NaN PSD floor.
     """
     ops = np.asarray(g.operators)
     d = g.dim

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (HERM_TOL, PSD_TOL, TRACE_TOL, WEIGHT_SUM_TOL, check_dim,
                      cholesky_proof_slack, hermiticity_deviation)
@@ -23,12 +24,30 @@ from .errors import (HERM_TOL, PSD_TOL, TRACE_TOL, WEIGHT_SUM_TOL, check_dim,
 # Matrices below this size go to eigvalsh whole in _min_eigenvalue, where
 # labelling the zero pattern costs more than the spectrum (about n = 40).
 LABEL_MIN_SIZE = 40
-# Stacks of m matrices of order n with m n**3 below this go to eigvalsh
-# whole in _lowest_eigenvalue, where factors save less than their Python
-# cost: a measurement's d**2 operators below d = 8, one matrix below n = 32.
-PROOF_MIN_WORK = 8 ** 5
-# Matrices per Cholesky factor in _lowest_eigenvalue.
+# Stacks of m matrices of order n with m n**2 entries below this go to
+# eigvalsh whole in _lowest_eigenvalue, where the proof saves less than
+# its fixed cost: a measurement's d**2 operators below d = 6, one matrix
+# below n = 32.  A lone matrix pays the spectrum as well when its factor
+# fails, as on a state of low rank, so it needs a larger size than a
+# stack, whose one factor proves all but a few.  ms, proof against
+# eigvalsh (best of 5 x 100 calls, Xeon, 1 BLAS thread):
+#                              gate, floor 0    cap, floor +inf
+#   d = 4, 256 entries         0.038 / 0.033    0.053 / 0.032
+#   d = 5, 625                 0.041 / 0.061    0.087 / 0.062
+#   d = 6, 1296                0.065 / 0.113    0.113 / 0.110
+#   d = 8, 4096                0.090 / 0.287    0.178 / 0.286
+#                              from_matrix, full rank, rank 4
+#   n = 25, 625                0.037 / 0.052    0.071 / 0.051
+#   n = 32, 1024               0.043 / 0.074    0.093 / 0.071
+PROOF_MIN_ENTRIES = 32 ** 2
+# Matrices solved first by eigvalsh to set the floor of _lowest_eigenvalue
+# when it has none.
 PROOF_CHUNK = 16
+# Matrices per batched Cholesky factor in _lowest_eigenvalue, whose two
+# slab buffers, shifted copies and factors, are the proof's temporaries:
+# a d = 12 build peaks at 3.02 stacks with 32 and 3.27 with 48
+# (tracemalloc), against 3.05 for the chunked proof before it.
+PROOF_SLAB = 32
 # A lone matrix of at least this order is first factored on a copy of its
 # leading quarter, which fails at once on a state of low rank, where
 # copying and factoring the whole would cost about as much as a success.
@@ -168,22 +187,24 @@ def _lowest_eigenvalue(stack: np.ndarray, floor: float) -> float:
     """min(floor, smallest eigenvalue over a stack of Hermitian matrices).
 
     The value is bit for bit min(floor, eigvalsh(stack)[:, 0].min()), but
-    eigvalsh runs only where a Cholesky factor cannot prove the answer.
-    Like eigvalsh, the factor reads each matrix's lower triangle only.  A
-    stack of m matrices of order n with m n**3 below PROOF_MIN_WORK goes
-    to eigvalsh whole.  A lone matrix is one chunk, with nothing to
-    order.  Else the matrices are ordered by Gershgorin lower bound,
-    lowest first, and walked in chunks of PROOF_CHUNK against a running
-    floor f: floor, lowered to each solved chunk's smallest eigenvalue,
-    so that the chunk holding the minimum tends to come first and set f
-    for the proofs of the others.  A chunk is skipped when a factor of it
-    shifted by sigma, just above f, proves that eigvalsh would return all
-    its eigenvalues above f, so that they cannot change the minimum.  A
-    chunk goes to eigvalsh when f is infinite, when it holds a non-finite
-    entry, or when the factor fails or proves too little.
+    eigvalsh runs only on the matrices whose Cholesky factor cannot prove
+    the answer.  Like eigvalsh, the factor reads each matrix's lower
+    triangle only.  A stack of m matrices of order n with m n**2 below
+    PROOF_MIN_ENTRIES goes to eigvalsh whole, and so does one that is not
+    of float64 or complex128, the precision the proof assumes.  A lone
+    matrix is proved by _proves_above.  Else every matrix is shifted by
+    its own sigma, just above the floor f, and factored, PROOF_SLAB
+    matrices to one batched factor (_unproven); a factor that completes
+    proves that eigvalsh would return all of that matrix's eigenvalues
+    above f, so that they cannot change the minimum.  Only the matrices
+    whose factor fails, holds a non-finite entry or proves too little go
+    to eigvalsh, all in one call, and the value is the smaller of f and
+    their minimum.  For floor +inf, f is first set by eigvalsh on the
+    PROOF_CHUNK matrices of lowest Gershgorin lower bound, which tend to
+    hold the minimum, and the others are proved against it.
 
-    The proof, for A of order n in a chunk, with u the unit roundoff and
-    gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
+    The proof, for A of order n, with u the unit roundoff and gamma_k =
+    k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., sections 3.1, 3.6 and 10.1):
 
     1. The shift.  B = fl(A - sigma I) differs from A - sigma I on the
@@ -207,63 +228,110 @@ def _lowest_eigenvalue(stack: np.ndarray, floor: float) -> float:
        sqrt(2) gamma_{2n+3} + 2 p(n) u (errors.cholesky_proof_slack): the
        second p(n) u covers the relative O(n**2 u) roundings of the check.
 
-    The chunk is proved when sigma - f > kappa_n (|sigma| + F) for its
-    largest F.  sigma = f + 2 kappa_n (T - n f + |f|), T the chunk's
-    largest trace, is about twice that bound, since F is about Tr A - n
-    sigma; a successful factor thus proves all but what lies within about
-    4 kappa_n (T + (n + 1) |f|) of f: 4 kappa_n is 2.5e-13 at n = 16
-    and 5.9e-11 at n = 256.
+    A matrix is proved when sigma - f > kappa_n (|sigma| + F).  sigma =
+    f + 2 kappa_n (T - n f + |f|), T its trace, is about twice that bound,
+    since F is about T - n sigma; a successful factor thus proves all but
+    what lies within about 4 kappa_n (T + (n + 1) |f|) of f: 4 kappa_n is
+    2.5e-13 at n = 16 and 5.9e-11 at n = 256.
     """
     m, n = len(stack), stack.shape[-1]
-    if m * n ** 3 < PROOF_MIN_WORK:
+    if m * n * n < PROOF_MIN_ENTRIES or stack.dtype.char not in "dD":
         return min(floor, float(np.linalg.eigvalsh(stack)[:, 0].min()))
     kappa = cholesky_proof_slack(n)
     if m == 1:
-        # nothing to order, so no Gershgorin pass: a non-finite entry in
-        # the lower triangle, all that the factor and eigvalsh read, fails
-        # the factor or makes F non-finite, which proves nothing
+        # a non-finite entry in the lower triangle, all that the factor
+        # and eigvalsh read, fails the factor or makes F non-finite, which
+        # proves nothing
         if math.isfinite(floor) and _proves_above(
                 stack, [0], float(np.trace(stack[0]).real), floor, kappa):
             return floor
         return min(floor, float(np.linalg.eigvalsh(stack)[0, 0]))
     diag = np.einsum("kii->ki", stack).real
-    rows = np.abs(stack).sum(axis=2)
-    bounds = (diag + np.abs(diag) - rows).min(axis=1)
-    order = np.argsort(bounds, kind="stable")
-    traces = diag.sum(axis=1)
-    lowest = floor
-    for start in range(0, m, PROOF_CHUNK):
-        idx = order[start:start + PROOF_CHUNK]
-        if (math.isfinite(lowest) and np.isfinite(bounds[idx]).all()
-                and _proves_above(stack, idx, float(traces[idx].max()),
-                                  lowest, kappa)):
-            continue
-        chunk = stack if len(idx) == m else stack[idx]
-        lowest = min(lowest, float(np.linalg.eigvalsh(chunk)[:, 0].min()))
-    return lowest
+    rest = np.arange(m)
+    if floor == np.inf:
+        rows = np.abs(stack).sum(axis=2)
+        bounds = (diag + np.abs(diag) - rows).min(axis=1)
+        order = np.argsort(bounds, kind="stable")
+        first = np.linalg.eigvalsh(stack[order[:PROOF_CHUNK]])
+        floor = float(first[:, 0].min())
+        rest = np.sort(order[PROOF_CHUNK:])  # copied in memory order
+    if math.isfinite(floor):
+        rest = _unproven(stack, rest, diag.sum(axis=1), floor, kappa)
+    if len(rest) == 0:
+        return floor
+    return min(floor, float(np.linalg.eigvalsh(stack[rest])[:, 0].min()))
 
 
-def _proof_shift(n: int, trace: float, floor: float, kappa: float) -> float:
-    """The shift sigma of _proves_above for matrices of order n.
+def _unproven(stack: np.ndarray, idx: np.ndarray, traces: np.ndarray,
+              floor: float, kappa: float) -> np.ndarray:
+    """The indices among idx whose factor does not put stack[k] above floor.
 
-    trace is their largest trace and kappa their kappa_n.  A factor of A
-    - sigma I exists only if lambda_min(A) > sigma, up to its rounding.
+    traces holds every matrix's trace and kappa their kappa_n.  The
+    matrices are copied and shifted PROOF_SLAB at a time into one buffer,
+    factored into another, and stack is only read.
+    """
+    n = stack.shape[-1]
+    shifts = _proof_shift(n, traces, floor, kappa)
+    shifted = np.empty((min(PROOF_SLAB, len(idx)), n, n), dtype=stack.dtype)
+    factors = np.empty_like(shifted)
+    proved = np.empty(len(idx), dtype=bool)
+    for start in range(0, len(idx), PROOF_SLAB):
+        k = idx[start:start + PROOF_SLAB]
+        b, r = shifted[:len(k)], factors[:len(k)]
+        # "clip" writes straight into b, where "raise" buffers a copy
+        np.take(stack, k, axis=0, out=b, mode="clip")
+        b.reshape(len(k), n * n)[:, ::n + 1] -= shifts[k, None]
+        proved[start:start + len(k)] = _proves(_cholesky(b, r), shifts[k],
+                                               floor, kappa)
+    return idx[~proved]
+
+
+def _cholesky(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Lower Cholesky factors of a stack, all NaN where a factor fails.
+
+    This is the gufunc behind np.linalg.cholesky, with the same factors
+    bit for bit.  It fills a failed factor with NaN and raises the FPU
+    invalid flag, which np.linalg.cholesky turns into one LinAlgError for
+    the whole stack; ignoring the flag keeps each matrix's outcome.  It
+    reads each matrix's lower triangle only.  A NaN entry there need not
+    fail the factor, but leaves a NaN in it.
+    """
+    with np.errstate(all="ignore"):
+        return _umath_linalg.cholesky_lo(a, out=out)
+
+
+def _proves(r: np.ndarray, shift, floor: float, kappa: float) -> np.ndarray:
+    """Whether each factor R of A - shift I puts A's eigenvalues above floor.
+
+    shift is one per factor or common to all; a factor holding a NaN, as
+    a failed one does, proves nothing.
+    """
+    flat = r.view(r.real.dtype).reshape(len(r), 1, -1)
+    fro2 = (flat @ flat.transpose(0, 2, 1))[:, 0, 0]  # one dot per factor
+    return shift - floor > kappa * (abs(shift) + fro2)
+
+
+def _proof_shift(n: int, trace, floor: float, kappa: float):
+    """The shift sigma of _lowest_eigenvalue's proof for matrices of order n.
+
+    trace is a matrix's trace, or an array of traces, and kappa their
+    kappa_n.  A factor of A - sigma I exists only if lambda_min(A) >
+    sigma, up to its rounding.
     """
     return floor + 2.0 * kappa * (trace - n * floor + abs(floor))
 
 
 def _proves_above(stack: np.ndarray, idx, trace: float, floor: float,
                   kappa: float) -> bool:
-    """Whether a factor of stack[idx], shifted, puts its eigenvalues above floor.
+    """Whether a shifted factor puts a lone matrix's eigenvalues above floor.
 
-    idx, an index array or list, picks a chunk of _lowest_eigenvalue or
-    a lone matrix; trace is the chunk's largest trace and kappa its
-    kappa_n.  The shift goes into copies, so stack is only read.  A lone
-    matrix of order PROBE_MIN_SIZE or more is first factored on a copy of
-    its leading quarter, 1/16 of its size, and copied whole only if that
-    succeeds.  idx a slice picks views instead, as numpy indexing does:
-    the shift then goes into stack itself, with no copy and no probe, for
-    a caller that owns stack as scratch, as oracle.ppt_test does.
+    idx, the list [0] or slice(None), picks stack's one matrix; trace is
+    its trace and kappa its kappa_n.  By the list the shift goes into a
+    copy, so stack is only read, and a matrix of order PROBE_MIN_SIZE or
+    more is first factored on a copy of its leading quarter, 1/16 of its
+    size, and copied whole only if that succeeds.  By the slice the shift
+    goes into stack itself, with no copy and no probe, for a caller that
+    owns stack as a work buffer, as oracle.ppt_test does.
     """
     n = stack.shape[-1]
     shift = _proof_shift(n, trace, floor, kappa)
@@ -274,16 +342,12 @@ def _proves_above(stack: np.ndarray, idx, trace: float, floor: float,
         b[:, i[:k], i[:k]] -= shift  # in place whatever b's memory order
         return b
 
-    try:
-        if (not isinstance(idx, slice) and len(idx) == 1
-                and n >= PROBE_MIN_SIZE):
-            np.linalg.cholesky(shifted(n // 4))
-        r = np.linalg.cholesky(shifted(n))
-    except np.linalg.LinAlgError:
+    if (not isinstance(idx, slice) and n >= PROBE_MIN_SIZE
+            and np.isnan(_cholesky(shifted(n // 4))[0, 0, 0])):
         return False
-    r = r.view(r.real.dtype)
-    fro2 = float(np.einsum("kij,kij->k", r, r).max())
-    return shift - floor > kappa * (abs(shift) + fro2)
+    r = _cholesky(shifted(n))
+    return not np.isnan(r[0, 0, 0]) and bool(_proves(r, shift, floor,
+                                                      kappa)[0])
 
 
 def pair_axes(rho: DensityMatrix) -> np.ndarray:

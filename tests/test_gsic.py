@@ -415,9 +415,12 @@ def test_validation_reports_a_non_finite_entry(d, where, value):
     assert not isinstance(err.value, InfeasibleParameterError)
 
 
-def test_a_d16_build_solves_two_chunks_for_the_cap_and_one_per_gate(
+def test_a_d16_build_solves_one_chunk_for_the_cap_and_one_operator_per_gate(
         monkeypatch, tmp_path):
-    # matrices handed to eigvalsh, against the 256 operators of a set
+    # matrices handed to eigvalsh, against the 256 operators of a set: the
+    # cap solves the chunk of lowest Gershgorin bound and what the factors
+    # cannot prove above it; each gate only the operator the factors
+    # cannot prove positive definite, the one singular at the cap
     solved = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -428,15 +431,15 @@ def test_a_d16_build_solves_two_chunks_for_the_cap_and_one_per_gate(
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     basis = gell_mann_basis(16)
     cap = feasible_t(basis).t
-    assert sum(solved) <= 2 * PROOF_CHUNK, solved
+    assert sum(solved) <= PROOF_CHUNK + 1, solved
     solved.clear()
     g = construct_gsic(basis, cap)
-    assert sum(solved) <= PROOF_CHUNK, solved
+    assert solved == [1], solved
     path = tmp_path / "set.json"
     write_gsic(g, path)
     solved.clear()
     read_gsic(path)
-    assert sum(solved) <= PROOF_CHUNK, solved
+    assert solved == [1], solved
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])

@@ -315,11 +315,12 @@ def test_ppt_test_decides_as_a_plain_eigvalsh(rho):
 
 @st.composite
 def _hermitian_stacks(draw):
-    """A stack of 1..40 Hermitian matrices of order 2..16, real or complex,
-    PSD, rank-deficient or indefinite, one of them with its lowest
-    eigenvalue set to 0, +-1e-17, 1e-13 or 1e-9 times the scale,
-    sometimes junk above the diagonal, which eigvalsh does not read, and
-    in C order, Fortran order or a strided view."""
+    """A stack of 1..40 Hermitian matrices of order 2..16, float64 or
+    complex128, PSD, rank-deficient or indefinite, some of them, at
+    random positions, with their lowest eigenvalue set to 0, +-1e-17,
+    1e-13 or 1e-9 times the scale, which a factor at floor 0 can seldom
+    prove, sometimes junk above the diagonal, which eigvalsh does not
+    read, and in C order, Fortran order or a strided view."""
     m = draw(st.integers(1, 40), label="m")
     n = draw(st.integers(2, 16), label="n")
     real = draw(st.booleans(), label="real")
@@ -338,7 +339,8 @@ def _hermitian_stacks(draw):
         w = rng.uniform(0.1, 1.0, size=(m, n))
         if kind == "rank-deficient":
             w[:, :n // 2] = 0.0
-    w[rng.integers(m), 0] = target
+    w[rng.choice(m, size=draw(st.integers(1, m), label="targets"),
+                 replace=False), 0] = target
     w = np.sort(w, axis=1) * scale
     stack = (vecs * w[:, None, :]) @ np.swapaxes(vecs, 1, 2).conj()
     if junk:
@@ -356,19 +358,25 @@ def _hermitian_stacks(draw):
 
 
 # drawn stacks are too small to reach the factors at the package's
-# threshold unless it is lifted, so half the examples lift it
+# threshold unless it is lifted, so half the examples lift it; small
+# slabs and chunks make the factors cross slab boundaries and leave more
+# of a stack to prove at floor +inf
 @settings(max_examples=300, deadline=None, database=None)
 @given(stack=_hermitian_stacks(),
        floor_kind=st.sampled_from(["0", "inf", "min-ulp", "min+ulp"]),
-       every_stack=st.booleans())
+       every_stack=st.booleans(),
+       slab=st.sampled_from([1, 3, states.PROOF_SLAB]),
+       chunk=st.sampled_from([1, 5, states.PROOF_CHUNK]))
 def test_lowest_eigenvalue_is_bit_for_bit_the_eigvalsh_minimum(
-        stack, floor_kind, every_stack):
+        stack, floor_kind, every_stack, slab, chunk):
     lowest = float(np.linalg.eigvalsh(stack)[:, 0].min())
     floor = {"0": 0.0, "inf": np.inf,
              "min-ulp": np.nextafter(lowest, -np.inf),
              "min+ulp": np.nextafter(lowest, np.inf)}[floor_kind]
-    threshold = 0 if every_stack else states.PROOF_MIN_WORK
-    with patch.object(states, "PROOF_MIN_WORK", threshold):
+    threshold = 0 if every_stack else states.PROOF_MIN_ENTRIES
+    with (patch.object(states, "PROOF_MIN_ENTRIES", threshold),
+          patch.object(states, "PROOF_SLAB", slab),
+          patch.object(states, "PROOF_CHUNK", chunk)):
         got = _lowest_eigenvalue(stack, floor)
     assert _bits(got) == _bits(min(floor, lowest)), (got, floor, lowest)
 

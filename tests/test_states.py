@@ -12,7 +12,8 @@ from gsicdetect import (bell_diagonal, conjugate_gsic, construct_gsic,
                         gell_mann_basis, isotropic, max_entangled,
                         partial_transpose, random_separable, read_state,
                         tensor, weyl_operator, write_state)
-from gsicdetect.states import DensityMatrix, decode_complex, decode_float
+from gsicdetect.states import (DensityMatrix, _cholesky, decode_complex,
+                               decode_float)
 
 
 def _reduced(rho, d, keep):
@@ -505,3 +506,34 @@ def test_decode_float_takes_only_json_numbers_within_float_range():
     for bad in ("0.25", True, None, [1.0], 10**400):
         with pytest.raises(ValueError):
             decode_float(bad)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_the_batched_factor_keeps_each_matrixs_outcome(dtype):
+    # numpy's gufunc behind np.linalg.cholesky: NaN exactly where that
+    # function raises, its factor bit for bit everywhere else, a NaN entry
+    # included, which need not fail the factor
+    rng = np.random.default_rng(5)
+    n = 7
+    z = rng.normal(size=(6, n, n))
+    if dtype is complex:
+        z = z + 1j * rng.normal(size=(6, n, n))
+    stack = z @ np.swapaxes(z, 1, 2).conj()  # positive definite
+    stack[1] -= 100.0 * np.eye(n)  # indefinite
+    stack[2][3, :] = stack[2][:, 3] = 0.0  # singular: a zero pivot at 3
+    stack[3][5, 2] = np.nan  # in the lower triangle, the part read
+    stack[4][n - 1, n - 1] = -1.0  # fails only at the last pivot
+    factors = _cholesky(stack)
+    assert factors.dtype == stack.dtype
+    for a, r in zip(stack, factors):
+        try:
+            want = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            assert np.isnan(r).all()
+        else:
+            assert r.tobytes() == want.tobytes()
+    failed = [np.isnan(r).all() for r in factors]
+    assert [failed[k] for k in (0, 1, 2, 4, 5)] == [False, True, True, True,
+                                                   False]
+    # whether the LAPACK at hand fails it or not, the NaN reaches the factor
+    assert np.isnan(factors[3]).any()
