@@ -32,9 +32,9 @@ from .errors import (CAP_EIG_SLACK, IMAG_TOL, VALIDATION_TOL,
                      require_real)
 from .operator_basis import (OperatorBasis, ValidationOutcome,
                              hilbert_schmidt_gram)
-from .states import (DensityMatrix, _lowest_eigenvalue, _read_json,
-                     _write_json, decode_complex, decode_float, decode_int,
-                     pair_axes)
+from .states import (DensityMatrix, _lowest_eigenvalue, _read_head,
+                     _read_raw, _write_raw, decode_complex, decode_float,
+                     decode_int, pair_axes)
 
 
 @dataclass(frozen=True)
@@ -258,31 +258,34 @@ def index_of_coincidence(rho: DensityMatrix, g: GsicSet) -> float:
 
 
 def write_gsic(g: GsicSet, path: str | Path) -> None:
-    """Serialize a measurement set to JSON.
+    """Serialize a measurement set to a file.
 
-    {"encoding", "d", "t", "a", "basis_id", "operators"}, with the
-    (d**2, d, d) operators one base64 string (_write_json).
+    A head {"encoding", "d", "t", "a", "basis_id"}, then the (d**2, d, d)
+    operators' raw bytes (_write_raw).
     """
-    _write_json(path, {"d": g.dim, "t": g.t, "a": g.a, "basis_id": g.basis_id},
-                "operators", g.operators)
+    _write_raw(path, {"d": g.dim, "t": g.t, "a": g.a, "basis_id": g.basis_id},
+               g.operators)
 
 
 def read_gsic(path: str | Path) -> GsicSet:
-    """Load a measurement set from JSON; it must pass validate_gsic.
+    """Load a measurement set from a file; it must pass validate_gsic.
 
-    The operators are read by decode_complex: a tagged file holds d**4
-    entries in one flat string, an untagged one d**2 rows of d**2
-    [re, im] pairs.  d must be an integer >= 2, and t and a finite JSON
-    numbers (decode_float).  A malformed file raises
-    ValueError; a set above the cap on t, InfeasibleParameterError.
+    A raw file (_read_head) must hold exactly d**4 entries after its
+    head.  Any other file is read by decode_complex: a base64 one holds
+    d**4 entries in one flat string, an untagged one d**2 rows of d**2
+    [re, im] pairs.  d must be an integer >= 2, and t and a JSON numbers
+    (decode_float).  A malformed file raises ValueError; a set above the
+    cap on t, InfeasibleParameterError.
     """
     try:
-        payload = _read_json(path, "operators")
-        d = decode_int(payload["d"], 2)
-        t = decode_float(payload["t"])
-        a = decode_float(payload["a"])
-        basis_id = str(payload["basis_id"])
-        ops = decode_complex(payload, "operators")
+        with open(path, "rb") as f:
+            payload, raw = _read_head(f)
+            d = decode_int(payload["d"], 2)
+            t = decode_float(payload["t"])
+            a = decode_float(payload["a"])
+            basis_id = str(payload["basis_id"])
+            ops = (_read_raw(f, d**4) if raw
+                   else decode_complex(payload, "operators"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed measurement file {path}: {exc}") from exc
     del payload  # a parsed string, 4/3 of the stack, is not needed by the gate

@@ -1,12 +1,18 @@
-"""Independent cross-checks for the detection machinery.
+"""Cross-checks for the detection machinery.
 
-Both routines deliberately avoid the optimized code paths: the
-correlation sum is reassembled from explicit Kronecker products, and
-entanglement is certified through the partial transpose alone, by the
-sign of its smallest eigenvalue.  On a dense partial transpose that sign
-is first sought by two certificates, each of which proves what eigvalsh
+brute_force_j avoids the optimized code paths: the correlation sum is
+reassembled from explicit Kronecker products.  ppt_test certifies
+entanglement through the partial transpose alone, by the sign of its
+smallest eigenvalue, but it shares the gate code of
+DensityMatrix.from_matrix: _min_eigenvalue for the spectrum, and
+_proof_shift and _proves_above for the Cholesky proof of positivity.
+On a dense partial transpose the sign is first sought by an NPT
+certificate and by that proof, each of which proves what eigvalsh
 would say without running it; the spectrum is taken when they do not
-settle it, or when PptResult.min_eigenvalue is read.
+settle it, or when PptResult.min_eigenvalue is read.  What keeps the
+decision independent of that shared code is
+tests/test_properties.py::test_ppt_test_decides_as_a_plain_eigvalsh,
+which holds npt and min_eigenvalue to a plain eigvalsh, bit for bit.
 """
 
 from __future__ import annotations

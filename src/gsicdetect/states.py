@@ -11,7 +11,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -594,204 +594,113 @@ def partial_transpose(rho: DensityMatrix, party: int) -> np.ndarray:
     return swapped.reshape(d ** n, d ** n)
 
 
-# Tag of the payload that _write_json writes; files without it are read
-# in the [re, im] form written before it.
-ENCODING = "c16le-base64"
-# Base64 characters per slice in _decode_in_place, a multiple of 16.
-# np.take casts each of a slice's two pair lookups to an 8-byte intp
-# index, so the slice's temporaries peak near 5 bytes per character,
-# 320 KiB, below the decoded bytes that a read holds beside the file's
-# bytes from d = 12 on.  At d = 16, 32 KiB slices decode about a fifth
-# slower, from per-slice overhead, and 128 KiB ones about 5 % faster.
-TABLE_SLICE = 64 * 1024
+# Tag of the files that _write_raw writes: a JSON head line, then the
+# entries as raw bytes.  Any other file is parsed whole as JSON, its
+# payload base64 under BASE64_ENCODING, the layout written before, or
+# untagged, in the [re, im] form written before that.
+ENCODING = "c16le-raw"
+BASE64_ENCODING = "c16le-base64"
 
 
-def _write_json(path: str | Path, fields: dict, key: str, z: np.ndarray) -> None:
-    """Write the tag, fields, then key: z as base64 of little-endian complex128.
+def _write_raw(path: str | Path, fields: dict, z: np.ndarray) -> None:
+    """Write one line of json.dumps of the tag and fields, then z's bytes.
 
-    z goes in row-major order; every float reloads bit-exact, -0.0 and
-    subnormals included.  base64 needs no JSON escaping, so writing it
-    between json.dumps of the small fields and the closing '"}' writes
-    json.dumps of the whole, with no joined copy of the payload.  The
-    file is truncated on open and then written, with no fsync: a reader
-    that races the writer can see a torn file.
+    z goes in row-major order as little-endian complex128, 16 bytes an
+    entry with nothing after the last, so every float reloads bit-exact,
+    -0.0 and subnormals included.  json.dumps escapes every control
+    character, so the head is one line.  The file is truncated on open
+    and then written, with no fsync: a reader that races the writer can
+    see a torn file.
     """
-    head = json.dumps({"encoding": ENCODING, **fields})[:-1]
-    head += f", {json.dumps(key)}: \""
-    data = base64.b64encode(np.ascontiguousarray(z, dtype="<c16"))
+    head = json.dumps({"encoding": ENCODING, **fields}).encode() + b"\n"
     with open(path, "wb") as out:
-        out.write(head.encode())
-        out.write(data)
-        out.write(b'"}')
+        out.write(head)
+        out.write(np.ascontiguousarray(z, dtype="<c16"))
 
 
-def _read_json(path: str | Path, key: str | None = None):
-    """A file's JSON value; a BOM or bytes that are not UTF-8 raise ValueError.
+def _read_head(f) -> tuple[object, bool]:
+    """The head of a raw file and True, or the whole file's JSON and False.
 
-    The file is read once, into a bytearray.  Given key, a file in the
-    layout _write_json writes, whatever its size, is not parsed whole:
-    only its head, the bytes with the payload under key cut out, goes
-    through json, and the payload is decoded in place, over the start of
-    the file's bytes, by _decode_in_place, whose exact-size bytearray
-    goes under key; decode_complex takes it as the decoded payload.  The
-    layout: the bytes end in '"}', the last '"' before those opens the
-    payload, and the head is the UTF-8 text of json.dumps of a dict
-    tagged with ENCODING whose last key is key, holding "".  The whole
-    file is then json.dumps of that dict with the payload in place of
-    "", and parses to it whenever the strict decode accepts the payload:
-    an escape, a control character or a non-ASCII byte lies outside the
-    base64 alphabet.  Any other file, and one whose payload fails to
-    decode (its bytes restored as read), is parsed whole by json.loads
-    from the same bytes.  Decoding here, before the caller reads any
-    field, keeps every value and every error of the whole parse, in the
-    same order.
+    f is a file opened "rb", buffered, so that reading its first line
+    costs no system call per byte.  A raw file's first line ends in
+    '\n' and is the UTF-8 text of a JSON object tagged with ENCODING; f
+    is left at the payload.  Any other file is read to its end and
+    parsed whole, so a BOM or bytes that are not UTF-8 raise ValueError.
     """
-    with open(path, "rb", buffering=0) as f:
-        raw = bytearray(os.fstat(f.fileno()).st_size)
-        del raw[f.readinto(raw):]  # a file that shrank since fstat
-        raw += f.read()  # one that grew, or a pipe, which fstat sizes as 0
-    end = len(raw) - 2
-    if (key is not None and raw.endswith(b'"}')
-            and (q := raw.rfind(b'"', 0, end)) >= 0):
+    line = f.readline()
+    if line.endswith(b"\n"):
         try:
-            text = (raw[:q + 1] + b'"}').decode("utf-8")
-            head = json.loads(text)
-            if (isinstance(head, dict)
-                    and next(reversed(head), None) == key and head[key] == ""
-                    and head.get("encoding") == ENCODING
-                    and json.dumps(head) == text):
-                data = _decode_in_place(raw, q + 1, end)
-                if data is not None:
-                    head[key] = data
-                    return head
+            head = json.loads(line.decode("utf-8"))
         except ValueError:
-            pass
-    return json.loads(raw.decode("utf-8"))
+            head = None
+        if isinstance(head, dict) and head.get("encoding") == ENCODING:
+            return head, True
+    return json.loads((line + f.read()).decode("utf-8")), False
 
 
-@cache
-def _pair_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The two decode tables of _decode_in_place, 65536 '<u4' words each.
+def _read_raw(f, count: int) -> np.ndarray:
+    """The count entries after a raw head, flat; ValueError unless finite.
 
-    Both are keyed by a character pair read as '<u2', its first
-    character in the low byte.  The first holds the pair's share of a
-    4-character group's 3 bytes where the pair opens the group, the
-    second where it closes it, each byte where it lies in a little-endian
-    word.  A pair holding a character outside the base64 alphabet has
-    0xFF in the fourth byte of both.  So the OR of a group's two lookups
-    is below 2**24 exactly when all four characters are in the alphabet,
-    and then its three low bytes are the group's decode.  Built on first
-    use, 512 KiB together, and read-only.
+    The bytes left in f must be exactly count entries of 16, and that is
+    checked before the array is allocated, so a head that claims a huge
+    count fails at once.  A regular file is sized by fstat and read
+    straight into the array; a pipe, which fstat does not size, is read
+    to its end and copied.
     """
-    alphabet = np.frombuffer(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-                             b"abcdefghijklmnopqrstuvwxyz0123456789+/",
-                             np.uint8)
-    v = np.zeros(256, "<u4")  # each character's 6 bits
-    v[alphabet] = np.arange(64)
-    flag = np.full(256, 0xFF000000, "<u4")
-    flag[alphabet] = 0
-    # outer ORs over [second character, first character], the order of
-    # a pair's '<u2' value: no temporary as large as a table, where int64
-    # arrays over all pairs raised a process's peak RSS by 4 MB
-    opens = np.bitwise_or.outer(v >> 4 | (v & 0xF) << 12 | flag,
-                                v << 2 | flag).reshape(-1)
-    closes = np.bitwise_or.outer(v << 16 | flag,
-                                 v >> 2 << 8 | (v & 3) << 22 | flag).reshape(-1)
-    for table in opens, closes:
-        table.flags.writeable = False
-    return opens, closes
+    need = 16 * count
+    rest = None if f.seekable() else f.read()
+    left = (os.fstat(f.fileno()).st_size - f.tell() if rest is None
+            else len(rest))
+    if left != need:
+        raise ValueError(f"payload holds {left} bytes, expected {need}")
+    if rest is not None:
+        return _finite(np.frombuffer(rest, "<c16").astype(complex))
+    z = np.empty(count, "<c16")
+    if f.readinto(z) != need:
+        raise ValueError("file shrank while it was read")
+    return _finite(z.astype(complex, copy=False))
 
 
-def _decode_in_place(buf: bytearray, start: int, stop: int) -> bytearray | None:
-    """Strict base64 decode of buf[start:stop] into buf[:n]: a copy, or None.
+def _read_json(path: str | Path):
+    """A file's JSON value; a BOM or bytes that are not UTF-8 raise ValueError."""
+    return json.loads(Path(path).read_bytes().decode("utf-8"))
 
-    The whole 16-character blocks before the last 4-character group are
-    decoded TABLE_SLICE characters at a time: each group is the OR of its
-    two pairs' words in _pair_tables, and each block's four groups pack
-    into three '<u4' words, written where the block's bytes go.  The
-    output trails the input, so no character is overwritten before it is
-    read.  The rest, the last group with any '=' and fewer than 16
-    characters before it, goes through base64.b64decode(validate=True),
-    so the whole is decoded as strictly as by that call, and an
-    exact-size copy of buf[:n] is returned.  When a character lies
-    outside the alphabet, or the rest fails, the decoded bytes are
-    encoded back over the characters they came from and the bytes before
-    start restored, so buf holds what it held, and None is returned.
-    """
-    opens, closes = _pair_tables()
-    head = buf[:start]
-    body = max(stop - start - 4, 0) // 16 * 16
-    done = 0  # characters decoded
-    while done < body:
-        chars = min(TABLE_SLICE, body - done)
-        pairs = np.frombuffer(buf, "<u2", chars // 2, start + done)
-        groups = np.take(opens, pairs[0::2])
-        groups |= np.take(closes, pairs[1::2])
-        if groups.max() > 0xFFFFFF:
-            break
-        g0, g1, g2, g3 = groups.reshape(-1, 4).T
-        w0, w1, w2 = np.frombuffer(buf, "<u4", chars // 16 * 3,
-                                   done // 4 * 3).reshape(-1, 3).T
-        np.left_shift(g1, 24, out=w0)
-        w0 |= g0
-        np.left_shift(g2, 16, out=w1)
-        w1 |= g1 >> 8
-        np.left_shift(g3, 8, out=w2)
-        w2 |= g2 >> 16
-        del groups, g0, g1, g2, g3  # not held beside the copy returned below
-        done += chars
-    if done == body:
-        try:
-            rest = base64.b64decode(buf[start + body:stop], validate=True)
-        except ValueError:
-            pass
-        else:
-            size = body // 4 * 3
-            buf[size:size + len(rest)] = rest
-            return buf[:size + len(rest)]
-    buf[start:start + done] = base64.b64encode(memoryview(buf)[:done // 4 * 3])
-    buf[:start] = head
-    return None
+
+def _finite(z: np.ndarray) -> np.ndarray:
+    """z, unless an entry is NaN or infinite."""
+    if not np.isfinite(z).all():
+        raise ValueError("non-finite entry; entries must be finite numbers")
+    return z
 
 
 def decode_complex(payload: dict, key: str) -> np.ndarray:
     """payload[key] as a complex array; ValueError unless every entry is finite.
 
-    Tagged with ENCODING, payload[key] must be a base64 string of a whole
-    number of 16-byte entries, or those bytes already decoded, as the
-    exact-size bytearray that _read_json puts there, which the result
-    views without a copy; a JSON value is never a bytearray.  An ASCII
-    string is copied once into a bytearray and decoded by
-    _decode_in_place; one that is not ASCII, or fails that decode, goes
-    to base64.b64decode(validate=True), which raises with its own
-    message.  The result is flat.  Untagged, payload[key] must be nested
-    [re, im] pairs of numbers, and the result keeps their nesting.  Any
-    other tag raises.
+    Tagged with BASE64_ENCODING, payload[key] must be a base64 string
+    (decoded with validate=True) of a whole number of 16-byte entries,
+    and the result is flat.  Untagged, it must be nested [re, im] pairs
+    of numbers, and the result keeps their nesting.  Any other tag
+    raises.
     """
     raw = payload[key]
     if "encoding" in payload:
-        if payload["encoding"] != ENCODING:
+        if payload["encoding"] != BASE64_ENCODING:
             raise ValueError(f"unknown encoding {payload['encoding']!r}, "
-                             f"expected {ENCODING!r}")
-        if isinstance(raw, str):
-            data = (_decode_in_place(bytearray(raw, "ascii"), 0, len(raw))
-                    if raw.isascii() else None)
-            raw = data if data is not None else bytearray(
-                base64.b64decode(raw, validate=True))
-        elif not isinstance(raw, bytearray):
-            raise ValueError(f"{key} must be a base64 string under {ENCODING}")
-        if len(raw) % 16:
-            raise ValueError(f"{key} holds {len(raw)} bytes, not a whole "
+                             f"expected {BASE64_ENCODING!r}")
+        if not isinstance(raw, str):
+            raise ValueError(
+                f"{key} must be a base64 string under {BASE64_ENCODING}")
+        data = base64.b64decode(raw, validate=True)
+        if len(data) % 16:
+            raise ValueError(f"{key} holds {len(data)} bytes, not a whole "
                              "number of 16-byte complex128 entries")
-        z = np.frombuffer(raw, "<c16").astype(complex, copy=False)
+        z = np.frombuffer(data, "<c16").astype(complex)
     else:
         pairs = np.asarray(raw)
         if pairs.dtype.kind not in "iuf" or pairs.shape[-1:] != (2,):
             raise ValueError("entries must be [re, im] pairs of numbers")
         z = np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
-    if not np.isfinite(z).all():
-        raise ValueError("non-finite entry; entries must be finite numbers")
-    return z
+    return _finite(z)
 
 
 def decode_int(raw, minimum: int) -> int:
@@ -822,28 +731,37 @@ def decode_float(raw) -> float:
 
 
 def write_state(rho: DensityMatrix, path: str | Path) -> None:
-    """Serialize a density matrix to JSON.
+    """Serialize a density matrix to a file.
 
-    {"encoding", "local_dim", "parties", "matrix"}, with the matrix one
-    base64 string (_write_json).
+    A head {"encoding", "local_dim", "parties"}, then the matrix's raw
+    bytes (_write_raw).
     """
-    _write_json(path, {"local_dim": rho.local_dim, "parties": rho.parties},
-                "matrix", rho.matrix)
+    _write_raw(path, {"local_dim": rho.local_dim, "parties": rho.parties},
+               rho.matrix)
 
 
 def read_state(path: str | Path) -> DensityMatrix:
-    """Load a density matrix from JSON and re-validate it.
+    """Load a density matrix from a file and re-validate it.
 
-    The matrix is read by decode_complex, tagged or in [re, im] pairs.
-    local_dim must be an integer >= 2 and parties one >= 1, the file must
-    hold (local_dim**parties)**2 entries, and the result passes
-    DensityMatrix.from_matrix.  A malformed file raises ValueError.
+    A raw file (_read_head) must hold exactly (local_dim**parties)**2
+    entries after its head; any other file is read by decode_complex,
+    base64 or in [re, im] pairs, and must hold that many entries too.
+    local_dim must be an integer >= 2 and parties one >= 1, and the
+    result passes DensityMatrix.from_matrix.  A malformed file raises
+    ValueError.
     """
     try:
-        payload = _read_json(path, "matrix")
-        local_dim = decode_int(payload["local_dim"], 2)
-        parties = decode_int(payload["parties"], 1)
-        flat = decode_complex(payload, "matrix")
+        with open(path, "rb") as f:
+            payload, raw = _read_head(f)
+            local_dim = decode_int(payload["local_dim"], 2)
+            parties = decode_int(payload["parties"], 1)
+            if raw and parties >= 64:
+                # local_dim >= 2: 2**128 entries or more, beyond any file,
+                # and the power is never formed
+                raise ValueError(f"{parties} parties need more entries "
+                                 "than a file holds")
+            flat = (_read_raw(f, (local_dim ** parties) ** 2) if raw
+                    else decode_complex(payload, "matrix"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from exc
     del payload  # a parsed string, 4/3 of the matrix, is not needed past here

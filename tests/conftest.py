@@ -70,14 +70,41 @@ def above_cap_set():
     return make
 
 
-def _file_entries(payload: dict) -> tuple[str, np.ndarray]:
-    """The complex field of a tagged file payload and its decoded entries."""
-    assert payload["encoding"] == "c16le-base64"
-    key = "operators" if "operators" in payload else "matrix"
-    return key, np.frombuffer(base64.b64decode(payload[key]), "<c16").copy()
+def _raw_file(path) -> tuple[dict, str, np.ndarray]:
+    """The head, the payload's key and the entries of a written raw file."""
+    with open(path, "rb") as f:
+        head = json.loads(f.readline())
+        z = np.frombuffer(f.read(), "<c16").copy()
+    assert head["encoding"] == "c16le-raw"
+    return head, "operators" if "d" in head else "matrix", z
 
 
-@pytest.fixture
+def _base64_twin(head: dict, key: str, raw: bytes) -> dict:
+    """head tagged "c16le-base64", with raw base64 under key."""
+    return dict(head, encoding="c16le-base64",
+                **{key: base64.b64encode(raw).decode("ascii")})
+
+
+# session-scoped, as the property tests' files are, since each factory
+# holds no state
+
+@pytest.fixture(scope="session")
+def base64_payload():
+    """Factory: the payload of a written raw file as a c16le-base64 twin.
+
+    That is the JSON object the writers wrote before the raw layout: the
+    head's fields tagged "c16le-base64", then the entries base64 under
+    the payload's key.
+    """
+
+    def make(path) -> dict:
+        head, key, z = _raw_file(path)
+        return _base64_twin(head, key, z.tobytes())
+
+    return make
+
+
+@pytest.fixture(scope="session")
 def legacy_payload():
     """Factory: the payload of a written file in the untagged [re, im] form.
 
@@ -87,8 +114,7 @@ def legacy_payload():
     """
 
     def make(path) -> dict:
-        payload = json.loads(Path(path).read_text())
-        key, z = _file_entries(payload)
+        payload, key, z = _raw_file(path)
         del payload["encoding"]
         if key == "operators":
             z = z.reshape(payload["d"] ** 2, -1)
@@ -98,19 +124,38 @@ def legacy_payload():
     return make
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
+def edit_head():
+    """Factory: rewrite a written raw file with fields replaced in its head.
+
+    The head stays one line of json.dumps, and the entries follow it
+    unchanged.
+    """
+
+    def make(path, **fields) -> None:
+        head, _, z = _raw_file(path)
+        head.update(fields)
+        Path(path).write_bytes(json.dumps(head).encode() + b"\n"
+                               + z.tobytes())
+
+    return make
+
+
+@pytest.fixture(scope="session")
 def edit_entries():
     """Factory: rewrite a written file with edit(entries) as its payload.
 
     edit receives the decoded complex entries, flat and writable, and
-    returns the array to store, base64-encoded as the writers do.
+    returns the array to store: as raw bytes after the same head, or
+    with layout="base64" in the file's c16le-base64 twin.
     """
 
-    def make(path, edit) -> None:
-        payload = json.loads(Path(path).read_text())
-        key, z = _file_entries(payload)
+    def make(path, edit, layout="raw") -> None:
+        head, key, z = _raw_file(path)
         raw = np.asarray(edit(z), dtype="<c16").tobytes()
-        payload[key] = base64.b64encode(raw).decode("ascii")
-        Path(path).write_text(json.dumps(payload))
+        if layout == "raw":
+            Path(path).write_bytes(json.dumps(head).encode() + b"\n" + raw)
+        else:
+            Path(path).write_text(json.dumps(_base64_twin(head, key, raw)))
 
     return make

@@ -353,12 +353,11 @@ def test_detect_nan_weight_exits_2_without_invalid_json(tmp_path, capsys):
     assert "non-finite" in captured.err
 
 
-def test_detect_rejects_a_measurement_file_with_a_forged_t(tmp_path, capsys):
+def test_detect_rejects_a_measurement_file_with_a_forged_t(tmp_path, capsys,
+                                                           edit_head):
     gfile = tmp_path / "g.json"
     assert main(["build", "--dim", "3", "--max-t", "--out", str(gfile)]) == 0
-    payload = json.loads(gfile.read_text())
-    payload["t"] = 0.5
-    gfile.write_text(json.dumps(payload))
+    edit_head(gfile, t=0.5)
     capsys.readouterr()
     rc = main(["detect", "--state", "maxent:3", "--gsic", str(gfile)])
     captured = capsys.readouterr()
@@ -367,12 +366,11 @@ def test_detect_rejects_a_measurement_file_with_a_forged_t(tmp_path, capsys):
     assert "t_purity" in captured.err
 
 
-def test_detect_rejects_a_truncated_state_dimension(tmp_path, capsys):
+def test_detect_rejects_a_truncated_state_dimension(tmp_path, capsys,
+                                                    edit_head):
     sfile = tmp_path / "rho.json"
     write_state(max_entangled(2), sfile)
-    payload = json.loads(sfile.read_text())
-    payload["local_dim"] = 2.5
-    sfile.write_text(json.dumps(payload))
+    edit_head(sfile, local_dim=2.5)
     rc = main(["detect", "--state", f"file:@{sfile}", "--max-t"])
     captured = capsys.readouterr()
     assert rc == 2
@@ -451,11 +449,12 @@ def test_detect_rejects_non_finite_file_bytes(tmp_path, capsys, edit_entries,
     ("payload", "AAAA AAAA", "base64"),
     ("payload", "AAAA", "not a whole number"),
 ])
-def test_detect_rejects_a_malformed_tagged_payload(tmp_path, capsys, kind,
+def test_detect_rejects_a_malformed_tagged_payload(tmp_path, capsys,
+                                                   base64_payload, kind,
                                                    field, value, reason):
     path = tmp_path / "in.json"
     argv = _written_file(path, kind)
-    payload = json.loads(path.read_text())
+    payload = base64_payload(path)
     if field == "payload":
         field = "operators" if kind == "gsic" else "matrix"
     payload[field] = value
@@ -529,11 +528,11 @@ def test_max_dim_itself_passes_the_size_guard(tmp_path, monkeypatch, argv):
         main(argv)
 
 
-def test_detect_rejects_an_absurd_party_count_fast_when_tagged(tmp_path,
-                                                               capsys):
+def test_detect_rejects_an_absurd_party_count_fast_when_tagged(
+        tmp_path, capsys, base64_payload):
     sfile = tmp_path / "rho.json"
     write_state(max_entangled(3), sfile)
-    payload = json.loads(sfile.read_text())
+    payload = base64_payload(sfile)
     payload["parties"] = 10**8
     sfile.write_text(json.dumps(payload))
     start = time.perf_counter()
@@ -542,6 +541,21 @@ def test_detect_rejects_an_absurd_party_count_fast_when_tagged(tmp_path,
     captured = capsys.readouterr()
     assert rc == 2
     assert "holds 81 entries" in captured.err
+    assert elapsed < 0.5
+
+
+def test_detect_rejects_an_absurd_party_count_fast_in_a_raw_head(
+        tmp_path, capsys, edit_head):
+    sfile = tmp_path / "rho.json"
+    write_state(max_entangled(3), sfile)
+    edit_head(sfile, parties=10**8)
+    start = time.perf_counter()
+    rc = main(["detect", "--state", f"file:@{sfile}", "--max-t"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert (f"malformed state file {sfile}: 100000000 parties need more "
+            "entries than a file holds") in captured.err
     assert elapsed < 0.5
 
 
@@ -582,7 +596,7 @@ def test_detect_refuses_a_file_that_is_not_plain_utf8(tmp_path, capsys, kind,
     if damage == "bom":
         raw = b"\xef\xbb\xbf" + raw
     else:  # 0xff is never part of UTF-8
-        raw = raw.replace(b'"c16le-base64"', b'"c16le-base64\xff"')
+        raw = raw.replace(b'"c16le-raw"', b'"c16le-raw\xff"', 1)
     path.write_bytes(raw)
     rc = main(argv)
     captured = capsys.readouterr()
@@ -592,18 +606,81 @@ def test_detect_refuses_a_file_that_is_not_plain_utf8(tmp_path, capsys, kind,
         in captured.err
 
 
+def _damaged(raw: bytes, damage: str) -> bytes:
+    """raw, a written raw file, damaged in one way."""
+    line, payload = raw.split(b"\n", 1)
+    head = json.loads(line)
+    if damage == "cut-one-byte":
+        return raw[:-1]
+    if damage == "add-one-byte":
+        return raw + b"\x00"
+    if damage == "headless":
+        return payload
+    if damage == "not-utf8-head":
+        return line.replace(b'"c16le-raw"', b'"c16le-raw\xff"') + b"\n" + payload
+    if damage == "bom-head":
+        return b"\xef\xbb\xbf" + raw
+    if damage == "nan":
+        z = np.frombuffer(payload, "<c16").copy()
+        z[4] = complex(np.nan, 0.0)
+        return line + b"\n" + z.tobytes()
+    field = damage.removeprefix("wrong-")  # d, local_dim or parties
+    head[field] += 1
+    return json.dumps(head).encode() + b"\n" + payload
+
+
+@pytest.mark.parametrize("kind,damage", [
+    *((kind, damage) for kind in ("gsic", "state")
+      for damage in ("cut-one-byte", "add-one-byte", "headless",
+                     "not-utf8-head", "bom-head", "nan")),
+    ("gsic", "wrong-d"), ("state", "wrong-local_dim"),
+    ("state", "wrong-parties")])
+def test_a_damaged_raw_file_is_malformed(tmp_path, capsys, kind, damage):
+    # the library raises ValueError "malformed ..." and detect exits 2
+    path = tmp_path / "in.json"
+    argv = _written_file(path, kind)
+    path.write_bytes(_damaged(path.read_bytes(), damage))
+    what = "measurement" if kind == "gsic" else "state"
+    with pytest.raises(ValueError, match=f"^malformed {what} file {path}: "):
+        (read_gsic if kind == "gsic" else gsicdetect.read_state)(path)
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: malformed {what} file {path}: ")
+
+
+@pytest.mark.parametrize("damage", [None, "cut-one-byte"])
+def test_a_raw_file_is_read_from_a_pipe(tmp_path, capsys, damage):
+    # fstat does not size a pipe: it is read to its end, then checked
+    # against the head as a regular file is
+    path = tmp_path / "in.json"
+    argv = _written_file(path, "gsic")
+    assert main(argv) == 0
+    want = capsys.readouterr().out.encode()
+    raw = path.read_bytes() if damage is None else _damaged(
+        path.read_bytes(), damage)
+    env = dict(os.environ, PYTHONPATH=str(Path(gsicdetect.__file__).parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-m", "gsicdetect.cli", *argv[:-1], "/dev/stdin"],
+        input=raw, capture_output=True, env=env, timeout=120)
+    if damage is None:
+        assert (child.returncode, child.stdout, child.stderr) == (0, want, b"")
+    else:
+        assert child.returncode == 2 and child.stderr.startswith(
+            b"error: malformed measurement file /dev/stdin: payload holds ")
+
+
 @pytest.mark.parametrize("field,value", [
     ("t", "0.0680413817439772"), ("t", 10**400), ("a", 10**400),
     ("a", "0.25"), ("t", True), ("a", None)],
     ids=["t-string", "t-huge-int", "a-huge-int", "a-string", "t-bool",
          "a-null"])
 def test_detect_refuses_a_measurement_number_that_is_not_a_float(
-        tmp_path, capsys, field, value):
+        tmp_path, capsys, edit_head, field, value):
     gfile = tmp_path / "g.json"
     assert main(["build", "--dim", "2", "--max-t", "--out", str(gfile)]) == 0
-    payload = json.loads(gfile.read_text())
-    payload[field] = value
-    gfile.write_text(json.dumps(payload))
+    edit_head(gfile, **{field: value})
     capsys.readouterr()
     rc = main(["detect", "--state", "maxent:2", "--gsic", str(gfile)])
     captured = capsys.readouterr()

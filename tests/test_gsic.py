@@ -1,6 +1,5 @@
 """Tests for the tunable-purity measurement construction."""
 
-import base64
 import dataclasses
 import json
 import warnings
@@ -195,24 +194,21 @@ def test_json_reader_rejects_tampering(tmp_path, legacy_payload):
         read_gsic(path)
 
 
-def test_json_reader_rejects_non_finite_purity(tmp_path):
+def test_json_reader_rejects_non_finite_purity(tmp_path, edit_head):
     g = construct_gsic(gell_mann_basis(2), 0.05)
     path = tmp_path / "set.json"
     write_gsic(g, path)
-    payload = json.loads(path.read_text())
-    payload["a"] = payload["t"] = float("nan")
-    path.write_text(json.dumps(payload))
+    edit_head(path, a=float("nan"), t=float("nan"))
     with pytest.raises(ValueError, match="purity deviates by nan"):
         read_gsic(path)
 
 
 @pytest.mark.parametrize("value", [2.9, 2.0, True])
-def test_json_reader_rejects_a_non_integer_dimension(tmp_path, value):
+def test_json_reader_rejects_a_non_integer_dimension(tmp_path, edit_head,
+                                                     value):
     path = tmp_path / "set.json"
     write_gsic(construct_gsic(gell_mann_basis(2), 0.05), path)
-    payload = json.loads(path.read_text())
-    payload["d"] = value
-    path.write_text(json.dumps(payload))
+    edit_head(path, d=value)
     with pytest.raises(ValueError, match="malformed"):
         read_gsic(path)
 
@@ -227,13 +223,11 @@ def test_built_sets_reproduce_their_purity_from_t():
 
 
 @pytest.mark.parametrize("t", [0.5, -0.05, float("inf"), float("nan")])
-def test_json_reader_rejects_a_t_that_misses_a(tmp_path, t):
+def test_json_reader_rejects_a_t_that_misses_a(tmp_path, edit_head, t):
     # -0.05 gives the same t**2, hence the same purity, as the written 0.05
     path = tmp_path / "set.json"
     write_gsic(construct_gsic(gell_mann_basis(2), 0.05), path)
-    payload = json.loads(path.read_text())
-    payload["t"] = t
-    path.write_text(json.dumps(payload))
+    edit_head(path, t=t)
     with pytest.raises(ValueError, match="t_purity deviates"):
         read_gsic(path)
 
@@ -269,25 +263,33 @@ def test_json_reader_rejects_tampered_bytes(tmp_path, edit_entries):
 
 
 def test_json_reader_rejects_a_wrong_entry_count(tmp_path, edit_entries):
+    # a raw file is sized against its head before it is read; a base64
+    # file is decoded whole, then counted
     path = tmp_path / "set.json"
-    write_gsic(construct_gsic(gell_mann_basis(2), 0.05), path)
+    g = construct_gsic(gell_mann_basis(2), 0.05)
+    write_gsic(g, path)
     edit_entries(path, lambda z: z[:-1])
+    with pytest.raises(ValueError,
+                       match="malformed.*payload holds 240 bytes, expected 256"):
+        read_gsic(path)
+    write_gsic(g, path)
+    edit_entries(path, lambda z: z[:-1], layout="base64")
     with pytest.raises(ValueError, match=r"holds \(15,\) entries"):
         read_gsic(path)
 
 
-@pytest.mark.parametrize("form", ["tagged", "legacy"])
+@pytest.mark.parametrize("form", ["tagged", "legacy", "raw"])
 @pytest.mark.parametrize("value", [-2, 0, 1])
-def test_json_reader_rejects_a_dimension_below_two(tmp_path, legacy_payload,
-                                                    form, value):
+def test_json_reader_rejects_a_dimension_below_two(
+        tmp_path, base64_payload, legacy_payload, edit_head, form, value):
     path = tmp_path / "set.json"
     write_gsic(construct_gsic(gell_mann_basis(2), 0.05), path)
-    if form == "legacy":
-        payload = legacy_payload(path)
+    if form == "raw":
+        edit_head(path, d=value)
     else:
-        payload = json.loads(path.read_text())
-    payload["d"] = value
-    path.write_text(json.dumps(payload))
+        payload = (legacy_payload if form == "legacy" else base64_payload)(path)
+        payload["d"] = value
+        path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="malformed.*>= 2"):
         read_gsic(path)
 
@@ -479,29 +481,26 @@ def test_centred_operators_are_computed_per_set():
     assert np.array_equal(g.centred, want)
 
 
-def _dumped(payload: dict, key: str, z: np.ndarray) -> bytes:
-    """json.dumps of a payload whose key holds z as a base64 string, encoded."""
-    raw = np.asarray(z, dtype="<c16").tobytes()
-    payload = dict(payload, **{key: base64.b64encode(raw).decode("ascii")})
-    return json.dumps(payload).encode()
-
-
 @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
 def test_written_files_are_json_dumps_of_their_payload(tmp_path, d):
+    # one line of json.dumps of the payload's small fields, then its
+    # entries as little-endian complex128 bytes, with nothing after them
     basis = gell_mann_basis(d)
     g = construct_gsic(basis, max_feasible_t(basis))
     write_gsic(g, tmp_path / "g.json")
-    want = _dumped({"encoding": "c16le-base64", "d": d, "t": g.t, "a": g.a,
-                    "basis_id": g.basis_id}, "operators", g.operators)
+    head = json.dumps({"encoding": "c16le-raw", "d": d, "t": g.t, "a": g.a,
+                       "basis_id": g.basis_id}).encode() + b"\n"
+    want = head + g.operators.astype("<c16").tobytes()
     assert (tmp_path / "g.json").read_bytes() == want
+    assert len(want) == len(head) + 16 * d**4
     mat = isotropic(d, 0.3).matrix.copy()
     # -0.0 and subnormal parts, off the diagonal so the state stays valid
     mat[0, 1], mat[1, 0] = complex(-0.0, 5e-324), complex(-0.0, -5e-324)
     mat[1, 2], mat[2, 1] = complex(2.2e-310, -0.0), complex(2.2e-310, 0.0)
     rho = DensityMatrix(local_dim=d, parties=2, matrix=mat)
     write_state(rho, tmp_path / "rho.json")
-    want = _dumped({"encoding": "c16le-base64", "local_dim": d, "parties": 2},
-                   "matrix", mat)
+    want = (b'{"encoding": "c16le-raw", "local_dim": %d, "parties": 2}\n' % d
+            + mat.astype("<c16").tobytes())
     assert (tmp_path / "rho.json").read_bytes() == want
     assert read_state(tmp_path / "rho.json").matrix.tobytes() == mat.tobytes()
 

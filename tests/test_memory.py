@@ -4,7 +4,8 @@ numpy reports its buffers to tracemalloc, and the counts repeat exactly
 from run to run, so each bound is a multiple of the array the call
 handles: a little above what the call takes, and below what it took when
 the decoder copied the whole payload string and the gates copied the
-whole stack.
+whole stack.  A read of a raw file allocates its array once, at its
+exact size, and reads the bytes straight into it.
 """
 
 import contextlib
@@ -20,7 +21,7 @@ from gsicdetect import (construct_gsic, feasible_t, gell_mann_basis,
                         ppt_test, random_separable, read_gsic, read_state,
                         write_gsic, write_state)
 from gsicdetect.cli import main
-from gsicdetect.states import DensityMatrix, _read_json, decode_complex
+from gsicdetect.states import DensityMatrix, _read_head, _read_raw
 
 
 def _peak(call) -> int:
@@ -51,43 +52,49 @@ def set_file(tmp_path_factory):
     return path
 
 
-# the file's bytes, 4/3 of the stack, and the stack decoded from them
-# are the peak; then one stack and the gate's bounded temporaries
+# the stack read from the file and the gate's bounded temporaries beside
+# it (2.03 stacks); reading the file's base64 text took 2.5
 def test_reading_a_set_peaks_at_its_text_and_one_stack(set_file):
     stack = 16 * 12**4
     peak = _peak(lambda: read_gsic(set_file))
-    assert peak <= 2.5 * stack, peak / stack
+    assert peak <= 2.1 * stack, peak / stack
 
 
 @pytest.mark.parametrize("kind", ["set", "state"])
 def test_reading_a_d16_file_peaks_at_its_bytes_and_one_decoded_copy(tmp_path,
                                                                     kind):
-    # the file's bytes, 4/3 of the array, decoded in place, and beside
-    # them the exact-size copy of the decoded bytes.  A set's gate runs
-    # after the file's bytes are freed, below that peak; a dense state's
-    # gate holds three matrices (the d = 12 test below), so the state is
-    # measured up to its decoded array
+    # the array, read straight from the file, and the finite check's
+    # 1/16 of it: 1.07 for a state.  A set's gate adds its bounded
+    # temporaries, 1.79 in all; a dense state's gate holds three
+    # matrices (the d = 12 test below), so the state is measured up to
+    # its array.  The file's base64 bytes and their decoded copy took 2.4
     path = tmp_path / "f.json"
     if kind == "set":
         basis = gell_mann_basis(16)
         write_gsic(construct_gsic(basis, feasible_t(basis).t), path)
-        size, call = 16 * 16**4, lambda: read_gsic(path)
+        size, call, bound = 16 * 16**4, lambda: read_gsic(path), 1.85
     else:
         mat = _hermitian_state(256, seed=16)
         write_state(DensityMatrix.from_matrix(mat, 16, 2), path)
-        size = mat.nbytes
-        call = lambda: decode_complex(_read_json(path, "matrix"), "matrix")
+        size, bound = mat.nbytes, 1.1
+
+        def call():
+            with open(path, "rb") as f:
+                _read_head(f)
+                return _read_raw(f, mat.size)
     peak = _peak(call)
-    assert peak <= 2.4 * size, peak / size
+    assert peak <= bound * size, peak / size
 
 
 @pytest.mark.parametrize("kind, d", [("set", 16), ("state", 16),
                                      ("set", 3), ("state", 3)],
                          ids=["set", "state", "set-d3", "state-d3"])
-def test_reading_a_canonical_file_parses_only_its_head(tmp_path, kind, d):
-    # a file as written hands json.loads only its small head, whatever its
-    # size (1.9 kB at d = 3, 1.4 MB at d = 16); the same value
-    # pretty-printed takes the general route through the whole text
+def test_reading_a_canonical_file_parses_only_its_head(tmp_path,
+                                                       base64_payload, kind,
+                                                       d):
+    # a file as written hands json.loads only its head line, whatever its
+    # size (1.5 kB at d = 3, 1.05 MB at d = 16); its c16le-base64 twin,
+    # pretty-printed, goes through json.loads whole
     path, pretty = tmp_path / "f.json", tmp_path / "pretty.json"
     if kind == "set":
         basis = gell_mann_basis(d)
@@ -97,7 +104,7 @@ def test_reading_a_canonical_file_parses_only_its_head(tmp_path, kind, d):
         write_state(random_separable(d, 2, 4, seed=d), path)
         read, key = read_state, "matrix"
     with open(pretty, "w", encoding="utf-8") as f:
-        json.dump(json.loads(path.read_bytes()), f, indent=1)
+        json.dump(base64_payload(path), f, indent=1)
 
     def read_counting(name):
         """The array read and the longest text json.loads was given."""
@@ -109,6 +116,31 @@ def test_reading_a_canonical_file_parses_only_its_head(tmp_path, kind, d):
     slow, slow_text = read_counting(pretty)
     assert fast_text < 1024 and slow_text == pretty.stat().st_size
     assert fast.tobytes() == slow.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["set", "state"])
+def test_a_head_that_claims_a_huge_payload_fails_before_allocating(tmp_path,
+                                                                   kind):
+    # d = 65536 asks for 2**68 bytes over a 10-byte payload: the size is
+    # checked against the head before the array is allocated, so the
+    # read peaks far below one d = 16 stack
+    path = tmp_path / "f.json"
+    if kind == "set":
+        read, what = read_gsic, "measurement"
+        head = {"encoding": "c16le-raw", "d": 65536, "t": 0.0, "a": 0.0,
+                "basis_id": "gellmann-d65536"}
+    else:
+        read, what = read_state, "state"
+        head = {"encoding": "c16le-raw", "local_dim": 65536, "parties": 2}
+    path.write_bytes(json.dumps(head).encode() + b"\n" + bytes(10))
+
+    def call():
+        with pytest.raises(ValueError, match=f"^malformed {what} file .*: "
+                           f"payload holds 10 bytes, expected {2**68}$"):
+            read(path)
+
+    peak = _peak(call)
+    assert peak <= 16 * 1024, peak
 
 
 def test_building_a_set_peaks_near_three_stacks(set_file):

@@ -1,5 +1,6 @@
 """Tests for the state factories and tensor utilities."""
 
+import base64
 import json
 import tracemalloc
 from functools import reduce
@@ -12,7 +13,8 @@ from gsicdetect import (bell_diagonal, conjugate_gsic, construct_gsic,
                         gell_mann_basis, isotropic, max_entangled,
                         partial_transpose, random_separable, read_state,
                         tensor, weyl_operator, write_state)
-from gsicdetect.states import (DensityMatrix, _cholesky, decode_complex,
+from gsicdetect.states import (DensityMatrix, _cholesky, _read_head,
+                               _read_json, _read_raw, decode_complex,
                                decode_float)
 
 
@@ -391,32 +393,48 @@ def test_state_json_round_trips_extreme_floats_bit_exact(tmp_path):
     # bypasses from_matrix: only the codec is under test
     write_state(DensityMatrix(local_dim=2, parties=2, matrix=z.reshape(4, 4)),
                 path)
-    back = decode_complex(json.loads(path.read_text()), "matrix")
+    with open(path, "rb") as f:
+        head, raw = _read_head(f)
+        back = _read_raw(f, 16)
+    assert raw and head == {"encoding": "c16le-raw", "local_dim": 2,
+                            "parties": 2}
     assert back.dtype == complex and back.flags.writeable
     assert back.tobytes() == z.tobytes()
+    # the c16le-base64 twin, as the writers wrote it before, reads the same
+    path.write_text(json.dumps({**head, "encoding": "c16le-base64",
+                                "matrix": base64.b64encode(z).decode()}))
+    assert decode_complex(_read_json(path), "matrix").tobytes() == z.tobytes()
 
 
 def test_state_json_rejects_a_wrong_entry_count(tmp_path, edit_entries):
+    # a raw file is sized against its head before it is read; a base64
+    # file is decoded whole, then counted
     path = tmp_path / "rho.json"
     write_state(max_entangled(2), path)
     edit_entries(path, lambda z: z[:-1])
+    with pytest.raises(ValueError,
+                       match="malformed.*payload holds 240 bytes, expected 256"):
+        read_state(path)
+    write_state(max_entangled(2), path)
+    edit_entries(path, lambda z: z[:-1], layout="base64")
     with pytest.raises(ValueError, match="holds 15 entries"):
         read_state(path)
 
 
-@pytest.mark.parametrize("form", ["tagged", "legacy"])
+@pytest.mark.parametrize("form", ["tagged", "legacy", "raw"])
 @pytest.mark.parametrize("field,value", [
     ("local_dim", -2), ("local_dim", 1), ("parties", 0), ("parties", -1)])
 def test_state_json_rejects_dimensions_below_their_minimum(
-        tmp_path, legacy_payload, form, field, value):
+        tmp_path, base64_payload, legacy_payload, edit_head, form, field,
+        value):
     path = tmp_path / "rho.json"
     write_state(max_entangled(2), path)
-    if form == "legacy":
-        payload = legacy_payload(path)
+    if form == "raw":
+        edit_head(path, **{field: value})
     else:
-        payload = json.loads(path.read_text())
-    payload[field] = value
-    path.write_text(json.dumps(payload))
+        payload = (legacy_payload if form == "legacy" else base64_payload)(path)
+        payload[field] = value
+        path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="malformed.*expected an integer >="):
         read_state(path)
 
@@ -488,12 +506,11 @@ def test_bell_diagonal_rejects_non_finite_weights(bad):
 @pytest.mark.parametrize("field,value", [
     ("local_dim", 2.5), ("local_dim", 2.0), ("parties", 2.9),
     ("parties", True), ("local_dim", "2")])
-def test_state_json_rejects_non_integer_dimensions(tmp_path, field, value):
+def test_state_json_rejects_non_integer_dimensions(tmp_path, edit_head, field,
+                                                   value):
     path = tmp_path / "rho.json"
     write_state(max_entangled(2), path)
-    payload = json.loads(path.read_text())
-    payload[field] = value
-    path.write_text(json.dumps(payload))
+    edit_head(path, **{field: value})
     with pytest.raises(ValueError, match="malformed"):
         read_state(path)
 
