@@ -30,9 +30,9 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2
 EIGVALSH_ERROR_POWER = 2
 # Largest local dimension taken from command-line text: a measurement set's
 # (d**2, d, d) complex128 operator stack, 16 d**4 bytes, is 256 MiB at d = 64.
-# gsic build peaks at about three stacks and reading its file at 7/3 of
-# one, the file's bytes, decoded in place, and an exact-size copy of the
-# decoded stack (tracemalloc, d = 12 to 32).
+# gsic build peaks at about three stacks and reading its file at under
+# two, the stack read straight from the file and the gate's slab buffer
+# (tracemalloc: 1.81 at d = 12, 1.66 at d = 16, 1.54 at d = 32).
 MAX_DIM = 64
 # Largest scan grid: its (steps, d, d) stack of weight tables takes 8 steps
 # d**2 bytes, 328 MB at MAX_DIM.

@@ -144,8 +144,8 @@ def feasible_t(basis: OperatorBasis) -> FeasibleT:
     _lowest_eigenvalue with floor +inf, bit for bit the batched eigvalsh
     minimum.  eigvalsh solves the PROOF_CHUNK directions of lowest
     Gershgorin bound, one batched Cholesky factor per slab of PROOF_SLAB
-    proves the others above their minimum, and eigvalsh takes only those
-    it cannot prove, as a direction that attains the minimum too.
+    shifted copies, written over them, proves the others above their
+    minimum, and eigvalsh takes only those it cannot prove.
     """
     d = basis.dim
     t_purity = (d * (d + 1.0)) ** -1.5
@@ -182,12 +182,13 @@ def validate_gsic(g: GsicSet, tol: float = VALIDATION_TOL) -> ValidationOutcome:
     eigenvalues, the admissible purity range, and a against
     purity_from_t(d, t), which is infinite unless t is finite and
     nonnegative.  The PSD floor reads only min(0, lambda_min), from
-    _lowest_eigenvalue with floor 0: one batched Cholesky factor per slab
-    of PROOF_SLAB operators proves them positive definite, and eigvalsh
-    runs only on the operators whose proof fails, as on the one singular
-    operator at the cap; the value is bit for bit that of a batched
-    eigvalsh.  An operator stack with a NaN or infinite entry has no
-    spectrum taken and a NaN PSD floor.
+    _lowest_eigenvalue with floor 0, as feasible_t and from_matrix read
+    theirs: one batched Cholesky factor per slab of PROOF_SLAB shifted
+    copies proves them positive definite, and eigvalsh runs only on the
+    operators whose proof fails, as on the one singular operator at the
+    cap; the value is bit for bit that of a batched eigvalsh.  An operator
+    stack with a NaN or infinite entry has no spectrum taken and a NaN
+    PSD floor.
     """
     ops = np.asarray(g.operators)
     d = g.dim
@@ -288,7 +289,7 @@ def read_gsic(path: str | Path) -> GsicSet:
                    else decode_complex(payload, "operators"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed measurement file {path}: {exc}") from exc
-    del payload  # a parsed string, 4/3 of the stack, is not needed by the gate
+    del payload  # a c16le-base64 file's parsed string, 4/3 of the stack
     if ops.shape not in ((d**4,), (d * d, d * d)):
         raise ValueError(
             f"measurement file {path} holds {ops.shape} entries, "

@@ -3,14 +3,11 @@
 brute_force_j avoids the optimized code paths: the correlation sum is
 reassembled from explicit Kronecker products.  ppt_test certifies
 entanglement through the partial transpose alone, by the sign of its
-smallest eigenvalue, but it shares the gate code of
-DensityMatrix.from_matrix: _min_eigenvalue for the spectrum, and
-_proof_shift and _proves_above for the Cholesky proof of positivity.
-On a dense partial transpose the sign is first sought by an NPT
-certificate and by that proof, each of which proves what eigvalsh
-would say without running it; the spectrum is taken when they do not
-settle it, or when PptResult.min_eigenvalue is read.  What keeps the
-decision independent of that shared code is
+smallest eigenvalue, which it reads from the positivity prover of
+DensityMatrix.from_matrix, states._lowest_eigenvalue.  On a dense
+partial transpose an NPT certificate, a Ritz vector's Rayleigh quotient,
+is tried first, and only what it leaves open goes to the prover.  What
+keeps the decision independent of that shared code is
 tests/test_properties.py::test_ppt_test_decides_as_a_plain_eigvalsh,
 which holds npt and min_eigenvalue to a plain eigvalsh, bit for bit.
 """
@@ -24,13 +21,13 @@ from functools import cache, cached_property, reduce
 import numpy as np
 
 from .errors import (IMAG_TOL, PSD_TOL, check_measurements,
-                     cholesky_proof_slack, hermiticity_deviation,
-                     require_real, ritz_certificate_slack)
+                     hermiticity_deviation, require_real,
+                     ritz_certificate_slack)
 from .gsic import GsicSet
-from .states import (DensityMatrix, _min_eigenvalue, _proof_shift,
-                     _proves_above, partial_transpose)
+from .states import (DensityMatrix, _lowest_eigenvalue, _min_eigenvalue,
+                     partial_transpose)
 
-# Partial transposes of lower order go to _min_eigenvalue at once.  At
+# Partial transposes of lower order have their spectrum taken at once.  At
 # n = 64 (d = 8) the spectrum takes 0.26-0.29 ms and the certificates
 # 0.19 ms on a Ginibre state and 0.27 ms on a 4-term separable one, so
 # a state they leave undecided would lose; at n = 81 (d = 9) the spectrum
@@ -65,74 +62,65 @@ class PptResult:
 def ppt_test(rho: DensityMatrix) -> PptResult:
     """Partial-transpose check of a bipartite state.
 
-    npt is min_eigenvalue < -PSD_TOL, with min_eigenvalue taken block by
-    block on the partial transpose's zero pattern (states._min_eigenvalue),
+    npt is min_eigenvalue < -PSD_TOL, with min_eigenvalue that of eigvalsh
+    on the partial transpose, read from states._lowest_eigenvalue.  Its
+    spectrum is taken block by block on a zero pattern in the first row,
     which is exact: reordering rows and columns alike keeps the spectrum,
     and a block-diagonal one is the union of its blocks'.  A Bell mixture
     rho splits into d sectors of the labels (b - a) mod d of its kets
     |a, b>, and its partial transpose into d sectors of (a + b) mod d, so
-    the check costs d blocks of O(d**3) there.  A partial transpose of
-    order CERTIFY_MIN_SIZE or more that is exactly Hermitian, with a
-    first row of no zero entry, goes to eigvalsh whole in _min_eigenvalue.
-    There npt is first sought by _certified_npt, which decides it as that
-    eigvalsh would without running it, and min_eigenvalue is left to its
-    first access; only when neither certificate holds is it taken here.
-    A non-finite entry of rho raises ValueError.  It reads only the
-    partial transpose, not any witness or measurement.
+    the check costs d blocks of O(d**3) there.
+
+    A partial transpose of order CERTIFY_MIN_SIZE or more that is exactly
+    Hermitian, with a first row of no zero entry, is first given the NPT
+    certificate.  y, the Ritz vector of _ritz_vector, has the computed
+    Rayleigh quotient w/s; if w/s + nu_n ||pt||_F < -PSD_TOL, with nu_n
+    from errors.ritz_certificate_slack, eigvalsh would return a value
+    below -PSD_TOL, and npt is True at once.  Otherwise, when w/s lies
+    above -PSD_TOL, _lowest_eigenvalue runs with floor -PSD_TOL, whose
+    Cholesky proof can put every eigenvalue above it with no spectrum
+    taken; below, lambda_min(pt) <= y^H pt y / ||y||**2 leaves no proof
+    to find, and the floor is +inf, which takes the exact value.  For a
+    trace-one pt the proof's shift is below 0 for n < 474, so a singular
+    pt, as of a separable state of fewer than n product terms, can be
+    proved there, and only a positive definite one beyond.
+    min_eigenvalue is kept when the call took it exactly, and else taken
+    on first access.  A non-finite entry of rho raises ValueError.  It
+    reads only the partial transpose, not any witness or measurement.
     """
     if rho.parties != 2:
         raise ValueError(f"need a two-party state, got {rho.parties} parties")
-    pt = partial_transpose(rho, 1)  # a copy, which the proof may shift
+    pt = partial_transpose(rho, 1)
     # a non-finite entry makes the sum of squares non-finite; only a
     # finite sum that overflows needs the entrywise check
     fro2 = float(np.vdot(pt, pt).real)
     if not math.isfinite(fro2) and not np.isfinite(pt).all():
         raise ValueError("matrix has non-finite entries")
+    floor = np.inf
     if (len(pt) >= CERTIFY_MIN_SIZE and math.isfinite(fro2)
             and (pt[0] != 0).all() and hermiticity_deviation(pt) == 0.0):
-        npt = _certified_npt(pt, math.sqrt(fro2))
-        if npt is not None:
-            return PptResult(rho=rho, npt=npt)
-        pt = partial_transpose(rho, 1)
-    min_eig = _min_eigenvalue(pt)
+        quotient = _ritz_quotient(pt)
+        slack = ritz_certificate_slack(len(pt)) * math.sqrt(fro2)
+        if quotient + slack < -PSD_TOL:
+            return PptResult(rho=rho, npt=True)
+        if quotient > -PSD_TOL:
+            floor = -PSD_TOL
+    min_eig = _lowest_eigenvalue(pt[None], floor)
     result = PptResult(rho=rho, npt=min_eig < -PSD_TOL)
-    vars(result)["min_eigenvalue"] = min_eig  # cached_property's slot
+    if min_eig < floor:  # the exact value, not the floor
+        vars(result)["min_eigenvalue"] = min_eig  # cached_property's slot
     return result
 
 
-def _certified_npt(a: np.ndarray, fro: float) -> bool | None:
-    """npt of eigvalsh(a)[0] < -PSD_TOL if a certificate settles it, else None.
+def _ritz_quotient(a: np.ndarray) -> float:
+    """The computed Rayleigh quotient w/s of a's Ritz vector y (_ritz_vector).
 
-    a is exactly Hermitian of order n and fro its Frobenius norm.
-
-    NPT.  y, the Ritz vector of _ritz_vector, has the computed Rayleigh
-    quotient w/s; if w/s + nu_n fro < -PSD_TOL, with nu_n from
-    errors.ritz_certificate_slack, eigvalsh would return a value below
-    -PSD_TOL, so npt is True.
-
-    PPT.  Otherwise, when w/s lies above the shift sigma of
-    states._proves_above for floor -PSD_TOL, the shifted Cholesky proof
-    runs on a itself, shifted in place: if the factor proves that
-    eigvalsh would return every eigenvalue above -PSD_TOL, npt is False.
-    Below sigma the factor cannot exist, since lambda_min(a) <= y^H a y /
-    ||y||**2, so it is not tried.  For a trace-one a, sigma is below 0
-    for n < 474, so a singular a, as of a separable state of fewer than n
-    product terms, can be proved there, and only a positive definite one
-    beyond.
+    w = fl(Re y^H fl(a y)) and s = fl(y^H y), each a real dot product of
+    the float components, as errors.ritz_certificate_slack takes them.
     """
-    n = len(a)
     y = _ritz_vector(a)
     yf = y.view(float)
-    s = float(yf @ yf)
-    quotient = float(yf @ (a @ y).view(float)) / s
-    if quotient + ritz_certificate_slack(n) * fro < -PSD_TOL:
-        return True
-    kappa = cholesky_proof_slack(n)
-    trace = float(np.trace(a).real)
-    if (quotient > _proof_shift(n, trace, -PSD_TOL, kappa)
-            and _proves_above(a[None], slice(None), trace, -PSD_TOL, kappa)):
-        return False
-    return None
+    return float(yf @ (a @ y).view(float)) / float(yf @ yf)
 
 
 def _ritz_vector(a: np.ndarray) -> np.ndarray:

@@ -43,12 +43,12 @@ PROOF_MIN_ENTRIES = 32 ** 2
 # Matrices solved first by eigvalsh to set the floor of _lowest_eigenvalue
 # when it has none.
 PROOF_CHUNK = 16
-# Matrices per batched Cholesky factor in _lowest_eigenvalue, whose two
-# slab buffers, shifted copies and factors, are the proof's temporaries:
-# a d = 12 build peaks at 3.02 stacks with 32 and 3.27 with 48
-# (tracemalloc), against 3.05 for the chunked proof before it.
+# Matrices per batched Cholesky factor in _lowest_eigenvalue, whose one
+# slab buffer, the shifted copies factored in place, is the proof's
+# temporary: a d = 12 build peaks at 2.80 stacks with 32 and 2.94 with 48
+# (tracemalloc).
 PROOF_SLAB = 32
-# A lone matrix of at least this order is first factored on a copy of its
+# A matrix of at least this order is first factored on a copy of its
 # leading quarter, which fails at once on a state of low rank, where
 # copying and factoring the whole would cost about as much as a success.
 PROBE_MIN_SIZE = 64
@@ -84,20 +84,20 @@ class DensityMatrix:
         dropping the negative part of H moves it by that part's weight,
         at most dim max(0, -lambda_min), and rescaling what is left to
         trace 1 by at most |tau - 1| plus that weight again.  Only
-        min(0, lambda_min) is read.  A dense first row of H sends it to
-        _lowest_eigenvalue with floor 0, which proves H positive definite
-        by a Cholesky factor and takes the O(dim**3) spectrum only when
-        that proof fails, as on a rank-deficient state.  Otherwise
-        lambda_min comes from _min_eigenvalue, block by block on H's zero
-        pattern, exact because reordering rows and columns alike keeps the
-        spectrum and a block-diagonal one is the union of its blocks': d
-        blocks of d for a two-qudit Bell mixture.  Either way the value is
-        bit for bit that of eigvalsh.  A matrix that hermiticity_deviation
-        finds exactly Hermitian is its own Hermitian part H and goes to
-        the solvers as it is, with no full-size temporary formed: the
-        formula 0.5 mat + 0.5 mat^H, which any other matrix takes, could
-        differ from it only where halving a subnormal entry rounds and in
-        the sign of a zero, so the value is the eigvalsh of H itself.
+        min(0, lambda_min) is read, from _lowest_eigenvalue with floor 0:
+        a dense H is proved positive definite by a Cholesky factor, and
+        takes the O(dim**3) spectrum only when that proof fails, as on a
+        rank-deficient state, whose leading quarter fails at once; an H
+        with a zero in its first row has its spectrum taken block by
+        block on its zero pattern, exact because reordering rows and
+        columns alike keeps the spectrum and a block-diagonal one is the
+        union of its blocks': d blocks of d for a two-qudit Bell mixture.
+        A matrix that hermiticity_deviation finds exactly Hermitian is
+        its own Hermitian part H and goes to the prover as it is, with no
+        full-size temporary formed: the formula 0.5 mat + 0.5 mat^H, which
+        any other matrix takes, could differ from it only where halving a
+        subnormal entry rounds and in the sign of a zero, so the value is
+        the eigvalsh of H itself.
         """
         mat = np.asarray(matrix, dtype=complex)
         check_dim(local_dim)
@@ -115,10 +115,7 @@ class DensityMatrix:
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"matrix has trace {tr}, expected 1")
         h = mat if herm == 0.0 else 0.5 * mat + 0.5 * mat.conj().T
-        if (h[0] != 0).all():
-            min_eig = _lowest_eigenvalue(h[None], 0.0)
-        else:
-            min_eig = _min_eigenvalue(h)
+        min_eig = _lowest_eigenvalue(h[None], 0.0)
         if min_eig < -PSD_TOL:
             raise ValueError(f"matrix has negative eigenvalue {min_eig:.3e}")
         return cls(local_dim=local_dim, parties=parties, matrix=mat,
@@ -186,22 +183,27 @@ def _whole_min_eigenvalue(h: np.ndarray) -> float:
 def _lowest_eigenvalue(stack: np.ndarray, floor: float) -> float:
     """min(floor, smallest eigenvalue over a stack of Hermitian matrices).
 
-    The value is bit for bit min(floor, eigvalsh(stack)[:, 0].min()), but
-    eigvalsh runs only on the matrices whose Cholesky factor cannot prove
-    the answer.  Like eigvalsh, the factor reads each matrix's lower
-    triangle only.  A stack of m matrices of order n with m n**2 below
-    PROOF_MIN_ENTRIES goes to eigvalsh whole, and so does one that is not
-    of float64 or complex128, the precision the proof assumes.  A lone
-    matrix is proved by _proves_above.  Else every matrix is shifted by
-    its own sigma, just above the floor f, and factored, PROOF_SLAB
-    matrices to one batched factor (_unproven); a factor that completes
-    proves that eigvalsh would return all of that matrix's eigenvalues
-    above f, so that they cannot change the minimum.  Only the matrices
-    whose factor fails, holds a non-finite entry or proves too little go
-    to eigvalsh, all in one call, and the value is the smaller of f and
-    their minimum.  For floor +inf, f is first set by eigvalsh on the
-    PROOF_CHUNK matrices of lowest Gershgorin lower bound, which tend to
-    hold the minimum, and the others are proved against it.
+    The one positivity prover of the package: the cap, the set and state
+    gates and ppt_test all read their lambda_min here.  The value is bit
+    for bit min(floor, eigvalsh(stack)[:, 0].min()), but eigvalsh runs
+    only on the matrices whose Cholesky factor cannot prove the answer.
+    Like eigvalsh, the factor reads each matrix's lower triangle only.  A
+    lone matrix with a zero in its first row goes to _min_eigenvalue,
+    block by block on its zero pattern, exact as eigvalsh of each block;
+    a non-finite entry there gives floor.  Any other stack of m matrices
+    of order n with m n**2 below PROOF_MIN_ENTRIES goes to eigvalsh whole,
+    and so does one that is not of float64 or complex128, the precision
+    the proof assumes, or one of at most PROOF_CHUNK matrices at floor
+    +inf, which the first chunk would hold whole.  Else every matrix is
+    shifted by its own sigma, just above the floor f, and factored
+    (_unproven); a factor that completes proves that eigvalsh would
+    return all of that matrix's eigenvalues above f, so that they cannot
+    change the minimum.  Only the matrices whose factor fails, holds a
+    non-finite entry or proves too little go to eigvalsh, all in one
+    call, on stack itself when that is all of them, and the value is the
+    smaller of f and their minimum.  For floor +inf, f is first set by
+    eigvalsh on the PROOF_CHUNK matrices of lowest Gershgorin lower bound,
+    which tend to hold the minimum, and the others are proved against it.
 
     The proof, for A of order n, with u the unit roundoff and gamma_k =
     k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
@@ -235,17 +237,11 @@ def _lowest_eigenvalue(stack: np.ndarray, floor: float) -> float:
     2.5e-13 at n = 16 and 5.9e-11 at n = 256.
     """
     m, n = len(stack), stack.shape[-1]
-    if m * n * n < PROOF_MIN_ENTRIES or stack.dtype.char not in "dD":
+    if m == 1 and not (stack[0, 0] != 0).all():
+        return min(floor, _min_eigenvalue(stack[0]))
+    if (m * n * n < PROOF_MIN_ENTRIES or stack.dtype.char not in "dD"
+            or (floor == np.inf and m <= PROOF_CHUNK)):
         return min(floor, float(np.linalg.eigvalsh(stack)[:, 0].min()))
-    kappa = cholesky_proof_slack(n)
-    if m == 1:
-        # a non-finite entry in the lower triangle, all that the factor
-        # and eigvalsh read, fails the factor or makes F non-finite, which
-        # proves nothing
-        if math.isfinite(floor) and _proves_above(
-                stack, [0], float(np.trace(stack[0]).real), floor, kappa):
-            return floor
-        return min(floor, float(np.linalg.eigvalsh(stack)[0, 0]))
     diag = np.einsum("kii->ki", stack).real
     rest = np.arange(m)
     if floor == np.inf:
@@ -256,34 +252,59 @@ def _lowest_eigenvalue(stack: np.ndarray, floor: float) -> float:
         floor = float(first[:, 0].min())
         rest = np.sort(order[PROOF_CHUNK:])  # copied in memory order
     if math.isfinite(floor):
-        rest = _unproven(stack, rest, diag.sum(axis=1), floor, kappa)
+        rest = _unproven(stack, rest, diag.sum(axis=1), floor)
     if len(rest) == 0:
         return floor
-    return min(floor, float(np.linalg.eigvalsh(stack[rest])[:, 0].min()))
+    left = stack if len(rest) == m else stack[rest]
+    return min(floor, float(np.linalg.eigvalsh(left)[:, 0].min()))
 
 
 def _unproven(stack: np.ndarray, idx: np.ndarray, traces: np.ndarray,
-              floor: float, kappa: float) -> np.ndarray:
+              floor: float) -> np.ndarray:
     """The indices among idx whose factor does not put stack[k] above floor.
 
-    traces holds every matrix's trace and kappa their kappa_n.  The
-    matrices are copied and shifted PROOF_SLAB at a time into one buffer,
-    factored into another, and stack is only read.
+    traces holds every matrix's trace.  Each matrix A is shifted by the
+    sigma of _lowest_eigenvalue; a factor of A - sigma I exists only if
+    lambda_min(A) > sigma, up to its rounding.  The matrices are copied
+    and shifted PROOF_SLAB at a time into one buffer and factored in it,
+    in place, and stack is only read.  Matrices of order PROBE_MIN_SIZE or
+    more are first factored on a copy of their leading quarter, 1/16 of
+    their size, whose failure, as on a state of low rank, leaves the
+    matrix unproven; the buffer is allocated only for matrices that pass.
     """
     n = stack.shape[-1]
-    shifts = _proof_shift(n, traces, floor, kappa)
-    shifted = np.empty((min(PROOF_SLAB, len(idx)), n, n), dtype=stack.dtype)
-    factors = np.empty_like(shifted)
-    proved = np.empty(len(idx), dtype=bool)
+    kappa = cholesky_proof_slack(n)
+    shifts = floor + 2.0 * kappa * (traces - n * floor + abs(floor))
+    proved = np.zeros(len(stack), dtype=bool)
+    buf = None
     for start in range(0, len(idx), PROOF_SLAB):
         k = idx[start:start + PROOF_SLAB]
-        b, r = shifted[:len(k)], factors[:len(k)]
-        # "clip" writes straight into b, where "raise" buffers a copy
-        np.take(stack, k, axis=0, out=b, mode="clip")
-        b.reshape(len(k), n * n)[:, ::n + 1] -= shifts[k, None]
-        proved[start:start + len(k)] = _proves(_cholesky(b, r), shifts[k],
-                                               floor, kappa)
-    return idx[~proved]
+        if n >= PROBE_MIN_SIZE:
+            lead = _shifted(stack[:, :n // 4, :n // 4], k, shifts)
+            k = k[~np.isnan(_cholesky(lead, out=lead)[:, 0, 0])]
+            del lead  # freed before the slab buffer is allocated
+            if len(k) == 0:
+                continue
+        if buf is None:
+            buf = np.empty((min(PROOF_SLAB, len(idx)), n, n), stack.dtype)
+        b = _shifted(stack, k, shifts, buf[:len(k)])
+        proved[k] = _proves(_cholesky(b, out=b), shifts[k], floor, kappa)
+    return idx[~proved[idx]]
+
+
+def _shifted(stack: np.ndarray, k: np.ndarray, shifts: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """stack[k] less shifts[k] on each diagonal, in out if given, else new.
+
+    The copy is C-contiguous, so that the diagonals are one strided view.
+    """
+    if out is None:
+        out = np.empty((len(k),) + stack.shape[1:], stack.dtype)
+    # "clip" writes straight into out, where "raise" buffers a copy
+    np.take(stack, k, axis=0, out=out, mode="clip")
+    n = out.shape[-1]
+    out.reshape(len(k), n * n)[:, ::n + 1] -= shifts[k, None]
+    return out
 
 
 def _cholesky(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -294,7 +315,9 @@ def _cholesky(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     invalid flag, which np.linalg.cholesky turns into one LinAlgError for
     the whole stack; ignoring the flag keeps each matrix's outcome.  It
     reads each matrix's lower triangle only.  A NaN entry there need not
-    fail the factor, but leaves a NaN in it.
+    fail the factor, but leaves a NaN in it.  out may be a itself: each
+    matrix is copied to the routine's own work space before its factor
+    is written back, so the factor takes the place of the matrix.
     """
     with np.errstate(all="ignore"):
         return _umath_linalg.cholesky_lo(a, out=out)
@@ -303,51 +326,12 @@ def _cholesky(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def _proves(r: np.ndarray, shift, floor: float, kappa: float) -> np.ndarray:
     """Whether each factor R of A - shift I puts A's eigenvalues above floor.
 
-    shift is one per factor or common to all; a factor holding a NaN, as
-    a failed one does, proves nothing.
+    shift is one per factor; a factor holding a NaN, as a failed one
+    does, proves nothing.
     """
     flat = r.view(r.real.dtype).reshape(len(r), 1, -1)
     fro2 = (flat @ flat.transpose(0, 2, 1))[:, 0, 0]  # one dot per factor
     return shift - floor > kappa * (abs(shift) + fro2)
-
-
-def _proof_shift(n: int, trace, floor: float, kappa: float):
-    """The shift sigma of _lowest_eigenvalue's proof for matrices of order n.
-
-    trace is a matrix's trace, or an array of traces, and kappa their
-    kappa_n.  A factor of A - sigma I exists only if lambda_min(A) >
-    sigma, up to its rounding.
-    """
-    return floor + 2.0 * kappa * (trace - n * floor + abs(floor))
-
-
-def _proves_above(stack: np.ndarray, idx, trace: float, floor: float,
-                  kappa: float) -> bool:
-    """Whether a shifted factor puts a lone matrix's eigenvalues above floor.
-
-    idx, the list [0] or slice(None), picks stack's one matrix; trace is
-    its trace and kappa its kappa_n.  By the list the shift goes into a
-    copy, so stack is only read, and a matrix of order PROBE_MIN_SIZE or
-    more is first factored on a copy of its leading quarter, 1/16 of its
-    size, and copied whole only if that succeeds.  By the slice the shift
-    goes into stack itself, with no copy and no probe, for a caller that
-    owns stack as a work buffer, as oracle.ppt_test does.
-    """
-    n = stack.shape[-1]
-    shift = _proof_shift(n, trace, floor, kappa)
-    i = np.arange(n)
-
-    def shifted(k: int) -> np.ndarray:
-        b = stack[idx, :k, :k]  # a copy through an index, a view by a slice
-        b[:, i[:k], i[:k]] -= shift  # in place whatever b's memory order
-        return b
-
-    if (not isinstance(idx, slice) and n >= PROBE_MIN_SIZE
-            and np.isnan(_cholesky(shifted(n // 4))[0, 0, 0])):
-        return False
-    r = _cholesky(shifted(n))
-    return not np.isnan(r[0, 0, 0]) and bool(_proves(r, shift, floor,
-                                                      kappa)[0])
 
 
 def pair_axes(rho: DensityMatrix) -> np.ndarray:
@@ -764,7 +748,7 @@ def read_state(path: str | Path) -> DensityMatrix:
                     else decode_complex(payload, "matrix"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from exc
-    del payload  # a parsed string, 4/3 of the matrix, is not needed past here
+    del payload  # a c16le-base64 file's parsed string, 4/3 of the matrix
     dim = math.isqrt(flat.size)
     # local_dim >= 2 gives local_dim**parties >= 2**parties, so a parties
     # beyond dim's bit length cannot match, and the power is never formed

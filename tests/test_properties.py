@@ -320,8 +320,12 @@ def _hermitian_stacks(draw):
     random positions, with their lowest eigenvalue set to 0, +-1e-17,
     1e-13 or 1e-9 times the scale, which a factor at floor 0 can seldom
     prove, sometimes junk above the diagonal, which eigvalsh does not
-    read, and in C order, Fortran order or a strided view."""
-    m = draw(st.integers(1, 40), label="m")
+    read, and in C order, Fortran order or a strided view.  A quarter
+    are a lone matrix, which _lowest_eigenvalue proves as a slab of one,
+    and a quarter a lone matrix with a mirrored pair of zeros in its
+    first row and column, which it sends to _min_eigenvalue."""
+    shape = draw(st.sampled_from(["stack", "stack", "lone", "sparse"]))
+    m = draw(st.integers(1, 40), label="m") if shape == "stack" else 1
     n = draw(st.integers(2, 16), label="n")
     real = draw(st.booleans(), label="real")
     kind = draw(st.sampled_from(["psd", "rank-deficient", "indefinite"]))
@@ -346,6 +350,9 @@ def _hermitian_stacks(draw):
     if junk:
         upper = np.triu_indices(n, 1)
         stack[:, upper[0], upper[1]] += scale * rng.normal(size=len(upper[0]))
+    if shape == "sparse":
+        j = draw(st.integers(1, n - 1), label="zero")
+        stack[0, 0, j] = stack[0, j, 0] = 0.0
     layout = draw(st.sampled_from(["C", "F", "strided"]), label="layout")
     if layout == "F":
         return np.asfortranarray(stack)
@@ -360,15 +367,17 @@ def _hermitian_stacks(draw):
 # drawn stacks are too small to reach the factors at the package's
 # threshold unless it is lifted, so half the examples lift it; small
 # slabs and chunks make the factors cross slab boundaries and leave more
-# of a stack to prove at floor +inf
+# of a stack to prove at floor +inf, and a probe size of 4 sends drawn
+# matrices of order 4 or more through the leading-quarter probe
 @settings(max_examples=300, deadline=None, database=None)
 @given(stack=_hermitian_stacks(),
        floor_kind=st.sampled_from(["0", "inf", "min-ulp", "min+ulp"]),
        every_stack=st.booleans(),
        slab=st.sampled_from([1, 3, states.PROOF_SLAB]),
-       chunk=st.sampled_from([1, 5, states.PROOF_CHUNK]))
+       chunk=st.sampled_from([1, 5, states.PROOF_CHUNK]),
+       probe=st.sampled_from([4, states.PROBE_MIN_SIZE]))
 def test_lowest_eigenvalue_is_bit_for_bit_the_eigvalsh_minimum(
-        stack, floor_kind, every_stack, slab, chunk):
+        stack, floor_kind, every_stack, slab, chunk, probe):
     lowest = float(np.linalg.eigvalsh(stack)[:, 0].min())
     floor = {"0": 0.0, "inf": np.inf,
              "min-ulp": np.nextafter(lowest, -np.inf),
@@ -376,7 +385,8 @@ def test_lowest_eigenvalue_is_bit_for_bit_the_eigvalsh_minimum(
     threshold = 0 if every_stack else states.PROOF_MIN_ENTRIES
     with (patch.object(states, "PROOF_MIN_ENTRIES", threshold),
           patch.object(states, "PROOF_SLAB", slab),
-          patch.object(states, "PROOF_CHUNK", chunk)):
+          patch.object(states, "PROOF_CHUNK", chunk),
+          patch.object(states, "PROBE_MIN_SIZE", probe)):
         got = _lowest_eigenvalue(stack, floor)
     assert _bits(got) == _bits(min(floor, lowest)), (got, floor, lowest)
 

@@ -13,6 +13,7 @@ from gsicdetect import (bell_diagonal, conjugate_gsic, construct_gsic,
                         gell_mann_basis, isotropic, max_entangled,
                         partial_transpose, random_separable, read_state,
                         tensor, weyl_operator, write_state)
+from gsicdetect import states
 from gsicdetect.states import (DensityMatrix, _cholesky, _read_head,
                                _read_json, _read_raw, decode_complex,
                                decode_float)
@@ -554,3 +555,76 @@ def test_the_batched_factor_keeps_each_matrixs_outcome(dtype):
                                                    False]
     # whether the LAPACK at hand fails it or not, the NaN reaches the factor
     assert np.isnan(factors[3]).any()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_the_factor_written_over_its_matrix_needs_no_full_size_temporary(
+        dtype):
+    # _lowest_eigenvalue factors each slab of its buffer into itself: the
+    # factors and failures of np.linalg.cholesky, bit for bit, with each
+    # matrix's work copy in LAPACK's own space, which tracemalloc does not
+    # count, and no copy of the slab
+    rng = np.random.default_rng(6)
+    n = 64
+    z = rng.normal(size=(4, n, n))
+    if dtype is complex:
+        z = z + 1j * rng.normal(size=(4, n, n))
+    stack = z @ np.swapaxes(z, 1, 2).conj()  # positive definite
+    stack[1] -= 1000.0 * np.eye(n)  # indefinite
+    stack[2][n - 1, n - 1] = -1.0  # fails only at the last pivot
+    buf = np.empty((5, n, n), dtype=dtype)
+    slab = buf[:4]  # a slab of a longer buffer, as _unproven takes it
+    slab[...] = stack
+    tracemalloc.start()
+    try:
+        factors = _cholesky(slab, out=slab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factors is slab
+    assert peak < stack[0].nbytes / 4, peak
+    for a, r in zip(stack, slab):
+        try:
+            want = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            assert np.isnan(r).all()
+        else:
+            assert r.tobytes() == want.tobytes()
+    assert [np.isnan(r).all() for r in slab] == [False, True, True, False]
+
+
+@pytest.mark.parametrize("rank", [4, 256])
+def test_a_dense_state_takes_one_factor_or_one_spectrum(monkeypatch, rank):
+    # a full-rank d = 16 state is proved positive definite by one factor
+    # of the whole, after the probe of its leading quarter, and takes no
+    # spectrum; a rank-4 one fails that probe, is never factored whole,
+    # and takes one spectrum, of the matrix itself
+    if rank == 4:
+        mat = random_separable(16, 2, 4, seed=16).matrix
+    else:
+        rng = np.random.default_rng(16)
+        z = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+        mat = z @ z.conj().T
+        mat = 0.5 * (mat + mat.conj().T)
+        mat /= np.trace(mat).real
+    factored, solved = [], []
+    cholesky, eigvalsh = states._cholesky, np.linalg.eigvalsh
+
+    def counting_cholesky(a, *args, **kwargs):
+        factored.append(a.shape[-1])
+        return cholesky(a, *args, **kwargs)
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        solved.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(states, "_cholesky", counting_cholesky)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    rho = DensityMatrix.from_matrix(mat, 16, 2)
+    if rank == 4:
+        assert factored == [64] and solved == [(1, 256, 256)]
+    else:
+        assert factored == [64, 256] and solved == []
+    monkeypatch.undo()
+    want = 2.0 * 256 * max(0.0, -np.linalg.eigvalsh(mat)[0])
+    assert rho.deviation == abs(np.trace(mat) - 1.0) + want
