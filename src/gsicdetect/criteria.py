@@ -225,11 +225,19 @@ def detect_bipartite(rho: DensityMatrix, p: GsicSet, q: GsicSet) -> DetectionRep
     worst-case error of the margin from rounding, from the sets'
     deviations and from the state's own.  So a flag never rests on
     rounding or on what an input tolerance admits, and a state on the
-    bound reads INCONCLUSIVE.
+    bound reads INCONCLUSIVE.  A state that from_matrix proved without
+    its deviation (rho.exact False) is decided by rho.deviation_bound,
+    which gives the same verdict wherever the margin lies at or below E
+    or above E plus that bound; only in between is rho.deviation read.
     """
     j_bipartite(rho, p, q)  # checks rho against the pair, builds the witness
     w = _witness(p, q)
-    return w.report(rho.label, rho.deviation, w.trace(rho))
+    trace = w.trace(rho)
+    deviation = rho.deviation_bound
+    if (not rho.exact
+            and w.error_bound < trace - w.excess <= w.error_bound + deviation):
+        deviation = rho.deviation
+    return w.report(rho.label, deviation, trace)
 
 
 def _multipartite_kernel(sets: list[GsicSet]) -> np.ndarray:

@@ -204,6 +204,51 @@ def cholesky_proof_slack(n: int) -> float:
             + 2.0 * n ** EIGVALSH_ERROR_POWER * u)
 
 
+def low_rank_proof_slack(n: int) -> float:
+    """mu_n = sqrt(2) gamma_{2n} + gamma_{2n(n+1)} + 2 p(n) u.
+
+    For H Hermitian of order n, read from its lower triangle as eigvalsh
+    reads it, any n x k matrix L with k <= n, and S = H - L L^H, take
+    the computed r = fl(sqrt(q)) with q = fl(2 o + g), o the sum of
+    |fl(H_ij - fl(L L^H)_ij)|**2 over i > j and g that over i = j, each
+    a sum of real squares, and F = fl(||L||_F**2).  If fl((1 + mu_n) r +
+    mu_n F) < c, every eigenvalue that eigvalsh returns for H exceeds
+    -c.  With u the unit roundoff and gamma_k = k u / (1 - k u) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sections
+    3.1 and 3.6):
+
+    1. The products.  An entry of L L^H is a complex inner product of
+       k <= n terms, whose real and imaginary parts are each a real inner
+       product of at most 2n terms, so fl(L L^H) is off L L^H by at most
+       sqrt(2) gamma_{2n} |L| |L^H| entrywise, at most sqrt(2) gamma_{2n}
+       ||L||_F**2 in the Frobenius norm.
+    2. The difference.  Each computed entry of S is off the difference
+       it rounds by at most gamma_1 of its own modulus.
+    3. The norm.  q sums at most 2n(n + 1) real squares, so it is
+       within gamma_{2n(n+1)} of the squared Frobenius norm of the
+       computed S, which counts each entry below the diagonal twice, as
+       H holds it twice; an imaginary part that the diagonal of H does
+       not hold only adds to q.  F is within gamma_{2n**2} of ||L||_F**2.
+    4. Weyl.  L L^H is positive semidefinite, so lambda_min(H) >=
+       -||S||_2 >= -||S||_F, and ||H||_2 <= ||L||_F**2 + ||S||_F.
+    5. eigvalsh.  It returns each eigenvalue within p(n) u ||H||_2
+       (LAPACK Users' Guide, section 4.7), p(n) = n**EIGVALSH_ERROR_POWER
+       as in cholesky_proof_slack.
+
+    So eigvalsh returns nothing below -((1 + p(n) u) ||S||_F + p(n) u
+    ||L||_F**2), and ||S||_F <= (1 + gamma_1 + gamma_{2n(n+1)}) r +
+    sqrt(2) gamma_{2n} F to first order.  The second p(n) u covers the
+    products of these small terms, the square root and the three
+    roundings of the check, a few u of r + mu_n F, from n = 3 on.  L
+    need not be accurate: any L gives a valid bound, and a good one a
+    small r.  states._low_rank_proves takes L from a pivoted Cholesky.
+    """
+    u = UNIT_ROUNDOFF
+    k, m = 2 * n, 2 * n * (n + 1)
+    return (math.sqrt(2.0) * k * u / (1.0 - k * u) + m * u / (1.0 - m * u)
+            + 2.0 * n ** EIGVALSH_ERROR_POWER * u)
+
+
 def ritz_certificate_slack(n: int) -> float:
     """nu_n = (1 + sqrt(2)) gamma_{2n} + 2 n**EIGVALSH_ERROR_POWER u.
 

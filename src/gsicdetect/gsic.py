@@ -182,11 +182,12 @@ def validate_gsic(g: GsicSet, tol: float = VALIDATION_TOL) -> ValidationOutcome:
     eigenvalues, the admissible purity range, and a against
     purity_from_t(d, t), which is infinite unless t is finite and
     nonnegative.  The PSD floor reads only min(0, lambda_min), from
-    _lowest_eigenvalue with floor 0, as feasible_t and from_matrix read
-    theirs: one batched Cholesky factor per slab of PROOF_SLAB shifted
-    copies proves them positive definite, and eigvalsh runs only on the
-    operators whose proof fails, as on the one singular operator at the
-    cap; the value is bit for bit that of a batched eigvalsh.  An operator
+    _lowest_eigenvalue with floor 0, the prover that feasible_t and
+    from_matrix read theirs from: one batched Cholesky factor per slab
+    of PROOF_SLAB shifted copies proves them positive definite, and
+    eigvalsh runs only on the operators whose proof fails, as on the one
+    singular operator at the cap; the value is bit for bit that of a
+    batched eigvalsh.  An operator
     stack with a NaN or infinite entry has no spectrum taken and a NaN
     PSD floor.
     """

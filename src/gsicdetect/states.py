@@ -10,8 +10,8 @@ import base64
 import json
 import math
 import os
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -19,7 +19,8 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import (HERM_TOL, PSD_TOL, TRACE_TOL, WEIGHT_SUM_TOL, check_dim,
-                     cholesky_proof_slack, hermiticity_deviation)
+                     cholesky_proof_slack, hermiticity_deviation,
+                     low_rank_proof_slack)
 
 # Matrices below this size go to eigvalsh whole in _min_eigenvalue, where
 # labelling the zero pattern costs more than the spectrum (about n = 40).
@@ -46,12 +47,27 @@ PROOF_CHUNK = 16
 # Matrices per batched Cholesky factor in _lowest_eigenvalue, whose one
 # slab buffer, the shifted copies factored in place, is the proof's
 # temporary: a d = 12 build peaks at 2.80 stacks with 32 and 2.94 with 48
-# (tracemalloc).
+# (tracemalloc).  Also the rows per strip of the low-rank certificate's
+# residual, whose one buffer holds that many rows of a matrix.
 PROOF_SLAB = 32
 # A matrix of at least this order is first factored on a copy of its
 # leading quarter, which fails at once on a state of low rank, where
 # copying and factoring the whole would cost about as much as a success.
 PROBE_MIN_SIZE = 64
+# Order per step of the pivoted Cholesky behind the low-rank certificate
+# of _lowest_eigenvalue: a matrix of order n takes at most n //
+# LOW_RANK_STEP_ORDER steps, so the certificate proves a rank up to that,
+# where it still costs about one factor of the whole or less, and a rank
+# beyond wastes a fraction of one.  ms at rank r = n // 16 (proved) and
+# r + 1 (failed), against the probe and factor that prove such a state
+# at -PSD_TOL otherwise and eigvalsh (best of 7 x 20 calls, Xeon, 1 BLAS
+# thread):
+#                        certificate, r / r + 1   probe + factor   eigvalsh
+#   n = 64, r = 4              0.12 / 0.06            0.12           0.39
+#   n = 81, r = 5              0.16 / 0.08            0.15           0.65
+#   n = 144, r = 9             0.20 / 0.08            0.58           1.7
+#   n = 256, r = 16            0.46 / 0.26            2.9            7.6
+LOW_RANK_STEP_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -62,42 +78,64 @@ class DensityMatrix:
     free text used in reports.  deviation bounds the trace-norm distance
     from matrix to a density matrix, as far as the tolerances of
     from_matrix or of a mixture's weights let it stray; a state made
-    directly is taken as exact.
+    directly is taken as exact.  deviation_bound is a certified upper
+    bound of deviation, deviation itself unless from_matrix left that to
+    be computed on first read (exact False).
     """
 
     local_dim: int
     parties: int
     matrix: np.ndarray
     label: str = ""
-    deviation: float = 0.0
+    deviation_bound: float = 0.0
+    exact: bool = field(default=True, repr=False)
+
+    @cached_property
+    def deviation(self) -> float:
+        """deviation_bound when exact, else computed now and kept.
+
+        Then it is from_matrix's deviation of the matrix, bit for bit,
+        from min(0, lambda_min) of its Hermitian part, which
+        _lowest_eigenvalue gives at floor 0.
+        """
+        if self.exact:
+            return self.deviation_bound
+        mat = self.matrix
+        h = _hermitian_part(mat, hermiticity_deviation(mat))
+        return _deviation(complex(np.trace(mat)), len(mat),
+                          _lowest_eigenvalue(h[None], 0.0))
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, local_dim: int, parties: int,
                     label: str = "") -> "DensityMatrix":
         """Wrap and validate a raw matrix as a density matrix.
 
-        The matrix is kept as given, and the deviation recorded is
-        |tau - 1| + 2 dim max(0, -lambda_min), with tau its trace and
-        lambda_min the smallest eigenvalue of its Hermitian part H, which
-        is all that an expectation value of a Hermitian operator reads.
-        It bounds the trace-norm distance from H to a density matrix:
-        dropping the negative part of H moves it by that part's weight,
-        at most dim max(0, -lambda_min), and rescaling what is left to
-        trace 1 by at most |tau - 1| plus that weight again.  Only
-        min(0, lambda_min) is read, from _lowest_eigenvalue with floor 0:
-        a dense H is proved positive definite by a Cholesky factor, and
-        takes the O(dim**3) spectrum only when that proof fails, as on a
-        rank-deficient state, whose leading quarter fails at once; an H
-        with a zero in its first row has its spectrum taken block by
-        block on its zero pattern, exact because reordering rows and
-        columns alike keeps the spectrum and a block-diagonal one is the
-        union of its blocks': d blocks of d for a two-qudit Bell mixture.
-        A matrix that hermiticity_deviation finds exactly Hermitian is
-        its own Hermitian part H and goes to the prover as it is, with no
-        full-size temporary formed: the formula 0.5 mat + 0.5 mat^H, which
-        any other matrix takes, could differ from it only where halving a
-        subnormal entry rounds and in the sign of a zero, so the value is
-        the eigvalsh of H itself.
+        The matrix is kept as given, and its deviation is |tau - 1| + 2
+        dim max(0, -lambda_min), with tau its trace and lambda_min the
+        smallest eigenvalue of its Hermitian part H, which is all that an
+        expectation value of a Hermitian operator reads.  It bounds the
+        trace-norm distance from H to a density matrix: dropping the
+        negative part of H moves it by that part's weight, at most dim
+        max(0, -lambda_min), and rescaling what is left to trace 1 by at
+        most |tau - 1| plus that weight again.  The matrix is accepted
+        when lambda_min >= -PSD_TOL, read from _lowest_eigenvalue with
+        floor -PSD_TOL.  A dense H is proved positive definite by one
+        Cholesky factor at 0, which keeps the deviation |tau - 1| exact at
+        once; an H with a zero in its first row has its spectrum taken
+        block by block on its zero pattern, exact because reordering rows
+        and columns alike keeps the spectrum and a block-diagonal one is
+        the union of its blocks': d blocks of d for a two-qudit Bell
+        mixture.  Those, a small H and one no proof settles keep the
+        exact value of their spectrum.  An H that is proved only above
+        -PSD_TOL, as a state of low rank is by the low-rank certificate,
+        has no spectrum taken: deviation is computed on first read, bit
+        for bit the same, and deviation_bound is |tau - 1| + 2 dim PSD_TOL
+        meanwhile.  A matrix that hermiticity_deviation finds exactly
+        Hermitian is its own Hermitian part H and goes to the prover as it
+        is, with no full-size temporary formed: the formula 0.5 mat + 0.5
+        mat^H, which any other matrix takes, could differ from it only
+        where halving a subnormal entry rounds and in the sign of a zero,
+        so the value is the eigvalsh of H itself.
         """
         mat = np.asarray(matrix, dtype=complex)
         check_dim(local_dim)
@@ -114,13 +152,25 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"matrix has trace {tr}, expected 1")
-        h = mat if herm == 0.0 else 0.5 * mat + 0.5 * mat.conj().T
-        min_eig = _lowest_eigenvalue(h[None], 0.0)
+        h = _hermitian_part(mat, herm)
+        min_eig = _lowest_eigenvalue(h[None], -PSD_TOL)
         if min_eig < -PSD_TOL:
             raise ValueError(f"matrix has negative eigenvalue {min_eig:.3e}")
+        exact = min_eig != -PSD_TOL  # else proved, with no value taken
         return cls(local_dim=local_dim, parties=parties, matrix=mat,
-                   label=label,
-                   deviation=abs(tr - 1.0) + 2.0 * dim * max(0.0, -min_eig))
+                   label=label, exact=exact,
+                   deviation_bound=_deviation(tr, dim, min_eig))
+
+
+def _hermitian_part(mat: np.ndarray, herm: float) -> np.ndarray:
+    """mat itself if herm, its hermiticity_deviation, is 0, else 0.5 mat +
+    0.5 mat^H."""
+    return mat if herm == 0.0 else 0.5 * mat + 0.5 * mat.conj().T
+
+
+def _deviation(tr: complex, dim: int, min_eig: float) -> float:
+    """|tr - 1| + 2 dim max(0, -min_eig), for a matrix of trace tr."""
+    return abs(tr - 1.0) + 2.0 * dim * max(0.0, -min_eig)
 
 
 def _min_eigenvalue(h: np.ndarray) -> float:
@@ -181,33 +231,45 @@ def _whole_min_eigenvalue(h: np.ndarray) -> float:
 
 
 def _lowest_eigenvalue(stack: np.ndarray, floor: float) -> float:
-    """min(floor, smallest eigenvalue over a stack of Hermitian matrices).
+    """Smallest eigenvalue over a stack of Hermitian matrices, or a floor.
 
     The one positivity prover of the package: the cap, the set and state
-    gates and ppt_test all read their lambda_min here.  The value is bit
-    for bit min(floor, eigvalsh(stack)[:, 0].min()), but eigvalsh runs
-    only on the matrices whose Cholesky factor cannot prove the answer.
-    Like eigvalsh, the factor reads each matrix's lower triangle only.  A
+    gates and ppt_test all read their lambda_min here.  With top =
+    max(floor, 0), the value is bit for bit min(top, eigvalsh(stack)[:,
+    0].min()), or floor itself when floor < 0 and that minimum is proved
+    to lie at or above it, with no spectrum taken: a value below floor is
+    exact, and for floor >= 0 the value is min(floor, ...) as written.
+    eigvalsh runs only on the matrices whose proof cannot settle that.
+    Like eigvalsh, the proofs read each matrix's lower triangle only.  A
     lone matrix with a zero in its first row goes to _min_eigenvalue,
     block by block on its zero pattern, exact as eigvalsh of each block;
-    a non-finite entry there gives floor.  Any other stack of m matrices
+    a non-finite entry there gives top.  Any other stack of m matrices
     of order n with m n**2 below PROOF_MIN_ENTRIES goes to eigvalsh whole,
     and so does one that is not of float64 or complex128, the precision
     the proof assumes, or one of at most PROOF_CHUNK matrices at floor
     +inf, which the first chunk would hold whole.  Else every matrix is
-    shifted by its own sigma, just above the floor f, and factored
-    (_unproven); a factor that completes proves that eigvalsh would
-    return all of that matrix's eigenvalues above f, so that they cannot
-    change the minimum.  Only the matrices whose factor fails, holds a
-    non-finite entry or proves too little go to eigvalsh, all in one
-    call, on stack itself when that is all of them, and the value is the
-    smaller of f and their minimum.  For floor +inf, f is first set by
-    eigvalsh on the PROOF_CHUNK matrices of lowest Gershgorin lower bound,
-    which tend to hold the minimum, and the others are proved against it.
+    shifted by its own sigma, just above top, and factored (_unproven); a
+    factor that completes proves that eigvalsh would return all of that
+    matrix's eigenvalues above top, so that they cannot change the
+    minimum.  For floor +inf, top is first set by eigvalsh on the
+    PROOF_CHUNK matrices of lowest Gershgorin lower bound, which tend to
+    hold the minimum, and the others are proved against it.
 
-    The proof, for A of order n, with u the unit roundoff and gamma_k =
-    k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., sections 3.1, 3.6 and 10.1):
+    A floor below 0, as from_matrix and ppt_test pass, is tried after 0:
+    a matrix whose leading-quarter probe fails at top = 0, as on a state
+    of low rank, is first given the low-rank certificate
+    (_low_rank_proves), O(n**2 r) for rank r, and any matrix still
+    unproven is factored again, shifted just above floor.  A matrix
+    proved by either puts the value at floor, unless a spectrum taken
+    lies below it.  So a positive definite matrix takes the one factor
+    at 0 and keeps its exact min(0, lambda_min), and no matrix that
+    passes the probe at 0 pays for the certificate.  Only the matrices
+    that no proof settles go to eigvalsh, all in one call, on stack
+    itself when that is all of them.
+
+    The factor's proof, for A of order n, with u the unit roundoff and
+    gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sections 3.1, 3.6 and 10.1):
 
     1. The shift.  B = fl(A - sigma I) differs from A - sigma I on the
        diagonal only, by D with |D_ii| <= gamma_1 |B_ii|.
@@ -237,59 +299,134 @@ def _lowest_eigenvalue(stack: np.ndarray, floor: float) -> float:
     2.5e-13 at n = 16 and 5.9e-11 at n = 256.
     """
     m, n = len(stack), stack.shape[-1]
+    top = max(floor, 0.0)
     if m == 1 and not (stack[0, 0] != 0).all():
-        return min(floor, _min_eigenvalue(stack[0]))
+        return min(top, _min_eigenvalue(stack[0]))
     if (m * n * n < PROOF_MIN_ENTRIES or stack.dtype.char not in "dD"
             or (floor == np.inf and m <= PROOF_CHUNK)):
-        return min(floor, float(np.linalg.eigvalsh(stack)[:, 0].min()))
+        return min(top, float(np.linalg.eigvalsh(stack)[:, 0].min()))
     diag = np.einsum("kii->ki", stack).real
+    traces = diag.sum(axis=1)
     rest = np.arange(m)
     if floor == np.inf:
         rows = np.abs(stack).sum(axis=2)
         bounds = (diag + np.abs(diag) - rows).min(axis=1)
         order = np.argsort(bounds, kind="stable")
         first = np.linalg.eigvalsh(stack[order[:PROOF_CHUNK]])
-        floor = float(first[:, 0].min())
+        floor = top = float(first[:, 0].min())
         rest = np.sort(order[PROOF_CHUNK:])  # copied in memory order
     if math.isfinite(floor):
-        rest = _unproven(stack, rest, diag.sum(axis=1), floor)
+        rest, below = _unproven(stack, rest, traces, top, floor)
+        if floor < top and len(rest):
+            # a floor below 0: what the proof at 0 left, factored again
+            left = _unproven(stack, rest, traces, floor, floor)[0]
+            below = below or len(left) < len(rest)
+            rest = left
+        if below:
+            top = floor
     if len(rest) == 0:
-        return floor
+        return top
     left = stack if len(rest) == m else stack[rest]
-    return min(floor, float(np.linalg.eigvalsh(left)[:, 0].min()))
+    return min(top, float(np.linalg.eigvalsh(left)[:, 0].min()))
 
 
 def _unproven(stack: np.ndarray, idx: np.ndarray, traces: np.ndarray,
-              floor: float) -> np.ndarray:
-    """The indices among idx whose factor does not put stack[k] above floor.
+              floor: float, below: float) -> tuple[np.ndarray, bool]:
+    """The indices among idx proved neither above floor nor above below,
+    and whether any matrix was proved above below alone.
 
-    traces holds every matrix's trace.  Each matrix A is shifted by the
-    sigma of _lowest_eigenvalue; a factor of A - sigma I exists only if
-    lambda_min(A) > sigma, up to its rounding.  The matrices are copied
-    and shifted PROOF_SLAB at a time into one buffer and factored in it,
-    in place, and stack is only read.  Matrices of order PROBE_MIN_SIZE or
-    more are first factored on a copy of their leading quarter, 1/16 of
-    their size, whose failure, as on a state of low rank, leaves the
-    matrix unproven; the buffer is allocated only for matrices that pass.
+    below is floor, or a floor under it.  traces holds every matrix's
+    trace.  Each matrix A is shifted
+    by the sigma of _lowest_eigenvalue; a factor of A - sigma I exists
+    only if lambda_min(A) > sigma, up to its rounding.  The matrices are
+    copied and shifted PROOF_SLAB at a time into one buffer and factored
+    in it, in place, and stack is only read.  Matrices of order
+    PROBE_MIN_SIZE or more are first factored on a copy of their leading
+    quarter, 1/16 of their size, whose failure, as on a state of low
+    rank, leaves the matrix to _low_rank_proves at below when below lies
+    under floor, and else unproven; the buffer is allocated only for
+    matrices that pass.
     """
     n = stack.shape[-1]
     kappa = cholesky_proof_slack(n)
     shifts = floor + 2.0 * kappa * (traces - n * floor + abs(floor))
     proved = np.zeros(len(stack), dtype=bool)
+    lower = False
     buf = None
     for start in range(0, len(idx), PROOF_SLAB):
         k = idx[start:start + PROOF_SLAB]
         if n >= PROBE_MIN_SIZE:
             lead = _shifted(stack[:, :n // 4, :n // 4], k, shifts)
-            k = k[~np.isnan(_cholesky(lead, out=lead)[:, 0, 0])]
+            passed = ~np.isnan(_cholesky(lead, out=lead)[:, 0, 0])
             del lead  # freed before the slab buffer is allocated
+            if below < floor:
+                for j in k[~passed]:
+                    proved[j] = _low_rank_proves(stack[j], below)
+                    lower = lower or proved[j]
+            k = k[passed]
             if len(k) == 0:
                 continue
         if buf is None:
             buf = np.empty((min(PROOF_SLAB, len(idx)), n, n), stack.dtype)
         b = _shifted(stack, k, shifts, buf[:len(k)])
         proved[k] = _proves(_cholesky(b, out=b), shifts[k], floor, kappa)
-    return idx[~proved[idx]]
+    return idx[~proved[idx]], lower
+
+
+@np.errstate(all="ignore")  # a non-finite entry fails the proof quietly
+def _low_rank_proves(a: np.ndarray, floor: float) -> bool:
+    """Whether a few steps of pivoted Cholesky put a's eigenvalues above floor.
+
+    floor < 0, and a is Hermitian as its lower triangle gives it, the
+    triangle eigvalsh reads.  At most n // LOW_RANK_STEP_ORDER steps of
+    diagonally pivoted Cholesky, each on the largest diagonal entry
+    left, give the columns of L; they stop early once the diagonal left
+    sums to at most -floor / 4, as on a state of that rank or less.  The
+    residual S = a - L L^H is then formed in strips of PROOF_SLAB rows,
+    its lower triangle only, in one buffer of PROOF_SLAB rows of a, never
+    a full-size temporary, and only its squared Frobenius norm is kept.
+    errors.low_rank_proof_slack derives the proof: eigvalsh returns no
+    eigenvalue of a below -((1 + mu_n) ||S||_F + mu_n ||L||_F**2).  The
+    cost is O(n**2 r) for r steps, where a factor of the whole costs
+    O(n**3).  A diagonal entry left at or above -floor after the last
+    step fails the proof at once, as S would hold it; a non-finite entry
+    of the lower triangle fails it too.
+    """
+    n = len(a)
+    steps = n // LOW_RANK_STEP_ORDER
+    left = a.diagonal().real.copy()
+    cols = np.empty((steps, n), a.dtype)  # row j is column j of L
+    k = 0
+    while k < steps and left.sum() > -floor / 4.0:
+        p = int(left.argmax())
+        if not left[p] > 0.0:
+            break
+        c = cols[k]
+        c[p:] = a[p:, p]
+        c[:p] = a[p, :p].conj()
+        c -= cols[:k, p].conj() @ cols[:k]
+        c /= math.sqrt(left[p])
+        left -= (c * c.conj()).real
+        k += 1
+    if not left.max() < -floor:
+        return False
+    lt, lc = cols[:k].T.copy(), cols[:k].conj()
+    flat = np.empty(min(PROOF_SLAB, n) * n, a.dtype)
+    upper = np.triu(np.ones((PROOF_SLAB, PROOF_SLAB), dtype=bool))
+    off = on = 0.0
+    for s in range(0, n, PROOF_SLAB):
+        e = min(s + PROOF_SLAB, n)
+        strip = flat[:(e - s) * e].reshape(e - s, e)  # S[s:e, :e]
+        np.matmul(lt[s:e], lc[:, :e], out=strip)
+        np.subtract(a[s:e, :e], strip, out=strip)
+        block = strip[:, s:]
+        on += float(np.vdot(block.diagonal(), block.diagonal()).real)
+        # the diagonal, counted once, and what eigvalsh does not read
+        block[upper[:e - s, :e - s]] = 0.0
+        off += float(np.vdot(strip, strip).real)
+    mu = low_rank_proof_slack(n)
+    fro2 = float(np.vdot(cols[:k], cols[:k]).real)
+    return -floor > (1.0 + mu) * math.sqrt(2.0 * off + on) + mu * fro2
 
 
 def _shifted(stack: np.ndarray, k: np.ndarray, shifts: np.ndarray,
@@ -376,7 +513,7 @@ def _bell_mixture(weights: np.ndarray, label: str) -> DensityMatrix:
     mat = np.zeros((d * d, d * d), dtype=complex)
     mat[ket[:, None], ket[None]] = coeff[(j[:, None] - j) % d]
     return DensityMatrix(local_dim=d, parties=2, matrix=mat, label=label,
-                         deviation=float(_weights_deviation(weights)))
+                         deviation_bound=float(_weights_deviation(weights)))
 
 
 # Weight table and label of each mixture family that criteria.scan_family

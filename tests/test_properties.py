@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import tempfile
 from functools import cache
 from pathlib import Path
@@ -263,28 +264,38 @@ def test_min_eigenvalue_of_a_non_finite_entry_is_nan(case, bad):
 
 @st.composite
 def _dense_two_qudit_states(draw):
-    """A dense two-qudit state at d in {10, 12, 16}, exactly Hermitian or not.
+    """A dense two-qudit state at d in {8, 9, 10, 12, 16}, exactly Hermitian
+    or not.
 
     Kinds: a separable state of 1..6 product terms, whose partial
     transpose is PSD of low rank; a Ginibre state, strongly NPT; its
     mixture with I/n whose partial transpose has its lowest eigenvalue
-    at -10**(-9..-3) (weakly NPT) or at -PSD_TOL (1 +- 1e-2).  Then,
-    sometimes, an entrywise perturbation of up to HERM_TOL that leaves it
-    off Hermitian.
+    at -10**(-9..-3) (weakly NPT) or at -PSD_TOL (1 +- 1e-2); a matrix
+    whose partial transpose is one of _low_rank_matrix, at d in {8, 9,
+    12, 16}.  Then, sometimes, an entrywise perturbation of up to
+    HERM_TOL that leaves it off Hermitian.
     """
-    d = draw(st.sampled_from([10, 12, 16]), label="d")
-    kind = draw(st.sampled_from(["separable", "strong", "weak", "planted"]),
-                label="kind")
+    kind = draw(st.sampled_from(["separable", "strong", "weak", "planted",
+                                 "low-rank"]), label="kind")
     seed = draw(st.integers(0, 2**32 - 1), label="seed")
-    n = d * d
     rng = np.random.default_rng(seed)
-    if kind == "separable":
+    if kind == "low-rank":
+        pt = _low_rank_matrix(draw, rng)
+        d = math.isqrt(len(pt))
+        # the partial transpose is its own inverse, exactly
+        mat = partial_transpose(
+            DensityMatrix(local_dim=d, parties=2, matrix=pt), 1)
+    elif kind == "separable":
+        d = draw(st.sampled_from([10, 12, 16]), label="d")
         mat = random_separable(d, 2, int(rng.integers(1, 7)), seed).matrix
     else:
-        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        d = draw(st.sampled_from([10, 12, 16]), label="d")
+        z = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(
+            size=(d * d, d * d))
         mat = z @ z.conj().T
         mat = 0.5 * (mat + mat.conj().T)
         mat /= np.trace(mat).real
+    n = d * d
     if kind in ("weak", "planted"):
         # the partial transpose is affine in the state, so mixing with I/n
         # moves its lowest eigenvalue from the Ginibre one to the target
@@ -320,33 +331,40 @@ def _hermitian_stacks(draw):
     random positions, with their lowest eigenvalue set to 0, +-1e-17,
     1e-13 or 1e-9 times the scale, which a factor at floor 0 can seldom
     prove, sometimes junk above the diagonal, which eigvalsh does not
-    read, and in C order, Fortran order or a strided view.  A quarter
-    are a lone matrix, which _lowest_eigenvalue proves as a slab of one,
-    and a quarter a lone matrix with a mirrored pair of zeros in its
-    first row and column, which it sends to _min_eigenvalue."""
-    shape = draw(st.sampled_from(["stack", "stack", "lone", "sparse"]))
-    m = draw(st.integers(1, 40), label="m") if shape == "stack" else 1
-    n = draw(st.integers(2, 16), label="n")
-    real = draw(st.booleans(), label="real")
-    kind = draw(st.sampled_from(["psd", "rank-deficient", "indefinite"]))
-    target = draw(st.sampled_from([0.0, 1e-17, -1e-17, 1e-13, 1e-9]))
-    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    read, and in C order, Fortran order or a strided view.  One in five
+    is a lone matrix, which _lowest_eigenvalue proves as a slab of one,
+    one in five a lone matrix with a mirrored pair of zeros in its first
+    row and column, which it sends to _min_eigenvalue, and one in five a
+    lone matrix of _low_rank_matrix, the shape of its low-rank
+    certificate."""
+    shape = draw(st.sampled_from(["stack", "stack", "lone", "sparse",
+                                  "low-rank"]))
     junk = draw(st.booleans(), label="junk")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
-    z = rng.normal(size=(m, n, n))
-    if not real:
-        z = z + 1j * rng.normal(size=(m, n, n))
-    vecs = np.linalg.qr(z)[0]
-    if kind == "indefinite":
-        w = rng.normal(size=(m, n))
+    if shape == "low-rank":
+        stack, scale = _low_rank_matrix(draw, rng)[None], 1.0
+        n = stack.shape[-1]
     else:
-        w = rng.uniform(0.1, 1.0, size=(m, n))
-        if kind == "rank-deficient":
-            w[:, :n // 2] = 0.0
-    w[rng.choice(m, size=draw(st.integers(1, m), label="targets"),
-                 replace=False), 0] = target
-    w = np.sort(w, axis=1) * scale
-    stack = (vecs * w[:, None, :]) @ np.swapaxes(vecs, 1, 2).conj()
+        m = draw(st.integers(1, 40), label="m") if shape == "stack" else 1
+        n = draw(st.integers(2, 16), label="n")
+        real = draw(st.booleans(), label="real")
+        kind = draw(st.sampled_from(["psd", "rank-deficient", "indefinite"]))
+        target = draw(st.sampled_from([0.0, 1e-17, -1e-17, 1e-13, 1e-9]))
+        scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        z = rng.normal(size=(m, n, n))
+        if not real:
+            z = z + 1j * rng.normal(size=(m, n, n))
+        vecs = np.linalg.qr(z)[0]
+        if kind == "indefinite":
+            w = rng.normal(size=(m, n))
+        else:
+            w = rng.uniform(0.1, 1.0, size=(m, n))
+            if kind == "rank-deficient":
+                w[:, :n // 2] = 0.0
+        w[rng.choice(m, size=draw(st.integers(1, m), label="targets"),
+                     replace=False), 0] = target
+        w = np.sort(w, axis=1) * scale
+        stack = (vecs * w[:, None, :]) @ np.swapaxes(vecs, 1, 2).conj()
     if junk:
         upper = np.triu_indices(n, 1)
         stack[:, upper[0], upper[1]] += scale * rng.normal(size=len(upper[0]))
@@ -364,6 +382,30 @@ def _hermitian_stacks(draw):
     return stack
 
 
+def _low_rank_matrix(draw, rng) -> np.ndarray:
+    """An exactly Hermitian trace-one matrix of order 64, 81, 144 or 256
+    and rank 1 to past the step cap n // LOW_RANK_STEP_ORDER, float64 or
+    complex128, with one more eigenvalue planted at -PSD_TOL (1 +- 1e-3),
+    at +-1e-12 or at 0: the shape of the low-rank certificate, decided
+    next to its floor."""
+    n = draw(st.sampled_from([64, 81, 144, 256]), label="n")
+    cap = n // states.LOW_RANK_STEP_ORDER
+    rank = draw(st.integers(1, cap + 4), label="rank")
+    planted = draw(st.sampled_from([-PSD_TOL * (1 + 1e-3),
+                                    -PSD_TOL * (1 - 1e-3), 1e-12, -1e-12,
+                                    0.0]), label="planted")
+    real = draw(st.booleans(), label="real")
+    z = rng.normal(size=(n, rank + 1))
+    if not real:
+        z = z + 1j * rng.normal(size=(n, rank + 1))
+    vecs = np.linalg.qr(z)[0]
+    w = rng.uniform(0.1, 1.0, size=rank + 1)
+    w /= w[:rank].sum()
+    w[rank] = planted
+    mat = (vecs * w) @ vecs.conj().T
+    return 0.5 * (mat + mat.conj().T)
+
+
 # drawn stacks are too small to reach the factors at the package's
 # threshold unless it is lifted, so half the examples lift it; small
 # slabs and chunks make the factors cross slab boundaries and leave more
@@ -371,7 +413,8 @@ def _hermitian_stacks(draw):
 # matrices of order 4 or more through the leading-quarter probe
 @settings(max_examples=300, deadline=None, database=None)
 @given(stack=_hermitian_stacks(),
-       floor_kind=st.sampled_from(["0", "inf", "min-ulp", "min+ulp"]),
+       floor_kind=st.sampled_from(["0", "inf", "min-ulp", "min+ulp",
+                                   "-PSD_TOL"]),
        every_stack=st.booleans(),
        slab=st.sampled_from([1, 3, states.PROOF_SLAB]),
        chunk=st.sampled_from([1, 5, states.PROOF_CHUNK]),
@@ -381,14 +424,42 @@ def test_lowest_eigenvalue_is_bit_for_bit_the_eigvalsh_minimum(
     lowest = float(np.linalg.eigvalsh(stack)[:, 0].min())
     floor = {"0": 0.0, "inf": np.inf,
              "min-ulp": np.nextafter(lowest, -np.inf),
-             "min+ulp": np.nextafter(lowest, np.inf)}[floor_kind]
+             "min+ulp": np.nextafter(lowest, np.inf),
+             "-PSD_TOL": -PSD_TOL}[floor_kind]
     threshold = 0 if every_stack else states.PROOF_MIN_ENTRIES
     with (patch.object(states, "PROOF_MIN_ENTRIES", threshold),
           patch.object(states, "PROOF_SLAB", slab),
           patch.object(states, "PROOF_CHUNK", chunk),
           patch.object(states, "PROBE_MIN_SIZE", probe)):
         got = _lowest_eigenvalue(stack, floor)
-    assert _bits(got) == _bits(min(floor, lowest)), (got, floor, lowest)
+    _assert_decides_as_eigvalsh(got, floor, lowest)
+
+
+def _assert_decides_as_eigvalsh(got, floor, lowest):
+    # the value is min(max(floor, 0), lowest), bit for bit, except that
+    # below a negative floor a proof may stand in for it, as floor itself
+    if not (floor < 0.0 and got == floor):
+        assert _bits(got) == _bits(min(max(floor, 0.0), lowest)), (
+            got, floor, lowest)
+    assert (got < floor) == (lowest < floor), (got, floor, lowest)
+
+
+# the low-rank certificate at the floor of from_matrix and ppt_test, with
+# a step cap of n // 4, n // 16 or n // 64, so that more or fewer ranks
+# lie past it, and strips of 1, 3 or PROOF_SLAB rows
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data(),
+       order=st.sampled_from([4, states.LOW_RANK_STEP_ORDER, 64]),
+       slab=st.sampled_from([1, 3, states.PROOF_SLAB]))
+def test_lowest_eigenvalue_of_a_low_rank_matrix_decides_as_eigvalsh(
+        data, order, slab):
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    mat = _low_rank_matrix(data.draw, np.random.default_rng(seed))
+    lowest = float(np.linalg.eigvalsh(mat)[0])
+    with (patch.object(states, "LOW_RANK_STEP_ORDER", order),
+          patch.object(states, "PROOF_SLAB", slab)):
+        got = _lowest_eigenvalue(mat[None], -PSD_TOL)
+    _assert_decides_as_eigvalsh(got, -PSD_TOL, lowest)
 
 
 def _spectrum_cap(basis) -> float:

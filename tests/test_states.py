@@ -14,6 +14,9 @@ from gsicdetect import (bell_diagonal, conjugate_gsic, construct_gsic,
                         partial_transpose, random_separable, read_state,
                         tensor, weyl_operator, write_state)
 from gsicdetect import states
+from gsicdetect.criteria import verdict
+from gsicdetect.errors import PSD_TOL, margin_error_bound
+from gsicdetect.oracle import ppt_test
 from gsicdetect.states import (DensityMatrix, _cholesky, _read_head,
                                _read_json, _read_raw, decode_complex,
                                decode_float)
@@ -596,9 +599,11 @@ def test_the_factor_written_over_its_matrix_needs_no_full_size_temporary(
 @pytest.mark.parametrize("rank", [4, 256])
 def test_a_dense_state_takes_one_factor_or_one_spectrum(monkeypatch, rank):
     # a full-rank d = 16 state is proved positive definite by one factor
-    # of the whole, after the probe of its leading quarter, and takes no
-    # spectrum; a rank-4 one fails that probe, is never factored whole,
-    # and takes one spectrum, of the matrix itself
+    # of the whole, after the probe of its leading quarter, takes no
+    # spectrum and knows its deviation at once; a rank-4 one fails that
+    # probe, is proved by the low-rank certificate, is never factored
+    # whole, and takes one spectrum, of the matrix itself, only when its
+    # deviation is read, after a second probe
     if rank == 4:
         mat = random_separable(16, 2, 4, seed=16).matrix
     else:
@@ -607,8 +612,9 @@ def test_a_dense_state_takes_one_factor_or_one_spectrum(monkeypatch, rank):
         mat = z @ z.conj().T
         mat = 0.5 * (mat + mat.conj().T)
         mat /= np.trace(mat).real
-    factored, solved = [], []
+    factored, solved, certified = [], [], []
     cholesky, eigvalsh = states._cholesky, np.linalg.eigvalsh
+    low_rank_proves = states._low_rank_proves
 
     def counting_cholesky(a, *args, **kwargs):
         factored.append(a.shape[-1])
@@ -618,13 +624,145 @@ def test_a_dense_state_takes_one_factor_or_one_spectrum(monkeypatch, rank):
         solved.append(a.shape)
         return eigvalsh(a, *args, **kwargs)
 
+    def counting_low_rank_proves(a, floor):
+        certified.append(low_rank_proves(a, floor))
+        return certified[-1]
+
     monkeypatch.setattr(states, "_cholesky", counting_cholesky)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(states, "_low_rank_proves", counting_low_rank_proves)
     rho = DensityMatrix.from_matrix(mat, 16, 2)
     if rank == 4:
-        assert factored == [64] and solved == [(1, 256, 256)]
+        assert factored == [64] and certified == [True] and solved == []
+        assert not rho.exact
+        assert rho.deviation_bound == abs(np.trace(mat) - 1.0) + 512 * PSD_TOL
+    else:
+        assert factored == [64, 256] and certified == [] and solved == []
+        assert rho.exact
+    deviation = rho.deviation
+    if rank == 4:
+        assert factored == [64, 64] and solved == [(1, 256, 256)]
     else:
         assert factored == [64, 256] and solved == []
     monkeypatch.undo()
     want = 2.0 * 256 * max(0.0, -np.linalg.eigvalsh(mat)[0])
-    assert rho.deviation == abs(np.trace(mat) - 1.0) + want
+    assert deviation == abs(np.trace(mat) - 1.0) + want
+    assert deviation <= rho.deviation_bound
+
+
+@pytest.fixture(scope="module")
+def pair16():
+    basis = gell_mann_basis(16)
+    p = construct_gsic(basis, feasible_t(basis).t)
+    return p, conjugate_gsic(p)
+
+
+def test_a_low_rank_state_file_is_read_and_tested_with_no_spectrum(
+        tmp_path, monkeypatch, pair16):
+    # a rank-4 d = 16 state, read from its file, tested far from the
+    # ceiling and by ppt_test, is proved positive twice by the low-rank
+    # certificate (its matrix, then its partial transpose) and never has
+    # a spectrum taken
+    path = tmp_path / "rho.json"
+    write_state(random_separable(16, 2, 4, seed=3), path)
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        solved.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    rho = read_state(path)
+    report = detect_bipartite(rho, *pair16)
+    ppt = ppt_test(rho)
+    assert solved == []
+    assert report.verdict == "INCONCLUSIVE" and not ppt.npt
+    assert report.margin < 0.0 and "deviation" not in vars(rho)
+
+
+def test_a_proved_state_in_the_band_above_e_reads_its_deviation(
+        tmp_path, pair16):
+    # rank-5 d = 16 states, a separable one mixed with a little of
+    # |phi+>, read from their files, with margins placed from just below
+    # E to beyond E plus the certified bound: the margin, the verdict and
+    # the deviation are those of the exact deviation from eigvalsh, and
+    # that deviation is read only where it can decide
+    p, q = pair16
+    d, n = 16, 256
+    sep = random_separable(d, 2, 4, seed=5).matrix
+    phi = np.eye(d).reshape(n) / np.sqrt(d)
+    ent = np.outer(phi, phi).astype(complex)
+
+    def margin(mat):
+        # as made directly, with no deviation to read
+        return detect_bipartite(DensityMatrix(local_dim=d, parties=2,
+                                              matrix=mat), p, q).margin
+
+    m0, m1 = margin(sep), margin(ent)
+    error = margin_error_bound(p, q)
+    bound = 2.0 * n * PSD_TOL
+    seen = set()
+    for offset in [-1e-13, 1e-15, 3e-14, 1e-12, 0.5 * bound, 2.0 * bound]:
+        x = (error + offset - m0) / (m1 - m0)  # the margin is affine in x
+        path = tmp_path / f"rho{offset}.json"
+        write_state(DensityMatrix(local_dim=d, parties=2,
+                                  matrix=(1 - x) * sep + x * ent), path)
+        rho = read_state(path)
+        assert not rho.exact
+        report = detect_bipartite(rho, p, q)
+        mat = rho.matrix
+        plain = (abs(np.trace(mat) - 1.0)
+                 + 2.0 * n * max(0.0, -np.linalg.eigvalsh(mat)[0]))
+        read = "deviation" in vars(rho)
+        assert rho.deviation == plain
+        assert report.verdict == verdict(report.margin > error + plain)
+        assert report.margin == margin(mat)
+        inside = error < report.margin <= error + rho.deviation_bound
+        assert read == inside
+        seen.add((inside, report.verdict))
+    assert seen == {(False, "INCONCLUSIVE"), (True, "INCONCLUSIVE"),
+                    (True, "ENTANGLED_DETECTED"),
+                    (False, "ENTANGLED_DETECTED")}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("at", [(200, 3), (7, 7), (255, 254)])
+def test_a_non_finite_entry_fails_the_low_rank_certificate_quietly(bad, at):
+    # a rank-4 d = 16 matrix that the certificate proves, until one entry
+    # of its lower triangle (below or on the diagonal) is not finite;
+    # RuntimeWarnings are errors in this suite
+    mat = random_separable(16, 2, 4, seed=4).matrix.copy()
+    assert states._low_rank_proves(mat, -PSD_TOL)
+    mat[at] = bad
+    assert not states._low_rank_proves(mat, -PSD_TOL)
+
+
+@pytest.mark.parametrize("rank, factored", [(20, [64, 64, 256]),
+                                            (100, [64, 256, 64, 256])])
+def test_a_singular_state_past_the_certificate_takes_a_second_factor(
+        monkeypatch, rank, factored):
+    # rank 20 at d = 16 lies past the certificate's 16 steps and fails
+    # it; rank 100 passes the probe at 0 and fails the factor at 0; both
+    # are then proved by a factor shifted just above -PSD_TOL, after its
+    # probe, and take no spectrum until their deviation is read
+    mat = random_separable(16, 2, rank, seed=rank).matrix
+    seen, solved = [], []
+    cholesky, eigvalsh = states._cholesky, np.linalg.eigvalsh
+
+    def counting_cholesky(a, *args, **kwargs):
+        seen.append(a.shape[-1])
+        return cholesky(a, *args, **kwargs)
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        solved.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(states, "_cholesky", counting_cholesky)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    rho = DensityMatrix.from_matrix(mat, 16, 2)
+    assert seen == factored and solved == [] and not rho.exact
+    monkeypatch.undo()
+    plain = abs(np.trace(mat) - 1.0) + 512 * max(
+        0.0, -np.linalg.eigvalsh(mat)[0])
+    assert rho.deviation == plain
