@@ -225,17 +225,16 @@ def detect_bipartite(rho: DensityMatrix, p: GsicSet, q: GsicSet) -> DetectionRep
     worst-case error of the margin from rounding, from the sets'
     deviations and from the state's own.  So a flag never rests on
     rounding or on what an input tolerance admits, and a state on the
-    bound reads INCONCLUSIVE.  A state that from_matrix proved without
-    its deviation (rho.exact False) is decided by rho.deviation_bound,
-    which gives the same verdict wherever the margin lies at or below E
-    or above E plus that bound; only in between is rho.deviation read.
+    bound reads INCONCLUSIVE.  The state is decided by
+    rho.deviation_bound, which gives the same verdict wherever the margin
+    lies at or below E or above E plus that bound; only in between is
+    rho.deviation read, which from_matrix leaves to be computed then.
     """
     j_bipartite(rho, p, q)  # checks rho against the pair, builds the witness
     w = _witness(p, q)
     trace = w.trace(rho)
     deviation = rho.deviation_bound
-    if (not rho.exact
-            and w.error_bound < trace - w.excess <= w.error_bound + deviation):
+    if w.error_bound < trace - w.excess <= w.error_bound + deviation:
         deviation = rho.deviation
     return w.report(rho.label, deviation, trace)
 

@@ -78,16 +78,17 @@ def ppt_test(rho: DensityMatrix) -> PptResult:
     from errors.ritz_certificate_slack, eigvalsh would return a value
     below -PSD_TOL, and npt is True at once.  Otherwise, when w/s lies
     above -PSD_TOL, _lowest_eigenvalue runs with floor -PSD_TOL, whose
-    proofs can put every eigenvalue above it with no spectrum taken: a
-    Cholesky factor at 0 for a positive definite pt, the low-rank
-    certificate for a pt of low rank, as of a separable state of a few
-    product terms, and else a factor shifted just above -PSD_TOL, below
-    0 for a trace-one pt for n < 474, so that a singular pt of any rank
-    can be proved there, and only a positive definite one beyond.  Below
+    proofs can put every eigenvalue above it with no spectrum taken: the
+    low-rank certificate for a pt of low rank, as of a separable state of
+    a few product terms, whose leading-quarter probe at 0 fails, and else
+    one Cholesky factor shifted just above -PSD_TOL, below 0 for a
+    trace-one pt for n < 474, so that a singular pt of any rank can be
+    proved there, and only a positive definite one beyond.  Below
     -PSD_TOL, lambda_min(pt) <= y^H pt y / ||y||**2 leaves no proof to
-    find, and the floor is +inf, which takes the exact value.
-    min_eigenvalue is kept when the call took it exactly, and else taken
-    on first access.  A non-finite entry of rho raises ValueError.  It
+    find, and the floor is +inf, which takes the exact value.  Either
+    way the prover returns min(floor, lambda_min): min_eigenvalue is kept
+    when that lies below floor, the exact value, and else taken on first
+    access.  A non-finite entry of rho raises ValueError.  It
     reads only the partial transpose, not any witness or measurement.
     """
     if rho.parties != 2:

@@ -79,8 +79,9 @@ class DensityMatrix:
     from matrix to a density matrix, as far as the tolerances of
     from_matrix or of a mixture's weights let it stray; a state made
     directly is taken as exact.  deviation_bound is a certified upper
-    bound of deviation, deviation itself unless from_matrix left that to
-    be computed on first read (exact False).
+    bound of deviation: deviation itself for a state made directly
+    (exact True), and for every state from_matrix accepts (exact False)
+    a bound, deviation being computed on first read.
     """
 
     local_dim: int
@@ -118,24 +119,19 @@ class DensityMatrix:
         negative part of H moves it by that part's weight, at most dim
         max(0, -lambda_min), and rescaling what is left to trace 1 by at
         most |tau - 1| plus that weight again.  The matrix is accepted
-        when lambda_min >= -PSD_TOL, read from _lowest_eigenvalue with
-        floor -PSD_TOL.  A dense H is proved positive definite by one
-        Cholesky factor at 0, which keeps the deviation |tau - 1| exact at
-        once; an H with a zero in its first row has its spectrum taken
-        block by block on its zero pattern, exact because reordering rows
-        and columns alike keeps the spectrum and a block-diagonal one is
-        the union of its blocks': d blocks of d for a two-qudit Bell
-        mixture.  Those, a small H and one no proof settles keep the
-        exact value of their spectrum.  An H that is proved only above
-        -PSD_TOL, as a state of low rank is by the low-rank certificate,
-        has no spectrum taken: deviation is computed on first read, bit
-        for bit the same, and deviation_bound is |tau - 1| + 2 dim PSD_TOL
-        meanwhile.  A matrix that hermiticity_deviation finds exactly
-        Hermitian is its own Hermitian part H and goes to the prover as it
-        is, with no full-size temporary formed: the formula 0.5 mat + 0.5
-        mat^H, which any other matrix takes, could differ from it only
-        where halving a subnormal entry rounds and in the sign of a zero,
-        so the value is the eigvalsh of H itself.
+        when min(-PSD_TOL, lambda_min), read from _lowest_eigenvalue with
+        floor -PSD_TOL, is -PSD_TOL: a dense H by one Cholesky factor
+        shifted just above it, or by the low-rank certificate, an H with
+        a zero in its first row by its spectrum taken block by block on
+        its zero pattern.  So every state accepted has exact False and
+        deviation_bound |tau - 1| + 2 dim PSD_TOL, and deviation is
+        computed on first read, from min(0, lambda_min) at floor 0, bit for
+        bit the formula above.  A matrix that hermiticity_deviation finds
+        exactly Hermitian is its own Hermitian part H and goes to the
+        prover as it is, with no full-size temporary formed: the formula
+        0.5 mat + 0.5 mat^H, which any other matrix takes, could differ
+        from it only where halving a subnormal entry rounds and in the
+        sign of a zero, so the value is the eigvalsh of H itself.
         """
         mat = np.asarray(matrix, dtype=complex)
         check_dim(local_dim)
@@ -156,9 +152,8 @@ class DensityMatrix:
         min_eig = _lowest_eigenvalue(h[None], -PSD_TOL)
         if min_eig < -PSD_TOL:
             raise ValueError(f"matrix has negative eigenvalue {min_eig:.3e}")
-        exact = min_eig != -PSD_TOL  # else proved, with no value taken
         return cls(local_dim=local_dim, parties=parties, matrix=mat,
-                   label=label, exact=exact,
+                   label=label, exact=False,
                    deviation_bound=_deviation(tr, dim, min_eig))
 
 
@@ -231,41 +226,32 @@ def _whole_min_eigenvalue(h: np.ndarray) -> float:
 
 
 def _lowest_eigenvalue(stack: np.ndarray, floor: float) -> float:
-    """Smallest eigenvalue over a stack of Hermitian matrices, or a floor.
+    """min(floor, eigvalsh(stack)[:, 0].min()), bit for bit, for any floor.
 
-    The one positivity prover of the package: the cap, the set and state
-    gates and ppt_test all read their lambda_min here.  With top =
-    max(floor, 0), the value is bit for bit min(top, eigvalsh(stack)[:,
-    0].min()), or floor itself when floor < 0 and that minimum is proved
-    to lie at or above it, with no spectrum taken: a value below floor is
-    exact, and for floor >= 0 the value is min(floor, ...) as written.
-    eigvalsh runs only on the matrices whose proof cannot settle that.
-    Like eigvalsh, the proofs read each matrix's lower triangle only.  A
-    lone matrix with a zero in its first row goes to _min_eigenvalue,
-    block by block on its zero pattern, exact as eigvalsh of each block;
-    a non-finite entry there gives top.  Any other stack of m matrices
-    of order n with m n**2 below PROOF_MIN_ENTRIES goes to eigvalsh whole,
-    and so does one that is not of float64 or complex128, the precision
-    the proof assumes, or one of at most PROOF_CHUNK matrices at floor
-    +inf, which the first chunk would hold whole.  Else every matrix is
-    shifted by its own sigma, just above top, and factored (_unproven); a
-    factor that completes proves that eigvalsh would return all of that
-    matrix's eigenvalues above top, so that they cannot change the
-    minimum.  For floor +inf, top is first set by eigvalsh on the
-    PROOF_CHUNK matrices of lowest Gershgorin lower bound, which tend to
-    hold the minimum, and the others are proved against it.
-
-    A floor below 0, as from_matrix and ppt_test pass, is tried after 0:
-    a matrix whose leading-quarter probe fails at top = 0, as on a state
-    of low rank, is first given the low-rank certificate
-    (_low_rank_proves), O(n**2 r) for rank r, and any matrix still
-    unproven is factored again, shifted just above floor.  A matrix
-    proved by either puts the value at floor, unless a spectrum taken
-    lies below it.  So a positive definite matrix takes the one factor
-    at 0 and keeps its exact min(0, lambda_min), and no matrix that
-    passes the probe at 0 pays for the certificate.  Only the matrices
-    that no proof settles go to eigvalsh, all in one call, on stack
-    itself when that is all of them.
+    The one positivity prover of the package: the cap (floor +inf), the
+    set gate (floor 0), the state gate and ppt_test (floor -PSD_TOL) all
+    read their lambda_min here.  A matrix proved to have every eigenvalue
+    that eigvalsh would return above floor cannot change that minimum, so
+    eigvalsh runs only on the matrices that no proof settles, all in one
+    call, on stack itself when that is all of them, and a stack proved
+    whole gives floor.  Like eigvalsh, the proofs read each matrix's lower
+    triangle only.  A lone matrix with a zero in its first row goes to
+    _min_eigenvalue, block by block on its zero pattern, exact as eigvalsh
+    of each block; a non-finite entry there gives floor.  Any other stack
+    of m matrices of order n with m n**2 below PROOF_MIN_ENTRIES goes to
+    eigvalsh whole, and so does one that is not of float64 or complex128,
+    the precision the proof assumes, or one of at most PROOF_CHUNK
+    matrices at floor +inf, which the first chunk would hold whole.  For
+    floor +inf, the floor is first set by eigvalsh on the PROOF_CHUNK
+    matrices of lowest Gershgorin lower bound, which tend to hold the
+    minimum, and the others are proved against it.  Every other matrix
+    is factored once, shifted by its own sigma just above floor
+    (_unproven), after a probe of its leading quarter if it is of order
+    PROBE_MIN_SIZE or more.  The probe is shifted as the factor is,
+    except for a floor passed below 0, where it is shifted just above 0
+    and its failure marks a state of low rank, which is given the
+    low-rank certificate (_low_rank_proves), O(n**2 r) for rank r, and
+    factored only if that fails.
 
     The factor's proof, for A of order n, with u the unit roundoff and
     gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of
@@ -299,78 +285,77 @@ def _lowest_eigenvalue(stack: np.ndarray, floor: float) -> float:
     2.5e-13 at n = 16 and 5.9e-11 at n = 256.
     """
     m, n = len(stack), stack.shape[-1]
-    top = max(floor, 0.0)
     if m == 1 and not (stack[0, 0] != 0).all():
-        return min(top, _min_eigenvalue(stack[0]))
+        return min(floor, _min_eigenvalue(stack[0]))
     if (m * n * n < PROOF_MIN_ENTRIES or stack.dtype.char not in "dD"
             or (floor == np.inf and m <= PROOF_CHUNK)):
-        return min(top, float(np.linalg.eigvalsh(stack)[:, 0].min()))
+        return min(floor, float(np.linalg.eigvalsh(stack)[:, 0].min()))
     diag = np.einsum("kii->ki", stack).real
     traces = diag.sum(axis=1)
     rest = np.arange(m)
+    probe = max(floor, 0.0)
     if floor == np.inf:
         rows = np.abs(stack).sum(axis=2)
         bounds = (diag + np.abs(diag) - rows).min(axis=1)
         order = np.argsort(bounds, kind="stable")
         first = np.linalg.eigvalsh(stack[order[:PROOF_CHUNK]])
-        floor = top = float(first[:, 0].min())
+        floor = probe = float(first[:, 0].min())
         rest = np.sort(order[PROOF_CHUNK:])  # copied in memory order
     if math.isfinite(floor):
-        rest, below = _unproven(stack, rest, traces, top, floor)
-        if floor < top and len(rest):
-            # a floor below 0: what the proof at 0 left, factored again
-            left = _unproven(stack, rest, traces, floor, floor)[0]
-            below = below or len(left) < len(rest)
-            rest = left
-        if below:
-            top = floor
+        rest = _unproven(stack, rest, traces, floor, probe)
     if len(rest) == 0:
-        return top
+        return floor
     left = stack if len(rest) == m else stack[rest]
-    return min(top, float(np.linalg.eigvalsh(left)[:, 0].min()))
+    return min(floor, float(np.linalg.eigvalsh(left)[:, 0].min()))
 
 
 def _unproven(stack: np.ndarray, idx: np.ndarray, traces: np.ndarray,
-              floor: float, below: float) -> tuple[np.ndarray, bool]:
-    """The indices among idx proved neither above floor nor above below,
-    and whether any matrix was proved above below alone.
+              floor: float, probe: float) -> np.ndarray:
+    """The indices among idx of the matrices not proved above floor.
 
-    below is floor, or a floor under it.  traces holds every matrix's
-    trace.  Each matrix A is shifted
-    by the sigma of _lowest_eigenvalue; a factor of A - sigma I exists
-    only if lambda_min(A) > sigma, up to its rounding.  The matrices are
-    copied and shifted PROOF_SLAB at a time into one buffer and factored
-    in it, in place, and stack is only read.  Matrices of order
-    PROBE_MIN_SIZE or more are first factored on a copy of their leading
-    quarter, 1/16 of their size, whose failure, as on a state of low
-    rank, leaves the matrix to _low_rank_proves at below when below lies
-    under floor, and else unproven; the buffer is allocated only for
-    matrices that pass.
+    traces holds every matrix's trace.  Each matrix A is shifted by the
+    sigma of _lowest_eigenvalue, just above floor; a factor of A - sigma
+    I exists only if lambda_min(A) > sigma, up to its rounding.  The
+    matrices are copied and shifted PROOF_SLAB at a time into one buffer
+    and factored in it, in place, and stack is only read.  Matrices of
+    order PROBE_MIN_SIZE or more are first factored on a copy of their
+    leading quarter, 1/16 of their size, shifted just above probe, floor
+    or 0 above it.  A failed probe at floor leaves the matrix unproven,
+    as its whole would fail too; one at 0, as on a state of low rank,
+    leaves it to _low_rank_proves at floor, and to its factor only if
+    that fails.  So no matrix is factored whole twice, and the buffer is
+    allocated only for matrices that reach their factor.
     """
     n = stack.shape[-1]
     kappa = cholesky_proof_slack(n)
-    shifts = floor + 2.0 * kappa * (traces - n * floor + abs(floor))
+
+    def sigma(level):
+        return level + 2.0 * kappa * (traces - n * level + abs(level))
+
+    shifts = sigma(floor)
+    if n >= PROBE_MIN_SIZE:
+        probe_shifts = shifts if probe == floor else sigma(probe)
     proved = np.zeros(len(stack), dtype=bool)
-    lower = False
     buf = None
     for start in range(0, len(idx), PROOF_SLAB):
         k = idx[start:start + PROOF_SLAB]
         if n >= PROBE_MIN_SIZE:
-            lead = _shifted(stack[:, :n // 4, :n // 4], k, shifts)
-            passed = ~np.isnan(_cholesky(lead, out=lead)[:, 0, 0])
+            lead = _shifted(stack[:, :n // 4, :n // 4], k, probe_shifts)
+            failed = np.isnan(_cholesky(lead, out=lead)[:, 0, 0])
             del lead  # freed before the slab buffer is allocated
-            if below < floor:
-                for j in k[~passed]:
-                    proved[j] = _low_rank_proves(stack[j], below)
-                    lower = lower or proved[j]
-            k = k[passed]
+            if floor < probe:
+                for j in k[failed]:
+                    proved[j] = _low_rank_proves(stack[j], floor)
+                k = k[~proved[k]]
+            else:
+                k = k[~failed]
             if len(k) == 0:
                 continue
         if buf is None:
             buf = np.empty((min(PROOF_SLAB, len(idx)), n, n), stack.dtype)
         b = _shifted(stack, k, shifts, buf[:len(k)])
         proved[k] = _proves(_cholesky(b, out=b), shifts[k], floor, kappa)
-    return idx[~proved[idx]], lower
+    return idx[~proved[idx]]
 
 
 @np.errstate(all="ignore")  # a non-finite entry fails the proof quietly

@@ -10,6 +10,7 @@ from gsicdetect import (DensityMatrix, bell_diagonal, brute_force_j,
                         isotropic, j_bipartite, j_multipartite,
                         max_entangled, max_feasible_t, partial_transpose,
                         ppt_test, random_separable)
+from gsicdetect import states
 from gsicdetect.errors import PSD_TOL
 from gsicdetect.oracle import LANCZOS_STEPS
 
@@ -96,6 +97,36 @@ def test_a_dense_d16_ppt_test_solves_no_spectrum_until_it_is_read(
     assert solved == [(256, 256)]
     assert res.min_eigenvalue.hex() == float(plain).hex()
     assert solved == [(256, 256)]  # kept, not solved again
+
+
+@pytest.mark.parametrize("terms, factored", [(4, [64]), (20, [64, 256]),
+                                             (100, [64, 256])])
+def test_a_singular_ppt_partial_transpose_is_factored_whole_at_most_once(
+        monkeypatch, terms, factored):
+    # the partial transpose of a separable d = 16 state of a few terms is
+    # singular and PSD: at rank 4 the low-rank certificate proves it after
+    # the probe at 0 fails, at rank 20, past the certificate, and at rank
+    # 100, which passes the probe, one factor shifted just above -PSD_TOL
+    # does; none takes a spectrum until min_eigenvalue is read
+    rho = random_separable(16, 2, terms, seed=1)
+    seen, solved = [], []
+    cholesky, eigvalsh = states._cholesky, np.linalg.eigvalsh
+
+    def counting_cholesky(a, *args, **kwargs):
+        seen.append(a.shape[-1])
+        return cholesky(a, *args, **kwargs)
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        solved.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(states, "_cholesky", counting_cholesky)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    res = ppt_test(rho)
+    assert seen == factored and solved == [] and not res.npt
+    monkeypatch.undo()
+    plain = np.linalg.eigvalsh(partial_transpose(rho, 1))[0]
+    assert res.min_eigenvalue.hex() == float(plain).hex()
 
 
 def test_ppt_result_is_a_frozen_record_not_a_tuple():

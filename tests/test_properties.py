@@ -384,13 +384,17 @@ def _hermitian_stacks(draw):
 
 def _low_rank_matrix(draw, rng) -> np.ndarray:
     """An exactly Hermitian trace-one matrix of order 64, 81, 144 or 256
-    and rank 1 to past the step cap n // LOW_RANK_STEP_ORDER, float64 or
-    complex128, with one more eigenvalue planted at -PSD_TOL (1 +- 1e-3),
-    at +-1e-12 or at 0: the shape of the low-rank certificate, decided
-    next to its floor."""
+    and rank 1 to past the step cap n // LOW_RANK_STEP_ORDER, from n // 4,
+    where the leading-quarter probe at 0 starts to pass, or n - 1,
+    float64 or complex128, with one more eigenvalue planted at -PSD_TOL
+    (1 +- 1e-3), at +-1e-12 or at 0: the shape of the low-rank
+    certificate, and of the factor that proves a singular matrix past
+    it, decided next to its floor."""
     n = draw(st.sampled_from([64, 81, 144, 256]), label="n")
     cap = n // states.LOW_RANK_STEP_ORDER
-    rank = draw(st.integers(1, cap + 4), label="rank")
+    rank = draw(st.one_of(st.integers(1, cap + 4),
+                          st.integers(n // 4, n // 4 + 4), st.just(n - 1)),
+                label="rank")
     planted = draw(st.sampled_from([-PSD_TOL * (1 + 1e-3),
                                     -PSD_TOL * (1 - 1e-3), 1e-12, -1e-12,
                                     0.0]), label="planted")
@@ -436,12 +440,8 @@ def test_lowest_eigenvalue_is_bit_for_bit_the_eigvalsh_minimum(
 
 
 def _assert_decides_as_eigvalsh(got, floor, lowest):
-    # the value is min(max(floor, 0), lowest), bit for bit, except that
-    # below a negative floor a proof may stand in for it, as floor itself
-    if not (floor < 0.0 and got == floor):
-        assert _bits(got) == _bits(min(max(floor, 0.0), lowest)), (
-            got, floor, lowest)
-    assert (got < floor) == (lowest < floor), (got, floor, lowest)
+    # the one contract, at every floor
+    assert _bits(got) == _bits(min(floor, lowest)), (got, floor, lowest)
 
 
 # the low-rank certificate at the floor of from_matrix and ppt_test, with

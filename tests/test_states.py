@@ -598,12 +598,13 @@ def test_the_factor_written_over_its_matrix_needs_no_full_size_temporary(
 
 @pytest.mark.parametrize("rank", [4, 256])
 def test_a_dense_state_takes_one_factor_or_one_spectrum(monkeypatch, rank):
-    # a full-rank d = 16 state is proved positive definite by one factor
-    # of the whole, after the probe of its leading quarter, takes no
-    # spectrum and knows its deviation at once; a rank-4 one fails that
-    # probe, is proved by the low-rank certificate, is never factored
-    # whole, and takes one spectrum, of the matrix itself, only when its
-    # deviation is read, after a second probe
+    # a full-rank d = 16 state is proved above -PSD_TOL by one factor of
+    # the whole, after the probe of its leading quarter at 0, and takes no
+    # spectrum, not even when its deviation is read, which takes one more
+    # probe and one factor at 0; a rank-4 one fails that probe, is proved
+    # by the low-rank certificate, is never factored whole, and takes one
+    # spectrum, of the matrix itself, only when its deviation is read,
+    # after a second probe; both carry the certified bound meanwhile
     if rank == 4:
         mat = random_separable(16, 2, 4, seed=16).matrix
     else:
@@ -632,18 +633,17 @@ def test_a_dense_state_takes_one_factor_or_one_spectrum(monkeypatch, rank):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     monkeypatch.setattr(states, "_low_rank_proves", counting_low_rank_proves)
     rho = DensityMatrix.from_matrix(mat, 16, 2)
+    assert not rho.exact
+    assert rho.deviation_bound == abs(np.trace(mat) - 1.0) + 512 * PSD_TOL
     if rank == 4:
         assert factored == [64] and certified == [True] and solved == []
-        assert not rho.exact
-        assert rho.deviation_bound == abs(np.trace(mat) - 1.0) + 512 * PSD_TOL
     else:
         assert factored == [64, 256] and certified == [] and solved == []
-        assert rho.exact
     deviation = rho.deviation
     if rank == 4:
         assert factored == [64, 64] and solved == [(1, 256, 256)]
     else:
-        assert factored == [64, 256] and solved == []
+        assert factored == [64, 256, 64, 256] and solved == []
     monkeypatch.undo()
     want = 2.0 * 256 * max(0.0, -np.linalg.eigvalsh(mat)[0])
     assert deviation == abs(np.trace(mat) - 1.0) + want
@@ -738,14 +738,13 @@ def test_a_non_finite_entry_fails_the_low_rank_certificate_quietly(bad, at):
     assert not states._low_rank_proves(mat, -PSD_TOL)
 
 
-@pytest.mark.parametrize("rank, factored", [(20, [64, 64, 256]),
-                                            (100, [64, 256, 64, 256])])
-def test_a_singular_state_past_the_certificate_takes_a_second_factor(
-        monkeypatch, rank, factored):
-    # rank 20 at d = 16 lies past the certificate's 16 steps and fails
-    # it; rank 100 passes the probe at 0 and fails the factor at 0; both
-    # are then proved by a factor shifted just above -PSD_TOL, after its
-    # probe, and take no spectrum until their deviation is read
+@pytest.mark.parametrize("rank", [20, 100])
+def test_a_singular_state_past_the_certificate_takes_one_factor(
+        monkeypatch, rank):
+    # rank 20 at d = 16 fails the probe at 0 and lies past the
+    # certificate's 16 steps; rank 100 passes the probe; both are then
+    # proved by the one factor of the whole, shifted just above -PSD_TOL,
+    # and take no spectrum until their deviation is read
     mat = random_separable(16, 2, rank, seed=rank).matrix
     seen, solved = [], []
     cholesky, eigvalsh = states._cholesky, np.linalg.eigvalsh
@@ -761,7 +760,7 @@ def test_a_singular_state_past_the_certificate_takes_a_second_factor(
     monkeypatch.setattr(states, "_cholesky", counting_cholesky)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     rho = DensityMatrix.from_matrix(mat, 16, 2)
-    assert seen == factored and solved == [] and not rho.exact
+    assert seen == [64, 256] and solved == [] and not rho.exact
     monkeypatch.undo()
     plain = abs(np.trace(mat) - 1.0) + 512 * max(
         0.0, -np.linalg.eigvalsh(mat)[0])
