@@ -54,7 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--dim", type=int, help="local dimension cross-check")
     detect.add_argument("--pairing", choices=("conj", "same"), default="conj",
                         help="second-party measurement: conjugate set or the "
-                             "set itself (default conj)")
+                             "set itself (default conj); same never flags a "
+                             "state: its witness is t^2 c^2 (SWAP - I/d), and "
+                             "its ceiling sits at SWAP's top eigenvalue")
     detect.add_argument("--json", action="store_true",
                         help="emit the report as JSON")
     detect.set_defaults(func=_cmd_detect)

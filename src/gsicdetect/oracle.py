@@ -3,11 +3,12 @@
 brute_force_j avoids the optimized code paths: the correlation sum is
 reassembled from explicit Kronecker products.  ppt_test certifies
 entanglement through the partial transpose alone, by the sign of its
-smallest eigenvalue, which it reads from the positivity prover of
-DensityMatrix.from_matrix, states._lowest_eigenvalue.  On a dense
-partial transpose an NPT certificate, a Ritz vector's Rayleigh quotient,
-is tried first, and only what it leaves open goes to the prover.  What
-keeps the decision independent of that shared code is
+smallest eigenvalue, which it and PptResult.min_eigenvalue read from
+the positivity prover of DensityMatrix.from_matrix,
+states._lowest_eigenvalue.  On a dense partial transpose an NPT
+certificate, a Ritz vector's Rayleigh quotient, is tried first, and only
+what it leaves open goes to the prover.  What keeps the decision
+independent of that shared code is
 tests/test_properties.py::test_ppt_test_decides_as_a_plain_eigvalsh,
 which holds npt and min_eigenvalue to a plain eigvalsh, bit for bit.
 """
@@ -24,8 +25,7 @@ from .errors import (IMAG_TOL, PSD_TOL, check_measurements,
                      hermiticity_deviation, require_real,
                      ritz_certificate_slack)
 from .gsic import GsicSet
-from .states import (DensityMatrix, _lowest_eigenvalue, _min_eigenvalue,
-                     partial_transpose)
+from .states import DensityMatrix, _lowest_eigenvalue, partial_transpose
 
 # Partial transposes of lower order have their spectrum taken at once.  At
 # n = 64 (d = 8) the spectrum takes 0.26-0.29 ms and the certificates
@@ -55,8 +55,8 @@ class PptResult:
 
     @cached_property
     def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the partial transpose, by _min_eigenvalue."""
-        return _min_eigenvalue(partial_transpose(self.rho, 1))
+        """Smallest eigenvalue of the partial transpose, at floor +inf."""
+        return _lowest_eigenvalue(partial_transpose(self.rho, 1)[None], np.inf)
 
 
 def ppt_test(rho: DensityMatrix) -> PptResult:
@@ -80,16 +80,16 @@ def ppt_test(rho: DensityMatrix) -> PptResult:
     above -PSD_TOL, _lowest_eigenvalue runs with floor -PSD_TOL, whose
     proofs can put every eigenvalue above it with no spectrum taken: the
     low-rank certificate for a pt of low rank, as of a separable state of
-    a few product terms, whose leading-quarter probe at 0 fails, and else
-    one Cholesky factor shifted just above -PSD_TOL, below 0 for a
-    trace-one pt for n < 474, so that a singular pt of any rank can be
-    proved there, and only a positive definite one beyond.  Below
-    -PSD_TOL, lambda_min(pt) <= y^H pt y / ||y||**2 leaves no proof to
-    find, and the floor is +inf, which takes the exact value.  Either
+    a few product terms, which its own leading-quarter probe at 0 picks
+    out, and else one Cholesky factor shifted just above -PSD_TOL, below
+    0 for a trace-one pt for n < 474, so that a singular pt of any rank
+    can be proved there, and only a positive definite one beyond.
+    Below -PSD_TOL, lambda_min(pt) <= y^H pt y / ||y||**2 leaves no proof
+    to find, and the floor is +inf, which takes the exact value.  Either
     way the prover returns min(floor, lambda_min): min_eigenvalue is kept
     when that lies below floor, the exact value, and else taken on first
-    access.  A non-finite entry of rho raises ValueError.  It
-    reads only the partial transpose, not any witness or measurement.
+    access.  A non-finite entry of rho raises ValueError.  It reads only
+    the partial transpose, not any witness or measurement.
     """
     if rho.parties != 2:
         raise ValueError(f"need a two-party state, got {rho.parties} parties")

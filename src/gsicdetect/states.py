@@ -50,9 +50,9 @@ PROOF_CHUNK = 16
 # (tracemalloc).  Also the rows per strip of the low-rank certificate's
 # residual, whose one buffer holds that many rows of a matrix.
 PROOF_SLAB = 32
-# A matrix of at least this order is first factored on a copy of its
-# leading quarter, which fails at once on a state of low rank, where
-# copying and factoring the whole would cost about as much as a success.
+# A lone matrix of at least this order at a floor below 0 is first given
+# the low-rank certificate, whose probe, a factor of its leading quarter
+# at 0, fails at once on a state of low rank; a pass ends the certificate.
 PROBE_MIN_SIZE = 64
 # Order per step of the pivoted Cholesky behind the low-rank certificate
 # of _lowest_eigenvalue: a matrix of order n takes at most n //
@@ -97,7 +97,8 @@ class DensityMatrix:
 
         Then it is from_matrix's deviation of the matrix, bit for bit,
         from min(0, lambda_min) of its Hermitian part, which
-        _lowest_eigenvalue gives at floor 0.
+        _lowest_eigenvalue gives at floor 0, with no certificate: one
+        factor of a dense matrix, and its spectrum only if that fails.
         """
         if self.exact:
             return self.deviation_bound
@@ -120,18 +121,19 @@ class DensityMatrix:
         max(0, -lambda_min), and rescaling what is left to trace 1 by at
         most |tau - 1| plus that weight again.  The matrix is accepted
         when min(-PSD_TOL, lambda_min), read from _lowest_eigenvalue with
-        floor -PSD_TOL, is -PSD_TOL: a dense H by one Cholesky factor
-        shifted just above it, or by the low-rank certificate, an H with
-        a zero in its first row by its spectrum taken block by block on
-        its zero pattern.  So every state accepted has exact False and
-        deviation_bound |tau - 1| + 2 dim PSD_TOL, and deviation is
-        computed on first read, from min(0, lambda_min) at floor 0, bit for
-        bit the formula above.  A matrix that hermiticity_deviation finds
-        exactly Hermitian is its own Hermitian part H and goes to the
-        prover as it is, with no full-size temporary formed: the formula
-        0.5 mat + 0.5 mat^H, which any other matrix takes, could differ
-        from it only where halving a subnormal entry rounds and in the
-        sign of a zero, so the value is the eigvalsh of H itself.
+        floor -PSD_TOL, is -PSD_TOL: a dense H of low rank by the low-rank
+        certificate, any other dense H by one Cholesky factor shifted
+        just above -PSD_TOL, and an H with a zero in its first row by its
+        spectrum taken block by block on its zero pattern.  So every state
+        accepted has exact False and deviation_bound |tau - 1| + 2 dim
+        PSD_TOL, and deviation is computed on first read, from min(0,
+        lambda_min) at floor 0, bit for bit the formula above.  A matrix
+        that hermiticity_deviation finds exactly Hermitian is its own
+        Hermitian part H and goes to the prover as it is, with no
+        full-size temporary formed: the formula 0.5 mat + 0.5 mat^H, which
+        any other matrix takes, could differ from it only where halving a
+        subnormal entry rounds and in the sign of a zero, so the value is
+        the eigvalsh of H itself.
         """
         mat = np.asarray(matrix, dtype=complex)
         check_dim(local_dim)
@@ -244,14 +246,13 @@ def _lowest_eigenvalue(stack: np.ndarray, floor: float) -> float:
     matrices at floor +inf, which the first chunk would hold whole.  For
     floor +inf, the floor is first set by eigvalsh on the PROOF_CHUNK
     matrices of lowest Gershgorin lower bound, which tend to hold the
-    minimum, and the others are proved against it.  Every other matrix
-    is factored once, shifted by its own sigma just above floor
-    (_unproven), after a probe of its leading quarter if it is of order
-    PROBE_MIN_SIZE or more.  The probe is shifted as the factor is,
-    except for a floor passed below 0, where it is shifted just above 0
-    and its failure marks a state of low rank, which is given the
-    low-rank certificate (_low_rank_proves), O(n**2 r) for rank r, and
-    factored only if that fails.
+    minimum, and the others are proved against it.  A lone matrix of
+    order PROBE_MIN_SIZE or more at a floor passed below 0, as
+    from_matrix and ppt_test pass, is first given the low-rank certificate
+    (_low_rank_proves), O(n**2 r) for rank r, which declines a matrix of
+    higher rank at the cost of a factor of its leading quarter, and a
+    proof there gives floor.  Every matrix left is factored once,
+    shifted by its own sigma just above floor (_unproven).
 
     The factor's proof, for A of order n, with u the unit roundoff and
     gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of
@@ -290,19 +291,21 @@ def _lowest_eigenvalue(stack: np.ndarray, floor: float) -> float:
     if (m * n * n < PROOF_MIN_ENTRIES or stack.dtype.char not in "dD"
             or (floor == np.inf and m <= PROOF_CHUNK)):
         return min(floor, float(np.linalg.eigvalsh(stack)[:, 0].min()))
+    if (m == 1 and floor < 0.0 and n >= PROBE_MIN_SIZE
+            and _low_rank_proves(stack[0], floor)):
+        return floor
     diag = np.einsum("kii->ki", stack).real
     traces = diag.sum(axis=1)
     rest = np.arange(m)
-    probe = max(floor, 0.0)
     if floor == np.inf:
         rows = np.abs(stack).sum(axis=2)
         bounds = (diag + np.abs(diag) - rows).min(axis=1)
         order = np.argsort(bounds, kind="stable")
         first = np.linalg.eigvalsh(stack[order[:PROOF_CHUNK]])
-        floor = probe = float(first[:, 0].min())
+        floor = float(first[:, 0].min())
         rest = np.sort(order[PROOF_CHUNK:])  # copied in memory order
     if math.isfinite(floor):
-        rest = _unproven(stack, rest, traces, floor, probe)
+        rest = _unproven(stack, rest, traces, floor)
     if len(rest) == 0:
         return floor
     left = stack if len(rest) == m else stack[rest]
@@ -310,49 +313,22 @@ def _lowest_eigenvalue(stack: np.ndarray, floor: float) -> float:
 
 
 def _unproven(stack: np.ndarray, idx: np.ndarray, traces: np.ndarray,
-              floor: float, probe: float) -> np.ndarray:
+              floor: float) -> np.ndarray:
     """The indices among idx of the matrices not proved above floor.
 
     traces holds every matrix's trace.  Each matrix A is shifted by the
     sigma of _lowest_eigenvalue, just above floor; a factor of A - sigma
     I exists only if lambda_min(A) > sigma, up to its rounding.  The
     matrices are copied and shifted PROOF_SLAB at a time into one buffer
-    and factored in it, in place, and stack is only read.  Matrices of
-    order PROBE_MIN_SIZE or more are first factored on a copy of their
-    leading quarter, 1/16 of their size, shifted just above probe, floor
-    or 0 above it.  A failed probe at floor leaves the matrix unproven,
-    as its whole would fail too; one at 0, as on a state of low rank,
-    leaves it to _low_rank_proves at floor, and to its factor only if
-    that fails.  So no matrix is factored whole twice, and the buffer is
-    allocated only for matrices that reach their factor.
+    and factored in it, in place, and stack is only read.
     """
     n = stack.shape[-1]
     kappa = cholesky_proof_slack(n)
-
-    def sigma(level):
-        return level + 2.0 * kappa * (traces - n * level + abs(level))
-
-    shifts = sigma(floor)
-    if n >= PROBE_MIN_SIZE:
-        probe_shifts = shifts if probe == floor else sigma(probe)
+    shifts = floor + 2.0 * kappa * (traces - n * floor + abs(floor))
     proved = np.zeros(len(stack), dtype=bool)
-    buf = None
+    buf = np.empty((min(PROOF_SLAB, len(idx)), n, n), stack.dtype)
     for start in range(0, len(idx), PROOF_SLAB):
         k = idx[start:start + PROOF_SLAB]
-        if n >= PROBE_MIN_SIZE:
-            lead = _shifted(stack[:, :n // 4, :n // 4], k, probe_shifts)
-            failed = np.isnan(_cholesky(lead, out=lead)[:, 0, 0])
-            del lead  # freed before the slab buffer is allocated
-            if floor < probe:
-                for j in k[failed]:
-                    proved[j] = _low_rank_proves(stack[j], floor)
-                k = k[~proved[k]]
-            else:
-                k = k[~failed]
-            if len(k) == 0:
-                continue
-        if buf is None:
-            buf = np.empty((min(PROOF_SLAB, len(idx)), n, n), stack.dtype)
         b = _shifted(stack, k, shifts, buf[:len(k)])
         proved[k] = _proves(_cholesky(b, out=b), shifts[k], floor, kappa)
     return idx[~proved[idx]]
@@ -363,23 +339,31 @@ def _low_rank_proves(a: np.ndarray, floor: float) -> bool:
     """Whether a few steps of pivoted Cholesky put a's eigenvalues above floor.
 
     floor < 0, and a is Hermitian as its lower triangle gives it, the
-    triangle eigvalsh reads.  At most n // LOW_RANK_STEP_ORDER steps of
-    diagonally pivoted Cholesky, each on the largest diagonal entry
-    left, give the columns of L; they stop early once the diagonal left
-    sums to at most -floor / 4, as on a state of that rank or less.  The
-    residual S = a - L L^H is then formed in strips of PROOF_SLAB rows,
-    its lower triangle only, in one buffer of PROOF_SLAB rows of a, never
-    a full-size temporary, and only its squared Frobenius norm is kept.
-    errors.low_rank_proof_slack derives the proof: eigvalsh returns no
-    eigenvalue of a below -((1 + mu_n) ||S||_F + mu_n ||L||_F**2).  The
-    cost is O(n**2 r) for r steps, where a factor of the whole costs
-    O(n**3).  A diagonal entry left at or above -floor after the last
-    step fails the proof at once, as S would hold it; a non-finite entry
-    of the lower triangle fails it too.
+    triangle eigvalsh reads.  A copy of a's leading quarter, 1/16 of its
+    size, is first factored shifted by the sigma of _lowest_eigenvalue at
+    0, 2 kappa_n tr(a): if that factor completes, a has rank n // 4 or
+    more, and the answer is False at once.  Else at most n //
+    LOW_RANK_STEP_ORDER steps of diagonally pivoted Cholesky, each on the
+    largest diagonal entry left, give the columns of L; they stop early
+    once the diagonal left sums to at most -floor / 4, as on a state of
+    that rank or less.  The residual S = a - L L^H is then formed in
+    strips of PROOF_SLAB rows, its lower triangle only, in one buffer of
+    PROOF_SLAB rows of a, never a full-size temporary, and only its
+    squared Frobenius norm is kept.  errors.low_rank_proof_slack derives
+    the proof: eigvalsh returns no eigenvalue of a below -((1 + mu_n)
+    ||S||_F + mu_n ||L||_F**2).  The cost is O(n**2 r) for r steps, where
+    a factor of the whole costs O(n**3).  A diagonal entry left at or
+    above -floor after the last step fails the proof at once, as S would
+    hold it; a non-finite entry of the lower triangle fails it too.
     """
     n = len(a)
-    steps = n // LOW_RANK_STEP_ORDER
     left = a.diagonal().real.copy()
+    q = n // 4
+    lead = a[:q, :q].copy()
+    lead.reshape(-1)[::q + 1] -= 2.0 * cholesky_proof_slack(n) * left.sum()
+    if not np.isnan(_cholesky(lead, out=lead)[0, 0]):
+        return False
+    steps = n // LOW_RANK_STEP_ORDER
     cols = np.empty((steps, n), a.dtype)  # row j is column j of L
     k = 0
     while k < steps and left.sum() > -floor / 4.0:
@@ -415,13 +399,11 @@ def _low_rank_proves(a: np.ndarray, floor: float) -> bool:
 
 
 def _shifted(stack: np.ndarray, k: np.ndarray, shifts: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """stack[k] less shifts[k] on each diagonal, in out if given, else new.
+             out: np.ndarray) -> np.ndarray:
+    """stack[k] less shifts[k] on each diagonal, written into out.
 
-    The copy is C-contiguous, so that the diagonals are one strided view.
+    out must be C-contiguous, so that the diagonals are one strided view.
     """
-    if out is None:
-        out = np.empty((len(k),) + stack.shape[1:], stack.dtype)
     # "clip" writes straight into out, where "raise" buffers a copy
     np.take(stack, k, axis=0, out=out, mode="clip")
     n = out.shape[-1]

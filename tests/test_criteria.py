@@ -161,6 +161,9 @@ def test_j_multipartite_input_checks():
     p3, _ = _pair(3)
     with pytest.raises(ValueError):
         j_multipartite(rho, [p, q, p3])
+    one = DensityMatrix(local_dim=2, parties=1, matrix=np.eye(2) / 2)
+    with pytest.raises(ValueError, match="need at least two parties, got 1"):
+        j_multipartite(one, [p])
 
 
 def test_multipartite_bound_values():
@@ -404,6 +407,11 @@ def test_scan_refuses_a_grid_outside_its_bounds():
         with pytest.raises(ValueError, match="grid steps"):
             scan_family("isotropic", p, steps)
     assert len(scan_family("isotropic", p, MAX_STEPS).reports) == MAX_STEPS
+
+
+def test_scan_refuses_an_unknown_family():
+    with pytest.raises(ValueError, match="unknown scan family 'bogus'"):
+        scan_family("bogus", _scan_set(2, "cap"), 40)
 
 
 def _product_on_the_bound(d, rng):

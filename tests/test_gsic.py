@@ -395,6 +395,16 @@ def test_validation_fails_a_nan_purity_on_the_range_check():
     assert np.isnan(deviations["a_range"])
 
 
+@pytest.mark.parametrize("ops", [slice(1, None), (slice(None), slice(1, None))],
+                         ids=["count", "rows"])
+def test_validation_refuses_an_operator_array_of_the_wrong_shape(ops):
+    g = construct_gsic(gell_mann_basis(3), 0.01)
+    bad = dataclasses.replace(g, operators=g.operators[ops])
+    with pytest.raises(ValueError, match=r"operator array has shape .*"
+                                         r"expected \(9, 3, 3\)"):
+        validate_gsic(bad)
+
+
 @pytest.mark.parametrize("d", [3, 8])
 @pytest.mark.parametrize("where", [(0, 0), (1, 0)], ids=["diagonal", "lower"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

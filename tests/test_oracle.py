@@ -94,9 +94,9 @@ def test_a_dense_d16_ppt_test_solves_no_spectrum_until_it_is_read(
     plain = eigvalsh(partial_transpose(rho, 1))[0]
     assert res.npt == (plain < -PSD_TOL) == npt
     assert res.min_eigenvalue.hex() == float(plain).hex()
-    assert solved == [(256, 256)]
+    assert solved == [(1, 256, 256)]
     assert res.min_eigenvalue.hex() == float(plain).hex()
-    assert solved == [(256, 256)]  # kept, not solved again
+    assert solved == [(1, 256, 256)]  # kept, not solved again
 
 
 @pytest.mark.parametrize("terms, factored", [(4, [64]), (20, [64, 256]),

@@ -129,6 +129,28 @@ def test_random_separable_states_are_never_flagged(d, terms, seed, at_cap,
     assert report.margin <= e, (report.margin, e)
 
 
+@settings(max_examples=150, deadline=None, database=None)
+@given(d=st.sampled_from([2, 3, 4]), data=st.data(),
+       seed=st.integers(0, 2**32 - 1), at_cap=st.booleans(),
+       symmetric=st.booleans())
+def test_the_same_pairing_never_flags_a_state(d, data, seed, at_cap,
+                                              symmetric):
+    # K = t^2 c^2 (SWAP - I/d) and the ceiling sits at SWAP's top
+    # eigenvalue, so no state lies above it; a state of the symmetric
+    # subspace, entangled or not, lies on it, with a margin of rounding
+    p, _, _ = _pair(d, at_cap, False)
+    n = d * d
+    rank = data.draw(st.integers(1, n), label="rank")
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    if symmetric:
+        z = z + z.reshape(d, d, rank).transpose(1, 0, 2).reshape(n, rank)
+    mat = z @ z.conj().T
+    mat = 0.5 * (mat + mat.conj().T)
+    rho = DensityMatrix.from_matrix(mat / np.trace(mat).real, d, 2)
+    assert detect_bipartite(rho, p, p).verdict == INCONCLUSIVE
+
+
 @st.composite
 def _party_sets(draw):
     """d in {2, 3}, N in 2..5 (so d**N <= 243), and per party a set at a
@@ -413,8 +435,9 @@ def _low_rank_matrix(draw, rng) -> np.ndarray:
 # drawn stacks are too small to reach the factors at the package's
 # threshold unless it is lifted, so half the examples lift it; small
 # slabs and chunks make the factors cross slab boundaries and leave more
-# of a stack to prove at floor +inf, and a probe size of 4 sends drawn
-# matrices of order 4 or more through the leading-quarter probe
+# of a stack to prove at floor +inf, and a probe size of 4 sends a drawn
+# lone matrix of order 4 or more at a floor below 0 to the low-rank
+# certificate and its leading-quarter probe
 @settings(max_examples=300, deadline=None, database=None)
 @given(stack=_hermitian_stacks(),
        floor_kind=st.sampled_from(["0", "inf", "min-ulp", "min+ulp",

@@ -12,7 +12,7 @@ from gsicdetect import (bell_diagonal, conjugate_gsic, construct_gsic,
                         detect_bipartite, diagonal_mixture, feasible_t,
                         gell_mann_basis, isotropic, max_entangled,
                         partial_transpose, random_separable, read_state,
-                        tensor, weyl_operator, write_state)
+                        tensor, validate_gsic, weyl_operator, write_state)
 from gsicdetect import states
 from gsicdetect.criteria import verdict
 from gsicdetect.errors import PSD_TOL, margin_error_bound
@@ -491,6 +491,8 @@ def test_from_matrix_validation():
         DensityMatrix.from_matrix(np.diag([1.5, -0.5]).astype(complex), 2, 1)
     with pytest.raises(ValueError, match="shape"):
         DensityMatrix.from_matrix(good, 2, 2)
+    with pytest.raises(ValueError, match="need parties >= 1, got 0"):
+        DensityMatrix.from_matrix(good, 2, 0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -598,13 +600,14 @@ def test_the_factor_written_over_its_matrix_needs_no_full_size_temporary(
 
 @pytest.mark.parametrize("rank", [4, 256])
 def test_a_dense_state_takes_one_factor_or_one_spectrum(monkeypatch, rank):
-    # a full-rank d = 16 state is proved above -PSD_TOL by one factor of
-    # the whole, after the probe of its leading quarter at 0, and takes no
+    # a full-rank d = 16 state passes the low-rank certificate's probe of
+    # its leading quarter at 0, so the certificate declines it, and is
+    # proved above -PSD_TOL by one factor of the whole; it takes no
     # spectrum, not even when its deviation is read, which takes one more
-    # probe and one factor at 0; a rank-4 one fails that probe, is proved
-    # by the low-rank certificate, is never factored whole, and takes one
-    # spectrum, of the matrix itself, only when its deviation is read,
-    # after a second probe; both carry the certified bound meanwhile
+    # factor, at 0 and with no probe; a rank-4 one fails that probe, is
+    # proved by the certificate and is not factored whole until its
+    # deviation is read, when that factor fails and one spectrum, of the
+    # matrix itself, is taken; both carry the certified bound meanwhile
     if rank == 4:
         mat = random_separable(16, 2, 4, seed=16).matrix
     else:
@@ -638,16 +641,46 @@ def test_a_dense_state_takes_one_factor_or_one_spectrum(monkeypatch, rank):
     if rank == 4:
         assert factored == [64] and certified == [True] and solved == []
     else:
-        assert factored == [64, 256] and certified == [] and solved == []
+        assert factored == [64, 256] and certified == [False] and solved == []
     deviation = rho.deviation
     if rank == 4:
-        assert factored == [64, 64] and solved == [(1, 256, 256)]
+        assert factored == [64, 256] and solved == [(1, 256, 256)]
     else:
-        assert factored == [64, 256, 64, 256] and solved == []
+        assert factored == [64, 256, 256] and solved == []
     monkeypatch.undo()
     want = 2.0 * 256 * max(0.0, -np.linalg.eigvalsh(mat)[0])
     assert deviation == abs(np.trace(mat) - 1.0) + want
     assert deviation <= rho.deviation_bound
+
+
+def test_only_the_low_rank_certificate_factors_a_leading_quarter(
+        monkeypatch):
+    # with the probe size lowered to 8, the cap and the gate of the d = 12
+    # set factor their slabs of order 12 and no leading quarter of order
+    # 3; a lone full-rank d = 6 state has its leading quarter factored by
+    # the certificate, which it passes, then its whole, and its first
+    # deviation read, at floor 0, factors the whole alone
+    factored = []
+    cholesky = states._cholesky
+
+    def counting_cholesky(a, *args, **kwargs):
+        factored.append(a.shape[-1])
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(states, "PROBE_MIN_SIZE", 8)
+    monkeypatch.setattr(states, "_cholesky", counting_cholesky)
+    basis = gell_mann_basis(12)
+    g = construct_gsic(basis, feasible_t(basis).t)
+    assert validate_gsic(g).passed
+    assert factored and set(factored) == {12}, factored
+    factored.clear()
+    rng = np.random.default_rng(6)
+    z = rng.normal(size=(36, 36)) + 1j * rng.normal(size=(36, 36))
+    mat = z @ z.conj().T
+    rho = DensityMatrix.from_matrix(mat / np.trace(mat).real, 6, 2)
+    assert factored == [9, 36]
+    rho.deviation
+    assert factored == [9, 36, 36]
 
 
 @pytest.fixture(scope="module")
