@@ -41,16 +41,16 @@ def _build_parser() -> argparse.ArgumentParser:
     build = sub.add_parser("build", help="construct a measurement set")
     build.add_argument("--dim", type=int, required=True, help="local dimension")
     _add_t_arguments(build, required=True)
-    build.add_argument("--out", required=True, help="output JSON path")
+    build.add_argument("--out", required=True, help="output file path")
     build.set_defaults(func=_cmd_build)
 
     detect = sub.add_parser("detect", help="test a state for entanglement")
     detect.add_argument("--state", required=True,
                         help="state spec: maxent:D | isotropic:D:ALPHA | "
                              "belldiag:D:@WEIGHTS.json | diagmix:D:A1 | "
-                             "file:@RHO.json")
+                             "file:@STATE")
     _add_t_arguments(detect, required=False).add_argument(
-        "--gsic", help="measurement JSON produced by build")
+        "--gsic", help="measurement file written by build")
     detect.add_argument("--dim", type=int, help="local dimension cross-check")
     detect.add_argument("--pairing", choices=("conj", "same"), default="conj",
                         help="second-party measurement: conjugate set or the "

@@ -102,6 +102,8 @@ def purity_from_t(d: int, t: float) -> float:
 def _operators(basis: OperatorBasis, t: float) -> np.ndarray:
     d = basis.dim
     f_sum = basis.basis_sum
+    if not np.isfinite(f_sum).all():
+        raise ValueError("basis has non-finite entries")
     eye = np.eye(d, dtype=complex) / d**2
     ops = np.empty((d * d, d, d), dtype=complex)
     # In place, in the order c*F_j, F - that, t*that, I/d**2 + that, on
@@ -145,7 +147,8 @@ def feasible_t(basis: OperatorBasis) -> FeasibleT:
     minimum.  eigvalsh solves the PROOF_CHUNK directions of lowest
     Gershgorin bound, one batched Cholesky factor per slab of PROOF_SLAB
     shifted copies, written over them, proves the others above their
-    minimum, and eigvalsh takes only those it cannot prove.
+    minimum, and eigvalsh takes only those it cannot prove.  A basis with
+    a NaN or an infinite entry raises ValueError.
     """
     d = basis.dim
     t_purity = (d * (d + 1.0)) ** -1.5
@@ -187,9 +190,8 @@ def validate_gsic(g: GsicSet, tol: float = VALIDATION_TOL) -> ValidationOutcome:
     of PROOF_SLAB shifted copies proves them positive definite, and
     eigvalsh runs only on the operators whose proof fails, as on the one
     singular operator at the cap; the value is bit for bit that of a
-    batched eigvalsh.  An operator
-    stack with a NaN or infinite entry has no spectrum taken and a NaN
-    PSD floor.
+    batched eigvalsh.  A stack with a NaN or infinite entry, which the
+    prover does not take, gets a NaN PSD floor.
     """
     ops = np.asarray(g.operators)
     d = g.dim

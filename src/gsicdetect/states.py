@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -22,8 +22,8 @@ from .errors import (HERM_TOL, PSD_TOL, TRACE_TOL, WEIGHT_SUM_TOL, check_dim,
                      cholesky_proof_slack, hermiticity_deviation,
                      low_rank_proof_slack)
 
-# Matrices below this size go to eigvalsh whole in _min_eigenvalue, where
-# labelling the zero pattern costs more than the spectrum (about n = 40).
+# A lone matrix below this order is not split on its zero pattern
+# (_blocks): labelling it costs more than its spectrum (about n = 40).
 LABEL_MIN_SIZE = 40
 # Stacks of m matrices of order n with m n**2 entries below this go to
 # eigvalsh whole in _lowest_eigenvalue, where the proof saves less than
@@ -123,17 +123,19 @@ class DensityMatrix:
         when min(-PSD_TOL, lambda_min), read from _lowest_eigenvalue with
         floor -PSD_TOL, is -PSD_TOL: a dense H of low rank by the low-rank
         certificate, any other dense H by one Cholesky factor shifted
-        just above -PSD_TOL, and an H with a zero in its first row by its
-        spectrum taken block by block on its zero pattern.  So every state
-        accepted has exact False and deviation_bound |tau - 1| + 2 dim
-        PSD_TOL, and deviation is computed on first read, from min(0,
-        lambda_min) at floor 0, bit for bit the formula above.  A matrix
-        that hermiticity_deviation finds exactly Hermitian is its own
-        Hermitian part H and goes to the prover as it is, with no
-        full-size temporary formed: the formula 0.5 mat + 0.5 mat^H, which
-        any other matrix takes, could differ from it only where halving a
-        subnormal entry rounds and in the sign of a zero, so the value is
-        the eigvalsh of H itself.
+        just above -PSD_TOL, and an H of order LABEL_MIN_SIZE or more with
+        a zero in its first row by its blocks on its zero pattern, each stack
+        of them proved or solved as its own shape selects.  A NaN or an
+        infinite entry is refused first, as the prover takes finite input
+        only.  So every state accepted has exact False and deviation_bound
+        |tau - 1| + 2 dim PSD_TOL, and deviation is computed on first read,
+        from min(0, lambda_min) at floor 0, bit for bit the formula above.  A
+        matrix that hermiticity_deviation finds exactly Hermitian is its own
+        Hermitian part H and goes to the prover as it is, with no full-size
+        temporary formed: the formula 0.5 mat + 0.5 mat^H, which any other
+        matrix takes, could differ from it only where halving a subnormal
+        entry rounds and in the sign of a zero, so the value is the eigvalsh
+        of H itself.
         """
         mat = np.asarray(matrix, dtype=complex)
         check_dim(local_dim)
@@ -170,30 +172,18 @@ def _deviation(tr: complex, dim: int, min_eig: float) -> float:
     return abs(tr - 1.0) + 2.0 * dim * max(0.0, -min_eig)
 
 
-def _min_eigenvalue(h: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix, taken block by block.
+def _blocks(h: np.ndarray) -> Iterator[np.ndarray] | None:
+    """h's principal blocks on its zero pattern, one stack per block size,
+    each built when reached, or None for a pattern of one component.
 
-    The connected components of h's nonzero pattern are labelled by
-    hooking each root onto the smallest root among its neighbours and
-    then jumping every index to its root, until each nonzero entry joins
-    two indices of one root.  Each component's principal submatrix, its
-    indices ascending so that eigvalsh reads the entries of h's lower
-    triangle, goes through one batched eigvalsh per block size.  That is
-    exact: permuting rows and columns alike is a similarity, which keeps
-    the spectrum, and a block-diagonal spectrum is the union of its
-    blocks' spectra.  A two-qudit Bell mixture and its partial transpose
-    split into d blocks of size d, d solves of O(d**3) in place of one of
-    O(d**6).  A matrix below LABEL_MIN_SIZE, where the labelling costs
-    more than the spectrum, a first row with no zero entry, as in a dense
-    state, or a pattern of one component goes to eigvalsh whole.
-
-    A non-finite entry anywhere gives NaN, since eigvalsh can drop a NaN
-    and return a finite value.  The blocks hold every nonzero entry of h,
-    a NaN or an infinity among them, so on the labelled path they are
-    what is checked.
+    Components are labelled by hooking each root onto the smallest root
+    among its neighbours, then jumping every index to its root, until
+    each nonzero entry joins two indices of one root.  A block keeps its
+    indices ascending, so its lower triangle, which eigvalsh and the
+    proofs read, holds entries of h's.  Permuting rows and columns alike
+    keeps the spectrum, which for blocks is the union of theirs: a Bell
+    mixture of two qudits and its partial transpose split into d blocks.
     """
-    if len(h) < LABEL_MIN_SIZE or (h[0] != 0).all():
-        return _whole_min_eigenvalue(h)
     nz = h != 0
     nz |= nz.T  # hooking pulls along each stored direction only
     rows, cols = np.nonzero(nz)
@@ -208,51 +198,41 @@ def _min_eigenvalue(h: np.ndarray) -> float:
     _, start, size = np.unique(root[order], return_index=True,
                                return_counts=True)
     if len(size) == 1:
-        return _whole_min_eigenvalue(h)
-    lowest = np.inf
-    for s in np.unique(size):
-        idx = order[start[size == s, None] + np.arange(s)]
-        blocks = h[idx[:, :, None], idx[:, None, :]]
-        if not np.isfinite(blocks).all():
-            return math.nan
-        # np.minimum, not min: a NaN from any block must reach the result
-        lowest = np.minimum(lowest, np.linalg.eigvalsh(blocks)[:, 0].min())
-    return float(lowest)
-
-
-def _whole_min_eigenvalue(h: np.ndarray) -> float:
-    """eigvalsh(h)[0], or NaN if h has a non-finite entry."""
-    if not np.isfinite(h).all():
-        return math.nan
-    return float(np.linalg.eigvalsh(h)[0])
+        return None
+    return (h[idx[:, :, None], idx[:, None, :]]
+            for idx in (order[start[size == s, None] + np.arange(s)]
+                        for s in np.unique(size)))
 
 
 def _lowest_eigenvalue(stack: np.ndarray, floor: float) -> float:
-    """min(floor, eigvalsh(stack)[:, 0].min()), bit for bit, for any floor.
+    """min(floor, eigvalsh(stack)[:, 0].min()), bit for bit, floor > -inf.
 
-    The one positivity prover of the package: the cap (floor +inf), the
-    set gate (floor 0), the state gate and ppt_test (floor -PSD_TOL) all
-    read their lambda_min here.  A matrix proved to have every eigenvalue
-    that eigvalsh would return above floor cannot change that minimum, so
-    eigvalsh runs only on the matrices that no proof settles, all in one
-    call, on stack itself when that is all of them, and a stack proved
-    whole gives floor.  Like eigvalsh, the proofs read each matrix's lower
-    triangle only.  A lone matrix with a zero in its first row goes to
-    _min_eigenvalue, block by block on its zero pattern, exact as eigvalsh
-    of each block; a non-finite entry there gives floor.  Any other stack
-    of m matrices of order n with m n**2 below PROOF_MIN_ENTRIES goes to
-    eigvalsh whole, and so does one that is not of float64 or complex128,
-    the precision the proof assumes, or one of at most PROOF_CHUNK
-    matrices at floor +inf, which the first chunk would hold whole.  For
-    floor +inf, the floor is first set by eigvalsh on the PROOF_CHUNK
-    matrices of lowest Gershgorin lower bound, which tend to hold the
-    minimum, and the others are proved against it.  A lone matrix of
-    order PROBE_MIN_SIZE or more at a floor passed below 0, as
-    from_matrix and ppt_test pass, is first given the low-rank certificate
-    (_low_rank_proves), O(n**2 r) for rank r, which declines a matrix of
-    higher rank at the cost of a factor of its leading quarter, and a
-    proof there gives floor.  Every matrix left is factored once,
-    shifted by its own sigma just above floor (_unproven).
+    The one positivity prover of the package: the cap (floor +inf), the set
+    gate (floor 0), the state gate and ppt_test (floor -PSD_TOL) all read
+    their lambda_min here.  It takes finite input only: the four edges that
+    build what reaches it, DensityMatrix.from_matrix, ppt_test,
+    validate_gsic's completeness guard and gsic._operators, refuse a NaN or an
+    infinity first.  A matrix proved to have every eigenvalue that eigvalsh
+    would return above floor cannot change that minimum, so eigvalsh runs only
+    on the matrices that no proof settles, all in one call, on stack itself
+    when that is all of them, and a stack proved whole gives floor.  Like
+    eigvalsh, the proofs read each matrix's lower triangle only.  A lone
+    matrix of order LABEL_MIN_SIZE or more with a zero in its first row is
+    split on its zero pattern (_blocks), and the value is the lowest of its
+    stacks of blocks', exact as eigvalsh of each block, each stack taking the
+    route of its own shape; a pattern of one component goes on whole.  Any
+    other stack of m matrices of order n with m n**2 below PROOF_MIN_ENTRIES
+    goes to eigvalsh whole, and so does one that is not of float64 or
+    complex128, the precision the proof assumes, or one of at most PROOF_CHUNK
+    matrices at floor +inf, which the first chunk would hold whole.  For floor
+    +inf, the floor is first set by eigvalsh on the PROOF_CHUNK matrices of
+    lowest Gershgorin lower bound, which tend to hold the minimum, and the
+    others are proved against it.  A lone matrix of order PROBE_MIN_SIZE or
+    more at a floor passed below 0, as from_matrix and ppt_test pass, is first
+    given the low-rank certificate (_low_rank_proves), O(n**2 r) for rank r,
+    which declines a matrix of higher rank at the cost of a factor of its
+    leading quarter, and a proof there gives floor.  Every matrix left is
+    factored once, shifted by its own sigma just above floor (_unproven).
 
     The factor's proof, for A of order n, with u the unit roundoff and
     gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of
@@ -286,8 +266,10 @@ def _lowest_eigenvalue(stack: np.ndarray, floor: float) -> float:
     2.5e-13 at n = 16 and 5.9e-11 at n = 256.
     """
     m, n = len(stack), stack.shape[-1]
-    if m == 1 and not (stack[0, 0] != 0).all():
-        return min(floor, _min_eigenvalue(stack[0]))
+    if m == 1 and n >= LABEL_MIN_SIZE and not (stack[0, 0] != 0).all():
+        blocks = _blocks(stack[0])
+        if blocks is not None:
+            return min(_lowest_eigenvalue(b, floor) for b in blocks)
     if (m * n * n < PROOF_MIN_ENTRIES or stack.dtype.char not in "dD"
             or (floor == np.inf and m <= PROOF_CHUNK)):
         return min(floor, float(np.linalg.eigvalsh(stack)[:, 0].min()))
@@ -304,8 +286,7 @@ def _lowest_eigenvalue(stack: np.ndarray, floor: float) -> float:
         first = np.linalg.eigvalsh(stack[order[:PROOF_CHUNK]])
         floor = float(first[:, 0].min())
         rest = np.sort(order[PROOF_CHUNK:])  # copied in memory order
-    if math.isfinite(floor):
-        rest = _unproven(stack, rest, traces, floor)
+    rest = _unproven(stack, rest, traces, floor)
     if len(rest) == 0:
         return floor
     left = stack if len(rest) == m else stack[rest]
@@ -334,7 +315,7 @@ def _unproven(stack: np.ndarray, idx: np.ndarray, traces: np.ndarray,
     return idx[~proved[idx]]
 
 
-@np.errstate(all="ignore")  # a non-finite entry fails the proof quietly
+@np.errstate(all="ignore")  # an overflow fails the proof quietly
 def _low_rank_proves(a: np.ndarray, floor: float) -> bool:
     """Whether a few steps of pivoted Cholesky put a's eigenvalues above floor.
 
@@ -354,7 +335,7 @@ def _low_rank_proves(a: np.ndarray, floor: float) -> bool:
     ||S||_F + mu_n ||L||_F**2).  The cost is O(n**2 r) for r steps, where
     a factor of the whole costs O(n**3).  A diagonal entry left at or
     above -floor after the last step fails the proof at once, as S would
-    hold it; a non-finite entry of the lower triangle fails it too.
+    hold it.
     """
     n = len(a)
     left = a.diagonal().real.copy()
@@ -418,8 +399,7 @@ def _cholesky(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     bit for bit.  It fills a failed factor with NaN and raises the FPU
     invalid flag, which np.linalg.cholesky turns into one LinAlgError for
     the whole stack; ignoring the flag keeps each matrix's outcome.  It
-    reads each matrix's lower triangle only.  A NaN entry there need not
-    fail the factor, but leaves a NaN in it.  out may be a itself: each
+    reads each matrix's lower triangle only.  out may be a itself: each
     matrix is copied to the routine's own work space before its factor
     is written back, so the factor takes the place of the matrix.
     """

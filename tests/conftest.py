@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gsicdetect import (GsicSet, OperatorBasis, construct_gsic, feasible_t,
-                        gell_mann_basis, purity_from_t)
+                        gell_mann_basis, purity_from_t, states)
 from gsicdetect.states import DensityMatrix
 
 
@@ -159,3 +159,44 @@ def edit_entries():
             Path(path).write_text(json.dumps(_base64_twin(head, key, raw)))
 
     return make
+
+
+@pytest.fixture
+def prover_routes(monkeypatch):
+    """The routes of the positivity prover, logged in order as they run.
+
+    Each entry point of states._lowest_eigenvalue's routes is wrapped
+    once: "split" when _blocks splits a matrix on its zero pattern and
+    "one component" when it finds none to split; "certificate proves" or
+    "certificate declines" for the low-rank certificate; "factor k/m"
+    when the slab factors prove k of m matrices; "eigvalsh m" for the
+    spectra of m matrices, whoever asks for them.
+    """
+    log = []
+    blocks, low_rank_proves = states._blocks, states._low_rank_proves
+    unproven, eigvalsh = states._unproven, np.linalg.eigvalsh
+
+    def logged_blocks(h):
+        split = blocks(h)
+        log.append("one component" if split is None else "split")
+        return split
+
+    def logged_low_rank_proves(a, floor):
+        proved = low_rank_proves(a, floor)
+        log.append("certificate proves" if proved else "certificate declines")
+        return proved
+
+    def logged_unproven(stack, idx, traces, floor):
+        rest = unproven(stack, idx, traces, floor)
+        log.append(f"factor {len(idx) - len(rest)}/{len(idx)}")
+        return rest
+
+    def logged_eigvalsh(a, *args, **kwargs):
+        log.append(f"eigvalsh {len(a) if a.ndim == 3 else 1}")
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(states, "_blocks", logged_blocks)
+    monkeypatch.setattr(states, "_low_rank_proves", logged_low_rank_proves)
+    monkeypatch.setattr(states, "_unproven", logged_unproven)
+    monkeypatch.setattr(np.linalg, "eigvalsh", logged_eigvalsh)
+    return log

@@ -262,7 +262,8 @@ def test_scan_threshold_is_exact(tmp_path, capsys, family, d, fraction):
 
 
 def test_scan_threshold_below_rounding_is_nan(tmp_path, capsys):
-    # at t = 1e-9 the margin (of order t**2) is below the rounding of J:
+    # at t = 1e-9 the margin (of order t**2) is below E's set term, the
+    # part the sets' deviations set, and far above its rounding part:
     # every grid step raises it by less than 2E, even where the noisy
     # margins happen to rise
     csv = tmp_path / "noise.csv"

@@ -253,7 +253,8 @@ def test_isotropic_threshold_scan_input_checks():
 
 
 def test_isotropic_threshold_scan_rejects_a_crossing_below_rounding():
-    # at t = 1e-9 the margin (of order t**2) is below the rounding of J: no
+    # at t = 1e-9 the margin (of order t**2) is below E's set term, the
+    # part the sets' deviations set, and far above its rounding part: no
     # grid step raises it by more than 2E, however the rounding noise
     # happens to order the margins
     for d in (3, 4, 8):

@@ -17,7 +17,7 @@ from gsicdetect import (InfeasibleParameterError, NumericIntegrityError,
 from gsicdetect.errors import hermiticity_deviation
 from gsicdetect.gsic import _require_valid
 from gsicdetect.operator_basis import hilbert_schmidt_gram
-from gsicdetect.states import PROOF_CHUNK, DensityMatrix
+from gsicdetect.states import DensityMatrix
 
 DATA = Path(__file__).parent / "data"
 
@@ -427,31 +427,43 @@ def test_validation_reports_a_non_finite_entry(d, where, value):
     assert not isinstance(err.value, InfeasibleParameterError)
 
 
+@pytest.mark.parametrize("d", [3, 8, 16])
+@pytest.mark.parametrize("mirrored", [False, True], ids=["upper", "mirrored"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_a_non_finite_basis_entry_is_refused(d, mirrored, value):
+    # one entry above the diagonal of a generator, and its mirror below:
+    # the cap was the clean basis's, bit for bit, or a LinAlgError, and
+    # now the cap and the set alike refuse the basis, with no warning
+    gens = gell_mann_basis(d).generators.copy()
+    gens[1][0, 1] = value
+    if mirrored:
+        gens[1][1, 0] = value
+    bad = OperatorBasis(dim=d, generators=gens, basis_id="bad")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (feasible_t, lambda basis: construct_gsic(basis, 0.01)):
+            with pytest.raises(ValueError, match="basis has non-finite"):
+                build(bad)
+
+
 def test_a_d16_build_solves_one_chunk_for_the_cap_and_one_operator_per_gate(
-        monkeypatch, tmp_path):
-    # matrices handed to eigvalsh, against the 256 operators of a set: the
-    # cap solves the chunk of lowest Gershgorin bound and what the factors
-    # cannot prove above it; each gate only the operator the factors
-    # cannot prove positive definite, the one singular at the cap
-    solved = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(a, *args, **kwargs):
-        solved.append(len(a) if a.ndim == 3 else 1)
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        prover_routes, tmp_path):
+    # against the 256 operators of a set: the cap solves the chunk of
+    # lowest Gershgorin bound and what the factors cannot prove above it;
+    # each gate only the operator the factors cannot prove positive
+    # definite, the one singular at the cap
     basis = gell_mann_basis(16)
     cap = feasible_t(basis).t
-    assert sum(solved) <= PROOF_CHUNK + 1, solved
-    solved.clear()
+    assert prover_routes in (["eigvalsh 16", "factor 240/240"],
+                             ["eigvalsh 16", "factor 239/240", "eigvalsh 1"])
+    prover_routes.clear()
     g = construct_gsic(basis, cap)
-    assert solved == [1], solved
+    assert prover_routes == ["factor 255/256", "eigvalsh 1"]
     path = tmp_path / "set.json"
     write_gsic(g, path)
-    solved.clear()
+    prover_routes.clear()
     read_gsic(path)
-    assert solved == [1], solved
+    assert prover_routes == ["factor 255/256", "eigvalsh 1"]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])

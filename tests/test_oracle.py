@@ -10,7 +10,6 @@ from gsicdetect import (DensityMatrix, bell_diagonal, brute_force_j,
                         isotropic, j_bipartite, j_multipartite,
                         max_entangled, max_feasible_t, partial_transpose,
                         ppt_test, random_separable)
-from gsicdetect import states
 from gsicdetect.errors import PSD_TOL
 from gsicdetect.oracle import LANCZOS_STEPS
 
@@ -72,59 +71,44 @@ def _ginibre(d: int, seed: int) -> DensityMatrix:
 
 @pytest.mark.parametrize("npt", [True, False], ids=["ginibre", "separable"])
 def test_a_dense_d16_ppt_test_solves_no_spectrum_until_it_is_read(
-        monkeypatch, npt):
-    # the NPT certificate settles the Ginibre state, the Cholesky proof the
-    # separable one; eigh sees only the Lanczos steps' projected matrix
+        monkeypatch, prover_routes, npt):
+    # the NPT certificate settles the Ginibre state, the low-rank
+    # certificate the separable one; eigh sees only the Lanczos steps'
+    # projected matrix
     rho = _ginibre(16, 3) if npt else random_separable(16, 2, 4, seed=7)
-    solved = []
-    eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
-
-    def counting(a, *args, **kwargs):
-        solved.append(a.shape)
-        return eigvalsh(a, *args, **kwargs)
+    plain = np.linalg.eigvalsh(partial_transpose(rho, 1))[0]
+    eigh = np.linalg.eigh
 
     def small_eigh(a, *args, **kwargs):
         assert len(a) <= LANCZOS_STEPS, a.shape
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     monkeypatch.setattr(np.linalg, "eigh", small_eigh)
+    prover_routes.clear()
     res = ppt_test(rho)
-    assert solved == []
-    plain = eigvalsh(partial_transpose(rho, 1))[0]
+    decided = [] if npt else ["certificate proves"]
+    assert prover_routes == decided
     assert res.npt == (plain < -PSD_TOL) == npt
     assert res.min_eigenvalue.hex() == float(plain).hex()
-    assert solved == [(1, 256, 256)]
+    assert prover_routes == decided + ["eigvalsh 1"]
     assert res.min_eigenvalue.hex() == float(plain).hex()
-    assert solved == [(1, 256, 256)]  # kept, not solved again
+    assert prover_routes == decided + ["eigvalsh 1"]  # kept, not solved again
 
 
-@pytest.mark.parametrize("terms, factored", [(4, [64]), (20, [64, 256]),
-                                             (100, [64, 256])])
+@pytest.mark.parametrize("terms, factored", [
+    (4, ["certificate proves"]),
+    (20, ["certificate declines", "factor 1/1"]),
+    (100, ["certificate declines", "factor 1/1"])])
 def test_a_singular_ppt_partial_transpose_is_factored_whole_at_most_once(
-        monkeypatch, terms, factored):
+        prover_routes, terms, factored):
     # the partial transpose of a separable d = 16 state of a few terms is
     # singular and PSD: at rank 4 the low-rank certificate proves it after
     # the probe at 0 fails, at rank 20, past the certificate, and at rank
     # 100, which passes the probe, one factor shifted just above -PSD_TOL
     # does; none takes a spectrum until min_eigenvalue is read
     rho = random_separable(16, 2, terms, seed=1)
-    seen, solved = [], []
-    cholesky, eigvalsh = states._cholesky, np.linalg.eigvalsh
-
-    def counting_cholesky(a, *args, **kwargs):
-        seen.append(a.shape[-1])
-        return cholesky(a, *args, **kwargs)
-
-    def counting_eigvalsh(a, *args, **kwargs):
-        solved.append(a.shape)
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(states, "_cholesky", counting_cholesky)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     res = ppt_test(rho)
-    assert seen == factored and solved == [] and not res.npt
-    monkeypatch.undo()
+    assert prover_routes == factored and not res.npt
     plain = np.linalg.eigvalsh(partial_transpose(rho, 1))[0]
     assert res.min_eigenvalue.hex() == float(plain).hex()
 

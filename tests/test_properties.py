@@ -36,8 +36,8 @@ from gsicdetect.errors import (CAP_EIG_SLACK, HERM_TOL,  # noqa: E402
 from gsicdetect.gsic import _operators  # noqa: E402
 from gsicdetect.oracle import brute_force_j, ppt_test  # noqa: E402
 from gsicdetect.states import (_bell_mixture, _lowest_eigenvalue,  # noqa: E402
-                               _min_eigenvalue, _read_head, _read_raw,
-                               _write_raw, decode_complex, write_state)
+                               _read_head, _read_raw, _write_raw,
+                               decode_complex, write_state)
 
 
 @cache
@@ -199,9 +199,13 @@ def _hermitian(rng, n):
 
 
 def _assert_lowest_matches_eigvalsh(h):
+    # the prover on h alone at each floor of the package, whether it
+    # splits h on its zero pattern or not
     spectrum = np.linalg.eigvalsh(h)
     scale = np.abs(spectrum).max()
-    assert abs(_min_eigenvalue(h) - spectrum[0]) <= 1e-14 * scale
+    for floor in (np.inf, 0.0, -PSD_TOL):
+        got = _lowest_eigenvalue(h[None], floor)
+        assert abs(got - min(floor, spectrum[0])) <= 1e-14 * scale, floor
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -228,8 +232,9 @@ def test_min_eigenvalue_of_a_permuted_block_diagonal_matrix(sizes, couple,
 
 @pytest.mark.parametrize("i, j", [(0, 5), (3, 7)])
 def test_min_eigenvalue_of_a_dense_matrix_with_one_zero(i, j):
-    # a zero in the first row skips the dense-row exit; one elsewhere takes it
-    h = _hermitian(np.random.default_rng(10 * i + j), 16)
+    # a zero in the first row sends h to the labelling, which finds one
+    # component; one elsewhere does not
+    h = _hermitian(np.random.default_rng(10 * i + j), 64)
     h[i, j] = h[j, i] = 0.0
     _assert_lowest_matches_eigvalsh(h)
 
@@ -240,7 +245,10 @@ def test_min_eigenvalue_below_the_label_size_is_the_whole_spectrum(d):
     # LABEL_MIN_SIZE it goes to eigvalsh whole, bit for bit
     h = partial_transpose(isotropic(d, 0.3), 1)
     assert len(h) < states.LABEL_MIN_SIZE
-    assert _bits(_min_eigenvalue(h)) == _bits(np.linalg.eigvalsh(h)[0])
+    lowest = np.linalg.eigvalsh(h)[0]
+    for floor in (np.inf, 0.0, -PSD_TOL):
+        assert _bits(_lowest_eigenvalue(h[None], floor)) == _bits(
+            min(floor, lowest))
 
 
 def test_min_eigenvalue_of_a_permuted_path():
@@ -253,35 +261,6 @@ def test_min_eigenvalue_of_a_permuted_path():
     h += np.diag(off, 1) + np.diag(off.conj(), -1)
     perm = rng.permutation(n)
     _assert_lowest_matches_eigvalsh(h[perm][:, perm])
-
-
-
-def test_min_eigenvalue_keeps_a_nan_block():
-    # the fold over block sizes used min(), which drops a NaN that
-    # eigvalsh returns for a block: this gave -0.0266
-    h = partial_transpose(isotropic(8, 0.3), 1)
-    h[0, 0] = np.nan
-    assert np.isnan(_min_eigenvalue(h))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("case", ["labelled", "small", "dense", "one-block"])
-def test_min_eigenvalue_of_a_non_finite_entry_is_nan(case, bad):
-    # eigvalsh drops a NaN in a 2 x 2 block: the labelled case read
-    # -0.0530 and the small one 0.0 before the entries were checked
-    if case == "labelled":
-        h, at = partial_transpose(isotropic(8, 0.3), 1), (1, 1)
-    elif case == "small":
-        h, at = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex), (0, 0)
-    elif case == "dense":
-        h, at = _hermitian(np.random.default_rng(7), 64), (5, 3)
-    else:  # a permuted tridiagonal pattern with a zero in the first row
-        h = np.diag(np.arange(1.0, 65.0)).astype(complex)
-        h += np.diag(np.ones(63), 1) + np.diag(np.ones(63), -1)
-        h[0, 2] = 0.0
-        at = (40, 41)
-    h[at] = bad
-    assert np.isnan(_min_eigenvalue(h))
 
 
 @st.composite
@@ -356,8 +335,8 @@ def _hermitian_stacks(draw):
     read, and in C order, Fortran order or a strided view.  One in five
     is a lone matrix, which _lowest_eigenvalue proves as a slab of one,
     one in five a lone matrix with a mirrored pair of zeros in its first
-    row and column, which it sends to _min_eigenvalue, and one in five a
-    lone matrix of _low_rank_matrix, the shape of its low-rank
+    row and column, below the order it splits on a zero pattern, and one
+    in five a lone matrix of _low_rank_matrix, the shape of its low-rank
     certificate."""
     shape = draw(st.sampled_from(["stack", "stack", "lone", "sparse",
                                   "low-rank"]))

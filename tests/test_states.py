@@ -16,6 +16,7 @@ from gsicdetect import (bell_diagonal, conjugate_gsic, construct_gsic,
 from gsicdetect import states
 from gsicdetect.criteria import verdict
 from gsicdetect.errors import PSD_TOL, margin_error_bound
+from gsicdetect.gsic import _operators
 from gsicdetect.oracle import ppt_test
 from gsicdetect.states import (DensityMatrix, _cholesky, _read_head,
                                _read_json, _read_raw, decode_complex,
@@ -599,15 +600,15 @@ def test_the_factor_written_over_its_matrix_needs_no_full_size_temporary(
 
 
 @pytest.mark.parametrize("rank", [4, 256])
-def test_a_dense_state_takes_one_factor_or_one_spectrum(monkeypatch, rank):
+def test_a_dense_state_takes_one_factor_or_one_spectrum(prover_routes, rank):
     # a full-rank d = 16 state passes the low-rank certificate's probe of
     # its leading quarter at 0, so the certificate declines it, and is
     # proved above -PSD_TOL by one factor of the whole; it takes no
     # spectrum, not even when its deviation is read, which takes one more
-    # factor, at 0 and with no probe; a rank-4 one fails that probe, is
-    # proved by the certificate and is not factored whole until its
-    # deviation is read, when that factor fails and one spectrum, of the
-    # matrix itself, is taken; both carry the certified bound meanwhile
+    # factor, at 0 and with no certificate; a rank-4 one is proved by the
+    # certificate and is not factored whole until its deviation is read,
+    # when that factor fails and one spectrum, of the matrix itself, is
+    # taken; both carry the certified bound meanwhile
     if rank == 4:
         mat = random_separable(16, 2, 4, seed=16).matrix
     else:
@@ -616,38 +617,15 @@ def test_a_dense_state_takes_one_factor_or_one_spectrum(monkeypatch, rank):
         mat = z @ z.conj().T
         mat = 0.5 * (mat + mat.conj().T)
         mat /= np.trace(mat).real
-    factored, solved, certified = [], [], []
-    cholesky, eigvalsh = states._cholesky, np.linalg.eigvalsh
-    low_rank_proves = states._low_rank_proves
-
-    def counting_cholesky(a, *args, **kwargs):
-        factored.append(a.shape[-1])
-        return cholesky(a, *args, **kwargs)
-
-    def counting_eigvalsh(a, *args, **kwargs):
-        solved.append(a.shape)
-        return eigvalsh(a, *args, **kwargs)
-
-    def counting_low_rank_proves(a, floor):
-        certified.append(low_rank_proves(a, floor))
-        return certified[-1]
-
-    monkeypatch.setattr(states, "_cholesky", counting_cholesky)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    monkeypatch.setattr(states, "_low_rank_proves", counting_low_rank_proves)
     rho = DensityMatrix.from_matrix(mat, 16, 2)
     assert not rho.exact
     assert rho.deviation_bound == abs(np.trace(mat) - 1.0) + 512 * PSD_TOL
-    if rank == 4:
-        assert factored == [64] and certified == [True] and solved == []
-    else:
-        assert factored == [64, 256] and certified == [False] and solved == []
+    gate = (["certificate proves"] if rank == 4
+            else ["certificate declines", "factor 1/1"])
+    assert prover_routes == gate
     deviation = rho.deviation
-    if rank == 4:
-        assert factored == [64, 256] and solved == [(1, 256, 256)]
-    else:
-        assert factored == [64, 256, 256] and solved == []
-    monkeypatch.undo()
+    read = ["factor 0/1", "eigvalsh 1"] if rank == 4 else ["factor 1/1"]
+    assert prover_routes == gate + read
     want = 2.0 * 256 * max(0.0, -np.linalg.eigvalsh(mat)[0])
     assert deviation == abs(np.trace(mat) - 1.0) + want
     assert deviation <= rho.deviation_bound
@@ -691,25 +669,17 @@ def pair16():
 
 
 def test_a_low_rank_state_file_is_read_and_tested_with_no_spectrum(
-        tmp_path, monkeypatch, pair16):
+        tmp_path, prover_routes, pair16):
     # a rank-4 d = 16 state, read from its file, tested far from the
     # ceiling and by ppt_test, is proved positive twice by the low-rank
     # certificate (its matrix, then its partial transpose) and never has
     # a spectrum taken
     path = tmp_path / "rho.json"
     write_state(random_separable(16, 2, 4, seed=3), path)
-    solved = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting_eigvalsh(a, *args, **kwargs):
-        solved.append(a.shape)
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     rho = read_state(path)
     report = detect_bipartite(rho, *pair16)
     ppt = ppt_test(rho)
-    assert solved == []
+    assert prover_routes == ["certificate proves"] * 2
     assert report.verdict == "INCONCLUSIVE" and not ppt.npt
     assert report.margin < 0.0 and "deviation" not in vars(rho)
 
@@ -773,28 +743,125 @@ def test_a_non_finite_entry_fails_the_low_rank_certificate_quietly(bad, at):
 
 @pytest.mark.parametrize("rank", [20, 100])
 def test_a_singular_state_past_the_certificate_takes_one_factor(
-        monkeypatch, rank):
+        prover_routes, rank):
     # rank 20 at d = 16 fails the probe at 0 and lies past the
     # certificate's 16 steps; rank 100 passes the probe; both are then
     # proved by the one factor of the whole, shifted just above -PSD_TOL,
     # and take no spectrum until their deviation is read
     mat = random_separable(16, 2, rank, seed=rank).matrix
-    seen, solved = [], []
-    cholesky, eigvalsh = states._cholesky, np.linalg.eigvalsh
-
-    def counting_cholesky(a, *args, **kwargs):
-        seen.append(a.shape[-1])
-        return cholesky(a, *args, **kwargs)
-
-    def counting_eigvalsh(a, *args, **kwargs):
-        solved.append(a.shape)
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(states, "_cholesky", counting_cholesky)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     rho = DensityMatrix.from_matrix(mat, 16, 2)
-    assert seen == [64, 256] and solved == [] and not rho.exact
-    monkeypatch.undo()
+    assert prover_routes == ["certificate declines", "factor 1/1"]
+    assert not rho.exact
     plain = abs(np.trace(mat) - 1.0) + 512 * max(
         0.0, -np.linalg.eigvalsh(mat)[0])
     assert rho.deviation == plain
+
+
+def _dirichlet_bell_mixture(d: int) -> DensityMatrix:
+    """A Bell mixture of Dirichlet(1, ..., 1) weights, seeded by d."""
+    weights = np.random.default_rng(d).dirichlet(np.ones(d * d))
+    return states._bell_mixture(weights.reshape(d, d), f"dirichlet-d{d}")
+
+
+def _route_input(kind: str) -> np.ndarray:
+    """The stack a row of PROVER_ROUTES hands the prover."""
+    name, _, rest = kind.partition("-d")
+    d = int(rest.removesuffix("-pt"))
+    if name in ("belldiag", "isotropic"):
+        rho = (_dirichlet_bell_mixture(d) if name == "belldiag"
+               else isotropic(d, 0.3))
+        mat = partial_transpose(rho, 1) if rest.endswith("-pt") else rho.matrix
+        return mat[None]
+    if name.startswith("rank"):
+        rank = int(name.removeprefix("rank"))
+        return random_separable(d, 2, rank, seed=rank).matrix[None]
+    if name == "ginibre":
+        z = np.random.default_rng(d).normal(size=(d * d, d * d, 2)) @ [1, 1j]
+        mat = z @ z.conj().T
+        return (0.5 * (mat + mat.conj().T) / np.trace(mat).real)[None]
+    if name == "path":
+        # a tridiagonal pattern, permuted: a zero in the first row, and
+        # one component
+        rng = np.random.default_rng(d)
+        h = np.diag(1.0 + rng.normal(size=d * d)).astype(complex)
+        off = rng.normal(size=(d * d - 1, 2)) @ [1, 1j]
+        h += np.diag(off, 1) + np.diag(off.conj(), -1)
+        perm = rng.permutation(d * d)
+        return h[perm][:, perm][None]
+    basis = gell_mann_basis(d)
+    if name == "set":
+        return construct_gsic(basis, feasible_t(basis).t).operators
+    directions = _operators(basis, 1.0)  # the cap's, as feasible_t builds them
+    directions -= np.eye(d) / d**2
+    return directions
+
+
+# (input kind, floor) -> the routes that decide it, in order, as the
+# prover_routes fixture logs them.  The floors are those of the callers:
+# from_matrix's gate -PSD_TOL on a state and its deviation 0; ppt_test
+# +inf on a partial transpose with a zero pattern, or -PSD_TOL on a dense
+# one that the Ritz quotient leaves open; the set gate 0; the cap +inf.
+# A Bell mixture and its partial transpose split into d blocks of size
+# d, an isotropic state into one of size d and d**2 - d of size 1, and
+# its partial transpose into d of size 1 and d (d - 1) / 2 of size 2;
+# each stack of blocks then takes the route of its own shape.
+INF, GATE = np.inf, -PSD_TOL
+PROVER_ROUTES = [
+    ("belldiag-d8", INF, ["split", "eigvalsh 8"]),
+    ("belldiag-d8", GATE, ["split", "eigvalsh 8"]),
+    ("belldiag-d8-pt", INF, ["split", "eigvalsh 8"]),
+    ("belldiag-d8-pt", GATE, ["split", "eigvalsh 8"]),
+    ("belldiag-d12", INF, ["split", "eigvalsh 12"]),
+    ("belldiag-d12", GATE, ["split", "factor 12/12"]),
+    ("belldiag-d12-pt", INF, ["split", "eigvalsh 12"]),
+    ("belldiag-d12-pt", GATE, ["split", "factor 0/12", "eigvalsh 12"]),
+    ("belldiag-d16", INF, ["split", "eigvalsh 16"]),
+    # from_matrix of a Dirichlet Bell mixture at d = 16 solves no spectrum
+    ("belldiag-d16", GATE, ["split", "factor 16/16"]),
+    ("belldiag-d16-pt", INF, ["split", "eigvalsh 16"]),
+    ("belldiag-d16-pt", GATE, ["split", "factor 0/16", "eigvalsh 16"]),
+    ("isotropic-d8", INF, ["split", "eigvalsh 56", "eigvalsh 1"]),
+    ("isotropic-d8", GATE, ["split", "eigvalsh 56", "eigvalsh 1"]),
+    ("isotropic-d8-pt", INF, ["split", "eigvalsh 8", "eigvalsh 28"]),
+    ("isotropic-d8-pt", GATE, ["split", "eigvalsh 8", "eigvalsh 28"]),
+    ("isotropic-d12", INF, ["split", "eigvalsh 132", "eigvalsh 1"]),
+    ("isotropic-d12", GATE, ["split", "eigvalsh 132", "eigvalsh 1"]),
+    ("isotropic-d12-pt", INF, ["split", "eigvalsh 12", "eigvalsh 66"]),
+    ("isotropic-d12-pt", GATE, ["split", "eigvalsh 12", "eigvalsh 66"]),
+    ("isotropic-d16", INF, ["split", "eigvalsh 240", "eigvalsh 1"]),
+    ("isotropic-d16", GATE, ["split", "eigvalsh 240", "eigvalsh 1"]),
+    ("isotropic-d16-pt", INF, ["split", "eigvalsh 16", "eigvalsh 120"]),
+    ("isotropic-d16-pt", GATE, ["split", "eigvalsh 16", "eigvalsh 120"]),
+    ("path-d16", INF, ["one component", "eigvalsh 1"]),
+    ("path-d16", GATE, ["one component", "certificate declines",
+                        "factor 0/1", "eigvalsh 1"]),
+    ("ginibre-d4", GATE, ["eigvalsh 1"]),
+    ("ginibre-d16", INF, ["eigvalsh 1"]),
+    ("ginibre-d16", 0.0, ["factor 1/1"]),
+    ("ginibre-d16", GATE, ["certificate declines", "factor 1/1"]),
+    ("rank4-d16", 0.0, ["factor 0/1", "eigvalsh 1"]),
+    ("rank4-d16", GATE, ["certificate proves"]),
+    ("rank20-d16", GATE, ["certificate declines", "factor 1/1"]),
+    ("rank100-d16", GATE, ["certificate declines", "factor 1/1"]),
+    ("set-d16", 0.0, ["factor 255/256", "eigvalsh 1"]),
+    ("cap-d16", INF, ["eigvalsh 16", "factor 240/240"]),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, floor, routes", PROVER_ROUTES,
+    ids=[f"{kind}@{floor:g}" for kind, floor, _ in PROVER_ROUTES])
+def test_the_prover_takes_the_route_of_its_input(prover_routes, kind, floor,
+                                                 routes):
+    # and gives the value of a plain eigvalsh: bit for bit on the matrix
+    # itself, to within its rounding where it splits the matrix
+    stack = _route_input(kind)
+    spectra = np.linalg.eigvalsh(stack)
+    prover_routes.clear()
+    got = states._lowest_eigenvalue(stack, floor)
+    assert prover_routes == routes
+    want = min(floor, float(spectra[:, 0].min()))
+    if routes[0] == "split":
+        assert abs(got - want) <= 1e-14 * np.abs(spectra).max()
+    else:
+        assert got.hex() == want.hex()
