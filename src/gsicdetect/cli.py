@@ -123,16 +123,22 @@ def _load_weights(path: Path) -> dict[tuple[int, int], float]:
     if not isinstance(data, dict) or not data:
         raise ValueError(f"weights file {path} must hold a nonempty object")
     weights = {}
-    for key, val in data.items():
-        s_txt, sep, t_txt = key.partition(",")
-        if not sep:
-            raise ValueError(f"weights key {key!r} is not of the form 's,t'")
-        try:
-            weight = decode_float(val)
-        except ValueError as exc:
-            raise ValueError(f"malformed weights file {path}: weight of "
-                             f"{key!r}: {exc}") from exc
-        weights[(int(s_txt), int(t_txt))] = weight
+    try:
+        for key, val in data.items():
+            s_txt, _, t_txt = key.partition(",")
+            if not all(txt.isascii() and txt.isdigit()
+                       for txt in (s_txt, t_txt)):
+                raise ValueError(f"key {key!r} is not of the form 's,t' with s "
+                                 "and t ASCII digits")
+            label = (int(s_txt), int(t_txt))
+            if label in weights:
+                raise ValueError(f"key {key!r} names label {label} again")
+            try:
+                weights[label] = decode_float(val)
+            except ValueError as exc:
+                raise ValueError(f"weight of {key!r}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"malformed weights file {path}: {exc}") from exc
     return weights
 
 

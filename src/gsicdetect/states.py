@@ -141,6 +141,12 @@ class DensityMatrix:
         check_dim(local_dim)
         if parties < 1:
             raise ValueError(f"need parties >= 1, got {parties}")
+        # local_dim >= 2 gives local_dim**parties >= 2**parties, so a parties
+        # beyond the bit length of mat's longest side cannot match, and the
+        # power is never formed
+        if parties > max(mat.shape, default=0).bit_length():
+            raise ValueError(f"matrix has shape {mat.shape}, too small for "
+                             f"{parties} parties")
         dim = local_dim ** parties
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix has shape {mat.shape}, expected ({dim}, {dim})")
@@ -220,19 +226,20 @@ def _lowest_eigenvalue(stack: np.ndarray, floor: float) -> float:
     matrix of order LABEL_MIN_SIZE or more with a zero in its first row is
     split on its zero pattern (_blocks), and the value is the lowest of its
     stacks of blocks', exact as eigvalsh of each block, each stack taking the
-    route of its own shape; a pattern of one component goes on whole.  Any
-    other stack of m matrices of order n with m n**2 below PROOF_MIN_ENTRIES
-    goes to eigvalsh whole, and so does one that is not of float64 or
-    complex128, the precision the proof assumes, or one of at most PROOF_CHUNK
-    matrices at floor +inf, which the first chunk would hold whole.  For floor
-    +inf, the floor is first set by eigvalsh on the PROOF_CHUNK matrices of
-    lowest Gershgorin lower bound, which tend to hold the minimum, and the
-    others are proved against it.  A lone matrix of order PROBE_MIN_SIZE or
-    more at a floor passed below 0, as from_matrix and ppt_test pass, is first
-    given the low-rank certificate (_low_rank_proves), O(n**2 r) for rank r,
-    which declines a matrix of higher rank at the cost of a factor of its
-    leading quarter, and a proof there gives floor.  Every matrix left is
-    factored once, shifted by its own sigma just above floor (_unproven).
+    route of its own shape (_routed), which splits nothing; a pattern of one
+    component goes on whole.  Any other stack of m matrices of order n with
+    m n**2 below PROOF_MIN_ENTRIES goes to eigvalsh whole, and so does one
+    that is not of float64 or complex128, the precision the proof assumes, or
+    one of at most PROOF_CHUNK matrices at floor +inf, which the first chunk
+    would hold whole.  For floor +inf, the floor is first set by eigvalsh on
+    the PROOF_CHUNK matrices of lowest Gershgorin lower bound, which tend to
+    hold the minimum, and the others are proved against it.  A lone matrix of
+    order PROBE_MIN_SIZE or more at a floor passed below 0, as from_matrix and
+    ppt_test pass, is first given the low-rank certificate (_low_rank_proves),
+    O(n**2 r) for rank r, which declines a matrix of higher rank at the cost
+    of a factor of its leading quarter, and a proof there gives floor.  Every
+    matrix left is factored once, shifted by its own sigma just above floor
+    (_unproven).
 
     The factor's proof, for A of order n, with u the unit roundoff and
     gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of
@@ -269,7 +276,17 @@ def _lowest_eigenvalue(stack: np.ndarray, floor: float) -> float:
     if m == 1 and n >= LABEL_MIN_SIZE and not (stack[0, 0] != 0).all():
         blocks = _blocks(stack[0])
         if blocks is not None:
-            return min(_lowest_eigenvalue(b, floor) for b in blocks)
+            return min(_routed(b, floor) for b in blocks)
+    return _routed(stack, floor)
+
+
+def _routed(stack: np.ndarray, floor: float) -> float:
+    """_lowest_eigenvalue of a stack that is not split: its routes by shape.
+
+    A block that _blocks splits off is one component, so its stack comes
+    here straight and is never labelled again.
+    """
+    m, n = len(stack), stack.shape[-1]
     if (m * n * n < PROOF_MIN_ENTRIES or stack.dtype.char not in "dD"
             or (floor == np.inf and m <= PROOF_CHUNK)):
         return min(floor, float(np.linalg.eigvalsh(stack)[:, 0].min()))

@@ -415,11 +415,13 @@ def test_detect_rejects_a_non_finite_file_entry(tmp_path, capsys, kind,
 
 
 def _written_file(path, kind):
-    """A valid d=3 file of one kind and the detect argv that reads it."""
-    if kind == "gsic":
-        basis = gell_mann_basis(3)
+    """A valid d=3 file of one kind, or the d=16 set for kind "gsic-d16",
+    and the detect argv that reads it."""
+    if kind.startswith("gsic"):
+        d = 16 if kind == "gsic-d16" else 3
+        basis = gell_mann_basis(d)
         write_gsic(construct_gsic(basis, max_feasible_t(basis)), path)
-        return ["detect", "--state", "maxent:3", "--gsic", str(path)]
+        return ["detect", "--state", f"maxent:{d}", "--gsic", str(path)]
     write_state(max_entangled(3), path)
     return ["detect", "--state", f"file:@{path}", "--max-t"]
 
@@ -442,6 +444,20 @@ def test_detect_rejects_non_finite_file_bytes(tmp_path, capsys, edit_entries,
     assert "malformed" in captured.err and "non-finite" in captured.err
 
 
+def _bang(text: str) -> str:
+    """A written base64 payload with "!", outside the alphabet, in place of
+    its middle character."""
+    mid = len(text) // 2
+    return text[:mid] + "!" + text[mid + 1:]
+
+
+def _pad(text: str) -> str:
+    """A written base64 payload with a pad "=" put in at its middle, and its
+    last character dropped, so that the length stays."""
+    mid = len(text) // 2
+    return text[:mid] + "=" + text[mid:-1]
+
+
 @pytest.mark.parametrize("kind", ["gsic", "state"])
 @pytest.mark.parametrize("field,value,reason", [
     ("encoding", "c16be-base64", "unknown encoding"),
@@ -449,22 +465,31 @@ def test_detect_rejects_non_finite_file_bytes(tmp_path, capsys, edit_entries,
     ("payload", [[0.25, 0.0]], "must be a base64 string"),
     ("payload", "AAAA AAAA", "base64"),
     ("payload", "AAAA", "not a whole number"),
+    ("payload", _bang, "base64"),
+    ("payload", _pad, "malformed"),
 ])
 def test_detect_rejects_a_malformed_tagged_payload(tmp_path, capsys,
                                                    base64_payload, kind,
                                                    field, value, reason):
+    # and fails as the same value laid out with indent=1 does
     path = tmp_path / "in.json"
     argv = _written_file(path, kind)
     payload = base64_payload(path)
     if field == "payload":
         field = "operators" if kind == "gsic" else "matrix"
-    payload[field] = value
-    path.write_text(json.dumps(payload))
-    rc = main(argv)
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    assert "malformed" in captured.err and reason in captured.err
+    payload[field] = value(payload[field]) if callable(value) else value
+    what = "measurement" if kind == "gsic" else "state"
+    errors = []
+    for indent in (None, 1):
+        path.write_text(json.dumps(payload, indent=indent))
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: malformed {what} file {path}: ")
+        assert reason in captured.err
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
 
 
 def test_detect_rejects_an_absurd_party_count_fast(tmp_path, capsys):
@@ -572,6 +597,26 @@ def test_detect_refuses_a_weight_that_is_not_a_number(tmp_path, capsys,
     assert f"malformed weights file {path}: " in captured.err
 
 
+@pytest.mark.parametrize("text,reason", [
+    ('{"a,0": 1}', "key 'a,0' is not of the form 's,t'"),
+    ('{"1_0,0": 1}', "key '1_0,0' is not of the form 's,t'"),
+    ('{" 0,0": 1}', "key ' 0,0' is not of the form 's,t'"),
+    ('{"0,0": 0.5, "00,0": 1}', "key '00,0' names label (0, 0) again"),
+])
+def test_detect_refuses_a_malformed_weights_key(tmp_path, capsys, text,
+                                                reason):
+    # ASCII digits only, so no sign, space or underscore that int() takes,
+    # and one key per label
+    path = tmp_path / "w.json"
+    path.write_text(text)
+    rc = main(["detect", "--state", f"belldiag:2:@{path}", "--max-t"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: malformed weights file {path}: {reason}")
+
+
 @pytest.mark.parametrize("argv,what", [
     (["--state", "maxent:2", "--gsic", "{path}"], "malformed measurement file"),
     (["--state", "file:@{path}", "--max-t"], "malformed state file"),
@@ -621,6 +666,8 @@ def _damaged(raw: bytes, damage: str) -> bytes:
         return line.replace(b'"c16le-raw"', b'"c16le-raw\xff"') + b"\n" + payload
     if damage == "bom-head":
         return b"\xef\xbb\xbf" + raw
+    if damage == "wrong-tag":
+        return raw.replace(b'"c16le-raw"', b'"c16le-rax"', 1)
     if damage == "nan":
         z = np.frombuffer(payload, "<c16").copy()
         z[4] = complex(np.nan, 0.0)
@@ -635,15 +682,18 @@ def _damaged(raw: bytes, damage: str) -> bytes:
       for damage in ("cut-one-byte", "add-one-byte", "headless",
                      "not-utf8-head", "bom-head", "nan")),
     ("gsic", "wrong-d"), ("state", "wrong-local_dim"),
-    ("state", "wrong-parties")])
+    ("state", "wrong-parties"), ("gsic", "wrong-tag"), ("state", "wrong-tag"),
+    *(("gsic-d16", damage)
+      for damage in ("cut-one-byte", "add-one-byte", "wrong-tag"))])
 def test_a_damaged_raw_file_is_malformed(tmp_path, capsys, kind, damage):
     # the library raises ValueError "malformed ..." and detect exits 2
     path = tmp_path / "in.json"
     argv = _written_file(path, kind)
     path.write_bytes(_damaged(path.read_bytes(), damage))
-    what = "measurement" if kind == "gsic" else "state"
+    gsic = kind.startswith("gsic")
+    what = "measurement" if gsic else "state"
     with pytest.raises(ValueError, match=f"^malformed {what} file {path}: "):
-        (read_gsic if kind == "gsic" else gsicdetect.read_state)(path)
+        (read_gsic if gsic else gsicdetect.read_state)(path)
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 2

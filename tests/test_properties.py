@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import (HealthCheck, given, settings,  # noqa: E402
+from hypothesis import (HealthCheck, example, given, settings,  # noqa: E402
                         strategies as st)
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
@@ -314,8 +314,18 @@ def _dense_two_qudit_states(draw):
     return DensityMatrix(local_dim=d, parties=2, matrix=mat)
 
 
+def _weakly_npt_d16() -> DensityMatrix:
+    """A rank-4 separable d = 16 state mixed with 1e-3 |phi+><phi+|: NPT at
+    about -6e-5, which the Ritz certificate settles."""
+    phi = np.eye(16).ravel() / 4.0
+    mat = ((1 - 1e-3) * random_separable(16, 2, 4, seed=7).matrix
+           + 1e-3 * np.outer(phi, phi))
+    return DensityMatrix(local_dim=16, parties=2, matrix=mat)
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(rho=_dense_two_qudit_states())
+@example(rho=_weakly_npt_d16())
 def test_ppt_test_decides_as_a_plain_eigvalsh(rho):
     # whether a certificate, the proof or the spectrum decided, npt is
     # the plain rule and min_eigenvalue the plain value, bit for bit
@@ -476,11 +486,20 @@ def _spectrum_cap(basis) -> float:
     return 1.0 / (d * d * abs(lam))
 
 
+def _at_every_gell_mann_cap(test):
+    """test with the Gell-Mann set at its cap for every d from 3 to 16 as
+    explicit examples, which run on every call."""
+    for d in range(3, 17):
+        test = example(d=d, rotated=False, stretch=1.0)(test)
+    return test
+
+
 @settings(max_examples=40, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(d=st.integers(2, 16), rotated=st.booleans(),
        stretch=st.sampled_from([0.0, 1e-6, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-14,
                                 1.0 + 1e-9]))
+@_at_every_gell_mann_cap
 def test_cap_and_psd_deviation_match_the_whole_spectrum(rotated_basis, d,
                                                        rotated, stretch):
     basis = rotated_basis(d) if rotated else gell_mann_basis(d)
@@ -765,6 +784,9 @@ def _variant(raw: bytes, key: str, kind: str) -> bytes:
         return json.dumps(dict(reversed(value.items()))).encode()
     if kind == "trailing-newline":
         return json.dumps(value).encode() + b"\n"
+    if kind == "escaped-slash":
+        # "/" occurs in strings only, and "\/" in a string reads as "/"
+        return json.dumps(value).replace("/", "\\/").encode()
     return json.dumps(value).encode()
 
 
@@ -772,7 +794,8 @@ def _variant(raw: bytes, key: str, kind: str) -> bytes:
 @given(kind=st.sampled_from(["set", "state"]), d=st.sampled_from([2, 3, 8]),
        variant=st.sampled_from(["raw-compact", "raw-reordered", "base64",
                                 "indent", "compact", "reordered", "untagged",
-                                "trailing-newline"]))
+                                "trailing-newline", "escaped-slash"]))
+@example(kind="set", d=16, variant="escaped-slash")
 def test_reading_a_file_matches_the_whole_json_parse(tmp_path_factory, kind,
                                                      d, variant):
     # a raw file, as written, reads the same arrays, deviation and fields

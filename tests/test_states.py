@@ -2,6 +2,7 @@
 
 import base64
 import json
+import time
 import tracemalloc
 from functools import reduce
 
@@ -256,7 +257,7 @@ def _per_term_random_separable(d, parties, terms, seed):
     return 0.5 * (mat + mat.conj().T), f"randsep-d{d}-n{parties}-seed{seed}"
 
 
-@pytest.mark.parametrize("d, parties", [(d, n) for d in (2, 3, 4)
+@pytest.mark.parametrize("d, parties", [(d, n) for d in (2, 3, 4, 16)
                                         for n in (2, 3, 4, 5) if d ** n <= 256])
 def test_random_separable_matches_the_per_term_reference(d, parties):
     for terms in range(1, 6):
@@ -494,6 +495,15 @@ def test_from_matrix_validation():
         DensityMatrix.from_matrix(good, 2, 2)
     with pytest.raises(ValueError, match="need parties >= 1, got 0"):
         DensityMatrix.from_matrix(good, 2, 0)
+
+
+def test_from_matrix_refuses_an_absurd_party_count_fast():
+    # 3**(10**8) must never be formed: the matrix's shape decides first
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^matrix has shape \(4, 4\), too "
+                                         "small for 100000000 parties$"):
+        DensityMatrix.from_matrix(np.eye(4) / 4, 3, 10**8)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -779,14 +789,16 @@ def _route_input(kind: str) -> np.ndarray:
         z = np.random.default_rng(d).normal(size=(d * d, d * d, 2)) @ [1, 1j]
         mat = z @ z.conj().T
         return (0.5 * (mat + mat.conj().T) / np.trace(mat).real)[None]
-    if name == "path":
-        # a tridiagonal pattern, permuted: a zero in the first row, and
-        # one component
+    if name in ("path", "path+diagonal"):
+        # a tridiagonal pattern of order d**2, permuted: a zero in the
+        # first row, and one component; with d diagonal entries beside it,
+        # d + 1 components, the path a block with zeros in its first row
+        n = d * d + (d if name == "path+diagonal" else 0)
         rng = np.random.default_rng(d)
-        h = np.diag(1.0 + rng.normal(size=d * d)).astype(complex)
+        h = np.diag(1.0 + rng.normal(size=n)).astype(complex)
         off = rng.normal(size=(d * d - 1, 2)) @ [1, 1j]
-        h += np.diag(off, 1) + np.diag(off.conj(), -1)
-        perm = rng.permutation(d * d)
+        h[:d * d, :d * d] += np.diag(off, 1) + np.diag(off.conj(), -1)
+        perm = rng.permutation(n)
         return h[perm][:, perm][None]
     basis = gell_mann_basis(d)
     if name == "set":
@@ -835,6 +847,8 @@ PROVER_ROUTES = [
     ("path-d16", INF, ["one component", "eigvalsh 1"]),
     ("path-d16", GATE, ["one component", "certificate declines",
                         "factor 0/1", "eigvalsh 1"]),
+    # the path, split off, is not labelled again
+    ("path+diagonal-d8", INF, ["split", "eigvalsh 8", "eigvalsh 1"]),
     ("ginibre-d4", GATE, ["eigvalsh 1"]),
     ("ginibre-d16", INF, ["eigvalsh 1"]),
     ("ginibre-d16", 0.0, ["factor 1/1"]),
