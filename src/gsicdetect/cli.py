@@ -116,14 +116,11 @@ def _path_arg(text: str, what: str) -> Path:
 
 
 def _load_weights(path: Path) -> dict[tuple[int, int], float]:
-    try:
-        data = _read_json(path)
-    except ValueError as exc:
-        raise ValueError(f"malformed weights file {path}: {exc}") from exc
-    if not isinstance(data, dict) or not data:
-        raise ValueError(f"weights file {path} must hold a nonempty object")
     weights = {}
     try:
+        data = _read_json(path)
+        if not isinstance(data, dict) or not data:
+            raise ValueError("the file must hold a nonempty object")
         for key, val in data.items():
             s_txt, _, t_txt = key.partition(",")
             if not all(txt.isascii() and txt.isdigit()

@@ -14,8 +14,8 @@ directly.  The multipartite variant averages the per-party ceilings and
 tolerates different purities per party; it evaluates J through the
 uncentred W = sum_j P_j (x) Q_j (x) ..., laid out like rho, so that J
 is one dot product with rho's entries.  Each witness is built once per
-measurement tuple and kept on the tuple's first set (GsicSet.witnesses),
-so it lives no longer than any set of the tuple.
+measurement tuple and kept in one store (_cached), a weak-key dict per
+set of the tuple, so it lives no longer than any set of the tuple.
 """
 
 from __future__ import annotations
@@ -89,8 +89,7 @@ class _Witness:
             raise ValueError(
                 f"the two sets must share the purity parameter, got "
                 f"{p.a} and {q.a}")
-        d = p.dim
-        self.p = p
+        d = self.dim = p.dim
         self.excess = d * (_purity_excess(d, p.t) + _purity_excess(d, q.t)) / (
             2.0 * (d + 1.0))
         self.error_bound = margin_error_bound(p, q)
@@ -113,7 +112,7 @@ class _Witness:
         j+m+t)] gathers the d**3 entries of K on those kets: one inverse
         DFT over s, O(d**3) in all.
         """
-        d = self.p.dim
+        d = self.dim
         ket = _bell_kets(d)
         j = np.arange(d)
         # kernel holds K transposed: k_t[x, y] = K[y, x]
@@ -131,14 +130,8 @@ class _Witness:
         entry per state.
         """
         margin = trace - self.excess
-        return (1.0 / self.p.dim ** 2 + trace, margin,
+        return (1.0 / self.dim ** 2 + trace, margin,
                 margin > self.error_bound + deviation)
-
-    def report(self, label: str, deviation: float,
-               trace: float) -> DetectionReport:
-        """Report of a state from its label, deviation and Tr(K rho)."""
-        return self.make_report(self.p, self.bound, label,
-                                *self.assess(deviation, trace))
 
     @staticmethod
     def make_report(p: GsicSet, bound: float, label: str, j_value: float,
@@ -155,35 +148,31 @@ class _Witness:
             verdict=verdict(flagged))
 
 
-def _drop_witness(first: weakref.ref, key: tuple) -> None:
-    """Remove key from the witnesses of first, if first still lives."""
-    owner = first()
-    if owner is not None:
-        owner.witnesses.pop(key, None)
+# (kind, number of sets) -> set -> set -> ... -> what _cached built
+_STORE: dict = {}
 
 
 def _cached(kind: str, sets, build):
-    """build(), kept on sets[0] under kind and the ids of the later sets.
+    """build(), kept for kind and the tuple of sets, each set by identity.
 
-    The entry holds weak references to the later sets, and a hit needs
-    each of them to be the very object it was built with.  A finalizer
-    on each later set removes the entry when that set dies, so an entry
-    lives only as long as every set of its tuple; it holds no set but
-    the first strongly, and the finalizer holds only a weak reference to
-    that one.  kind tells apart what different callers build on one
-    tuple: the _Witness of a pair and the multipartite kernel of the
-    same two sets.
+    The store holds one weakref.WeakKeyDictionary level per set of the
+    tuple, so an entry goes when any set of its tuple dies; nothing
+    kept may hold a set of its own tuple, or that set would never die.
+    kind tells apart the _Witness of a pair and the multipartite kernel
+    of the same two sets, and the number of sets keeps the leaf of a
+    tuple from being read as a level of a longer one.  A level is made
+    only on a miss, since this lookup runs on every J.
     """
-    later = tuple(sets[1:])
-    key = (kind, *map(id, later))
-    hit = sets[0].witnesses.get(key)
-    if hit is None or any(r() is not g for r, g in zip(hit[0], later)):
-        hit = sets[0].witnesses[key] = (tuple(map(weakref.ref, later)),
-                                        build())
-        first = weakref.ref(sets[0])
-        for g in later:
-            weakref.finalize(g, _drop_witness, first, key)
-    return hit[1]
+    level = _STORE
+    for key in [(kind, len(sets)), *sets[:-1]]:
+        nxt = level.get(key)
+        if nxt is None:
+            nxt = level[key] = weakref.WeakKeyDictionary()
+        level = nxt
+    hit = level.get(sets[-1])
+    if hit is None:
+        hit = level[sets[-1]] = build()
+    return hit
 
 
 def _witness(p: GsicSet, q: GsicSet) -> _Witness:
@@ -195,7 +184,7 @@ def j_bipartite(rho: DensityMatrix, p: GsicSet, q: GsicSet) -> float:
     """Matched-outcome correlation sum of two equal-purity measurements.
 
     J = 1/d**2 + Tr(K rho) from the pair's centred witness: O(d**6) to
-    build it, once while p lives, then one O(d**4) dot product.
+    build it, once while p and q live, then one O(d**4) dot product.
     """
     check_measurements(rho, [p, q])
     return 1.0 / p.dim ** 2 + _witness(p, q).trace(rho)
@@ -236,7 +225,8 @@ def detect_bipartite(rho: DensityMatrix, p: GsicSet, q: GsicSet) -> DetectionRep
     deviation = rho.deviation_bound
     if w.error_bound < trace - w.excess <= w.error_bound + deviation:
         deviation = rho.deviation
-    return w.report(rho.label, deviation, trace)
+    return _Witness.make_report(p, w.bound, rho.label,
+                                *w.assess(deviation, trace))
 
 
 def _multipartite_kernel(sets: list[GsicSet]) -> np.ndarray:
@@ -267,9 +257,8 @@ def j_multipartite(rho: DensityMatrix, sets: list[GsicSet]) -> float:
 
     J = Tr(W rho), W = sum_j P_j (x) Q_j (x) ..., for any N >= 2 and sets
     of different t.  W costs O(d**(2N + 2)) once per tuple of sets and
-    is kept on the first set and freed with any set of the tuple
-    (GsicSet.witnesses); each state then costs one O(d**(2N)) dot
-    product.
+    is kept until any set of the tuple dies (_cached); each state then
+    costs one O(d**(2N)) dot product.
     """
     n = rho.parties
     if n < 2:

@@ -37,14 +37,16 @@ from .states import (DensityMatrix, _lowest_eigenvalue, _read_head,
                      decode_int, pair_axes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GsicSet:
     """A symmetric informationally complete measurement.
 
     operators has shape (d**2, d, d); a is the common purity Tr(P_j**2)
     and t the mixing parameter the set was built with.  deviation is the
     largest deviation validate_gsic found when construct_gsic or read_gsic
-    returned the set; a set made directly is taken as exact.
+    returned the set; a set made directly is taken as exact.  Sets
+    compare and hash by identity, which is how criteria keys the witness
+    of a tuple of sets.
     """
 
     dim: int
@@ -70,18 +72,6 @@ class GsicSet:
     def centred_norms(self) -> np.ndarray:
         """Entrywise 1-norms ||X_j||_1 of the rows of centred."""
         return np.abs(self.centred).sum(axis=1)
-
-    @cached_property
-    def witnesses(self) -> dict:
-        """Witnesses built with this set as the first party, filled by criteria.
-
-        Keyed by the witness kind and the ids of the later sets; each
-        value holds only weak references to those sets, and the death of
-        any of them removes the entry.  So an entry lives no longer than
-        this set or any later set, and replace() and conjugate_gsic()
-        start a new set with an empty dict.
-        """
-        return {}
 
 
 class FeasibleT(NamedTuple):

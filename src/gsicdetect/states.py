@@ -746,9 +746,25 @@ def _read_raw(f, count: int) -> np.ndarray:
     return _finite(z.astype(complex, copy=False))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict.
+
+    A key written twice raises ValueError, where json.loads alone keeps
+    its later value.
+    """
+    data = {}
+    for key, val in pairs:
+        if key in data:
+            raise ValueError(f"key {key!r} appears twice")
+        data[key] = val
+    return data
+
+
 def _read_json(path: str | Path):
-    """A file's JSON value; a BOM or bytes that are not UTF-8 raise ValueError."""
-    return json.loads(Path(path).read_bytes().decode("utf-8"))
+    """A file's JSON value; a BOM, bytes that are not UTF-8 or a key
+    written twice in one object raise ValueError."""
+    return json.loads(Path(path).read_bytes().decode("utf-8"),
+                      object_pairs_hook=_unique_keys)
 
 
 def _finite(z: np.ndarray) -> np.ndarray:

@@ -602,11 +602,14 @@ def test_detect_refuses_a_weight_that_is_not_a_number(tmp_path, capsys,
     ('{"1_0,0": 1}', "key '1_0,0' is not of the form 's,t'"),
     ('{" 0,0": 1}', "key ' 0,0' is not of the form 's,t'"),
     ('{"0,0": 0.5, "00,0": 1}', "key '00,0' names label (0, 0) again"),
+    ('{"0,0": 0.5, "0,0": 1}', "key '0,0' appears twice"),
+    ("[]", "the file must hold a nonempty object"),
+    ("{}", "the file must hold a nonempty object"),
 ])
 def test_detect_refuses_a_malformed_weights_key(tmp_path, capsys, text,
                                                 reason):
-    # ASCII digits only, so no sign, space or underscore that int() takes,
-    # and one key per label
+    # a nonempty object of ASCII digit keys only, so no sign, space or
+    # underscore that int() takes, and one key per label in any spelling
     path = tmp_path / "w.json"
     path.write_text(text)
     rc = main(["detect", "--state", f"belldiag:2:@{path}", "--max-t"])

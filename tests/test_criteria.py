@@ -672,6 +672,13 @@ def test_a_witness_is_built_once_per_set_tuple(monkeypatch):
     assert len(built) == 2
     j_multipartite(rho, [p, pc, p])
     assert len(built) == 2
+    # a tuple that is a prefix of another is kept apart from it
+    rho2 = random_separable(2, 2, 2, seed=6)
+    pair = j_multipartite(rho2, [p, pc])
+    assert abs(pair - brute_force_j(rho2, [p, pc])) <= 1e-12 * abs(pair)
+    assert j_multipartite(rho, [p, pc, p]) == first
+    assert j_multipartite(rho2, [p, pc]) == pair
+    assert built == [(p, pc, p), (p, p, pc), (p, pc)]
 
 
 def test_cached_witnesses_die_with_their_sets():
@@ -685,6 +692,19 @@ def test_cached_witnesses_die_with_their_sets():
     assert ref() is None
 
 
+def _store_entries(first):
+    """(kind, tuple) of every live entry of the witness store that
+    starts with the set first."""
+    def tuples(level, n):
+        if n == 0:
+            return [()]
+        return [(g, *rest) for g, below in level.items()
+                for rest in tuples(below, n - 1)]
+
+    return {(kind, sets) for (kind, n), top in criteria._STORE.items()
+            for sets in tuples(top, n) if sets[0] is first}
+
+
 def test_a_cached_witness_dies_with_any_of_its_sets():
     # a long-lived first set paired with a fresh partner on every call:
     # once the partners are dropped, only the live tuples keep entries
@@ -696,13 +716,13 @@ def test_a_cached_witness_dies_with_any_of_its_sets():
         fresh.append(conjugate_gsic(p))
         j_bipartite(rho2, p, fresh[-1])
         j_multipartite(rho3, [p, p, fresh[-1]])
-    assert len(p.witnesses) == 10
+    assert len(_store_entries(p)) == 10
     refs = [weakref.ref(g) for g in fresh]
     del fresh
     gc.collect()
     assert all(r() is None for r in refs)
-    assert set(p.witnesses) == {("pair", id(keep)),
-                                ("multipartite", id(keep), id(p))}
+    assert _store_entries(p) == {("pair", (p, keep)),
+                                 ("multipartite", (p, keep, p))}
     assert (j_bipartite(rho2, p, keep),
             j_multipartite(rho3, [p, keep, p])) == want
 

@@ -84,7 +84,7 @@ def test_bell_table_is_the_bell_diagonal_of_any_hermitian_kernel(d, seed):
     rng = np.random.default_rng(seed)
     k = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
     k = k + k.conj().T
-    stand_in = SimpleNamespace(p=SimpleNamespace(dim=d), kernel=k.T.ravel())
+    stand_in = SimpleNamespace(dim=d, kernel=k.T.ravel())
     got = _Witness.bell_table(stand_in)
     phi = np.eye(d).ravel() / np.sqrt(d)
     for s in range(d):
