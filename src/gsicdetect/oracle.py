@@ -5,10 +5,11 @@ reassembled from explicit Kronecker products.  ppt_test certifies
 entanglement through the partial transpose alone, by the sign of its
 smallest eigenvalue, which it and PptResult.min_eigenvalue read from
 the positivity prover of DensityMatrix.from_matrix,
-states._lowest_eigenvalue.  On a dense partial transpose an NPT
-certificate, a Ritz vector's Rayleigh quotient, is tried first, and only
-what it leaves open goes to the prover.  What keeps the decision
-independent of that shared code is
+states._lowest_eigenvalue.  On a dense partial transpose the prover's
+low-rank certificate is tried first, then an NPT certificate, a Ritz
+vector's Rayleigh quotient, and only what both leave open goes to the
+rest of the prover, which does not try the first again.  What keeps the
+decision independent of that shared code is
 tests/test_properties.py::test_ppt_test_decides_as_a_plain_eigvalsh,
 which holds npt and min_eigenvalue to a plain eigvalsh, bit for bit, on
 dense states, and tests/test_oracle.py, to within 1e-14 on Bell mixtures.
@@ -22,17 +23,19 @@ from functools import cache, cached_property, reduce
 
 import numpy as np
 
+from . import states
 from .errors import (IMAG_TOL, PSD_TOL, check_measurements,
                      hermiticity_deviation, require_real,
                      ritz_certificate_slack)
 from .gsic import GsicSet
 from .states import DensityMatrix, _lowest_eigenvalue, partial_transpose
 
-# Partial transposes of lower order have their spectrum taken at once.  At
-# n = 64 (d = 8) the spectrum takes 0.26-0.29 ms and the certificates
-# 0.19 ms on a Ginibre state and 0.27 ms on a 4-term separable one, so
-# a state they leave undecided would lose; at n = 81 (d = 9) the spectrum
-# takes 0.44-0.50 ms against 0.22 and 0.33-0.35 ms (1 BLAS thread).
+# Partial transposes of lower order that the low-rank certificate declines
+# have their spectrum taken at once.  At n = 64 (d = 8) the spectrum takes
+# 0.29-0.30 ms, and the Hermiticity scan and the Ritz quotient 0.19-0.20
+# ms, which a weakly NPT state would pay on top of its spectrum and the
+# factor at -PSD_TOL (0.07 ms); at n = 81 (d = 9) the spectrum takes 0.52
+# ms against 0.21 ms and 0.10 ms (best of 7 x 20 calls, 1 BLAS thread).
 CERTIFY_MIN_SIZE = 81
 # Lanczos steps behind the NPT certificate's Ritz vector.  At d = 16 each
 # step takes about 45 us.  4 steps certify a Ginibre state, whose lowest
@@ -70,24 +73,31 @@ def ppt_test(rho: DensityMatrix) -> PptResult:
     transpose into d blocks of O(d**3), the sectors (a + b) mod d of its
     kets |a, b> (states._blocks).
 
-    A partial transpose of order CERTIFY_MIN_SIZE or more that is exactly
-    Hermitian, with a first row of no zero entry, is first given the NPT
-    certificate.  y, the Ritz vector of _ritz_vector, has the computed
-    Rayleigh quotient w/s; if w/s + nu_n ||pt||_F < -PSD_TOL, with nu_n
-    from errors.ritz_certificate_slack, eigvalsh would return a value
-    below -PSD_TOL, and npt is True at once.  Otherwise, when w/s lies
-    above -PSD_TOL, _lowest_eigenvalue runs with floor -PSD_TOL, whose
-    proofs can put every eigenvalue above it with no spectrum taken: the
-    low-rank certificate for a pt of low rank, as of a separable state of
-    a few product terms, which its own leading-quarter probe at 0 picks
-    out, and else one Cholesky factor shifted just above -PSD_TOL, below
-    0 for a trace-one pt for n < 474, so that a singular pt of any rank
-    can be proved there, and only a positive definite one beyond.
+    A partial transpose with a first row of no zero entry, dense, of
+    order states.PROBE_MIN_SIZE or more, is first given the low-rank
+    certificate at -PSD_TOL (states._certified_low_rank).  It reads only
+    the lower triangle, as eigvalsh does, so it needs no check of
+    Hermiticity.  It proves a pt of low rank, as of a separable state
+    of a few product terms, to have no eigenvalue below -PSD_TOL in
+    O(n**2 r) for rank r, and npt is False at once; its probe at 0
+    declines a pt of rank n // 4 or more at the cost of a factor of the
+    leading quarter, 1/64 of the work of a factor of the whole.  A dense
+    pt of order CERTIFY_MIN_SIZE or more that is exactly Hermitian is
+    then given the NPT certificate.  y, the Ritz vector of
+    _ritz_vector, has the computed Rayleigh quotient w/s; if w/s + nu_n
+    ||pt||_F < -PSD_TOL, with nu_n from errors.ritz_certificate_slack,
+    eigvalsh would return a value below -PSD_TOL, and npt is True at
+    once.  Otherwise, when w/s lies above -PSD_TOL, the prover runs with
+    floor -PSD_TOL past the low-rank certificate, which pt has had
+    (states._factored): one Cholesky factor shifted just above -PSD_TOL,
+    below 0 for a trace-one pt for n < 474, so that a singular pt of any
+    rank can be proved there, and only a positive definite one beyond.
     Below -PSD_TOL, lambda_min(pt) <= y^H pt y / ||y||**2 leaves no proof
-    to find, and the floor is +inf, which takes the exact value.  Either
-    way the prover returns min(floor, lambda_min): min_eigenvalue is kept
-    when that lies below floor, the exact value, and else taken on first
-    access.  It reads only the partial transpose, not any measurement.
+    to find, and the floor is +inf, which takes the exact value, as it
+    does for every other pt.  Either way the prover returns min(floor,
+    lambda_min): min_eigenvalue is kept when that lies below floor, the
+    exact value, and else taken on first access.  It reads only the
+    partial transpose, not any measurement.
     """
     if rho.parties != 2:
         raise ValueError(f"need a two-party state, got {rho.parties} parties")
@@ -97,16 +107,20 @@ def ppt_test(rho: DensityMatrix) -> PptResult:
     fro2 = float(np.vdot(pt, pt).real)
     if not math.isfinite(fro2) and not np.isfinite(pt).all():
         raise ValueError("matrix has non-finite entries")
-    floor = np.inf
-    if (len(pt) >= CERTIFY_MIN_SIZE and math.isfinite(fro2)
-            and (pt[0] != 0).all() and hermiticity_deviation(pt) == 0.0):
+    dense = (pt[0] != 0).all()  # else the prover splits its zero pattern
+    if dense and states._certified_low_rank(pt[None], -PSD_TOL):
+        return PptResult(rho=rho, npt=False)
+    floor, prover = np.inf, _lowest_eigenvalue
+    if (dense and len(pt) >= CERTIFY_MIN_SIZE and math.isfinite(fro2)
+            and hermiticity_deviation(pt) == 0.0):
         quotient = _ritz_quotient(pt)
         slack = ritz_certificate_slack(len(pt)) * math.sqrt(fro2)
         if quotient + slack < -PSD_TOL:
             return PptResult(rho=rho, npt=True)
         if quotient > -PSD_TOL:
-            floor = -PSD_TOL
-    min_eig = _lowest_eigenvalue(pt[None], floor)
+            # past the low-rank certificate, which pt has been given
+            floor, prover = -PSD_TOL, states._factored
+    min_eig = prover(pt[None], floor)
     result = PptResult(rho=rho, npt=min_eig < -PSD_TOL)
     if min_eig < floor:  # the exact value, not the floor
         vars(result)["min_eigenvalue"] = min_eig  # cached_property's slot

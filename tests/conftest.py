@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gsicdetect import (GsicSet, OperatorBasis, construct_gsic, feasible_t,
-                        gell_mann_basis, purity_from_t, states)
+                        gell_mann_basis, oracle, purity_from_t, states)
 from gsicdetect.states import DensityMatrix
 
 
@@ -170,11 +170,13 @@ def prover_routes(monkeypatch):
     "one component" when it finds none to split; "certificate proves" or
     "certificate declines" for the low-rank certificate; "factor k/m"
     when the slab factors prove k of m matrices; "eigvalsh m" for the
-    spectra of m matrices, whoever asks for them.
+    spectra of m matrices, whoever asks for them; "lanczos" for the
+    Lanczos walk of ppt_test's NPT certificate.
     """
     log = []
     blocks, low_rank_proves = states._blocks, states._low_rank_proves
     unproven, eigvalsh = states._unproven, np.linalg.eigvalsh
+    ritz_vector = oracle._ritz_vector
 
     def logged_blocks(h):
         split = blocks(h)
@@ -195,8 +197,13 @@ def prover_routes(monkeypatch):
         log.append(f"eigvalsh {len(a) if a.ndim == 3 else 1}")
         return eigvalsh(a, *args, **kwargs)
 
+    def logged_ritz_vector(a):
+        log.append("lanczos")
+        return ritz_vector(a)
+
     monkeypatch.setattr(states, "_blocks", logged_blocks)
     monkeypatch.setattr(states, "_low_rank_proves", logged_low_rank_proves)
     monkeypatch.setattr(states, "_unproven", logged_unproven)
     monkeypatch.setattr(np.linalg, "eigvalsh", logged_eigvalsh)
+    monkeypatch.setattr(oracle, "_ritz_vector", logged_ritz_vector)
     return log

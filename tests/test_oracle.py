@@ -8,8 +8,8 @@ import pytest
 from gsicdetect import (DensityMatrix, bell_diagonal, brute_force_j,
                         conjugate_gsic, construct_gsic, gell_mann_basis,
                         isotropic, j_bipartite, j_multipartite,
-                        max_entangled, max_feasible_t, partial_transpose,
-                        ppt_test, random_separable)
+                        max_entangled, max_feasible_t, oracle,
+                        partial_transpose, ppt_test, random_separable)
 from gsicdetect.errors import PSD_TOL
 from gsicdetect.oracle import LANCZOS_STEPS
 
@@ -72,8 +72,9 @@ def _ginibre(d: int, seed: int) -> DensityMatrix:
 @pytest.mark.parametrize("npt", [True, False], ids=["ginibre", "separable"])
 def test_a_dense_d16_ppt_test_solves_no_spectrum_until_it_is_read(
         monkeypatch, prover_routes, npt):
-    # the NPT certificate settles the Ginibre state, the low-rank
-    # certificate the separable one; eigh sees only the Lanczos steps'
+    # the low-rank certificate comes first: it proves the separable state
+    # with no Lanczos step, and its probe declines the Ginibre state, which
+    # the NPT certificate then settles; eigh sees only the Lanczos steps'
     # projected matrix
     rho = _ginibre(16, 3) if npt else random_separable(16, 2, 4, seed=7)
     plain = np.linalg.eigvalsh(partial_transpose(rho, 1))[0]
@@ -86,7 +87,8 @@ def test_a_dense_d16_ppt_test_solves_no_spectrum_until_it_is_read(
     monkeypatch.setattr(np.linalg, "eigh", small_eigh)
     prover_routes.clear()
     res = ppt_test(rho)
-    decided = [] if npt else ["certificate proves"]
+    decided = (["certificate declines", "lanczos"] if npt
+               else ["certificate proves"])
     assert prover_routes == decided
     assert res.npt == (plain < -PSD_TOL) == npt
     assert res.min_eigenvalue.hex() == float(plain).hex()
@@ -97,19 +99,69 @@ def test_a_dense_d16_ppt_test_solves_no_spectrum_until_it_is_read(
 
 @pytest.mark.parametrize("terms, factored", [
     (4, ["certificate proves"]),
-    (20, ["certificate declines", "factor 1/1"]),
-    (100, ["certificate declines", "factor 1/1"])])
+    (20, ["certificate declines", "lanczos", "factor 1/1"]),
+    (100, ["certificate declines", "lanczos", "factor 1/1"])])
 def test_a_singular_ppt_partial_transpose_is_factored_whole_at_most_once(
         prover_routes, terms, factored):
     # the partial transpose of a separable d = 16 state of a few terms is
     # singular and PSD: at rank 4 the low-rank certificate proves it after
-    # the probe at 0 fails, at rank 20, past the certificate, and at rank
-    # 100, which passes the probe, one factor shifted just above -PSD_TOL
-    # does; none takes a spectrum until min_eigenvalue is read
+    # the probe at 0 fails, before any Lanczos step; at rank 20, past the
+    # certificate, and at rank 100, which passes the probe, the certificate
+    # declines once, the Ritz quotient lies above -PSD_TOL, and one factor
+    # shifted just above -PSD_TOL proves it, with no second certificate;
+    # none takes a spectrum until min_eigenvalue is read
     rho = random_separable(16, 2, terms, seed=1)
     res = ppt_test(rho)
     assert prover_routes == factored and not res.npt
     plain = np.linalg.eigvalsh(partial_transpose(rho, 1))[0]
+    assert res.min_eigenvalue.hex() == float(plain).hex()
+
+
+@pytest.mark.parametrize("d", [8, 16])
+def test_a_separable_dense_partial_transpose_is_proved_before_any_lanczos_step(
+        monkeypatch, prover_routes, d):
+    # at d = 8, below CERTIFY_MIN_SIZE, the certificate spares the whole
+    # spectrum; at d = 16, the Lanczos walk as well
+    def no_lanczos(a):
+        raise AssertionError("a Lanczos step ran")
+
+    monkeypatch.setattr(oracle, "_ritz_vector", no_lanczos)
+    rho = random_separable(d, 2, 4, seed=d)
+    res = ppt_test(rho)
+    assert prover_routes == ["certificate proves"] and not res.npt
+    plain = np.linalg.eigvalsh(partial_transpose(rho, 1))[0]
+    assert res.min_eigenvalue.hex() == float(plain).hex()
+
+
+def _weakly_npt_ginibre_d16() -> DensityMatrix:
+    """A Ginibre d = 16 state mixed with I/n to lambda_min(pt) = -1e-6,
+    which neither certificate settles."""
+    rho = _ginibre(16, 3)
+    lowest = np.linalg.eigvalsh(partial_transpose(rho, 1))[0]
+    p = (1 / 256 + 1e-6) / (1 / 256 - lowest)
+    return DensityMatrix(local_dim=16, parties=2,
+                         matrix=(1 - p) * np.eye(256) / 256 + p * rho.matrix)
+
+
+@pytest.mark.parametrize("kind, routes", [
+    ("ginibre-d8", ["certificate declines", "eigvalsh 1"]),
+    ("ginibre-d16", ["certificate declines", "lanczos"]),
+    ("weak-d16", ["certificate declines", "lanczos", "factor 0/1",
+                  "eigvalsh 1"])])
+def test_a_full_rank_partial_transpose_declines_the_certificate_once(
+        prover_routes, kind, routes):
+    # the probe declines it, and nothing gives it the certificate again:
+    # at d = 8 its spectrum is taken, at d = 16 the NPT certificate
+    # settles a Ginibre state with no spectrum, and one weakly NPT, whose
+    # Ritz quotient lies above -PSD_TOL, fails its one factor at -PSD_TOL
+    # before its spectrum is taken
+    rho = (_weakly_npt_ginibre_d16() if kind == "weak-d16"
+           else _ginibre(int(kind.removeprefix("ginibre-d")), 3))
+    plain = np.linalg.eigvalsh(partial_transpose(rho, 1))[0]
+    prover_routes.clear()
+    res = ppt_test(rho)
+    assert prover_routes == routes
+    assert res.npt == (plain < -PSD_TOL) and res.npt
     assert res.min_eigenvalue.hex() == float(plain).hex()
 
 

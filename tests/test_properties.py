@@ -323,9 +323,22 @@ def _weakly_npt_d16() -> DensityMatrix:
     return DensityMatrix(local_dim=16, parties=2, matrix=mat)
 
 
+def _off_hermitian_low_rank(d: int) -> DensityMatrix:
+    """A separable state of 4 product terms whose partial transpose has one
+    entry above its diagonal moved by 1e-12: not exactly Hermitian, and of
+    rank 4 as its lower triangle, the one eigvalsh reads, gives it."""
+    pt = partial_transpose(random_separable(d, 2, 4, seed=d), 1).copy()
+    pt[0, d + 1] += 1e-12
+    # the partial transpose is its own inverse, exactly
+    return DensityMatrix(local_dim=d, parties=2, matrix=partial_transpose(
+        DensityMatrix(local_dim=d, parties=2, matrix=pt), 1))
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(rho=_dense_two_qudit_states())
 @example(rho=_weakly_npt_d16())
+@example(rho=_off_hermitian_low_rank(8))
+@example(rho=_off_hermitian_low_rank(16))
 def test_ppt_test_decides_as_a_plain_eigvalsh(rho):
     # whether a certificate, the proof or the spectrum decided, npt is
     # the plain rule and min_eigenvalue the plain value, bit for bit

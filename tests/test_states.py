@@ -1,7 +1,9 @@
 """Tests for the state factories and tensor utilities."""
 
 import base64
+import importlib.util
 import json
+import sys
 import time
 import tracemalloc
 from functools import reduce
@@ -127,6 +129,34 @@ def test_bell_diagonal_input_checks():
         bell_diagonal(2, {(0, 0): 1.2, (1, 1): -0.2})
     with pytest.raises(ValueError):
         bell_diagonal(2, {(0, 2): 1.0})
+
+
+@pytest.mark.parametrize("weights, message", [
+    ({(0, 0): 0.5, (2, 1): 0.5}, "label (2, 1) out of range for dimension 2"),
+    ({(0, 0): 1.0, (1, -1): 0.0},
+     "label (1, -1) out of range for dimension 2"),
+    ({(0, 0): 1.0, (1, 1): float("nan")},
+     "non-finite weight nan for label (1, 1)"),
+    ({(0, 0): 1.5, (1, 1): -0.5}, "negative weight -0.5 for label (1, 1)"),
+    ({(0, 0): 0.5, (1, 1): 0.4}, "weights sum to 0.9, expected 1"),
+    ({}, "weights sum to 0, expected 1"),
+    # the first label in the mapping's order that fails a check, by the
+    # first check it fails: range, then finite, then sign
+    ({(0, 0): -1.0, (5, 0): float("inf"), (1, 1): float("nan")},
+     "negative weight -1.0 for label (0, 0)"),
+    ({(1, 1): float("inf"), (0, 0): -1.0, (0, 9): 2.0},
+     "non-finite weight inf for label (1, 1)"),
+    ({(0, 0): 1.0, (7, 1): float("-inf")},
+     "label (7, 1) out of range for dimension 2"),
+    ({(0, 0): 1.0, (1, 1): float("-inf")},
+     "non-finite weight -inf for label (1, 1)"),
+    # a label past int64, as a weights file may name one
+    ({(0, 0): 1.0, (10**30, 0): 0.0},
+     f"label ({10**30}, 0) out of range for dimension 2")])
+def test_bell_diagonal_names_the_first_label_it_refuses(weights, message):
+    with pytest.raises(ValueError) as refused:
+        bell_diagonal(2, weights)
+    assert str(refused.value) == message
 
 
 def test_diagonal_mixture_qubit_matrix():
@@ -609,6 +639,74 @@ def test_the_factor_written_over_its_matrix_needs_no_full_size_temporary(
     assert [np.isnan(r).all() for r in slab] == [False, True, True, False]
 
 
+def _states_without_gufunc(monkeypatch):
+    """A fresh copy of gsicdetect.states, imported where numpy's private
+    Cholesky gufunc cannot be."""
+    monkeypatch.setitem(sys.modules, "numpy.linalg._umath_linalg", None)
+    spec = importlib.util.spec_from_file_location(
+        "gsicdetect._states_without_gufunc", states.__file__)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for dataclass
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_without_numpys_gufunc_the_factor_falls_back_to_np_linalg(
+        monkeypatch, dtype):
+    # np.linalg.cholesky on the whole slab, then on each matrix once it
+    # raises: the gufunc's factors bit for bit, a failed one all NaN, in
+    # place or not, for a slab and for the probe's lone matrix
+    fallback = _states_without_gufunc(monkeypatch)
+    assert fallback._cholesky is fallback._cholesky_by_slab
+    rng = np.random.default_rng(9)
+    n = 8
+    z = rng.normal(size=(4, n, n))
+    if dtype is complex:
+        z = z + 1j * rng.normal(size=(4, n, n))
+    slab = z @ np.swapaxes(z, 1, 2).conj()  # positive definite
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    assert fallback._cholesky(slab).tobytes() == _cholesky(slab).tobytes()
+    assert calls == [slab.shape]
+    slab[2] -= 100.0 * np.eye(n)  # indefinite: the one failure
+    want = _cholesky(slab)
+    assert [np.isnan(r).all() for r in want] == [False, False, True, False]
+    calls.clear()
+    got = fallback._cholesky(slab)
+    assert calls == [slab.shape] + [(n, n)] * 4
+    inplace = slab.copy()
+    assert fallback._cholesky(inplace, out=inplace) is inplace
+    for r in (got, inplace):
+        assert r.dtype == slab.dtype
+        for k in (0, 1, 3):
+            assert r[k].tobytes() == want[k].tobytes()
+        assert np.isnan(r[2]).all()
+    lone = slab[2].copy()
+    assert np.isnan(fallback._cholesky(lone, out=lone)).all()
+    assert fallback._cholesky(slab[0]).tobytes() == want[0].tobytes()
+
+
+def test_without_numpys_gufunc_the_prover_keeps_its_routes_and_values(
+        monkeypatch):
+    # the low-rank certificate and its probe, the slab factors and the
+    # spectrum of what they leave, through the fallback
+    fallback = _states_without_gufunc(monkeypatch)
+    mat = random_separable(16, 2, 4, seed=4).matrix
+    assert fallback._certified_low_rank(mat[None], -PSD_TOL)
+    basis = gell_mann_basis(12)
+    ops = construct_gsic(basis, feasible_t(basis).t).operators
+    for stack, floor in ((mat[None], 0.0), (ops, 0.0), (ops, np.inf)):
+        assert (fallback._lowest_eigenvalue(stack, floor).hex()
+                == states._lowest_eigenvalue(stack, floor).hex())
+
+
 @pytest.mark.parametrize("rank", [4, 256])
 def test_a_dense_state_takes_one_factor_or_one_spectrum(prover_routes, rank):
     # a full-rank d = 16 state passes the low-rank certificate's probe of
@@ -682,14 +780,15 @@ def test_a_low_rank_state_file_is_read_and_tested_with_no_spectrum(
         tmp_path, prover_routes, pair16):
     # a rank-4 d = 16 state, read from its file, tested far from the
     # ceiling and by ppt_test, is proved positive twice by the low-rank
-    # certificate (its matrix, then its partial transpose) and never has
-    # a spectrum taken
+    # certificate (its matrix, then its partial transpose, before any
+    # Lanczos step) and never has a spectrum taken
     path = tmp_path / "rho.json"
     write_state(random_separable(16, 2, 4, seed=3), path)
     rho = read_state(path)
     report = detect_bipartite(rho, *pair16)
+    assert prover_routes == ["certificate proves"]
     ppt = ppt_test(rho)
-    assert prover_routes == ["certificate proves"] * 2
+    assert prover_routes == ["certificate proves", "certificate proves"]
     assert report.verdict == "INCONCLUSIVE" and not ppt.npt
     assert report.margin < 0.0 and "deviation" not in vars(rho)
 
