@@ -33,8 +33,8 @@ from .errors import (CAP_EIG_SLACK, IMAG_TOL, VALIDATION_TOL,
 from .operator_basis import (OperatorBasis, ValidationOutcome,
                              hilbert_schmidt_gram)
 from .states import (DensityMatrix, _lowest_eigenvalue, _read_head,
-                     _read_raw, _write_raw, decode_complex, decode_float,
-                     decode_int, pair_axes)
+                     _read_raw, _write_raw, decode_float, decode_int,
+                     pair_axes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,29 +264,21 @@ def write_gsic(g: GsicSet, path: str | Path) -> None:
 def read_gsic(path: str | Path) -> GsicSet:
     """Load a measurement set from a file; it must pass validate_gsic.
 
-    A raw file (_read_head) must hold exactly d**4 entries after its
-    head.  Any other file is read by decode_complex: a base64 one holds
-    d**4 entries in one flat string, an untagged one d**2 rows of d**2
-    [re, im] pairs.  d must be an integer >= 2, and t and a JSON numbers
-    (decode_float).  A malformed file raises ValueError; a set above the
-    cap on t, InfeasibleParameterError.
+    The file must be raw (_read_head), with exactly d**4 entries after
+    its head (_read_raw).  d must be an integer >= 2, and t and a JSON
+    numbers (decode_float).  A malformed file raises ValueError; a set
+    above the cap on t, InfeasibleParameterError.
     """
     try:
         with open(path, "rb") as f:
-            payload, raw = _read_head(f)
-            d = decode_int(payload["d"], 2)
-            t = decode_float(payload["t"])
-            a = decode_float(payload["a"])
-            basis_id = str(payload["basis_id"])
-            ops = (_read_raw(f, d**4) if raw
-                   else decode_complex(payload, "operators"))
-    except (KeyError, TypeError, ValueError) as exc:
+            head = _read_head(f)
+            d = decode_int(head["d"], 2)
+            t = decode_float(head["t"])
+            a = decode_float(head["a"])
+            basis_id = str(head["basis_id"])
+            ops = _read_raw(f, d**4)
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed measurement file {path}: {exc}") from exc
-    del payload  # a c16le-base64 file's parsed string, 4/3 of the stack
-    if ops.shape not in ((d**4,), (d * d, d * d)):
-        raise ValueError(
-            f"measurement file {path} holds {ops.shape} entries, "
-            f"expected ({d * d}, {d * d})")
     g = GsicSet(dim=d, t=t, a=a, operators=ops.reshape(d * d, d, d),
                 basis_id=basis_id)
     return _require_valid(g, f"measurement file {path}")

@@ -5,11 +5,12 @@ reassembled from explicit Kronecker products.  ppt_test certifies
 entanglement through the partial transpose alone, by the sign of its
 smallest eigenvalue, which it and PptResult.min_eigenvalue read from
 the positivity prover of DensityMatrix.from_matrix,
-states._lowest_eigenvalue.  On a dense partial transpose the prover's
-low-rank certificate is tried first, then an NPT certificate, a Ritz
-vector's Rayleigh quotient, and only what both leave open goes to the
-rest of the prover, which does not try the first again.  What keeps the
-decision independent of that shared code is
+states._lowest_eigenvalue.  On a dense partial transpose of order
+states.PROBE_MIN_SIZE or more the prover's low-rank certificate is
+tried first, then an NPT certificate, a Ritz vector's Rayleigh
+quotient, and only what both leave open goes to the rest of the prover,
+which does not try the first again.  What keeps the decision
+independent of that shared code is
 tests/test_properties.py::test_ppt_test_decides_as_a_plain_eigvalsh,
 which holds npt and min_eigenvalue to a plain eigvalsh, bit for bit, on
 dense states, and tests/test_oracle.py, to within 1e-14 on Bell mixtures.
@@ -30,13 +31,6 @@ from .errors import (IMAG_TOL, PSD_TOL, check_measurements,
 from .gsic import GsicSet
 from .states import DensityMatrix, _lowest_eigenvalue, partial_transpose
 
-# Partial transposes of lower order that the low-rank certificate declines
-# have their spectrum taken at once.  At n = 64 (d = 8) the spectrum takes
-# 0.29-0.30 ms, and the Hermiticity scan and the Ritz quotient 0.19-0.20
-# ms, which a weakly NPT state would pay on top of its spectrum and the
-# factor at -PSD_TOL (0.07 ms); at n = 81 (d = 9) the spectrum takes 0.52
-# ms against 0.21 ms and 0.10 ms (best of 7 x 20 calls, 1 BLAS thread).
-CERTIFY_MIN_SIZE = 81
 # Lanczos steps behind the NPT certificate's Ritz vector.  At d = 16 each
 # step takes about 45 us.  4 steps certify a Ginibre state, whose lowest
 # eigenvalue is near -4e-3, but its mixture with I/n brought to a lowest
@@ -81,9 +75,11 @@ def ppt_test(rho: DensityMatrix) -> PptResult:
     of a few product terms, to have no eigenvalue below -PSD_TOL in
     O(n**2 r) for rank r, and npt is False at once; its probe at 0
     declines a pt of rank n // 4 or more at the cost of a factor of the
-    leading quarter, 1/64 of the work of a factor of the whole.  A dense
-    pt of order CERTIFY_MIN_SIZE or more that is exactly Hermitian is
-    then given the NPT certificate.  y, the Ritz vector of
+    leading quarter, 1/64 of the work of a factor of the whole.  One it
+    declines that is exactly Hermitian is then given the NPT certificate,
+    which spares a Ginibre state's spectrum: at n = 64 ppt_test takes it
+    in 0.25 ms, against 0.34 ms through the spectrum (best of 21 x 50
+    calls, 1 BLAS thread).  y, the Ritz vector of
     _ritz_vector, has the computed Rayleigh quotient w/s; if w/s + nu_n
     ||pt||_F < -PSD_TOL, with nu_n from errors.ritz_certificate_slack,
     eigvalsh would return a value below -PSD_TOL, and npt is True at
@@ -107,19 +103,19 @@ def ppt_test(rho: DensityMatrix) -> PptResult:
     fro2 = float(np.vdot(pt, pt).real)
     if not math.isfinite(fro2) and not np.isfinite(pt).all():
         raise ValueError("matrix has non-finite entries")
-    dense = (pt[0] != 0).all()  # else the prover splits its zero pattern
-    if dense and states._certified_low_rank(pt[None], -PSD_TOL):
-        return PptResult(rho=rho, npt=False)
     floor, prover = np.inf, _lowest_eigenvalue
-    if (dense and len(pt) >= CERTIFY_MIN_SIZE and math.isfinite(fro2)
-            and hermiticity_deviation(pt) == 0.0):
-        quotient = _ritz_quotient(pt)
-        slack = ritz_certificate_slack(len(pt)) * math.sqrt(fro2)
-        if quotient + slack < -PSD_TOL:
-            return PptResult(rho=rho, npt=True)
-        if quotient > -PSD_TOL:
-            # past the low-rank certificate, which pt has been given
-            floor, prover = -PSD_TOL, states._factored
+    # a sparse pt goes to the prover, which splits its zero pattern
+    if len(pt) >= states.PROBE_MIN_SIZE and (pt[0] != 0).all():
+        if states._certified_low_rank(pt[None], -PSD_TOL):
+            return PptResult(rho=rho, npt=False)
+        if math.isfinite(fro2) and hermiticity_deviation(pt) == 0.0:
+            quotient = _ritz_quotient(pt)
+            slack = ritz_certificate_slack(len(pt)) * math.sqrt(fro2)
+            if quotient + slack < -PSD_TOL:
+                return PptResult(rho=rho, npt=True)
+            if quotient > -PSD_TOL:
+                # past the low-rank certificate, which pt has been given
+                floor, prover = -PSD_TOL, states._factored
     min_eig = prover(pt[None], floor)
     result = PptResult(rho=rho, npt=min_eig < -PSD_TOL)
     if min_eig < floor:  # the exact value, not the floor

@@ -6,7 +6,6 @@ factor is the most significant index, matching numpy.kron.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import os
@@ -57,11 +56,12 @@ PROOF_SLAB = 32
 # A lone matrix of at least this order at a floor below 0 is first given
 # the low-rank certificate, whose probe, a factor of its leading quarter
 # at 0, fails at once on a state of low rank; a pass ends the certificate.
-# ppt_test gives it to a dense partial transpose of this order first.  On
-# the partial transpose of a 4-term separable state it proves in 0.08-0.10
-# ms at n = 64 and 0.30-0.31 ms at n = 256, against 0.29-0.30 and 8.5-8.7
-# ms for the spectrum; on a Ginibre state's, full rank, the probe declines
-# in 0.010-0.011 and 0.057-0.059 ms (best of 7 x 20 calls, 1 BLAS thread).
+# ppt_test gives it to a dense partial transpose of this order first, and
+# its NPT certificate to one it declines.  On the partial transpose of a
+# 4-term separable state it proves in 0.08-0.10 ms at n = 64 and
+# 0.30-0.31 ms at n = 256, against 0.29-0.30 and 8.5-8.7 ms for the
+# spectrum; on a Ginibre state's, full rank, the probe declines in
+# 0.010-0.011 and 0.057-0.059 ms (best of 7 x 20 calls, 1 BLAS thread).
 PROBE_MIN_SIZE = 64
 # Order per step of the pivoted Cholesky behind the low-rank certificate
 # of _lowest_eigenvalue: a matrix of order n takes at most n //
@@ -750,12 +750,9 @@ def partial_transpose(rho: DensityMatrix, party: int) -> np.ndarray:
     return swapped.reshape(d ** n, d ** n)
 
 
-# Tag of the files that _write_raw writes: a JSON head line, then the
-# entries as raw bytes.  Any other file is parsed whole as JSON, its
-# payload base64 under BASE64_ENCODING, the layout written before, or
-# untagged, in the [re, im] form written before that.
+# Tag of the files that _write_raw writes and the readers take: a JSON
+# head line, then the entries as raw bytes.
 ENCODING = "c16le-raw"
-BASE64_ENCODING = "c16le-base64"
 
 
 def _write_raw(path: str | Path, fields: dict, z: np.ndarray) -> None:
@@ -774,24 +771,22 @@ def _write_raw(path: str | Path, fields: dict, z: np.ndarray) -> None:
         out.write(np.ascontiguousarray(z, dtype="<c16"))
 
 
-def _read_head(f) -> tuple[object, bool]:
-    """The head of a raw file and True, or the whole file's JSON and False.
+def _read_head(f) -> dict:
+    """The head of a raw file; ValueError unless f holds one.
 
     f is a file opened "rb", buffered, so that reading its first line
-    costs no system call per byte.  A raw file's first line ends in
-    '\n' and is the UTF-8 text of a JSON object tagged with ENCODING; f
-    is left at the payload.  Any other file is read to its end and
-    parsed whole, so a BOM or bytes that are not UTF-8 raise ValueError.
+    costs no system call per byte.  That line must end in '\n' and be
+    the UTF-8 text of a JSON object tagged with ENCODING, with no key
+    written twice (_unique_keys); f is left at the payload.  A BOM or
+    bytes that are not UTF-8 raise ValueError too.
     """
     line = f.readline()
-    if line.endswith(b"\n"):
-        try:
-            head = json.loads(line.decode("utf-8"))
-        except ValueError:
-            head = None
-        if isinstance(head, dict) and head.get("encoding") == ENCODING:
-            return head, True
-    return json.loads((line + f.read()).decode("utf-8")), False
+    head = json.loads(line.decode("utf-8"), object_pairs_hook=_unique_keys)
+    if not (line.endswith(b"\n") and isinstance(head, dict)
+            and head.get("encoding") == ENCODING):
+        raise ValueError(f"the first line is not a JSON object tagged "
+                         f"{ENCODING!r} and ended by a newline")
+    return head
 
 
 def _read_raw(f, count: int) -> np.ndarray:
@@ -845,36 +840,6 @@ def _finite(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def decode_complex(payload: dict, key: str) -> np.ndarray:
-    """payload[key] as a complex array; ValueError unless every entry is finite.
-
-    Tagged with BASE64_ENCODING, payload[key] must be a base64 string
-    (decoded with validate=True) of a whole number of 16-byte entries,
-    and the result is flat.  Untagged, it must be nested [re, im] pairs
-    of numbers, and the result keeps their nesting.  Any other tag
-    raises.
-    """
-    raw = payload[key]
-    if "encoding" in payload:
-        if payload["encoding"] != BASE64_ENCODING:
-            raise ValueError(f"unknown encoding {payload['encoding']!r}, "
-                             f"expected {BASE64_ENCODING!r}")
-        if not isinstance(raw, str):
-            raise ValueError(
-                f"{key} must be a base64 string under {BASE64_ENCODING}")
-        data = base64.b64decode(raw, validate=True)
-        if len(data) % 16:
-            raise ValueError(f"{key} holds {len(data)} bytes, not a whole "
-                             "number of 16-byte complex128 entries")
-        z = np.frombuffer(data, "<c16").astype(complex)
-    else:
-        pairs = np.asarray(raw)
-        if pairs.dtype.kind not in "iuf" or pairs.shape[-1:] != (2,):
-            raise ValueError("entries must be [re, im] pairs of numbers")
-        z = np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
-    return _finite(z)
-
-
 def decode_int(raw, minimum: int) -> int:
     """A JSON integer field of at least minimum; ValueError otherwise.
 
@@ -915,35 +880,25 @@ def write_state(rho: DensityMatrix, path: str | Path) -> None:
 def read_state(path: str | Path) -> DensityMatrix:
     """Load a density matrix from a file and re-validate it.
 
-    A raw file (_read_head) must hold exactly (local_dim**parties)**2
-    entries after its head; any other file is read by decode_complex,
-    base64 or in [re, im] pairs, and must hold that many entries too.
+    The file must be raw (_read_head), with exactly
+    (local_dim**parties)**2 entries after its head (_read_raw).
     local_dim must be an integer >= 2 and parties one >= 1, and the
     result passes DensityMatrix.from_matrix.  A malformed file raises
     ValueError.
     """
     try:
         with open(path, "rb") as f:
-            payload, raw = _read_head(f)
-            local_dim = decode_int(payload["local_dim"], 2)
-            parties = decode_int(payload["parties"], 1)
-            if raw and parties >= 64:
+            head = _read_head(f)
+            local_dim = decode_int(head["local_dim"], 2)
+            parties = decode_int(head["parties"], 1)
+            if parties >= 64:
                 # local_dim >= 2: 2**128 entries or more, beyond any file,
                 # and the power is never formed
                 raise ValueError(f"{parties} parties need more entries "
                                  "than a file holds")
-            flat = (_read_raw(f, (local_dim ** parties) ** 2) if raw
-                    else decode_complex(payload, "matrix"))
-    except (KeyError, TypeError, ValueError) as exc:
+            dim = local_dim ** parties
+            flat = _read_raw(f, dim * dim)
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from exc
-    del payload  # a c16le-base64 file's parsed string, 4/3 of the matrix
-    dim = math.isqrt(flat.size)
-    # local_dim >= 2 gives local_dim**parties >= 2**parties, so a parties
-    # beyond dim's bit length cannot match, and the power is never formed
-    if not (flat.shape == (dim * dim,) and parties <= dim.bit_length()
-            and local_dim ** parties == dim):
-        raise ValueError(
-            f"state file {path} holds {flat.size} entries, expected "
-            f"({local_dim}**{parties})**2")
     return DensityMatrix.from_matrix(flat.reshape(dim, dim), local_dim, parties,
                                      label=f"file:{Path(path).name}")

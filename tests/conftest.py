@@ -1,6 +1,5 @@
 """Shared test helpers."""
 
-import base64
 import json
 from pathlib import Path
 
@@ -70,59 +69,17 @@ def above_cap_set():
     return make
 
 
-def _raw_file(path) -> tuple[dict, str, np.ndarray]:
-    """The head, the payload's key and the entries of a written raw file."""
+def _raw_file(path) -> tuple[dict, np.ndarray]:
+    """The head and the entries of a written raw file."""
     with open(path, "rb") as f:
         head = json.loads(f.readline())
         z = np.frombuffer(f.read(), "<c16").copy()
     assert head["encoding"] == "c16le-raw"
-    return head, "operators" if "d" in head else "matrix", z
-
-
-def _base64_twin(head: dict, key: str, raw: bytes) -> dict:
-    """head tagged "c16le-base64", with raw base64 under key."""
-    return dict(head, encoding="c16le-base64",
-                **{key: base64.b64encode(raw).decode("ascii")})
+    return head, z
 
 
 # session-scoped, as the property tests' files are, since each factory
 # holds no state
-
-@pytest.fixture(scope="session")
-def base64_payload():
-    """Factory: the payload of a written raw file as a c16le-base64 twin.
-
-    That is the JSON object the writers wrote before the raw layout: the
-    head's fields tagged "c16le-base64", then the entries base64 under
-    the payload's key.
-    """
-
-    def make(path) -> dict:
-        head, key, z = _raw_file(path)
-        return _base64_twin(head, key, z.tobytes())
-
-    return make
-
-
-@pytest.fixture(scope="session")
-def legacy_payload():
-    """Factory: the payload of a written file in the untagged [re, im] form.
-
-    The entries are laid out as the writers did before the encoding tag:
-    one row of pairs per operator in a measurement file, one flat row of
-    pairs in a state file.
-    """
-
-    def make(path) -> dict:
-        payload, key, z = _raw_file(path)
-        del payload["encoding"]
-        if key == "operators":
-            z = z.reshape(payload["d"] ** 2, -1)
-        payload[key] = np.stack([z.real, z.imag], -1).tolist()
-        return payload
-
-    return make
-
 
 @pytest.fixture(scope="session")
 def edit_head():
@@ -133,7 +90,7 @@ def edit_head():
     """
 
     def make(path, **fields) -> None:
-        head, _, z = _raw_file(path)
+        head, z = _raw_file(path)
         head.update(fields)
         Path(path).write_bytes(json.dumps(head).encode() + b"\n"
                                + z.tobytes())
@@ -143,20 +100,16 @@ def edit_head():
 
 @pytest.fixture(scope="session")
 def edit_entries():
-    """Factory: rewrite a written file with edit(entries) as its payload.
+    """Factory: rewrite a written raw file with edit(entries) as its payload.
 
     edit receives the decoded complex entries, flat and writable, and
-    returns the array to store: as raw bytes after the same head, or
-    with layout="base64" in the file's c16le-base64 twin.
+    returns the array to store as raw bytes after the same head.
     """
 
-    def make(path, edit, layout="raw") -> None:
-        head, key, z = _raw_file(path)
+    def make(path, edit) -> None:
+        head, z = _raw_file(path)
         raw = np.asarray(edit(z), dtype="<c16").tobytes()
-        if layout == "raw":
-            Path(path).write_bytes(json.dumps(head).encode() + b"\n" + raw)
-        else:
-            Path(path).write_text(json.dumps(_base64_twin(head, key, raw)))
+        Path(path).write_bytes(json.dumps(head).encode() + b"\n" + raw)
 
     return make
 

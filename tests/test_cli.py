@@ -1,5 +1,6 @@
 """End-to-end tests for the gsic command line, run in process."""
 
+import base64
 import json
 import os
 import stat
@@ -390,30 +391,6 @@ def test_detect_rejects_a_measurement_file_above_the_cap(tmp_path, capsys,
     assert "is infeasible" in captured.err
 
 
-@pytest.mark.parametrize("kind", ["gsic", "state"])
-def test_detect_rejects_a_non_finite_file_entry(tmp_path, capsys, kind,
-                                                legacy_payload):
-    path = tmp_path / "in.json"
-    if kind == "gsic":
-        assert main(["build", "--dim", "3", "--max-t", "--out",
-                     str(path)]) == 0
-        argv = ["detect", "--state", "maxent:3", "--gsic", str(path)]
-        payload = legacy_payload(path)
-        payload["operators"][0][4][0] = float("nan")
-    else:
-        write_state(max_entangled(3), path)
-        argv = ["detect", "--state", f"file:@{path}", "--max-t"]
-        payload = legacy_payload(path)
-        payload["matrix"][4][1] = float("inf")
-    path.write_text(json.dumps(payload))
-    capsys.readouterr()
-    rc = main(argv)
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    assert "malformed" in captured.err and "non-finite" in captured.err
-
-
 def _written_file(path, kind):
     """A valid d=3 file of one kind, or the d=16 set for kind "gsic-d16",
     and the detect argv that reads it."""
@@ -442,69 +419,6 @@ def test_detect_rejects_non_finite_file_bytes(tmp_path, capsys, edit_entries,
     assert rc == 2
     assert captured.out == ""
     assert "malformed" in captured.err and "non-finite" in captured.err
-
-
-def _bang(text: str) -> str:
-    """A written base64 payload with "!", outside the alphabet, in place of
-    its middle character."""
-    mid = len(text) // 2
-    return text[:mid] + "!" + text[mid + 1:]
-
-
-def _pad(text: str) -> str:
-    """A written base64 payload with a pad "=" put in at its middle, and its
-    last character dropped, so that the length stays."""
-    mid = len(text) // 2
-    return text[:mid] + "=" + text[mid:-1]
-
-
-@pytest.mark.parametrize("kind", ["gsic", "state"])
-@pytest.mark.parametrize("field,value,reason", [
-    ("encoding", "c16be-base64", "unknown encoding"),
-    ("encoding", None, "unknown encoding"),
-    ("payload", [[0.25, 0.0]], "must be a base64 string"),
-    ("payload", "AAAA AAAA", "base64"),
-    ("payload", "AAAA", "not a whole number"),
-    ("payload", _bang, "base64"),
-    ("payload", _pad, "malformed"),
-])
-def test_detect_rejects_a_malformed_tagged_payload(tmp_path, capsys,
-                                                   base64_payload, kind,
-                                                   field, value, reason):
-    # and fails as the same value laid out with indent=1 does
-    path = tmp_path / "in.json"
-    argv = _written_file(path, kind)
-    payload = base64_payload(path)
-    if field == "payload":
-        field = "operators" if kind == "gsic" else "matrix"
-    payload[field] = value(payload[field]) if callable(value) else value
-    what = "measurement" if kind == "gsic" else "state"
-    errors = []
-    for indent in (None, 1):
-        path.write_text(json.dumps(payload, indent=indent))
-        rc = main(argv)
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: malformed {what} file {path}: ")
-        assert reason in captured.err
-        errors.append(captured.err)
-    assert errors[0] == errors[1]
-
-
-def test_detect_rejects_an_absurd_party_count_fast(tmp_path, capsys):
-    # 3**(10**8) must never be formed: the entry count decides first
-    sfile = tmp_path / "rho.json"
-    sfile.write_text(json.dumps({"local_dim": 3, "parties": 10**8,
-                                 "matrix": [[1, 0]]}))
-    start = time.perf_counter()
-    rc = main(["detect", "--state", f"file:@{sfile}", "--max-t"])
-    elapsed = time.perf_counter() - start
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert "holds 1 entries" in captured.err
-    assert elapsed < 0.5
-
 
 
 class _Reached(Exception):
@@ -552,22 +466,6 @@ def test_max_dim_itself_passes_the_size_guard(tmp_path, monkeypatch, argv):
     _refuse_allocation(monkeypatch)
     with pytest.raises(_Reached):
         main(argv)
-
-
-def test_detect_rejects_an_absurd_party_count_fast_when_tagged(
-        tmp_path, capsys, base64_payload):
-    sfile = tmp_path / "rho.json"
-    write_state(max_entangled(3), sfile)
-    payload = base64_payload(sfile)
-    payload["parties"] = 10**8
-    sfile.write_text(json.dumps(payload))
-    start = time.perf_counter()
-    rc = main(["detect", "--state", f"file:@{sfile}", "--max-t"])
-    elapsed = time.perf_counter() - start
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert "holds 81 entries" in captured.err
-    assert elapsed < 0.5
 
 
 def test_detect_rejects_an_absurd_party_count_fast_in_a_raw_head(
@@ -675,6 +573,23 @@ def _damaged(raw: bytes, damage: str) -> bytes:
         z = np.frombuffer(payload, "<c16").copy()
         z[4] = complex(np.nan, 0.0)
         return line + b"\n" + z.tobytes()
+    if damage == "key-twice":
+        # later values that the payload fits, which json.loads alone keeps
+        extra = (b', "basis_id": "other"' if "d" in head else
+                 b', "local_dim": %d, "parties": 1' % head["local_dim"] ** 2)
+        return line[:-1] + extra + b"}\n" + payload
+    key = "operators" if "d" in head else "matrix"
+    if damage == "base64":  # the layout written before the raw one
+        head.update(encoding="c16le-base64",
+                    **{key: base64.b64encode(payload).decode("ascii")})
+        return json.dumps(head).encode()
+    if damage == "untagged":  # and the [re, im] pairs written before that
+        del head["encoding"]
+        z = np.frombuffer(payload, "<c16")
+        if key == "operators":
+            z = z.reshape(head["d"] ** 2, -1)
+        head[key] = np.stack([z.real, z.imag], -1).tolist()
+        return json.dumps(head).encode()
     field = damage.removeprefix("wrong-")  # d, local_dim or parties
     head[field] += 1
     return json.dumps(head).encode() + b"\n" + payload
@@ -683,7 +598,8 @@ def _damaged(raw: bytes, damage: str) -> bytes:
 @pytest.mark.parametrize("kind,damage", [
     *((kind, damage) for kind in ("gsic", "state")
       for damage in ("cut-one-byte", "add-one-byte", "headless",
-                     "not-utf8-head", "bom-head", "nan")),
+                     "not-utf8-head", "bom-head", "nan", "key-twice",
+                     "base64", "untagged")),
     ("gsic", "wrong-d"), ("state", "wrong-local_dim"),
     ("state", "wrong-parties"), ("gsic", "wrong-tag"), ("state", "wrong-tag"),
     *(("gsic-d16", damage)

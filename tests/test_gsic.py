@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +17,6 @@ from gsicdetect.errors import hermiticity_deviation
 from gsicdetect.gsic import _require_valid
 from gsicdetect.operator_basis import hilbert_schmidt_gram
 from gsicdetect.states import DensityMatrix
-
-DATA = Path(__file__).parent / "data"
 
 
 def test_zero_mixing_gives_flat_measurement():
@@ -183,17 +180,6 @@ def test_a_returned_set_carries_its_largest_deviation(tmp_path):
     assert read_gsic(path).deviation == g.deviation
 
 
-def test_json_reader_rejects_tampering(tmp_path, legacy_payload):
-    g = construct_gsic(gell_mann_basis(2), 0.05)
-    path = tmp_path / "set.json"
-    write_gsic(g, path)
-    payload = legacy_payload(path)
-    payload["operators"][0][0][0] += 1e-3
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="fails validation"):
-        read_gsic(path)
-
-
 def test_json_reader_rejects_non_finite_purity(tmp_path, edit_head):
     g = construct_gsic(gell_mann_basis(2), 0.05)
     path = tmp_path / "set.json"
@@ -239,17 +225,6 @@ def test_json_reader_rejects_malformed_payload(tmp_path):
         read_gsic(path)
 
 
-def test_json_reader_rejects_a_string_entry(tmp_path, legacy_payload):
-    path = tmp_path / "set.json"
-    write_gsic(construct_gsic(gell_mann_basis(2), 0.05), path)
-    payload = legacy_payload(path)
-    payload["operators"][0][0][0] = "0.25"
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="malformed"):
-        read_gsic(path)
-
-
-
 def test_json_reader_rejects_tampered_bytes(tmp_path, edit_entries):
     def bump(z):
         z[0] += 1e-3
@@ -263,56 +238,22 @@ def test_json_reader_rejects_tampered_bytes(tmp_path, edit_entries):
 
 
 def test_json_reader_rejects_a_wrong_entry_count(tmp_path, edit_entries):
-    # a raw file is sized against its head before it is read; a base64
-    # file is decoded whole, then counted
+    # a raw file is sized against its head before it is read
     path = tmp_path / "set.json"
-    g = construct_gsic(gell_mann_basis(2), 0.05)
-    write_gsic(g, path)
+    write_gsic(construct_gsic(gell_mann_basis(2), 0.05), path)
     edit_entries(path, lambda z: z[:-1])
     with pytest.raises(ValueError,
                        match="malformed.*payload holds 240 bytes, expected 256"):
         read_gsic(path)
-    write_gsic(g, path)
-    edit_entries(path, lambda z: z[:-1], layout="base64")
-    with pytest.raises(ValueError, match=r"holds \(15,\) entries"):
-        read_gsic(path)
 
 
-@pytest.mark.parametrize("form", ["tagged", "legacy", "raw"])
 @pytest.mark.parametrize("value", [-2, 0, 1])
-def test_json_reader_rejects_a_dimension_below_two(
-        tmp_path, base64_payload, legacy_payload, edit_head, form, value):
+def test_json_reader_rejects_a_dimension_below_two(tmp_path, edit_head, value):
     path = tmp_path / "set.json"
     write_gsic(construct_gsic(gell_mann_basis(2), 0.05), path)
-    if form == "raw":
-        edit_head(path, d=value)
-    else:
-        payload = (legacy_payload if form == "legacy" else base64_payload)(path)
-        payload["d"] = value
-        path.write_text(json.dumps(payload))
+    edit_head(path, d=value)
     with pytest.raises(ValueError, match="malformed.*>= 2"):
         read_gsic(path)
-
-
-def test_legacy_files_load_bit_identical_to_the_new_format(tmp_path):
-    # both fixtures were written by the [re, im] writers, before the tag
-    basis = gell_mann_basis(3)
-    g = construct_gsic(basis, max_feasible_t(basis))
-    write_gsic(g, tmp_path / "g.json")
-    old = read_gsic(DATA / "legacy-gsic-d3.json")
-    new = read_gsic(tmp_path / "g.json")
-    fields = ("dim", "t", "a", "basis_id")
-    assert [getattr(old, f) for f in fields] == [getattr(new, f) for f in fields]
-    assert old.operators.dtype == new.operators.dtype == complex
-    assert (old.operators.tobytes() == new.operators.tobytes()
-            == g.operators.tobytes())
-    rho = isotropic(3, 0.5)
-    write_state(rho, tmp_path / "rho.json")
-    old = read_state(DATA / "legacy-state-d3.json")
-    new = read_state(tmp_path / "rho.json")
-    assert (old.local_dim, old.parties) == (new.local_dim, new.parties) == (3, 2)
-    assert old.matrix.dtype == new.matrix.dtype == complex
-    assert old.matrix.tobytes() == new.matrix.tobytes() == rho.matrix.tobytes()
 
 
 def _bisected_cap(basis):

@@ -54,7 +54,7 @@ def set_file(tmp_path_factory):
 
 # the stack read from the file and the gate's bounded temporaries beside
 # it (1.81 stacks; 2.03 when each slab was factored into a second
-# buffer); reading the file's base64 text took 2.5
+# buffer)
 def test_reading_a_set_peaks_at_its_text_and_one_stack(set_file):
     stack = 16 * 12**4
     peak = _peak(lambda: read_gsic(set_file))
@@ -68,8 +68,7 @@ def test_reading_a_d16_file_peaks_at_its_bytes_and_one_decoded_copy(tmp_path,
     # 1/16 of it: 1.07 for a state.  A set's gate adds its bounded
     # temporaries, 1.66 in all (1.79 with a second slab buffer); a dense
     # state's gate holds two matrices (the d = 12 test below), so the
-    # state is measured up to its array.  The file's base64 bytes and
-    # their decoded copy took 2.4
+    # state is measured up to its array
     path = tmp_path / "f.json"
     if kind == "set":
         basis = gell_mann_basis(16)
@@ -91,33 +90,24 @@ def test_reading_a_d16_file_peaks_at_its_bytes_and_one_decoded_copy(tmp_path,
 @pytest.mark.parametrize("kind, d", [("set", 16), ("state", 16),
                                      ("set", 3), ("state", 3)],
                          ids=["set", "state", "set-d3", "state-d3"])
-def test_reading_a_canonical_file_parses_only_its_head(tmp_path,
-                                                       base64_payload, kind,
-                                                       d):
+def test_reading_a_canonical_file_parses_only_its_head(tmp_path, kind, d):
     # a file as written hands json.loads only its head line, whatever its
-    # size (1.5 kB at d = 3, 1.05 MB at d = 16); its c16le-base64 twin,
-    # pretty-printed, goes through json.loads whole
-    path, pretty = tmp_path / "f.json", tmp_path / "pretty.json"
+    # size (1.5 kB at d = 3, 1.05 MB at d = 16), and reads back the
+    # entries written
+    path = tmp_path / "f.json"
     if kind == "set":
         basis = gell_mann_basis(d)
-        write_gsic(construct_gsic(basis, feasible_t(basis).t), path)
+        written = construct_gsic(basis, feasible_t(basis).t)
+        write_gsic(written, path)
         read, key = read_gsic, "operators"
     else:
-        write_state(random_separable(d, 2, 4, seed=d), path)
+        written = random_separable(d, 2, 4, seed=d)
+        write_state(written, path)
         read, key = read_state, "matrix"
-    with open(pretty, "w", encoding="utf-8") as f:
-        json.dump(base64_payload(path), f, indent=1)
-
-    def read_counting(name):
-        """The array read and the longest text json.loads was given."""
-        with patch("json.loads", wraps=json.loads) as loads:
-            value = getattr(read(name), key)
-        return value, max(len(c.args[0]) for c in loads.call_args_list)
-
-    fast, fast_text = read_counting(path)
-    slow, slow_text = read_counting(pretty)
-    assert fast_text < 1024 and slow_text == pretty.stat().st_size
-    assert fast.tobytes() == slow.tobytes()
+    with patch("json.loads", wraps=json.loads) as loads:
+        value = getattr(read(path), key)
+    assert max(len(c.args[0]) for c in loads.call_args_list) < 1024
+    assert value.tobytes() == getattr(written, key).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["set", "state"])

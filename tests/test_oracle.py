@@ -120,8 +120,8 @@ def test_a_singular_ppt_partial_transpose_is_factored_whole_at_most_once(
 @pytest.mark.parametrize("d", [8, 16])
 def test_a_separable_dense_partial_transpose_is_proved_before_any_lanczos_step(
         monkeypatch, prover_routes, d):
-    # at d = 8, below CERTIFY_MIN_SIZE, the certificate spares the whole
-    # spectrum; at d = 16, the Lanczos walk as well
+    # the certificate spares the Lanczos walk of the NPT certificate and
+    # the whole spectrum, at d = 8 as at d = 16
     def no_lanczos(a):
         raise AssertionError("a Lanczos step ran")
 
@@ -144,17 +144,17 @@ def _weakly_npt_ginibre_d16() -> DensityMatrix:
 
 
 @pytest.mark.parametrize("kind, routes", [
-    ("ginibre-d8", ["certificate declines", "eigvalsh 1"]),
+    ("ginibre-d8", ["certificate declines", "lanczos"]),
     ("ginibre-d16", ["certificate declines", "lanczos"]),
     ("weak-d16", ["certificate declines", "lanczos", "factor 0/1",
                   "eigvalsh 1"])])
 def test_a_full_rank_partial_transpose_declines_the_certificate_once(
         prover_routes, kind, routes):
     # the probe declines it, and nothing gives it the certificate again:
-    # at d = 8 its spectrum is taken, at d = 16 the NPT certificate
-    # settles a Ginibre state with no spectrum, and one weakly NPT, whose
-    # Ritz quotient lies above -PSD_TOL, fails its one factor at -PSD_TOL
-    # before its spectrum is taken
+    # the NPT certificate settles a Ginibre state with no spectrum, at
+    # d = 8 as at d = 16, and one weakly NPT, whose Ritz quotient lies
+    # above -PSD_TOL, fails its one factor at -PSD_TOL before its
+    # spectrum is taken
     rho = (_weakly_npt_ginibre_d16() if kind == "weak-d16"
            else _ginibre(int(kind.removeprefix("ginibre-d")), 3))
     plain = np.linalg.eigvalsh(partial_transpose(rho, 1))[0]

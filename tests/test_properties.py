@@ -1,6 +1,5 @@
 """Property tests over drawn inputs, run with hypothesis."""
 
-import base64
 import contextlib
 import dataclasses
 import io
@@ -37,7 +36,7 @@ from gsicdetect.gsic import _operators  # noqa: E402
 from gsicdetect.oracle import brute_force_j, ppt_test  # noqa: E402
 from gsicdetect.states import (_bell_mixture, _lowest_eigenvalue,  # noqa: E402
                                _read_head, _read_raw, _write_raw,
-                               decode_complex, write_state)
+                               write_state)
 
 
 @cache
@@ -601,7 +600,7 @@ _finite_floats = st.one_of(
                                          max_side=5).map(lambda s: s + (2,)),
                         elements=_finite_floats))
 def test_json_round_trip_is_bit_exact(tmp_path_factory, parts):
-    # the raw file, and its c16le-base64 twin parsed whole as JSON
+    # the raw file, as written and as read
     z = parts.view(np.complex128)[..., 0]
     path = tmp_path_factory.getbasetemp() / "round-trip.json"
     fields = {"local_dim": 2, "parties": 1}
@@ -609,14 +608,10 @@ def test_json_round_trip_is_bit_exact(tmp_path_factory, parts):
     head = json.dumps({"encoding": "c16le-raw", **fields}).encode() + b"\n"
     assert path.read_bytes() == head + z.astype("<c16").tobytes()
     with open(path, "rb") as f:
-        assert _read_head(f) == ({"encoding": "c16le-raw", **fields}, True)
+        assert _read_head(f) == {"encoding": "c16le-raw", **fields}
         got = _read_raw(f, z.size)
     assert got.dtype == np.complex128 and got.shape == (z.size,)
     assert got.tobytes() == z.tobytes() and got.flags.writeable
-    twin = {"encoding": "c16le-base64", **fields,
-            "matrix": base64.b64encode(z.astype("<c16")).decode()}
-    slow = decode_complex(json.loads(json.dumps(twin)), "matrix")
-    assert slow.tobytes() == z.tobytes() and slow.flags.writeable
 
 
 def test_from_matrix_takes_an_exactly_hermitian_matrix_as_it_is():
@@ -769,58 +764,29 @@ def _canonical_file(kind: str, d: int) -> bytes:
     return raw
 
 
-def _variant(raw: bytes, key: str, kind: str) -> bytes:
-    """raw, a canonical raw file, rewritten with the same value in a layout.
-
-    The raw ones keep the payload's bytes after a head of other spelling;
-    the JSON ones are its c16le-base64 twin, or its untagged [re, im]
-    form, in the layouts json.dumps gives.
-    """
+def _variant(raw: bytes, kind: str) -> bytes:
+    """raw, a canonical raw file, with its payload's bytes after a head of
+    the same value spelt otherwise."""
     line, payload = raw.split(b"\n", 1)
     head = json.loads(line)
     if kind == "raw-compact":
         return json.dumps(head, separators=(",", ":")).encode() + b"\n" + payload
-    if kind == "raw-reordered":
-        return (json.dumps(dict(reversed(head.items()))).encode() + b"\n"
-                + payload)
-    value = dict(head, encoding="c16le-base64",
-                 **{key: base64.b64encode(payload).decode()})
-    if kind == "untagged":
-        z = np.frombuffer(payload, "<c16")
-        del value["encoding"]
-        value[key] = np.stack([z.real, z.imag], -1).tolist()
-    if kind == "indent":
-        return json.dumps(value, indent=1).encode()
-    if kind == "compact":
-        return json.dumps(value, separators=(",", ":")).encode()
-    if kind == "reordered":
-        return json.dumps(dict(reversed(value.items()))).encode()
-    if kind == "trailing-newline":
-        return json.dumps(value).encode() + b"\n"
-    if kind == "escaped-slash":
-        # "/" occurs in strings only, and "\/" in a string reads as "/"
-        return json.dumps(value).replace("/", "\\/").encode()
-    return json.dumps(value).encode()
+    return json.dumps(dict(reversed(head.items()))).encode() + b"\n" + payload
 
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(kind=st.sampled_from(["set", "state"]), d=st.sampled_from([2, 3, 8]),
-       variant=st.sampled_from(["raw-compact", "raw-reordered", "base64",
-                                "indent", "compact", "reordered", "untagged",
-                                "trailing-newline", "escaped-slash"]))
-@example(kind="set", d=16, variant="escaped-slash")
+       variant=st.sampled_from(["raw-compact", "raw-reordered"]))
+@example(kind="set", d=16, variant="raw-reordered")
 def test_reading_a_file_matches_the_whole_json_parse(tmp_path_factory, kind,
                                                      d, variant):
-    # a raw file, as written, reads the same arrays, deviation and fields
-    # bit for bit as its c16le-base64 twin, parsed whole as JSON, in any
-    # layout, and as its untagged form; so does a raw file whose head is
-    # spelt otherwise
-    key, read = (("operators", read_gsic) if kind == "set"
-                 else ("matrix", read_state))
+    # a raw file whose head is spelt otherwise reads the same arrays,
+    # deviation and fields bit for bit as the file as written
+    read = read_gsic if kind == "set" else read_state
     raw = _canonical_file(kind, d)
     path = tmp_path_factory.getbasetemp() / f"{kind}.json"
     path.write_bytes(raw)
     want = _reading(read, path)
-    path.write_bytes(_variant(raw, key, variant))
+    path.write_bytes(_variant(raw, variant))
     assert _reading(read, path) == want
     assert not isinstance(want[0], type)

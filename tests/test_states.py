@@ -1,6 +1,5 @@
 """Tests for the state factories and tensor utilities."""
 
-import base64
 import importlib.util
 import json
 import sys
@@ -22,8 +21,7 @@ from gsicdetect.errors import PSD_TOL, margin_error_bound
 from gsicdetect.gsic import _operators
 from gsicdetect.oracle import ppt_test
 from gsicdetect.states import (DensityMatrix, _cholesky, _read_head,
-                               _read_json, _read_raw, decode_complex,
-                               decode_float)
+                               _read_raw, decode_float)
 
 
 def _reduced(rho, d, keep):
@@ -403,23 +401,11 @@ def test_state_json_rejects_bad_payloads(tmp_path):
     path.write_text(json.dumps({"local_dim": 2, "parties": 2}))
     with pytest.raises(ValueError, match="malformed"):
         read_state(path)
-    mat = np.eye(4, dtype=complex) / 2  # trace 2
-    entries = [[float(z.real), float(z.imag)] for z in mat.reshape(-1)]
-    path.write_text(json.dumps({"local_dim": 2, "parties": 2,
-                                "matrix": entries}))
-    with pytest.raises(ValueError, match="trace"):
+    # bypasses from_matrix, so that the reader's gate is the one to refuse
+    write_state(DensityMatrix(local_dim=2, parties=2,
+                              matrix=np.eye(4, dtype=complex) / 2), path)
+    with pytest.raises(ValueError, match="trace"):  # trace 2
         read_state(path)
-
-
-def test_state_json_rejects_a_string_entry(tmp_path, legacy_payload):
-    path = tmp_path / "rho.json"
-    write_state(max_entangled(2), path)
-    payload = legacy_payload(path)
-    payload["matrix"][0][0] = "0.5"
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="malformed"):
-        read_state(path)
-
 
 
 def test_state_json_round_trips_extreme_floats_bit_exact(tmp_path):
@@ -430,47 +416,30 @@ def test_state_json_round_trips_extreme_floats_bit_exact(tmp_path):
     write_state(DensityMatrix(local_dim=2, parties=2, matrix=z.reshape(4, 4)),
                 path)
     with open(path, "rb") as f:
-        head, raw = _read_head(f)
+        head = _read_head(f)
         back = _read_raw(f, 16)
-    assert raw and head == {"encoding": "c16le-raw", "local_dim": 2,
-                            "parties": 2}
+    assert head == {"encoding": "c16le-raw", "local_dim": 2, "parties": 2}
     assert back.dtype == complex and back.flags.writeable
     assert back.tobytes() == z.tobytes()
-    # the c16le-base64 twin, as the writers wrote it before, reads the same
-    path.write_text(json.dumps({**head, "encoding": "c16le-base64",
-                                "matrix": base64.b64encode(z).decode()}))
-    assert decode_complex(_read_json(path), "matrix").tobytes() == z.tobytes()
 
 
 def test_state_json_rejects_a_wrong_entry_count(tmp_path, edit_entries):
-    # a raw file is sized against its head before it is read; a base64
-    # file is decoded whole, then counted
+    # a raw file is sized against its head before it is read
     path = tmp_path / "rho.json"
     write_state(max_entangled(2), path)
     edit_entries(path, lambda z: z[:-1])
     with pytest.raises(ValueError,
                        match="malformed.*payload holds 240 bytes, expected 256"):
         read_state(path)
-    write_state(max_entangled(2), path)
-    edit_entries(path, lambda z: z[:-1], layout="base64")
-    with pytest.raises(ValueError, match="holds 15 entries"):
-        read_state(path)
 
 
-@pytest.mark.parametrize("form", ["tagged", "legacy", "raw"])
 @pytest.mark.parametrize("field,value", [
     ("local_dim", -2), ("local_dim", 1), ("parties", 0), ("parties", -1)])
 def test_state_json_rejects_dimensions_below_their_minimum(
-        tmp_path, base64_payload, legacy_payload, edit_head, form, field,
-        value):
+        tmp_path, edit_head, field, value):
     path = tmp_path / "rho.json"
     write_state(max_entangled(2), path)
-    if form == "raw":
-        edit_head(path, **{field: value})
-    else:
-        payload = (legacy_payload if form == "legacy" else base64_payload)(path)
-        payload[field] = value
-        path.write_text(json.dumps(payload))
+    edit_head(path, **{field: value})
     with pytest.raises(ValueError, match="malformed.*expected an integer >="):
         read_state(path)
 
