@@ -21,7 +21,7 @@ from .errors import MAX_DIM, NumericIntegrityError, check_steps
 from .gsic import (GsicSet, conjugate_gsic, construct_gsic, feasible_t,
                    read_gsic, write_gsic)
 from .operator_basis import gell_mann_basis
-from .states import (DensityMatrix, _read_json, bell_diagonal, decode_float,
+from .states import (DensityMatrix, _parse_json, bell_diagonal, decode_float,
                      diagonal_mixture, isotropic, max_entangled, read_state)
 
 
@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     build = sub.add_parser("build", help="construct a measurement set")
     build.add_argument("--dim", type=int, required=True, help="local dimension")
-    _add_t_arguments(build, required=True)
+    _add_t_arguments(build)
     build.add_argument("--out", required=True, help="output file path")
     build.set_defaults(func=_cmd_build)
 
@@ -48,8 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--state", required=True,
                         help="state spec: maxent:D | isotropic:D:ALPHA | "
                              "belldiag:D:@WEIGHTS.json | diagmix:D:A1 | "
-                             "file:@STATE")
-    _add_t_arguments(detect, required=False).add_argument(
+                             "file:@STATE; the path after @ may hold colons")
+    _add_t_arguments(detect).add_argument(
         "--gsic", help="measurement file written by build")
     detect.add_argument("--dim", type=int, help="local dimension cross-check")
     detect.add_argument("--pairing", choices=("conj", "same"), default="conj",
@@ -64,16 +64,16 @@ def _build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="sweep a one-parameter state family")
     scan.add_argument("--family", required=True, choices=tuple(SCAN_FAMILIES))
     scan.add_argument("--dim", type=int, required=True, help="local dimension")
-    _add_t_arguments(scan, required=True)
+    _add_t_arguments(scan)
     scan.add_argument("--steps", type=int, default=40, help="grid size")
     scan.add_argument("--csv", required=True, help="output CSV path")
     scan.set_defaults(func=_cmd_scan)
     return parser
 
 
-def _add_t_arguments(parser: argparse.ArgumentParser, required: bool):
-    """Add --t and --max-t as one mutually exclusive group and return it."""
-    group = parser.add_mutually_exclusive_group(required=required)
+def _add_t_arguments(parser: argparse.ArgumentParser):
+    """Add --t and --max-t as one required exclusive group; return it."""
+    group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--t", type=float, help="mixing parameter")
     group.add_argument("--max-t", action="store_true",
                        help="use the largest feasible mixing parameter")
@@ -94,8 +94,6 @@ def _gsic_from_args(args, d: int) -> tuple[GsicSet, str | None]:
     basis = gell_mann_basis(_dim(d))
     if args.max_t:
         t, cap = feasible_t(basis)
-    elif args.t is None:
-        raise ValueError("need --t VALUE or --max-t")
     else:
         t, cap = args.t, None
     return construct_gsic(basis, t), cap
@@ -118,7 +116,7 @@ def _path_arg(text: str, what: str) -> Path:
 def _load_weights(path: Path) -> dict[tuple[int, int], float]:
     weights = {}
     try:
-        data = _read_json(path)
+        data = _parse_json(path.read_bytes())
         if not isinstance(data, dict) or not data:
             raise ValueError("the file must hold a nonempty object")
         for key, val in data.items():
@@ -140,7 +138,10 @@ def _load_weights(path: Path) -> dict[tuple[int, int], float]:
 
 
 def _parse_state_spec(spec: str) -> tuple[DensityMatrix, dict]:
-    parts = spec.split(":")
+    head, at, path = spec.partition(":@")  # a path may hold colons
+    parts = head.split(":")
+    if at:
+        parts.append("@" + path)
     family = parts[0]
     if family == "maxent" and len(parts) == 2:
         return max_entangled(_dim(parts[1])), {}

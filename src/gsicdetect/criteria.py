@@ -21,8 +21,8 @@ set of the tuple, so it lives no longer than any set of the tuple.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -133,20 +133,6 @@ class _Witness:
         return (1.0 / self.dim ** 2 + trace, margin,
                 margin > self.error_bound + deviation)
 
-    @staticmethod
-    def make_report(p: GsicSet, bound: float, label: str, j_value: float,
-                    margin: float, flagged: bool) -> DetectionReport:
-        """Report of a state from the pair's first set and bound, the
-        state's label and what assess gives.
-
-        Static, so that a FamilyScan can build its reports late from the
-        set alone, without keeping the witness's kernel alive.
-        """
-        return DetectionReport(
-            state_label=label, dim=p.dim, parties=2, t=p.t, a=p.a,
-            j_value=j_value, bound=bound, margin=margin,
-            verdict=verdict(flagged))
-
 
 # (kind, number of sets) -> set -> set -> ... -> what _cached built
 _STORE: dict = {}
@@ -225,8 +211,11 @@ def detect_bipartite(rho: DensityMatrix, p: GsicSet, q: GsicSet) -> DetectionRep
     deviation = rho.deviation_bound
     if w.error_bound < trace - w.excess <= w.error_bound + deviation:
         deviation = rho.deviation
-    return _Witness.make_report(p, w.bound, rho.label,
-                                *w.assess(deviation, trace))
+    j_value, margin, flagged = w.assess(deviation, trace)
+    return DetectionReport(
+        state_label=rho.label, dim=p.dim, parties=2, t=p.t, a=p.a,
+        j_value=j_value, bound=w.bound, margin=margin,
+        verdict=verdict(flagged))
 
 
 def _multipartite_kernel(sets: list[GsicSet]) -> np.ndarray:
@@ -297,8 +286,7 @@ def trace_t_bound(d: int) -> float:
 
 
 # family -> dimension -> (grid start, factory of the Bell-label weight
-# tables and state labels of a grid, or of one point given a float); every
-# grid ends at 1
+# tables of a grid, or of one point given a float); every grid ends at 1
 SCAN_FAMILIES = {
     "isotropic": lambda d: (0.0, lambda x: _isotropic_weights(d, x)),
     "belldiag-c": lambda d: (1.0 / (d * d),
@@ -311,10 +299,8 @@ SCAN_FAMILIES = {
 class FamilyScan:
     """A family scan: J, margin and flag of each grid point, as arrays.
 
-    Every grid point shares the bound and the set p (gsic).  reports,
-    one DetectionReport per grid point, is built from the arrays and
-    labels on first access and kept; the command line reads only the
-    arrays.
+    Entry i of j_values, margins and flagged belongs to grid[i]; every
+    grid point shares the bound.
     """
 
     grid: np.ndarray
@@ -324,15 +310,6 @@ class FamilyScan:
     bound: float
     threshold: float  # NaN when the grid shows no resolved crossing
     guaranteed: float  # threshold above which the family type is always flagged
-    gsic: GsicSet = field(repr=False)
-    labels: list[str] = field(repr=False)  # state label of each grid point
-
-    @cached_property
-    def reports(self) -> list[DetectionReport]:
-        """One report per grid point, as detect_bipartite words it."""
-        return list(map(partial(_Witness.make_report, self.gsic, self.bound),
-                        self.labels, self.j_values.tolist(),
-                        self.margins.tolist(), self.flagged.tolist()))
 
 
 def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
@@ -350,19 +327,18 @@ def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
     (_Witness.assess) every J, margin and flag, which the scan keeps as
     arrays; only W . B runs per row, as the dot product a lone table
     gets, bit for bit.  At most MAX_STEPS steps (errors.check_steps),
-    which bounds the stack's memory.  Each report, built on first
-    access to FamilyScan.reports, label and deviation included, is the
-    one detect_bipartite gives the constructed state, up to rounding
-    well inside E (see errors.margin_error_bound).  Each state is affine
-    in its parameter and Tr(K rho) is linear in rho, so the margin is
-    affine and the crossing is exact by linear interpolation between the
-    two grid points that bracket the sign change.  Every family's fidelity
-    rises with its parameter.  With E = margin_error_bound(p, conj(p)),
-    the crossing counts as resolved only when every grid step raises the
-    margin by more than 2E: each margin is off by at most E, the
-    family's weights summing to 1 to within a few eps, so only such a
-    rise is certainly real.  Otherwise the crossing is NaN, as it is
-    when the grid never crosses the bound.
+    which bounds the stack's memory.  Each grid point's J, margin and
+    flag are what detect_bipartite gives the constructed state, up to
+    rounding well inside E (see errors.margin_error_bound).  Each state
+    is affine in its parameter and Tr(K rho) is linear in rho, so the
+    margin is affine and the crossing is exact by linear interpolation
+    between the two grid points that bracket the sign change.  Every
+    family's fidelity rises with its parameter.  With E =
+    margin_error_bound(p, conj(p)), the crossing counts as resolved only
+    when every grid step raises the margin by more than 2E: each margin
+    is off by at most E, the family's weights summing to 1 to within a
+    few eps, so only such a rise is certainly real.  Otherwise the
+    crossing is NaN, as it is when the grid never crosses the bound.
     """
     check_steps(steps)
     if p.t <= 0:
@@ -374,7 +350,7 @@ def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
     w = _Witness(p, conjugate_gsic(p))
     bell = w.bell_table().ravel()
     grid = np.linspace(start, 1.0, steps)
-    tables, labels = weights(grid)
+    tables = weights(grid)
     flat = tables.reshape(steps, -1)
     # one d**2-term dot product per row, as a lone table gets: a stacked
     # flat @ bell (GEMV) rounds otherwise on some rows
@@ -391,7 +367,7 @@ def scan_family(family: str, p: GsicSet, steps: int) -> FamilyScan:
                   else (1.0 + 1.0 / (p.a * d * d)) / (d + 1.0))
     return FamilyScan(grid=grid, j_values=j_values, margins=m,
                       flagged=flagged, bound=w.bound, threshold=threshold,
-                      guaranteed=guaranteed, gsic=p, labels=labels)
+                      guaranteed=guaranteed)
 
 
 def isotropic_threshold_scan(d: int, t: float, steps: int) -> float:

@@ -542,42 +542,32 @@ def _bell_mixture(weights: np.ndarray, label: str) -> DensityMatrix:
                          deviation_bound=float(_weights_deviation(weights)))
 
 
-# Weight table and label of each mixture family that criteria.scan_family
-# scans, shared with the family's state constructor.  Each takes its
-# parameter as a float, for one (d, d) table and its label, or as a 1-D
-# array, for a stack of tables, one per entry, and a list of labels; a
-# row of the stack holds the very bits the float gives.  table.T puts
-# the stack axis last, where the parameter broadcasts.
+# Weight table of each mixture family that criteria.scan_family scans,
+# shared with the family's state constructor.  Each takes its parameter
+# as a float, for one (d, d) table, or as a 1-D array, for a stack of
+# tables, one per entry; a row of the stack holds the very bits the
+# float gives.  table.T puts the stack axis last, where the parameter
+# broadcasts.
 
-def _labels(prefix: str, x) -> str | list[str]:
-    """prefix followed by x in %g form, one label per entry of an array."""
-    if isinstance(x, np.ndarray):
-        return [f"{prefix}{v:g}" for v in x.tolist()]
-    return f"{prefix}{x:g}"
-
-
-def _isotropic_weights(d: int, alpha) -> tuple[np.ndarray, str | list[str]]:
-    """Table and label of isotropic(d, alpha)."""
+def _isotropic_weights(d: int, alpha) -> np.ndarray:
+    """Table of isotropic(d, alpha)."""
     table = np.empty(getattr(alpha, "shape", ()) + (d, d))
     table.T[...] = (1.0 - alpha) / (d * d)
     table.T[0, 0] += alpha
-    return table, _labels(f"isotropic-d{d}-alpha", alpha)
+    return table
 
 
-def _belldiag_c_weights(d: int, c) -> tuple[np.ndarray, str | list[str]]:
-    """Weight c on the identity Bell label, the rest spread uniformly.
-
-    The label carries the table's largest weight.
-    """
+def _belldiag_c_weights(d: int, c) -> np.ndarray:
+    """Weight c on the identity Bell label, the rest spread uniformly."""
     table = np.empty(getattr(c, "shape", ()) + (d, d))
     table.T[...] = (1.0 - c) / (d * d - 1.0)
     table.T[0, 0] = c
-    return table, _labels(f"belldiag-d{d}-c", table.max(axis=(-2, -1)))
+    return table
 
 
-def _diagmix_weights(d: int, a1, tail: np.ndarray | None = None
-                     ) -> tuple[np.ndarray, str | list[str]]:
-    """Table and label of diagonal_mixture(d, a1, tail).
+def _diagmix_weights(d: int, a1,
+                     tail: np.ndarray | None = None) -> np.ndarray:
+    """Table of diagonal_mixture(d, a1, tail).
 
     Offset delta's tail weight is spread over the d labels (s, delta); the
     default tail spreads 1 - a1 evenly over the d - 1 offsets.  A custom
@@ -589,7 +579,7 @@ def _diagmix_weights(d: int, a1, tail: np.ndarray | None = None
     else:
         table[:, 1:] = tail / d
     table.T[0, 0] = a1
-    return table, _labels(f"diagmix-d{d}-a1", a1)
+    return table
 
 
 def max_entangled(d: int) -> DensityMatrix:
@@ -609,7 +599,8 @@ def isotropic(d: int, alpha: float) -> DensityMatrix:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {alpha}")
     check_dim(d)
-    return _bell_mixture(*_isotropic_weights(d, alpha))
+    return _bell_mixture(_isotropic_weights(d, alpha),
+                         f"isotropic-d{d}-alpha{alpha:g}")
 
 
 def weyl_operator(d: int, s: int, t: int) -> np.ndarray:
@@ -678,7 +669,8 @@ def diagonal_mixture(d: int, a1: float,
         if not abs(a1 + tail.sum() - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError(
                 f"weights sum to {a1 + tail.sum()}, expected 1")
-    return _bell_mixture(*_diagmix_weights(d, a1, tail))
+    return _bell_mixture(_diagmix_weights(d, a1, tail),
+                         f"diagmix-d{d}-a1{a1:g}")
 
 
 def random_separable(d: int, parties: int, terms: int, seed: int) -> DensityMatrix:
@@ -777,11 +769,10 @@ def _read_head(f) -> dict:
     f is a file opened "rb", buffered, so that reading its first line
     costs no system call per byte.  That line must end in '\n' and be
     the UTF-8 text of a JSON object tagged with ENCODING, with no key
-    written twice (_unique_keys); f is left at the payload.  A BOM or
-    bytes that are not UTF-8 raise ValueError too.
+    written twice (_parse_json); f is left at the payload.
     """
     line = f.readline()
-    head = json.loads(line.decode("utf-8"), object_pairs_hook=_unique_keys)
+    head = _parse_json(line)
     if not (line.endswith(b"\n") and isinstance(head, dict)
             and head.get("encoding") == ENCODING):
         raise ValueError(f"the first line is not a JSON object tagged "
@@ -826,11 +817,18 @@ def _unique_keys(pairs: list) -> dict:
     return data
 
 
-def _read_json(path: str | Path):
-    """A file's JSON value; a BOM, bytes that are not UTF-8 or a key
-    written twice in one object raise ValueError."""
-    return json.loads(Path(path).read_bytes().decode("utf-8"),
-                      object_pairs_hook=_unique_keys)
+def _parse_json(raw: bytes):
+    """The JSON value of raw; ValueError unless it is plain JSON.
+
+    A BOM, bytes that are not UTF-8, a key written twice in one object
+    (_unique_keys) or nesting past the interpreter's recursion limit
+    raise ValueError.
+    """
+    try:
+        return json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("JSON nested past the interpreter's recursion "
+                         "limit") from None
 
 
 def _finite(z: np.ndarray) -> np.ndarray:

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gsicdetect import (GsicSet, OperatorBasis, construct_gsic, feasible_t,
-                        gell_mann_basis, oracle, purity_from_t, states)
+from gsicdetect import (GsicSet, OperatorBasis, conjugate_gsic, construct_gsic,
+                        criteria, feasible_t, gell_mann_basis, oracle,
+                        purity_from_t, states)
 from gsicdetect.states import DensityMatrix
 
 
@@ -110,6 +111,57 @@ def edit_entries():
         head, z = _raw_file(path)
         raw = np.asarray(edit(z), dtype="<c16").tobytes()
         Path(path).write_bytes(json.dumps(head).encode() + b"\n" + raw)
+
+    return make
+
+
+def _reference_weights(family, d, x) -> np.ndarray:
+    """One grid point's weight table, written for a float x only."""
+    if family == "isotropic":
+        table = np.full((d, d), (1.0 - x) / (d * d))
+        table[0, 0] += x
+        return table
+    if family == "belldiag-c":
+        table = np.full((d, d), (1.0 - x) / (d * d - 1.0))
+        table[0, 0] = x
+        return table
+    table = np.zeros((d, d))
+    table[:, 1:] = np.full(d - 1, (1.0 - x) / (d - 1)) / d
+    table[0, 0] = x
+    return table
+
+
+@pytest.fixture(scope="session")
+def reference_weights():
+    """Factory: (family, d, x) -> the family's weight table at a float x."""
+    return _reference_weights
+
+
+@pytest.fixture(scope="session")
+def scan_reference():
+    """Factory: what scan_family(family, p, steps) gives, point by point.
+
+    One table, one sum, one dot product and one flag per grid point,
+    returned as (grid, j_values, margins, flagged, bound): four lists of
+    Python floats and bools and the bound.
+    """
+
+    def make(family, p, steps) -> tuple:
+        d = p.dim
+        start, _ = criteria.SCAN_FAMILIES[family](d)
+        w = criteria._Witness(p, conjugate_gsic(p))
+        bell = w.bell_table().ravel()
+        grid, j_values, margins, flagged = [], [], [], []
+        for x in np.linspace(start, 1.0, steps).tolist():
+            table = _reference_weights(family, d, x)
+            deviation = abs(float(table.sum()) - 1.0)
+            trace = float(table.ravel() @ bell)
+            margin = trace - w.excess
+            grid.append(x)
+            j_values.append(1.0 / d ** 2 + trace)
+            margins.append(margin)
+            flagged.append(margin > w.error_bound + deviation)
+        return grid, j_values, margins, flagged, w.bound
 
     return make
 

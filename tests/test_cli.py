@@ -172,6 +172,7 @@ def test_detect_state_from_file(tmp_path, capsys):
     "isotropic:3",
     "belldiag:2:w.json",
     "belldiag:2:@/nonexistent/w.json",
+    "isotropic:3:0.5:1",
 ])
 def test_detect_rejects_bad_state_specs(spec, capsys):
     assert main(["detect", "--state", spec, "--max-t"]) == 2
@@ -189,8 +190,14 @@ def test_detect_dimension_cross_checks(tmp_path, capsys):
 
 
 def test_detect_needs_a_measurement(capsys):
-    assert main(["detect", "--state", "maxent:2"]) == 2
-    assert "--t" in capsys.readouterr().err
+    # argparse names all three sources of the measurement set
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", "--state", "maxent:2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "one of the arguments --t --max-t --gsic is required" in (
+        captured.err)
 
 
 def test_scan_isotropic_threshold(tmp_path, capsys):
@@ -533,6 +540,44 @@ def test_detect_names_a_file_that_is_not_json(tmp_path, capsys, argv, what):
     assert f"{what} {path}: Expecting value" in captured.err
 
 
+@pytest.mark.parametrize("argv,what,text", [
+    (["--state", "maxent:2", "--gsic", "{path}"], "measurement", "{deep}"),
+    (["--state", "file:@{path}", "--max-t"], "state", "{deep}"),
+    (["--state", "belldiag:2:@{path}", "--max-t"], "weights",
+     '{{"0,0": {deep}}}'),
+], ids=["gsic", "state", "weights"])
+def test_detect_refuses_json_nested_past_the_recursion_limit(
+        tmp_path, capsys, argv, what, text):
+    # json.loads raises RecursionError there, which must read as a
+    # malformed file and not escape as a traceback
+    path = tmp_path / "deep.json"
+    path.write_text(text.format(deep="[" * 200000 + "]" * 200000) + "\n")
+    rc = main(["detect"] + [arg.format(path=path) for arg in argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: malformed {what} file {path}: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("spec,label", [
+    ("file:@{dir}/s.bin", "file:s.bin"),
+    ("belldiag:2:@{dir}/w.json", "belldiag-d2-c1"),
+], ids=["file", "belldiag"])
+def test_a_state_spec_path_may_hold_colons(tmp_path, capsys, spec, label):
+    # the text after "@" is the path verbatim
+    folder = tmp_path / "a:b"
+    folder.mkdir()
+    write_state(max_entangled(2), folder / "s.bin")
+    (folder / "w.json").write_text('{"0,0": 1.0}')
+    rc = main(["detect", "--state", spec.format(dir=folder), "--max-t",
+               "--json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["state_label"] == label
+    assert payload["verdict"] == "ENTANGLED_DETECTED"
+
+
 @pytest.mark.parametrize("kind", ["gsic", "state"])
 @pytest.mark.parametrize("damage", ["bom", "0xff"])
 def test_detect_refuses_a_file_that_is_not_plain_utf8(tmp_path, capsys, kind,
@@ -797,10 +842,10 @@ def test_scan_steps_are_refused_before_the_set_is_built(tmp_path, capsys,
 
 
 def test_scan_builds_no_report(tmp_path, capsys, monkeypatch):
-    def make_report(*args, **kwargs):
+    def report(*args, **kwargs):
         raise AssertionError("a DetectionReport was built")
 
-    monkeypatch.setattr(criteria._Witness, "make_report", make_report)
+    monkeypatch.setattr(criteria, "DetectionReport", report)
     csv = tmp_path / "s.csv"
     for family in criteria.SCAN_FAMILIES:
         assert main(["scan", "--family", family, "--dim", "3", "--max-t",
@@ -809,12 +854,12 @@ def test_scan_builds_no_report(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def _reference_csv(scan) -> str:
-    """The scan's CSV as formatted from its reports, one row per report."""
+def _reference_csv(rows, scan) -> str:
+    """The CSV of the per-point reference rows, then the scan's thresholds."""
+    grid, j_values, margins, flagged, bound = rows
     lines = ["param,j_value,bound,margin,verdict"]
-    for x, r in zip(scan.grid, scan.reports):
-        lines.append(f"{float(x)!r},{r.j_value!r},{r.bound!r},{r.margin!r},"
-                     f"{r.verdict}")
+    for x, j, m, f in zip(grid, j_values, margins, flagged):
+        lines.append(f"{x!r},{j!r},{bound!r},{m!r},{criteria.verdict(f)}")
     lines.append(f"threshold,{scan.threshold!r},,,")
     lines.append(f"guaranteed_threshold,{scan.guaranteed!r},,,")
     return "\n".join(lines) + "\n"
@@ -824,10 +869,11 @@ def _reference_csv(scan) -> str:
 @pytest.mark.parametrize("d", [2, 3, 8])
 @pytest.mark.parametrize("t", ["cap", 1e-9])
 def test_scan_csv_equals_the_rows_formatted_from_the_reports(
-        tmp_path, capsys, family, d, t):
+        tmp_path, capsys, scan_reference, family, d, t):
     basis = gell_mann_basis(d)
     p = construct_gsic(basis, max_feasible_t(basis) if t == "cap" else t)
-    want = _reference_csv(scan_family(family, p, 40))
+    want = _reference_csv(scan_reference(family, p, 40),
+                          scan_family(family, p, 40))
     csv = tmp_path / "s.csv"
     t_args = ["--max-t"] if t == "cap" else ["--t", repr(t)]
     assert main(["scan", "--family", family, "--dim", str(d), *t_args,

@@ -17,7 +17,7 @@ from gsicdetect import (ENTANGLED_DETECTED, INCONCLUSIVE,
                         multipartite_bound, random_separable, read_gsic,
                         scan_family, trace_t_bound, write_gsic)
 from gsicdetect import criteria
-from gsicdetect.criteria import SCAN_FAMILIES, DetectionReport
+from gsicdetect.criteria import SCAN_FAMILIES, verdict
 from gsicdetect.errors import MAX_STEPS, margin_error_bound
 from gsicdetect.oracle import brute_force_j
 from gsicdetect.states import (DensityMatrix, _bell_mixture,
@@ -287,7 +287,7 @@ def test_scan_threshold_is_exact_at_small_t(family, d):
 
 SCAN_STATES = {"isotropic": isotropic,
                "belldiag-c": lambda d, c: _bell_mixture(
-                   *_belldiag_c_weights(d, c)),
+                   _belldiag_c_weights(d, c), f"belldiag-d{d}-c{c:g}"),
                "diagmix": diagonal_mixture}
 
 
@@ -295,7 +295,7 @@ SCAN_STATES = {"isotropic": isotropic,
 @pytest.mark.parametrize("d", [2, 3, 6, 8, 16])
 def test_scan_reports_match_detect_on_the_constructed_states(family, d):
     # the scan reads Tr(K rho) off the witness's Bell table; each grid
-    # point must report what detect_bipartite reports on the state its
+    # point must give what detect_bipartite reports on the state its
     # family constructor builds at that parameter
     basis = gell_mann_basis(d)
     eps = np.finfo(float).eps
@@ -305,55 +305,15 @@ def test_scan_reports_match_detect_on_the_constructed_states(family, d):
         e = margin_error_bound(p, q)
         s = float(p.centred_norms @ q.centred_norms)
         scan = scan_family(family, p, 40)
-        for x, got in zip(scan.grid, scan.reports):
-            rho = SCAN_STATES[family](d, float(x))
+        for x, j, m, f in zip(scan.grid.tolist(), scan.j_values.tolist(),
+                              scan.margins.tolist(), scan.flagged.tolist()):
+            rho = SCAN_STATES[family](d, x)
             want = detect_bipartite(rho, p, q)
-            assert abs(got.margin - want.margin) <= eps * s <= e, (t, x)
-            assert abs(got.j_value - want.j_value) <= eps * s, (t, x)
-            assert got.verdict == want.verdict, (t, x)
-            assert got.state_label == want.state_label == rho.label
-            assert (got.dim, got.parties, got.t, got.a, got.bound) == (
-                want.dim, want.parties, want.t, want.a, want.bound)
-            table, label = weights(float(x))
-            assert label == rho.label
-            assert abs(float(table.sum()) - 1.0) == rho.deviation
-
-
-def _reference_weights(family, d, x):
-    """One grid point's weight table and label, written for a float x only."""
-    if family == "isotropic":
-        table = np.full((d, d), (1.0 - x) / (d * d))
-        table[0, 0] += x
-        return table, f"isotropic-d{d}-alpha{x:g}"
-    if family == "belldiag-c":
-        table = np.full((d, d), (1.0 - x) / (d * d - 1.0))
-        table[0, 0] = x
-        return table, f"belldiag-d{d}-c{table.max():g}"
-    tail = np.full(d - 1, (1.0 - x) / (d - 1))
-    table = np.zeros((d, d))
-    table[:, 1:] = tail / d
-    table[0, 0] = x
-    return table, f"diagmix-d{d}-a1{x:g}"
-
-
-def _reference_scan_reports(family, p, steps):
-    """scan_family's reports, one table, dot product and report per point."""
-    d = p.dim
-    start, _ = SCAN_FAMILIES[family](d)
-    w = criteria._Witness(p, conjugate_gsic(p))
-    bell = w.bell_table().ravel()
-    reports = []
-    for x in np.linspace(start, 1.0, steps):
-        table, label = _reference_weights(family, d, float(x))
-        deviation = abs(float(table.sum()) - 1.0)
-        trace = float(table.ravel() @ bell)
-        margin = trace - w.excess
-        flagged = margin > w.error_bound + deviation
-        reports.append(DetectionReport(
-            state_label=label, dim=d, parties=2, t=p.t, a=p.a,
-            j_value=1.0 / d ** 2 + trace, bound=w.bound, margin=margin,
-            verdict=ENTANGLED_DETECTED if flagged else INCONCLUSIVE))
-    return reports
+            assert abs(m - want.margin) <= eps * s <= e, (t, x)
+            assert abs(j - want.j_value) <= eps * s, (t, x)
+            assert verdict(f) == want.verdict, (t, x)
+            assert scan.bound == want.bound
+            assert abs(float(weights(x).sum()) - 1.0) == rho.deviation
 
 
 @functools.cache
@@ -367,38 +327,41 @@ def _scan_set(d, t):
 @pytest.mark.parametrize("d, t", [
     *((d, t) for d in (2, 3, 4, 6, 8, 16) for t in ("cap", 1e-6, 1e-9)),
     (32, "cap")])
-def test_scan_reports_equal_the_per_point_reference(family, d, t):
+def test_scan_reports_equal_the_per_point_reference(scan_reference, family,
+                                                    d, t):
     # the stacked tables, the one deviation reduction and the array
     # margins must give, bit for bit, what one table, one sum and one
-    # report per grid point give; repr pins the float type the CSV prints
+    # flag per grid point give; repr pins the float type the CSV prints
     p = _scan_set(d, t)
-    got = scan_family(family, p, 40).reports
-    want = _reference_scan_reports(family, p, 40)
+    scan = scan_family(family, p, 40)
+    got = (scan.grid.tolist(), scan.j_values.tolist(), scan.margins.tolist(),
+           scan.flagged.tolist(), scan.bound)
+    want = scan_reference(family, p, 40)
     assert got == want
-    assert [repr(r) for r in got] == [repr(r) for r in want]
+    assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("family", list(SCAN_FAMILIES))
 @pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 16, 32])
-def test_weight_stack_rows_are_the_scalar_tables(family, d):
-    # the scan grid and random parameters: each row of the stack, its
-    # label and its deviation are what the helper gives for a float,
-    # and what the float-only reference gives
+def test_weight_stack_rows_are_the_scalar_tables(reference_weights, family,
+                                                 d):
+    # the scan grid and random parameters: each row of the stack and its
+    # deviation are what the helper gives for a float, and what the
+    # float-only reference gives
     start, weights = SCAN_FAMILIES[family](d)
     rng = np.random.default_rng(d)
     params = np.concatenate((np.linspace(start, 1.0, 40),
                              rng.uniform(start, 1.0, 20)))
-    tables, labels = weights(params)
+    tables = weights(params)
     deviations = _weights_deviation(tables)
     assert tables.shape == (len(params), d, d)
-    assert len(labels) == len(deviations) == len(params)
-    for x, table, label, deviation in zip(params.tolist(), tables, labels,
-                                          deviations.tolist()):
-        one, one_label = weights(x)
-        ref, ref_label = _reference_weights(family, d, x)
+    assert len(deviations) == len(params)
+    for x, table, deviation in zip(params.tolist(), tables,
+                                   deviations.tolist()):
+        one = weights(x)
+        ref = reference_weights(family, d, x)
         assert one.shape == (d, d)
         assert one.tobytes() == table.tobytes() == ref.tobytes()
-        assert one_label == label == ref_label
         assert deviation == abs(float(ref.sum()) - 1.0)
 
 
@@ -407,7 +370,9 @@ def test_scan_refuses_a_grid_outside_its_bounds():
     for steps in (-1, 9, MAX_STEPS + 1, 10 ** 12):
         with pytest.raises(ValueError, match="grid steps"):
             scan_family("isotropic", p, steps)
-    assert len(scan_family("isotropic", p, MAX_STEPS).reports) == MAX_STEPS
+    scan = scan_family("isotropic", p, MAX_STEPS)
+    assert all(len(a) == MAX_STEPS for a in (
+        scan.grid, scan.j_values, scan.margins, scan.flagged))
 
 
 def test_scan_refuses_an_unknown_family():
@@ -725,18 +690,3 @@ def test_a_cached_witness_dies_with_any_of_its_sets():
                                  ("multipartite", (p, keep, p))}
     assert (j_bipartite(rho2, p, keep),
             j_multipartite(rho3, [p, keep, p])) == want
-
-
-@pytest.mark.parametrize("family", list(SCAN_FAMILIES))
-def test_scan_arrays_are_the_fields_of_its_reports(family):
-    # the command line prints the arrays, a library caller reads the
-    # reports, which are built once, on first access
-    scan = scan_family(family, _scan_set(3, "cap"), 40)
-    assert "reports" not in vars(scan)
-    reports = scan.reports
-    assert scan.reports is reports
-    assert [r.j_value for r in reports] == scan.j_values.tolist()
-    assert [r.margin for r in reports] == scan.margins.tolist()
-    assert [r.verdict == ENTANGLED_DETECTED for r in reports] == (
-        scan.flagged.tolist())
-    assert {r.bound for r in reports} == {scan.bound}

@@ -686,7 +686,7 @@ def _state_file(path, d: int, variant: str, at: int, byte: int) -> str:
 
 _WEIGHTS = ['{"0,0": 1.0}', '{"0,0": 0.5, "1,1": 0.5}', '{"0,0": null}',
             '{"9,9": 1}', '{"0,0": -1, "1,1": 2}', '{"a": 1}', "[]",
-            "not json"]
+            "not json", '{"0,0": ' + "[" * 100000 + "]" * 100000 + "}"]
 
 
 # valid dimensions stay at or below 3, so that every example is fast
