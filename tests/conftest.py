@@ -175,8 +175,9 @@ def prover_routes(monkeypatch):
     "one component" when it finds none to split; "certificate proves" or
     "certificate declines" for the low-rank certificate; "factor k/m"
     when the slab factors prove k of m matrices; "eigvalsh m" for the
-    spectra of m matrices, whoever asks for them; "lanczos" for the
-    Lanczos walk of ppt_test's NPT certificate.
+    spectra of m matrices, whoever asks for them; "lanczos k" for the
+    Lanczos walk of ppt_test's NPT certificate, which took k steps, the
+    order of the projected matrix whose eigenvectors it asks for last.
     """
     log = []
     blocks, low_rank_proves = states._blocks, states._low_rank_proves
@@ -202,9 +203,19 @@ def prover_routes(monkeypatch):
         log.append(f"eigvalsh {len(a) if a.ndim == 3 else 1}")
         return eigvalsh(a, *args, **kwargs)
 
-    def logged_ritz_vector(a):
-        log.append("lanczos")
-        return ritz_vector(a)
+    def logged_ritz_vector(a, below):
+        orders = []
+        eigh = np.linalg.eigh
+
+        def logged_eigh(m, *args, **kwargs):
+            orders.append(len(m))
+            return eigh(m, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", logged_eigh)
+            y = ritz_vector(a, below)
+        log.append(f"lanczos {orders[-1]}")
+        return y
 
     monkeypatch.setattr(states, "_blocks", logged_blocks)
     monkeypatch.setattr(states, "_low_rank_proves", logged_low_rank_proves)

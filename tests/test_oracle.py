@@ -74,8 +74,8 @@ def test_a_dense_d16_ppt_test_solves_no_spectrum_until_it_is_read(
         monkeypatch, prover_routes, npt):
     # the low-rank certificate comes first: it proves the separable state
     # with no Lanczos step, and its probe declines the Ginibre state, which
-    # the NPT certificate then settles; eigh sees only the Lanczos steps'
-    # projected matrix
+    # the NPT certificate then settles after 3 steps; eigh sees only the
+    # Lanczos steps' projected matrix
     rho = _ginibre(16, 3) if npt else random_separable(16, 2, 4, seed=7)
     plain = np.linalg.eigvalsh(partial_transpose(rho, 1))[0]
     eigh = np.linalg.eigh
@@ -87,7 +87,7 @@ def test_a_dense_d16_ppt_test_solves_no_spectrum_until_it_is_read(
     monkeypatch.setattr(np.linalg, "eigh", small_eigh)
     prover_routes.clear()
     res = ppt_test(rho)
-    decided = (["certificate declines", "lanczos"] if npt
+    decided = (["certificate declines", "lanczos 3"] if npt
                else ["certificate proves"])
     assert prover_routes == decided
     assert res.npt == (plain < -PSD_TOL) == npt
@@ -99,17 +99,18 @@ def test_a_dense_d16_ppt_test_solves_no_spectrum_until_it_is_read(
 
 @pytest.mark.parametrize("terms, factored", [
     (4, ["certificate proves"]),
-    (20, ["certificate declines", "lanczos", "factor 1/1"]),
-    (100, ["certificate declines", "lanczos", "factor 1/1"])])
+    (20, ["certificate declines", f"lanczos {LANCZOS_STEPS}", "factor 1/1"]),
+    (100, ["certificate declines", f"lanczos {LANCZOS_STEPS}", "factor 1/1"])])
 def test_a_singular_ppt_partial_transpose_is_factored_whole_at_most_once(
         prover_routes, terms, factored):
     # the partial transpose of a separable d = 16 state of a few terms is
     # singular and PSD: at rank 4 the low-rank certificate proves it after
     # the probe at 0 fails, before any Lanczos step; at rank 20, past the
     # certificate, and at rank 100, which passes the probe, the certificate
-    # declines once, the Ritz quotient lies above -PSD_TOL, and one factor
-    # shifted just above -PSD_TOL proves it, with no second certificate;
-    # none takes a spectrum until min_eigenvalue is read
+    # declines once, the Lanczos walk takes all its steps, the Ritz quotient
+    # lies above -PSD_TOL, and one factor shifted just above -PSD_TOL
+    # proves it, with no second certificate; none takes a spectrum until
+    # min_eigenvalue is read
     rho = random_separable(16, 2, terms, seed=1)
     res = ppt_test(rho)
     assert prover_routes == factored and not res.npt
@@ -133,30 +134,33 @@ def test_a_separable_dense_partial_transpose_is_proved_before_any_lanczos_step(
     assert res.min_eigenvalue.hex() == float(plain).hex()
 
 
-def _weakly_npt_ginibre_d16() -> DensityMatrix:
-    """A Ginibre d = 16 state mixed with I/n to lambda_min(pt) = -1e-6,
-    which neither certificate settles."""
-    rho = _ginibre(16, 3)
+def _weakly_npt_ginibre(d: int) -> DensityMatrix:
+    """A Ginibre state mixed with I/n to lambda_min(pt) = -1e-6, which
+    neither certificate settles."""
+    rho, n = _ginibre(d, 3), d * d
     lowest = np.linalg.eigvalsh(partial_transpose(rho, 1))[0]
-    p = (1 / 256 + 1e-6) / (1 / 256 - lowest)
-    return DensityMatrix(local_dim=16, parties=2,
-                         matrix=(1 - p) * np.eye(256) / 256 + p * rho.matrix)
+    p = (1 / n + 1e-6) / (1 / n - lowest)
+    return DensityMatrix(local_dim=d, parties=2,
+                         matrix=(1 - p) * np.eye(n) / n + p * rho.matrix)
 
 
 @pytest.mark.parametrize("kind, routes", [
-    ("ginibre-d8", ["certificate declines", "lanczos"]),
-    ("ginibre-d16", ["certificate declines", "lanczos"]),
-    ("weak-d16", ["certificate declines", "lanczos", "factor 0/1",
-                  "eigvalsh 1"])])
+    ("ginibre-d8", ["certificate declines", "lanczos 2"]),
+    ("ginibre-d16", ["certificate declines", "lanczos 3"]),
+    ("weak-d16", ["certificate declines", f"lanczos {LANCZOS_STEPS}",
+                  "factor 0/1", "eigvalsh 1"]),
+    ("weak-d8", ["certificate declines", f"lanczos {LANCZOS_STEPS}",
+                 "factor 0/1", "eigvalsh 1"])])
 def test_a_full_rank_partial_transpose_declines_the_certificate_once(
         prover_routes, kind, routes):
     # the probe declines it, and nothing gives it the certificate again:
-    # the NPT certificate settles a Ginibre state with no spectrum, at
-    # d = 8 as at d = 16, and one weakly NPT, whose Ritz quotient lies
-    # above -PSD_TOL, fails its one factor at -PSD_TOL before its
-    # spectrum is taken
-    rho = (_weakly_npt_ginibre_d16() if kind == "weak-d16"
-           else _ginibre(int(kind.removeprefix("ginibre-d")), 3))
+    # the NPT certificate settles a Ginibre state with no spectrum after
+    # a few Lanczos steps, at d = 8 as at d = 16, and one weakly NPT,
+    # whose Ritz quotient lies above -PSD_TOL after all of them, fails
+    # its one factor at -PSD_TOL before its spectrum is taken
+    family, d = kind.split("-d")
+    rho = (_weakly_npt_ginibre(int(d)) if family == "weak"
+           else _ginibre(int(d), 3))
     plain = np.linalg.eigvalsh(partial_transpose(rho, 1))[0]
     prover_routes.clear()
     res = ppt_test(rho)

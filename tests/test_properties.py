@@ -1,5 +1,6 @@
 """Property tests over drawn inputs, run with hypothesis."""
 
+import collections
 import contextlib
 import dataclasses
 import io
@@ -260,6 +261,90 @@ def test_min_eigenvalue_of_a_permuted_path():
     h += np.diag(off, 1) + np.diag(off.conj(), -1)
     perm = rng.permutation(n)
     _assert_lowest_matches_eigvalsh(h[perm][:, perm])
+
+
+@st.composite
+def _zero_patterns(draw):
+    """A matrix of order LABEL_MIN_SIZE to LABEL_MIN_SIZE + 24, complex or
+    real, in C or Fortran order, whose nonzero entries are drawn: each
+    off the diagonal stored below it, above it or on both sides, a
+    diagonal entry or none, so that some indices stand alone, and, when
+    connected, a path through all indices in a drawn order.  A complex
+    entry is real, imaginary or both, and its zeros are +0 or -0 in each
+    part.
+    """
+    n = draw(st.integers(states.LABEL_MIN_SIZE, states.LABEL_MIN_SIZE + 24),
+             label="n")
+    index = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(index, index, st.sampled_from(
+        ["below", "above", "both"])), max_size=2 * n), label="edges")
+    if draw(st.booleans(), label="connected"):
+        order = draw(st.permutations(range(n)), label="order")
+        edges += [(i, j, "above") for i, j in zip(order, order[1:])]
+    diagonal = draw(st.lists(st.booleans(), min_size=n, max_size=n),
+                    label="diagonal")
+    real = draw(st.booleans(), label="real")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    zeros = rng.choice([0.0, -0.0], size=(n, n, 2))
+    h = zeros[..., 0].copy() if real else zeros.view(complex)[..., 0]
+    for i, j, side in edges:
+        for r, c in {"below": [(max(i, j), min(i, j))],
+                     "above": [(min(i, j), max(i, j))],
+                     "both": [(i, j), (j, i)]}[side]:
+            x, y = 1 + rng.random(2)
+            h[r, c] = x if real else [x, 1j * y, x + 1j * y][rng.integers(3)]
+    for i in np.flatnonzero(diagonal):
+        h[i, i] = 1 + rng.random()
+    return np.asfortranarray(h) if draw(st.booleans(), label="F") else h
+
+
+def _reference_blocks(h: np.ndarray) -> list[list[int]]:
+    """The components of h's zero pattern, made symmetric, each as its
+    ascending indices, in the order of their smallest: a breadth-first
+    search in plain Python."""
+    n = len(h)
+    neighbours = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if h[i, j] != 0:
+                neighbours[i].add(j)
+                neighbours[j].add(i)
+    seen, components = set(), []
+    for start in range(n):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, component = collections.deque([start]), []
+        while queue:
+            i = queue.popleft()
+            component.append(i)
+            for j in neighbours[i] - seen:
+                seen.add(j)
+                queue.append(j)
+        components.append(sorted(component))
+    return components
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(h=_zero_patterns())
+@example(h=np.ones((states.LABEL_MIN_SIZE, states.LABEL_MIN_SIZE)))
+@example(h=np.diag(np.ones(states.LABEL_MIN_SIZE, dtype=complex)))
+def test_blocks_are_the_components_of_a_plain_search(h):
+    # _blocks gives one stack per block size, ascending, each holding its
+    # blocks in the order of their smallest index, bit for bit h's entries
+    # at the component's indices; one component gives None
+    components = _reference_blocks(h)
+    got = states._blocks(h)
+    if len(components) == 1:
+        assert got is None
+        return
+    sizes = sorted({len(c) for c in components})
+    want = [np.array([h[np.ix_(c, c)] for c in components if len(c) == size])
+            for size in sizes]
+    got = list(got)
+    assert [b.shape for b in got] == [b.shape for b in want]
+    assert all(b.dtype == h.dtype for b in got)
+    assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
 
 
 @st.composite

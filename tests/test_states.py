@@ -150,6 +150,20 @@ def test_bell_diagonal_input_checks():
      "non-finite weight -inf for label (1, 1)"),
     # a label past int64, as a weights file may name one
     ({(0, 0): 1.0, (10**30, 0): 0.0},
+     f"label ({10**30}, 0) out of range for dimension 2"),
+    ({(0, 0): 1.0, (1, -2**70): 0.0},
+     f"label (1, {-2**70}) out of range for dimension 2"),
+    # a label that is no pair of integers, named in the same order
+    ({(0, 0): 0.5, (1.5, 0): 0.5}, "label (1.5, 0) is not a pair of integers"),
+    ({(1.0, 1): 1.0}, "label (1.0, 1) is not a pair of integers"),
+    ({(0, 0): 0.5, ("1", 1): 0.5}, "label ('1', 1) is not a pair of integers"),
+    ({(0, 0): 0.5, (1, 1, 0): 0.5},
+     "label (1, 1, 0) is not a pair of integers"),
+    ({(0, 0): 1.0, 3: 0.0}, "label 3 is not a pair of integers"),
+    ({(0, 0): -1.0, (0.5, 0): 2.0}, "negative weight -1.0 for label (0, 0)"),
+    ({(0.5, 0): float("nan"), (0, 0): -1.0},
+     "label (0.5, 0) is not a pair of integers"),
+    ({(0, 0): 1.0, (10**30, 0): 0.0, (0.5, 1): 0.0},
      f"label ({10**30}, 0) out of range for dimension 2")])
 def test_bell_diagonal_names_the_first_label_it_refuses(weights, message):
     with pytest.raises(ValueError) as refused:
