@@ -149,9 +149,12 @@ def _parse_state_spec(spec: str) -> tuple[DensityMatrix, dict]:
         d, alpha = _dim(parts[1]), float(parts[2])
         return isotropic(d, alpha), {"alpha": alpha}
     if family == "belldiag" and len(parts) == 3:
-        d = _dim(parts[1])
-        weights = _load_weights(_path_arg(parts[2], "belldiag weights"))
-        return bell_diagonal(d, weights), {"c": max(weights.values())}
+        d, path = _dim(parts[1]), _path_arg(parts[2], "belldiag weights")
+        weights = _load_weights(path)
+        try:
+            return bell_diagonal(d, weights), {"c": max(weights.values())}
+        except ValueError as exc:
+            raise ValueError(f"weights file {path}: {exc}") from exc
     if family == "diagmix" and len(parts) == 3:
         d, a1 = _dim(parts[1]), float(parts[2])
         return diagonal_mixture(d, a1), {"a1": a1}

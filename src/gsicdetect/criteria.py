@@ -27,7 +27,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import (CORR_IMAG_TOL, IMAG_TOL, PURITY_MATCH_TOL, RANGE_SLACK,
-                     check_dim, check_measurements, check_steps,
+                     _centred_rows, check_dim, check_measurements, check_steps,
                      margin_error_bound, purity_range_deviation, require_real)
 from .gsic import GsicSet, _purity_excess, conjugate_gsic, construct_gsic
 from .operator_basis import OperatorBasis, gell_mann_basis
@@ -94,8 +94,8 @@ class _Witness:
             2.0 * (d + 1.0))
         self.error_bound = margin_error_bound(p, q)
         self.bound = bipartite_bound(d, p.a)
-        # (p.centred.T @ q.centred)[(a, b), (c, e)] = K[(a, c), (b, e)]
-        k = (p.centred.T @ q.centred).reshape((d,) * 4)
+        # (X.T @ Y)[(a, b), (c, e)] = K[(a, c), (b, e)]
+        k = (_centred_rows(p).T @ _centred_rows(q)).reshape((d,) * 4)
         self.kernel = k.transpose(1, 3, 0, 2).reshape(-1)
 
     def trace(self, rho: DensityMatrix) -> float:

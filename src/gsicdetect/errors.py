@@ -83,6 +83,13 @@ def check_measurements(rho, sets) -> None:
             f"got measurement sets of dimensions {[g.dim for g in sets]}")
 
 
+def _centred_rows(g) -> np.ndarray:
+    """A new (d**2, d**2) complex matrix of rows X_j = P_j - I/d**2 of g."""
+    x = np.array(g.operators, dtype=complex).reshape(g.dim ** 2, -1)
+    x[:, ::g.dim + 1] -= 1.0 / g.dim ** 2
+    return x
+
+
 def margin_error_bound(p, q) -> float:
     """Worst-case error E of the margin Tr(K rho) - excess of detect_bipartite.
 
@@ -90,7 +97,7 @@ def margin_error_bound(p, q) -> float:
 
     with m = d**2 outcomes, eps the machine epsilon, S = sum_j ||X_j||_1
     ||Y_j||_1 over the entrywise 1-norms of the centred operators X_j =
-    P_j - I/d**2 and Y_j = Q_j - I/d**2 (the sets' centred_norms), dp,
+    P_j - I/d**2 and Y_j = Q_j - I/d**2 (rows of _centred_rows), dp,
     dq the sets' deviation fields and ap, aq their purities.  The first
     term bounds the rounding of the margin for every density matrix rho,
     the second how far the sets' deviations can lift a separable state's
@@ -172,13 +179,14 @@ def margin_error_bound(p, q) -> float:
     4, and the gap between the mean ceiling and bipartite_bound at p's
     purity, which the reported bound uses.
 
-    p and q are duck-typed: anything with dim, a, deviation and a (d**2,)
-    centred_norms array.
+    p and q are duck-typed: anything with dim, a, deviation and a (d**2,
+    d, d) operators array.
     """
     d = p.dim
     m = d * d
+    norms = [np.abs(_centred_rows(g)).sum(axis=1) for g in (p, q)]
     rounding = (2.0 * (m * m + 2.0 * m) * np.finfo(float).eps
-                * float(p.centred_norms @ q.centred_norms))
+                * float(norms[0] @ norms[1]))
     sets = ((d + 2.0) ** 2 * (p.deviation + q.deviation)
             + d * abs(p.a - q.a) / (d + 1.0)) / 2.0
     return float(rounding + sets)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -44,9 +43,9 @@ class GsicSet:
     operators has shape (d**2, d, d); a is the common purity Tr(P_j**2)
     and t the mixing parameter the set was built with.  deviation is the
     largest deviation validate_gsic found when construct_gsic or read_gsic
-    returned the set; a set made directly is taken as exact.  Sets
-    compare and hash by identity, which is how criteria keys the witness
-    of a tuple of sets.
+    returned the set; a set made directly is taken as exact.  It keeps
+    nothing derived from its operators.  Sets compare and hash by
+    identity, which is how criteria keys the witness of a tuple of sets.
     """
 
     dim: int
@@ -55,23 +54,6 @@ class GsicSet:
     operators: np.ndarray
     basis_id: str
     deviation: float = 0.0
-
-    @cached_property
-    def centred(self) -> np.ndarray:
-        """(d**2, d**2) matrix whose row j is X_j = P_j - I/d**2, row-major.
-
-        Computed on first use and kept: replace() and conjugate_gsic()
-        return new sets, which compute their own.
-        """
-        d = self.dim
-        x = np.array(self.operators, dtype=complex).reshape(d * d, d * d)
-        x[:, ::d + 1] -= 1.0 / (d * d)
-        return x
-
-    @cached_property
-    def centred_norms(self) -> np.ndarray:
-        """Entrywise 1-norms ||X_j||_1 of the rows of centred."""
-        return np.abs(self.centred).sum(axis=1)
 
 
 class FeasibleT(NamedTuple):
@@ -278,7 +260,8 @@ def read_gsic(path: str | Path) -> GsicSet:
             basis_id = str(head["basis_id"])
             ops = _read_raw(f, d**4)
     except (KeyError, ValueError) as exc:
-        raise ValueError(f"malformed measurement file {path}: {exc}") from exc
+        why = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"malformed measurement file {path}: {why}") from exc
     g = GsicSet(dim=d, t=t, a=a, operators=ops.reshape(d * d, d, d),
                 basis_id=basis_id)
     return _require_valid(g, f"measurement file {path}")

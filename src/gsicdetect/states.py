@@ -909,8 +909,8 @@ def read_state(path: str | Path) -> DensityMatrix:
     The file must be raw (_read_head), with exactly
     (local_dim**parties)**2 entries after its head (_read_raw).
     local_dim must be an integer >= 2 and parties one >= 1, and the
-    result passes DensityMatrix.from_matrix.  A malformed file raises
-    ValueError.
+    result passes DensityMatrix.from_matrix.  A malformed file, or a
+    matrix that from_matrix refuses, raises ValueError naming the file.
     """
     try:
         with open(path, "rb") as f:
@@ -925,6 +925,10 @@ def read_state(path: str | Path) -> DensityMatrix:
             dim = local_dim ** parties
             flat = _read_raw(f, dim * dim)
     except (KeyError, ValueError) as exc:
-        raise ValueError(f"malformed state file {path}: {exc}") from exc
-    return DensityMatrix.from_matrix(flat.reshape(dim, dim), local_dim, parties,
-                                     label=f"file:{Path(path).name}")
+        why = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"malformed state file {path}: {why}") from exc
+    mat, label = flat.reshape(dim, dim), f"file:{Path(path).name}"
+    try:
+        return DensityMatrix.from_matrix(mat, local_dim, parties, label=label)
+    except ValueError as exc:
+        raise ValueError(f"state file {path}: {exc}") from exc

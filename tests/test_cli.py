@@ -540,6 +540,63 @@ def test_detect_names_a_file_that_is_not_json(tmp_path, capsys, argv, what):
     assert f"{what} {path}: Expecting value" in captured.err
 
 
+@pytest.mark.parametrize("matrix,reason", [
+    (np.diag([-0.25, 0.75, 0.25, 0.25]).astype(complex),
+     "matrix has negative eigenvalue -2.500e-01"),
+    ((np.eye(4) / 4 + 0.1 * np.eye(4, k=1)).astype(complex),
+     "matrix is not Hermitian, deviation 1.000e-01"),
+    (np.eye(4, dtype=complex) / 2, "matrix has trace (2+0j), expected 1"),
+], ids=["negative", "not-hermitian", "trace-2"])
+def test_detect_names_a_state_file_that_from_matrix_refuses(tmp_path, capsys,
+                                                           matrix, reason):
+    # a well-formed file whose matrix is no density matrix: from_matrix's
+    # message after the file's path, still a ValueError and exit 2
+    path = tmp_path / "neg.bin"
+    write_state(DensityMatrix(local_dim=2, parties=2, matrix=matrix), path)
+    with pytest.raises(ValueError) as exc:
+        gsicdetect.read_state(path)
+    assert str(exc.value) == f"state file {path}: {reason}"
+    rc = main(["detect", "--state", f"file:@{path}", "--max-t"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: state file {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("text,reason", [
+    ('{"5,0": 1.0}', "label (5, 0) out of range for dimension 2"),
+    ('{"0,0": 0.5}', "weights sum to 0.5, expected 1"),
+    ('{"0,0": -1.0, "0,1": 2.0}', "negative weight -1.0 for label (0, 0)"),
+], ids=["label", "sum", "negative"])
+def test_detect_names_a_weights_file_that_bell_diagonal_refuses(
+        tmp_path, capsys, text, reason):
+    path = tmp_path / "w.json"
+    path.write_text(text)
+    rc = main(["detect", "--state", f"belldiag:2:@{path}", "--max-t"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: weights file {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("kind,argv,what,field", [
+    ("gsic", ["--state", "file:@{path}", "--max-t"], "state", "local_dim"),
+    ("state", ["--state", "maxent:3", "--gsic", "{path}"], "measurement",
+     "d"),
+], ids=["set-as-state", "state-as-set"])
+def test_a_missing_head_field_is_named(tmp_path, capsys, kind, argv, what,
+                                       field):
+    # a file of the other kind: its head lacks the field read first
+    path = tmp_path / "other.bin"
+    _written_file(path, kind)
+    rc = main(["detect"] + [arg.format(path=path) for arg in argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: malformed {what} file {path}: missing "
+                            f"field {field!r}\n")
+
+
 @pytest.mark.parametrize("argv,what,text", [
     (["--state", "maxent:2", "--gsic", "{path}"], "measurement", "{deep}"),
     (["--state", "file:@{path}", "--max-t"], "state", "{deep}"),

@@ -18,7 +18,7 @@ from gsicdetect import (ENTANGLED_DETECTED, INCONCLUSIVE,
                         scan_family, trace_t_bound, write_gsic)
 from gsicdetect import criteria
 from gsicdetect.criteria import SCAN_FAMILIES, verdict
-from gsicdetect.errors import MAX_STEPS, margin_error_bound
+from gsicdetect.errors import MAX_STEPS, _centred_rows, margin_error_bound
 from gsicdetect.oracle import brute_force_j
 from gsicdetect.states import (DensityMatrix, _bell_mixture,
                                _belldiag_c_weights, _weights_deviation)
@@ -303,7 +303,8 @@ def test_scan_reports_match_detect_on_the_constructed_states(family, d):
     for t in (max_feasible_t(basis), 1e-6, 1e-9):
         p, q = _pair(d, t)
         e = margin_error_bound(p, q)
-        s = float(p.centred_norms @ q.centred_norms)
+        s = float(np.abs(_centred_rows(p)).sum(axis=1)
+                  @ np.abs(_centred_rows(q)).sum(axis=1))
         scan = scan_family(family, p, 40)
         for x, j, m, f in zip(scan.grid.tolist(), scan.j_values.tolist(),
                               scan.margins.tolist(), scan.flagged.tolist()):

@@ -13,7 +13,8 @@ from gsicdetect import (InfeasibleParameterError, NumericIntegrityError,
                         index_of_coincidence, isotropic, j_bipartite,
                         max_feasible_t, read_gsic, read_state, validate_gsic,
                         verify_basis, write_gsic, write_state)
-from gsicdetect.errors import hermiticity_deviation
+from gsicdetect.errors import (_centred_rows, hermiticity_deviation,
+                               margin_error_bound)
 from gsicdetect.gsic import _require_valid
 from gsicdetect.operator_basis import hilbert_schmidt_gram
 from gsicdetect.states import DensityMatrix
@@ -430,18 +431,28 @@ def test_rotated_bases_pass_every_gate(tmp_path, above_cap_set, random_state,
 
 
 def test_centred_operators_are_computed_per_set():
+    # the rows X_j = P_j - I/d**2 that K and E read, formed afresh from a
+    # set's own operators on each call; the set keeps nothing beside its
+    # fields, even once a test has built the pair's witness
     d = 3
     eye = np.eye(d) / d**2
     g = construct_gsic(gell_mann_basis(d), 0.01)
     want = (g.operators - eye).reshape(d * d, d * d)
-    assert np.array_equal(g.centred, want)
-    assert np.array_equal(g.centred_norms, np.abs(want).sum(axis=1))
-    assert np.array_equal(conjugate_gsic(g).centred, g.centred.conj())
-    # g's values are cached by now; a replaced set computes its own
+    assert np.array_equal(_centred_rows(g), want)
+    assert not np.shares_memory(_centred_rows(g), g.operators)
+    # with exact sets of one purity, E is its rounding term alone, the
+    # scale S of the rows' entrywise 1-norms
+    m, exact = d * d, dataclasses.replace(g, deviation=0.0)
+    s = float(np.abs(want).sum(axis=1) @ np.abs(want.conj()).sum(axis=1))
+    assert margin_error_bound(exact, conjugate_gsic(exact)) == (
+        2.0 * (m * m + 2.0 * m) * np.finfo(float).eps * s)
+    assert np.array_equal(_centred_rows(conjugate_gsic(g)), want.conj())
     doubled = dataclasses.replace(g, operators=2 * g.operators)
-    assert np.array_equal(doubled.centred,
+    assert np.array_equal(_centred_rows(doubled),
                           (2 * g.operators - eye).reshape(d * d, d * d))
-    assert np.array_equal(g.centred, want)
+    j_bipartite(isotropic(d, 0.3), g, conjugate_gsic(g))
+    assert vars(g).keys() == {f.name for f in dataclasses.fields(g)}
+    assert np.array_equal(_centred_rows(g), want)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])

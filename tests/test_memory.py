@@ -17,9 +17,10 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 
-from gsicdetect import (construct_gsic, feasible_t, gell_mann_basis,
-                        ppt_test, random_separable, read_gsic, read_state,
-                        write_gsic, write_state)
+from gsicdetect import (conjugate_gsic, construct_gsic, detect_bipartite,
+                        feasible_t, gell_mann_basis, isotropic, ppt_test,
+                        random_separable, read_gsic, read_state, write_gsic,
+                        write_state)
 from gsicdetect.cli import main
 from gsicdetect.states import DensityMatrix, _read_head, _read_raw
 
@@ -181,3 +182,32 @@ def test_a_dense_ppt_test_peaks_at_its_partial_transpose_and_one_factor(kind):
     assert ppt_test(rho).npt == (kind == "npt")
     peak = _peak(lambda: ppt_test(rho))
     assert peak <= 1.4 * rho.matrix.nbytes, peak / rho.matrix.nbytes
+
+
+def _cap_pair(d: int, pairing: str):
+    basis = gell_mann_basis(d)
+    p = construct_gsic(basis, feasible_t(basis).t)
+    return p, conjugate_gsic(p) if pairing == "conj" else p
+
+
+@pytest.mark.parametrize("d, pairing", [(12, "conj"), (16, "conj"),
+                                        (16, "same")])
+def test_a_pair_holds_only_its_witness_kernel(d, pairing):
+    # after the first detect_bipartite on a pair, what stays traced is K,
+    # 16 d**4 bytes, and the store's entries, 1.7 KiB: the sets keep no
+    # centred copy of their operators (3.006 kernels held at d = 16 when
+    # each set kept one, 2.004 for the same set twice).  The build peaks
+    # at the two centred copies and K, then K and its permuted copy:
+    # 3.002 kernels (4.006 beside the kept copies)
+    detect_bipartite(isotropic(d, 0.3), *_cap_pair(d, pairing))  # warm-up
+    p, q = _cap_pair(d, pairing)
+    rho = isotropic(d, 0.3)
+    kernel = 16 * d**4
+    tracemalloc.start()
+    try:
+        detect_bipartite(rho, p, q)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kernel <= held <= kernel + 4096, held - kernel
+    assert peak <= 3.1 * kernel, peak / kernel

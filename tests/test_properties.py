@@ -31,8 +31,8 @@ from gsicdetect import errors, states  # noqa: E402
 from gsicdetect.cli import main  # noqa: E402
 from gsicdetect.criteria import SCAN_FAMILIES, _Witness  # noqa: E402
 from gsicdetect.errors import (CAP_EIG_SLACK, HERM_TOL,  # noqa: E402
-                               MAX_STEPS, PSD_TOL, hermiticity_deviation,
-                               margin_error_bound)
+                               MAX_STEPS, PSD_TOL, _centred_rows,
+                               hermiticity_deviation, margin_error_bound)
 from gsicdetect.gsic import _operators  # noqa: E402
 from gsicdetect.oracle import brute_force_j, ppt_test  # noqa: E402
 from gsicdetect.states import (_bell_mixture, _lowest_eigenvalue,  # noqa: E402
@@ -46,7 +46,8 @@ def _witness(d: int, at_cap: bool) -> tuple[_Witness, float]:
     basis = gell_mann_basis(d)
     p = construct_gsic(basis, max_feasible_t(basis) if at_cap else 1e-6)
     q = conjugate_gsic(p)
-    return _Witness(p, q), float(p.centred_norms @ q.centred_norms)
+    return _Witness(p, q), float(np.abs(_centred_rows(p)).sum(axis=1)
+                                 @ np.abs(_centred_rows(q)).sum(axis=1))
 
 
 @st.composite
